@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from tsgroups.autoencoder import AutoencoderConfig, fit, transform
-from tsgroups.hierarchy import hc_aecs
+from tsgroups.hierarchy import select_best_measure
 from tsgroups.ingest import SyntheticSpec, generate_synthetic
 
 
@@ -65,9 +65,9 @@ def main() -> None:
         mean = aecs.vectors[cell == c].mean(axis=0)
         print(f"  archetype {c // 2}, class {c % 2}: {np.round(mean, 2)}")
 
-    assignment, measure, _ = hc_aecs(aecs.vectors, k=4)
-    score = adjusted_rand(assignment, cell)
-    print(f"\nclustering the codes at k=4 ({measure.value})"
+    selection = select_best_measure(aecs.vectors, k=4)
+    score = adjusted_rand(selection.assignment, cell)
+    print(f"\nclustering the codes at k=4 ({selection.measure.value})"
           f" matches the planted cells with adjusted Rand {score:.2f}")
 
 

@@ -10,7 +10,7 @@ quality score and the winner.
 
 import numpy as np
 
-from tsgroups.hierarchy import hc_aecs
+from tsgroups.hierarchy import select_best_measure
 from tsgroups.rng import seeded_rng
 
 
@@ -38,15 +38,16 @@ def isotropic(n_per: int = 25, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:
 
 
 def show(name: str, x: np.ndarray, labels: np.ndarray) -> None:
-    assignment, measure, report = hc_aecs(x, k=2)
+    selection = select_best_measure(x, k=2)
     agreement = max(
-        np.mean(assignment == labels),
-        np.mean(assignment == 1 - labels),
+        np.mean(selection.assignment == labels),
+        np.mean(selection.assignment == 1 - labels),
     )
+    scores = selection.report.scores
     print(f"\n{name}:")
-    for token in sorted(report.scores):
-        flag = "  <- selected" if token == measure.value else ""
-        print(f"  {token:12s} score {report.scores[token]:10.4f}{flag}")
+    for token in sorted(scores):
+        flag = "  <- selected" if token == selection.measure.value else ""
+        print(f"  {token:12s} score {scores[token]:10.4f}{flag}")
     print(f"  split matches planted labels on {agreement:.0%} of points")
 
 

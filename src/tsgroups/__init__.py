@@ -8,176 +8,4 @@ per group, and routes unseen windows to the best-matching group's
 model at inference time.
 """
 
-from .autoencoder import (
-    AutoencoderConfig,
-    TrainReport,
-    decode,
-    encode,
-    fit,
-    gradient_check,
-    init_params,
-    load_model,
-    model_id,
-    save_model,
-    transform,
-)
-from .classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, stats_features, train_softmax
-from .consistent import CgfConfig, CgfResult, difference, form_consistent_groups, new_group_members
-from .distances import (
-    MEASURE_ORDER,
-    DistanceMeasureId,
-    MahalanobisContext,
-    chebyshev,
-    cross_distances,
-    distance,
-    fit_mahalanobis,
-    mahalanobis,
-    manhattan,
-    pairwise_matrix,
-)
-from .grouped import GroupModelBundle, predict, train_per_group, train_single_baseline, trivial_grouping
-from .group_mapping import (
-    MappingMethod,
-    MappingReport,
-    avg_group_distance,
-    group_representative,
-    group_representatives,
-    infer_with_groups,
-    map_avg,
-    map_cr_cr,
-)
-from .hierarchy import (
-    Dendrogram,
-    HubertReport,
-    Linkage,
-    MeasureSelection,
-    agglomerate,
-    centroids,
-    cut,
-    hc_aecs,
-    hubert_statistic,
-    select_best_measure,
-)
-from .ingest import (
-    CLASS_NAMES,
-    ColumnMap,
-    NormalizationStats,
-    RawSession,
-    SyntheticSpec,
-    apply_normalization,
-    discover_sessions,
-    filter_road,
-    fit_normalization,
-    generate_synthetic,
-    parse_session_name,
-    parse_uah_session,
-    split_indices,
-    stratified_split,
-    window_sessions,
-)
-from .metrics import evaluate_metrics
-from .pipeline import PipelineConfig, cmd_gradcheck, cmd_infer, cmd_ingest, cmd_report, cmd_selftest, cmd_train, load_config
-from .rng import derive_seed, seeded_rng
-from .types import (
-    EXACT_TOL,
-    AecsMatrix,
-    ClassMetrics,
-    DivergenceError,
-    Grouping,
-    WindowedDataset,
-    WindowMeta,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AecsMatrix",
-    "AutoencoderConfig",
-    "CLASS_NAMES",
-    "CgfConfig",
-    "CgfResult",
-    "ClassMetrics",
-    "ClassifierKind",
-    "ClassifierSpec",
-    "ColumnMap",
-    "Dendrogram",
-    "DistanceMeasureId",
-    "DivergenceError",
-    "EXACT_TOL",
-    "GroupModelBundle",
-    "Grouping",
-    "HubertReport",
-    "Linkage",
-    "MEASURE_ORDER",
-    "MahalanobisContext",
-    "MappingMethod",
-    "MappingReport",
-    "MeasureSelection",
-    "NormalizationStats",
-    "PipelineConfig",
-    "RawSession",
-    "SoftmaxModel",
-    "SyntheticSpec",
-    "TrainReport",
-    "WindowMeta",
-    "WindowedDataset",
-    "agglomerate",
-    "apply_normalization",
-    "avg_group_distance",
-    "centroids",
-    "chebyshev",
-    "cmd_gradcheck",
-    "cmd_infer",
-    "cmd_ingest",
-    "cmd_report",
-    "cmd_selftest",
-    "cmd_train",
-    "cross_distances",
-    "cut",
-    "decode",
-    "derive_seed",
-    "difference",
-    "discover_sessions",
-    "distance",
-    "encode",
-    "evaluate_metrics",
-    "extract_features",
-    "filter_road",
-    "fit",
-    "fit_mahalanobis",
-    "fit_normalization",
-    "form_consistent_groups",
-    "generate_synthetic",
-    "gradient_check",
-    "group_representative",
-    "group_representatives",
-    "hc_aecs",
-    "hubert_statistic",
-    "infer_with_groups",
-    "init_params",
-    "load_config",
-    "load_model",
-    "mahalanobis",
-    "manhattan",
-    "map_avg",
-    "map_cr_cr",
-    "model_id",
-    "new_group_members",
-    "pairwise_matrix",
-    "parse_session_name",
-    "parse_uah_session",
-    "predict",
-    "predict_softmax",
-    "save_model",
-    "seeded_rng",
-    "select_best_measure",
-    "split_indices",
-    "stats_features",
-    "stratified_split",
-    "train_per_group",
-    "train_single_baseline",
-    "train_softmax",
-    "transform",
-    "trivial_grouping",
-    "window_sessions",
-]

@@ -10,7 +10,7 @@ so identical inputs always give identical models.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,13 +43,7 @@ class ClassifierSpec:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "l2": self.l2,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassifierSpec":

@@ -1,9 +1,9 @@
 """Command-line front end for the grouped time-series workflow.
 
 Verbs mirror the pipeline stages: ingest, train, infer, report, plus
-two self-contained checks (gradcheck, selftest). Exit codes: 0 success,
-2 configuration problems, 3 missing or inconsistent files, 4 numeric
-divergence or failed numeric audit.
+the self-contained gradient audit gradcheck. Exit codes: 0 success,
+2 configuration problems, 3 missing, truncated or inconsistent files,
+4 numeric divergence or failed numeric audit.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p_grad.add_argument("--seeds", type=int, default=5, help="number of random nets")
     p_grad.add_argument("--epsilon", type=float, default=1e-5, help="perturbation size")
-
-    sub.add_parser("selftest", help="compare fast numerics against naive references")
     return parser
 
 
@@ -123,11 +121,6 @@ def main(argv: list[str] | None = None) -> int:
             _print(pipeline.cmd_report(args.out))
         elif args.command == "gradcheck":
             result = pipeline.cmd_gradcheck(args.seeds, args.epsilon)
-            _print(result)
-            if not result["ok"]:
-                return EXIT_NUMERIC
-        elif args.command == "selftest":
-            result = pipeline.cmd_selftest()
             _print(result)
             if not result["ok"]:
                 return EXIT_NUMERIC

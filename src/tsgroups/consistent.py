@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .hierarchy import Linkage, MeasureSelection, cut, select_best_measure
 from .types import AecsMatrix, Grouping
@@ -30,7 +29,6 @@ class CgfConfig:
     k_start: int = DEFAULT_K_START
     k_max: int | None = None
     linkage: Linkage = Linkage.AVERAGE
-    reselect_measure_per_k: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
@@ -74,11 +72,10 @@ class CgfResult:
 def difference(prev: np.ndarray, nxt: np.ndarray) -> int:
     """Size of the new group created going from prev to the finer nxt.
 
-    Old and new groups are matched one-to-one to maximize shared
-    instances; the count of instances outside that correspondence is
-    returned. For nested partitions (one group split in two, the rest
-    untouched) this equals the size of the smaller child of the split,
-    and identical partitions give 0.
+    Both partitions must come from cuts of one dendrogram, so nxt splits
+    exactly one group of prev in two: each old group keeps its largest
+    part, and what is left over is the smaller child of the split.
+    Identical partitions give 0.
     """
     prev = np.asarray(prev, dtype=np.int64)
     nxt = np.asarray(nxt, dtype=np.int64)
@@ -86,45 +83,17 @@ def difference(prev: np.ndarray, nxt: np.ndarray) -> int:
         raise ValueError(f"partition length mismatch: {prev.shape} vs {nxt.shape}")
     if prev.ndim != 1 or prev.size == 0:
         raise ValueError("partitions must be nonempty 1-d arrays")
-    k_prev = int(prev.max()) + 1
-    k_next = int(nxt.max()) + 1
-
-    overlap = np.zeros((k_prev, k_next), dtype=np.int64)
+    overlap = np.zeros((int(prev.max()) + 1, int(nxt.max()) + 1), dtype=np.int64)
     np.add.at(overlap, (prev, nxt), 1)
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
-    matched = int(overlap[rows, cols].sum())
-    return int(prev.size - matched)
-
-
-def new_group_members(prev: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Indices of the instances counted by ``difference``.
-
-    These are the members of new groups left unmatched by the maximum
-    overlap correspondence, plus any instances sitting outside their own
-    group's matched counterpart.
-    """
-    prev = np.asarray(prev, dtype=np.int64)
-    nxt = np.asarray(nxt, dtype=np.int64)
-    if prev.shape != nxt.shape:
-        raise ValueError(f"partition length mismatch: {prev.shape} vs {nxt.shape}")
-    k_prev = int(prev.max()) + 1
-    k_next = int(nxt.max()) + 1
-    overlap = np.zeros((k_prev, k_next), dtype=np.int64)
-    np.add.at(overlap, (prev, nxt), 1)
-    rows, cols = scipy.optimize.linear_sum_assignment(-overlap)
-    partner = {int(r): int(c) for r, c in zip(rows, cols)}
-    outside = [i for i in range(prev.size) if partner.get(int(prev[i])) != int(nxt[i])]
-    return np.asarray(outside, dtype=np.int64)
+    return int(prev.size - overlap.max(axis=1).sum())
 
 
 def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | None = None) -> CgfResult:
     """Grow the partition until the next split would create a marginal group.
 
     The distance measure and dendrogram are chosen once at ``k_start``
-    and every cut reuses them, so successive partitions nest; set
-    ``reselect_measure_per_k`` to rerun measure selection at each
-    candidate k instead (partitions then need not nest and the
-    matching-based difference takes over).
+    and every later cut reuses that dendrogram, so successive partitions
+    nest and each step's new group is the smaller child of one split.
     """
     config = config or CgfConfig()
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
@@ -139,39 +108,26 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     min_size = config.tau * m
 
     selection = select_best_measure(aecs, config.k_start, config.linkage)
-
-    def candidate_at(k: int) -> tuple[np.ndarray, MeasureSelection | None]:
-        if k == 1:
-            return np.zeros(m, dtype=np.int64), None
-        if config.reselect_measure_per_k and k != config.k_start:
-            sel = select_best_measure(aecs, k, config.linkage)
-            return sel.assignment, sel
-        if k == config.k_start:
-            return selection.assignment, selection
-        return cut(selection.dendrogram, k), None
-
     k = config.k_start - 1
-    assignment, _ = candidate_at(k)
+    assignment = cut(selection.dendrogram, k)
     trace: list[dict] = []
     stopped_by = "k_max"
     rejected_size: int | None = None
     while k < k_max:
-        candidate, candidate_sel = candidate_at(k + 1)
+        candidate = cut(selection.dendrogram, k + 1)
         size = difference(assignment, candidate)
         accepted = size >= min_size
         trace.append({
             "k": k + 1,
             "new_group_size": size,
             "accepted": bool(accepted),
-            "measure": (candidate_sel or selection).measure.value,
+            "measure": selection.measure.value,
         })
         if not accepted:
             stopped_by = "tau"
             rejected_size = size
             break
         assignment = candidate
-        if candidate_sel is not None:
-            selection = candidate_sel
         k += 1
 
     grouping = Grouping(

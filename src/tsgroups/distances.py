@@ -121,18 +121,6 @@ def mahalanobis(a, b, ctx: MahalanobisContext) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def distance(a, b, measure: DistanceMeasureId, ctx: MahalanobisContext | None = None) -> float:
-    """Dispatch a single pair distance by measure token."""
-    measure = DistanceMeasureId(measure)
-    if measure is DistanceMeasureId.CHEBYSHEV:
-        return chebyshev(a, b)
-    if measure is DistanceMeasureId.MANHATTAN:
-        return manhattan(a, b)
-    if ctx is None:
-        raise ValueError("MAHALANOBIS requires a fitted context")
-    return mahalanobis(a, b, ctx)
-
-
 def cross_distances(
     x: np.ndarray,
     y: np.ndarray,
@@ -167,23 +155,16 @@ def pairwise_matrix(
     aecs: AecsMatrix | np.ndarray,
     measure: DistanceMeasureId,
     ctx: MahalanobisContext | None = None,
-    memory_cap_bytes: int | None = None,
 ) -> np.ndarray:
     """Full symmetric M x M distance matrix with an exactly zero diagonal.
 
     Only the upper triangle is computed; the lower half is mirrored, so the
-    matrix equals its transpose bit-for-bit. ``memory_cap_bytes`` guards
-    against accidental materialization of matrices too large for memory.
+    matrix equals its transpose bit-for-bit.
     """
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.ascontiguousarray(aecs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"need an (M, h) matrix, got {x.shape}")
     m = x.shape[0]
-    if memory_cap_bytes is not None and m * m * 8 > memory_cap_bytes:
-        raise MemoryError(
-            f"pairwise matrix for M={m} needs {m * m * 8} bytes, above the cap of {memory_cap_bytes}; "
-            "use cross_distances on blocks instead"
-        )
     measure = DistanceMeasureId(measure)
     if measure is DistanceMeasureId.MAHALANOBIS and ctx is None:
         raise ValueError("MAHALANOBIS requires a fitted context")

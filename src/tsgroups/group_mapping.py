@@ -28,52 +28,32 @@ class MappingMethod(str, enum.Enum):
         return self.value
 
 
-def group_representative(aecs: AecsMatrix | np.ndarray, grouping: Grouping, group_id: int) -> np.ndarray:
-    """Mean representation vector of one group's members."""
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
-    if not 0 <= group_id < grouping.K:
-        raise ValueError(f"group id {group_id} out of range for K={grouping.K}")
-    members = grouping.members(group_id)
-    if members.size == 0:
-        raise ValueError(f"group {group_id} is empty")
-    return x[members].mean(axis=0)
-
-
 def group_representatives(aecs: AecsMatrix | np.ndarray, grouping: Grouping) -> np.ndarray:
-    """All K mean vectors stacked as a (K, h) matrix."""
-    return np.stack([group_representative(aecs, grouping, g) for g in range(grouping.K)])
+    """Mean vector of each group's members, stacked as a (K, h) matrix."""
+    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
+    return np.stack([x[grouping.members(g)].mean(axis=0) for g in range(grouping.K)])
 
 
-def map_cr_cr(train_crs: np.ndarray, test_cr: np.ndarray, measure: DistanceMeasureId,
-              ctx: MahalanobisContext | None = None) -> int:
-    """Index of the train representative closest to the test representative."""
-    train_crs = np.asarray(train_crs, dtype=np.float64)
-    if train_crs.ndim != 2 or train_crs.shape[0] < 1:
-        raise ValueError(f"need a nonempty (K, h) matrix of representatives, got {train_crs.shape}")
-    dists = cross_distances(train_crs, np.asarray(test_cr, dtype=np.float64)[None], measure, ctx)
-    return int(np.argmin(dists[:, 0]))
+def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarray,
+                        train_grouping: Grouping, test_block: np.ndarray,
+                        measure: DistanceMeasureId, ctx: MahalanobisContext | None = None) -> np.ndarray:
+    """Distance from one test group to each train group, indexed by train group.
 
-
-def avg_group_distance(train_instances: np.ndarray, test_instances: np.ndarray,
-                       measure: DistanceMeasureId, ctx: MahalanobisContext | None = None) -> float:
-    """Mean of all pairwise distances between two groups' members."""
-    a = np.asarray(train_instances, dtype=np.float64)
-    b = np.asarray(test_instances, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("both groups must be nonempty (n, h) matrices")
-    return float(cross_distances(a, b, measure, ctx).mean())
-
-
-def map_avg(train_aecs: AecsMatrix | np.ndarray, train_grouping: Grouping,
-            test_instances: np.ndarray, measure: DistanceMeasureId,
-            ctx: MahalanobisContext | None = None) -> int:
-    """Train group with the smallest average instance-wise distance."""
+    CR_CR compares the group representatives; AVG averages the distances
+    of all cross-group instance pairs. The nearest train group is the
+    argmin, so ties go to the smaller index.
+    """
     x = train_aecs.vectors if isinstance(train_aecs, AecsMatrix) else np.asarray(train_aecs, dtype=np.float64)
-    dists = [
-        avg_group_distance(x[train_grouping.members(g)], test_instances, measure, ctx)
+    test_block = np.asarray(test_block, dtype=np.float64)
+    if test_block.ndim != 2 or test_block.shape[0] == 0:
+        raise ValueError(f"test group must be a nonempty (n, h) matrix, got {test_block.shape}")
+    if MappingMethod(method) is MappingMethod.CR_CR:
+        train_crs = group_representatives(x, train_grouping)
+        return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
+    return np.array([
+        cross_distances(x[train_grouping.members(g)], test_block, measure, ctx).mean()
         for g in range(train_grouping.K)
-    ]
-    return int(np.argmin(dists))
+    ])
 
 
 @dataclass
@@ -134,10 +114,7 @@ def infer_with_groups(
         elif ctx.source_fingerprint and ctx.source_fingerprint != train_aecs.fingerprint():
             raise ValueError("Mahalanobis context was not fitted on the train representations")
 
-    train_x = train_aecs.vectors
     test_x = test_aecs.vectors
-    train_crs = group_representatives(train_aecs, bundle.grouping)
-
     predictions = np.empty(test_aecs.n_instances, dtype=np.int64)
     report = MappingReport(
         method=method,
@@ -147,16 +124,7 @@ def infer_with_groups(
     for j in range(test_grouping.K):
         members = test_grouping.members(j)
         block = test_x[members]
-        if method is MappingMethod.CR_CR:
-            candidates = [
-                float(cross_distances(train_crs[i][None], block.mean(axis=0)[None], measure, ctx)[0, 0])
-                for i in range(bundle.n_groups)
-            ]
-        else:
-            candidates = [
-                avg_group_distance(train_x[bundle.grouping.members(i)], block, measure, ctx)
-                for i in range(bundle.n_groups)
-            ]
+        candidates = candidate_distances(method, train_aecs, bundle.grouping, block, measure, ctx)
         chosen = int(np.argmin(candidates))
         report.rows.append({
             "test_group": j,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,21 +267,18 @@ class HubertReport:
 
 @dataclass
 class MeasureSelection:
-    """Everything the winning measure produced: partition, tree, context."""
+    """What the winning measure produced: its partition and tree."""
 
     measure: DistanceMeasureId
     assignment: np.ndarray
     dendrogram: Dendrogram
     report: HubertReport
-    mahalanobis_ctx: MahalanobisContext | None = None
-    pairwise: np.ndarray | None = field(default=None, repr=False)
 
 
 def select_best_measure(
     aecs: AecsMatrix | np.ndarray,
     k: int,
     linkage: Linkage = Linkage.AVERAGE,
-    keep_pairwise: bool = False,
 ) -> MeasureSelection:
     """Cluster under all three measures, keep the one with maximum rho.
 
@@ -309,19 +306,8 @@ def select_best_measure(
                 assignment=assignment,
                 dendrogram=dendrogram,
                 report=HubertReport(scores={}, selected=measure, k=k),
-                mahalanobis_ctx=ctx,
-                pairwise=dist if keep_pairwise else None,
             )
     assert best is not None
     best.report.scores = scores
     return best
 
-
-def hc_aecs(
-    aecs: AecsMatrix | np.ndarray,
-    k: int,
-    linkage: Linkage = Linkage.AVERAGE,
-) -> tuple[np.ndarray, DistanceMeasureId, HubertReport]:
-    """Best-measure clustering at k groups: (assignment, measure, report)."""
-    selection = select_best_measure(aecs, k, linkage)
-    return selection.assignment, selection.measure, selection.report

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -258,13 +258,6 @@ def split_indices(ds: WindowedDataset, train_fraction: float = DEFAULT_TRAIN_FRA
         raise ValueError("split produced an empty test set; corpus too small")
     return (np.asarray(sorted(train_idx), dtype=np.int64),
             np.asarray(sorted(test_idx), dtype=np.int64))
-
-
-def stratified_split(ds: WindowedDataset, train_fraction: float = DEFAULT_TRAIN_FRACTION,
-                     seed: int = 0) -> tuple[WindowedDataset, WindowedDataset]:
-    """Split within each (driver, behavior) stratum at the given fraction."""
-    train_idx, test_idx = split_indices(ds, train_fraction, seed)
-    return ds.subset(train_idx), ds.subset(test_idx)
 
 
 @dataclass

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+import zipfile
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,10 @@ import scipy
 from . import autoencoder as ae
 from .classifiers import ClassifierSpec
 from .consistent import CgfConfig, form_consistent_groups
-from .distances import MEASURE_ORDER, DistanceMeasureId, fit_mahalanobis
+from .distances import DistanceMeasureId, fit_mahalanobis
 from .grouped import predict as bundle_predict
 from .grouped import train_per_group, train_single_baseline
 from .group_mapping import MappingMethod, infer_with_groups
-from .hierarchy import Linkage
 from .ingest import (
     ACCELEROMETER_FILENAME,
     ColumnMap,
@@ -41,6 +42,7 @@ from .ingest import (
 from .metrics import evaluate_metrics
 from .storage import (
     content_digest,
+    grouping_to_dict,
     load_aecs,
     load_bundle,
     load_dataset,
@@ -51,7 +53,7 @@ from .storage import (
     save_dataset,
     write_json,
 )
-from .types import AecsMatrix, WindowedDataset
+from .types import WindowedDataset
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -62,6 +64,15 @@ class ConfigError(ValueError):
 
 class ArtifactError(RuntimeError):
     """Missing or inconsistent run artifacts."""
+
+
+@contextmanager
+def _reading_artifacts(what: str):
+    """Report truncated or edited artifact content as an ArtifactError."""
+    try:
+        yield
+    except (zipfile.BadZipFile, KeyError, IndexError, ValueError) as exc:
+        raise ArtifactError(f"corrupt {what}: {exc!r}") from None
 
 
 def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
@@ -160,38 +171,10 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "paths": {"dataset_root": self.dataset_root, "out_dir": self.out_dir},
-            "ingest": {
-                "road": self.ingest.road,
-                "window_len": self.ingest.window_len,
-                "overlap": self.ingest.overlap,
-                "train_fraction": self.ingest.train_fraction,
-                "seed": self.ingest.seed,
-                "normalize": self.ingest.normalize,
-                "accelerometer_filename": self.ingest.accelerometer_filename,
-                "column_map": dict(self.ingest.column_map),
-                "synthetic": self.ingest.synthetic,
-            },
-            "autoencoder": {
-                "hidden1": self.autoencoder.hidden1,
-                "hidden2": self.autoencoder.hidden2,
-                "epochs": self.autoencoder.epochs,
-                "batch_size": self.autoencoder.batch_size,
-                "learning_rate": self.autoencoder.learning_rate,
-                "beta1": self.autoencoder.beta1,
-                "beta2": self.autoencoder.beta2,
-                "adam_epsilon": self.autoencoder.adam_epsilon,
-                "early_stop_patience": self.autoencoder.early_stop_patience,
-                "val_fraction": self.autoencoder.val_fraction,
-                "seed": self.autoencoder.seed,
-            },
-            "cgf": {
-                "tau": self.cgf.tau,
-                "k_start": self.cgf.k_start,
-                "k_max": self.cgf.k_max,
-                "linkage": self.cgf.linkage.value,
-                "reselect_measure_per_k": self.cgf.reselect_measure_per_k,
-            },
-            "classifier": self.classifier.to_dict(),
+            "ingest": asdict(self.ingest),
+            "autoencoder": asdict(self.autoencoder),
+            "cgf": asdict(self.cgf),
+            "classifier": asdict(self.classifier),
             "mapping": {"method": self.mapping_method.value},
             "train": {"baseline": self.train_baseline, "baseline_only": self.baseline_only},
         }
@@ -345,10 +328,8 @@ def cmd_train(config: PipelineConfig) -> dict:
     timings: dict[str, float] = {}
     files: dict[str, Path] = {}
     with run_lock(out):
-        try:
+        with _reading_artifacts("train dataset archive"):
             ds, _, _, _ = load_dataset(train_path)
-        except (ValueError, KeyError) as exc:
-            raise ArtifactError(f"corrupt train dataset archive: {exc}") from None
 
         start = time.perf_counter()
         params, report = ae.fit(ds, config.autoencoder)
@@ -370,13 +351,7 @@ def cmd_train(config: PipelineConfig) -> dict:
             cgf_result = form_consistent_groups(aecs, config.cgf)
             timings["cgf"] = time.perf_counter() - start
             payload = cgf_result.to_dict()
-            payload["grouping"] = {
-                "assignment": cgf_result.grouping.assignment.tolist(),
-                "K": cgf_result.grouping.K,
-                "measure": cgf_result.grouping.measure,
-                "hubert_scores": {k: float(v) for k, v in cgf_result.grouping.hubert_scores.items()},
-                "iteration_trace": [[int(a), int(b)] for a, b in cgf_result.grouping.iteration_trace],
-            }
+            payload["grouping"] = grouping_to_dict(cgf_result.grouping)
             write_json(_artifact(out, "cgf_train"), payload)
             files["cgf_train"] = _artifact(out, "cgf_train")
 
@@ -431,13 +406,11 @@ def cmd_infer(config: PipelineConfig) -> dict:
     timings: dict[str, float] = {}
     files: dict[str, Path] = {}
     with run_lock(out):
-        try:
+        with _reading_artifacts("run artifact"):
             test_ds, _, has_labels, _ = load_dataset(_artifact(out, "test_dataset"))
             params, model_config, d = ae.load_model(_artifact(out, "model"))
             train_aecs = load_aecs(_artifact(out, "aecs_train"))
             bundle = load_bundle(_artifact(out, bundle_name))
-        except (ValueError, KeyError) as exc:
-            raise ArtifactError(f"corrupt run artifact: {exc}") from None
         model_digest = ae.model_id(params, model_config, d)
         if bundle.aecs_model_id != model_digest:
             raise ArtifactError("bundle was trained against a different autoencoder model")
@@ -457,10 +430,10 @@ def cmd_infer(config: PipelineConfig) -> dict:
         write_json(_artifact(out, "cgf_test"), test_cgf.to_dict())
         files["cgf_test"] = _artifact(out, "cgf_test")
 
-        try:
-            measure = DistanceMeasureId(bundle.grouping.measure)
-        except ValueError:
-            measure = MEASURE_ORDER[0]
+        # The baseline bundle's single group was never clustered, so
+        # baseline-only mapping uses the measure the test side selected.
+        grouping = test_grouping if config.baseline_only else bundle.grouping
+        measure = DistanceMeasureId(grouping.measure)
         ctx = (fit_mahalanobis(train_aecs)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
 
@@ -502,7 +475,8 @@ def cmd_infer(config: PipelineConfig) -> dict:
             }
             baseline_path = _artifact(out, "bundle_baseline")
             if baseline_path.is_file() and not config.baseline_only:
-                baseline = load_bundle(baseline_path)
+                with _reading_artifacts("baseline bundle"):
+                    baseline = load_bundle(baseline_path)
                 baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
                 baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
                 report["baseline"] = {
@@ -541,89 +515,90 @@ def cmd_report(run_dir: str | Path) -> dict:
     def note(msg: str) -> None:
         notices.append(msg)
 
-    cgf_path = _artifact(out, "cgf_train")
-    train_path = _artifact(out, "train_dataset")
-    aecs_path = _artifact(out, "aecs_train")
+    with _reading_artifacts(f"artifact in {out}"):
+        cgf_path = _artifact(out, "cgf_train")
+        train_path = _artifact(out, "train_dataset")
+        aecs_path = _artifact(out, "aecs_train")
 
-    grouping_data = None
-    if cgf_path.is_file():
-        grouping_data = read_json(cgf_path)
-    else:
-        note(f"missing {cgf_path}; group-based tables skipped")
+        grouping_data = None
+        if cgf_path.is_file():
+            grouping_data = read_json(cgf_path)
+        else:
+            note(f"missing {cgf_path}; group-based tables skipped")
 
-    if grouping_data is not None and train_path.is_file():
-        ds, _, _, _ = load_dataset(train_path)
-        assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
-        counts: dict[tuple[int, str, str], int] = {}
-        for i, wm in enumerate(ds.meta):
-            key = (int(assignment[i]), wm.driver_id, wm.behavior)
-            counts[key] = counts.get(key, 0) + 1
-        path = out / "composition_train.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["group", "driver_id", "behavior", "count"])
-            for key in sorted(counts):
-                writer.writerow([key[0], key[1], key[2], counts[key]])
-        written["composition_train"] = str(path)
-    elif not train_path.is_file():
-        note(f"missing {train_path}; composition table skipped")
+        if grouping_data is not None and train_path.is_file():
+            ds, _, _, _ = load_dataset(train_path)
+            assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
+            counts: dict[tuple[int, str, str], int] = {}
+            for i, wm in enumerate(ds.meta):
+                key = (int(assignment[i]), wm.driver_id, wm.behavior)
+                counts[key] = counts.get(key, 0) + 1
+            path = out / "composition_train.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["group", "driver_id", "behavior", "count"])
+                for key in sorted(counts):
+                    writer.writerow([key[0], key[1], key[2], counts[key]])
+            written["composition_train"] = str(path)
+        elif not train_path.is_file():
+            note(f"missing {train_path}; composition table skipped")
 
-    if grouping_data is not None and aecs_path.is_file():
-        aecs = load_aecs(aecs_path)
-        assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
-        coords = _pca_2d(aecs.vectors)
-        path = out / "pca_train.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "pc1", "pc2", "group"])
-            for i in range(coords.shape[0]):
-                writer.writerow([i, repr(float(coords[i, 0])), repr(float(coords[i, 1])),
-                                 int(assignment[i])])
-        written["pca_train"] = str(path)
-    elif not aecs_path.is_file():
-        note(f"missing {aecs_path}; projection export skipped")
+        if grouping_data is not None and aecs_path.is_file():
+            aecs = load_aecs(aecs_path)
+            assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
+            coords = _pca_2d(aecs.vectors)
+            path = out / "pca_train.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["index", "pc1", "pc2", "group"])
+                for i in range(coords.shape[0]):
+                    writer.writerow([i, repr(float(coords[i, 0])), repr(float(coords[i, 1])),
+                                     int(assignment[i])])
+            written["pca_train"] = str(path)
+        elif not aecs_path.is_file():
+            note(f"missing {aecs_path}; projection export skipped")
 
-    if grouping_data is not None:
-        path = out / "hubert_scores.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["measure", "rho", "selected"])
-            scores = grouping_data["hubert_scores"]
-            for token in scores:
-                writer.writerow([token, repr(float(scores[token])),
-                                 int(token == grouping_data["measure"])])
-        written["hubert_scores"] = str(path)
+        if grouping_data is not None:
+            path = out / "hubert_scores.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["measure", "rho", "selected"])
+                scores = grouping_data["hubert_scores"]
+                for token in scores:
+                    writer.writerow([token, repr(float(scores[token])),
+                                     int(token == grouping_data["measure"])])
+            written["hubert_scores"] = str(path)
 
-    mapping_avg = _artifact(out, "mapping_avg")
-    mapping_cr = _artifact(out, "mapping_cr_cr")
-    if mapping_avg.is_file() and mapping_cr.is_file():
-        avg = read_json(mapping_avg)
-        crcr = read_json(mapping_cr)
-        path = out / "mapping_summary.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["test_group", "size", "chosen_avg", "chosen_cr_cr"])
-            for row_a, row_c in zip(avg["rows"], crcr["rows"]):
-                writer.writerow([row_a["test_group"], row_a["test_group_size"],
-                                 row_a["chosen_train_group"], row_c["chosen_train_group"]])
-        written["mapping_summary"] = str(path)
-    else:
-        note("mapping reports absent; mapping summary skipped")
+        mapping_avg = _artifact(out, "mapping_avg")
+        mapping_cr = _artifact(out, "mapping_cr_cr")
+        if mapping_avg.is_file() and mapping_cr.is_file():
+            avg = read_json(mapping_avg)
+            crcr = read_json(mapping_cr)
+            path = out / "mapping_summary.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["test_group", "size", "chosen_avg", "chosen_cr_cr"])
+                for row_a, row_c in zip(avg["rows"], crcr["rows"]):
+                    writer.writerow([row_a["test_group"], row_a["test_group_size"],
+                                     row_a["chosen_train_group"], row_c["chosen_train_group"]])
+            written["mapping_summary"] = str(path)
+        else:
+            note("mapping reports absent; mapping summary skipped")
 
-    test_path = _artifact(out, "test_dataset")
-    cgf_test_path = _artifact(out, "cgf_test")
-    if test_path.is_file() and cgf_test_path.is_file():
-        test_ds, _, _, _ = load_dataset(test_path)
-        test_data = read_json(cgf_test_path)
-        # cgf_test carries no assignment payload; recover sizes from the trace file.
-        sizes = test_data.get("group_sizes", [])
-        path = out / "composition_test.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["group", "size"])
-            for g, size in enumerate(sizes):
-                writer.writerow([g, size])
-        written["composition_test"] = str(path)
+        test_path = _artifact(out, "test_dataset")
+        cgf_test_path = _artifact(out, "cgf_test")
+        if test_path.is_file() and cgf_test_path.is_file():
+            test_ds, _, _, _ = load_dataset(test_path)
+            test_data = read_json(cgf_test_path)
+            # cgf_test carries no assignment payload; recover sizes from the trace file.
+            sizes = test_data.get("group_sizes", [])
+            path = out / "composition_test.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["group", "size"])
+                for g, size in enumerate(sizes):
+                    writer.writerow([g, size])
+            written["composition_test"] = str(path)
 
     summary = {"written": written, "notices": notices}
     write_json(out / "report_summary.json", summary)
@@ -648,80 +623,3 @@ def cmd_gradcheck(n_seeds: int = 5, epsilon: float = 1e-5, threshold: float = 1e
         "ok": all(r["ok"] for r in results),
     }
 
-
-def cmd_selftest() -> dict:
-    """Quick oracle sweep comparing fast paths against naive references."""
-    from .distances import chebyshev, cross_distances, manhattan, pairwise_matrix
-    from .hierarchy import agglomerate, hubert_statistic
-    from .group_mapping import avg_group_distance
-    from .reference import (
-        naive_agglomerate,
-        naive_avg_group_distance,
-        naive_chebyshev,
-        naive_hubert,
-        naive_mahalanobis,
-        naive_manhattan,
-        naive_pairwise,
-    )
-    from .distances import mahalanobis
-    from .rng import seeded_rng
-
-    suites: dict[str, bool] = {}
-    rng = seeded_rng(20_240_001)
-
-    ok = True
-    for _ in range(50):
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(6)
-        ok &= abs(chebyshev(a, b) - naive_chebyshev(a, b)) < 1e-10
-        ok &= abs(manhattan(a, b) - naive_manhattan(a, b)) < 1e-10
-    suites["distance_chebyshev_manhattan"] = bool(ok)
-
-    ok = True
-    for _ in range(20):
-        x = rng.standard_normal((12, 4))
-        ctx = fit_mahalanobis(x)
-        a, b = x[0], x[1]
-        ok &= abs(mahalanobis(a, b, ctx) - naive_mahalanobis(a, b, ctx)) < 1e-10
-    suites["distance_mahalanobis"] = bool(ok)
-
-    ok = True
-    for _ in range(10):
-        x = rng.standard_normal((10, 3))
-        assignment = rng.integers(0, 3, size=10)
-        assignment[:3] = [0, 1, 2]
-        for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
-            fast = hubert_statistic(x, assignment, measure)
-            ok &= abs(fast - naive_hubert(x, assignment, measure)) < 1e-10
-    suites["hubert_statistic"] = bool(ok)
-
-    ok = True
-    for _ in range(10):
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((5, 3))
-        for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
-            fast = avg_group_distance(a, b, measure)
-            ok &= abs(fast - naive_avg_group_distance(a, b, measure)) < 1e-10
-    suites["avg_group_distance"] = bool(ok)
-
-    ok = True
-    for trial in range(10):
-        m = 4 + trial % 6
-        x = rng.standard_normal((m, 3))
-        for linkage in Linkage:
-            dist = pairwise_matrix(x, DistanceMeasureId.MANHATTAN)
-            fast = agglomerate(dist, linkage)
-            ref = naive_agglomerate(dist, linkage)
-            ok &= [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
-            ok &= all(abs(f[2] - r[2]) < 1e-9 for f, r in zip(fast.merges, ref.merges))
-    suites["agglomerate_merge_for_merge"] = bool(ok)
-
-    ok = True
-    a = rng.standard_normal((6, 2))
-    b = rng.standard_normal((7, 2))
-    block = cross_distances(a, b, DistanceMeasureId.MANHATTAN)
-    full = naive_pairwise(np.vstack([a, b]), DistanceMeasureId.MANHATTAN)[:6, 6:]
-    ok &= bool(np.max(np.abs(block - full)) < 1e-10)
-    suites["cross_distances"] = bool(ok)
-
-    return {"suites": suites, "ok": all(suites.values())}

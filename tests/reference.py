@@ -2,15 +2,15 @@
 
 Everything here recomputes results with plain double loops and
 first-principles definitions, deliberately sharing no code with the
-fast paths. The selftest command and the test suite compare the two.
+fast paths the tests compare them against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distances import DistanceMeasureId, MahalanobisContext
-from .hierarchy import Dendrogram, Linkage
+from tsgroups.distances import DistanceMeasureId, MahalanobisContext
+from tsgroups.hierarchy import Dendrogram, Linkage
 
 
 def naive_chebyshev(a: np.ndarray, b: np.ndarray) -> float:
@@ -61,17 +61,6 @@ def naive_pairwise(x: np.ndarray, measure: DistanceMeasureId,
     return out
 
 
-def naive_mse(recon: np.ndarray, window: np.ndarray) -> float:
-    total = 0.0
-    count = 0
-    for i in range(window.shape[0]):
-        for j in range(window.shape[1]):
-            diff = float(recon[i, j]) - float(window[i, j])
-            total += diff * diff
-            count += 1
-    return total / count
-
-
 def naive_centroids(x: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     k = int(max(assignment)) + 1
     h = x.shape[1]
@@ -99,15 +88,6 @@ def naive_hubert(x: np.ndarray, assignment: np.ndarray, measure: DistanceMeasure
             total += naive_distance(x[i], x[j], measure, ctx) * naive_distance(
                 cents[gi], cents[gj], measure, ctx)
     return 2.0 * total / (m * (m - 1))
-
-
-def naive_avg_group_distance(a: np.ndarray, b: np.ndarray, measure: DistanceMeasureId,
-                             ctx: MahalanobisContext | None = None) -> float:
-    total = 0.0
-    for i in range(a.shape[0]):
-        for j in range(b.shape[0]):
-            total += naive_distance(a[i], b[j], measure, ctx)
-    return total / (a.shape[0] * b.shape[0])
 
 
 def _set_distance(dist: np.ndarray, members_a: list[int], members_b: list[int],

@@ -29,13 +29,13 @@ from tsgroups.distances import (
     manhattan,
     pairwise_matrix,
 )
-from tsgroups.group_mapping import MappingMethod, avg_group_distance, infer_with_groups
+from tsgroups.group_mapping import MappingMethod, candidate_distances, infer_with_groups
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
-from tsgroups.hierarchy import Linkage, agglomerate, hc_aecs, hubert_statistic
+from tsgroups.hierarchy import Linkage, agglomerate, hubert_statistic, select_best_measure
 from tsgroups.pipeline import PipelineConfig, cmd_gradcheck, cmd_infer, cmd_ingest, cmd_train
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import content_digest, file_digest
-from tsgroups.types import AecsMatrix, WindowedDataset, WindowMeta
+from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
 
 from synthdata import (
     adjusted_rand_index,
@@ -140,6 +140,7 @@ def test_distances_and_statistics_match_double_loops():
         centroids = np.stack([x[assignment == g].mean(axis=0) for g in range(k)])
         split = m // 2
         left, right = x[:split], x[split:]
+        whole_left = Grouping(assignment=np.zeros(split, dtype=np.int64), K=1, measure="MANHATTAN")
 
         for measure in MEASURE_ORDER:
             use_inv = inv if measure is DistanceMeasureId.MAHALANOBIS else None
@@ -159,7 +160,7 @@ def test_distances_and_statistics_match_double_loops():
                 for v in right:
                     pair_sum += scalar_distance(u, v, measure, use_inv)
             expected_avg = pair_sum / (left.shape[0] * right.shape[0])
-            got_avg = avg_group_distance(left, right, measure, ctx)
+            got_avg = candidate_distances(MappingMethod.AVG, left, whole_left, right, measure, ctx)[0]
             assert got_avg == pytest.approx(expected_avg, abs=1e-10)
 
 
@@ -200,17 +201,17 @@ def test_group_formation_recovers_planted_structure():
 @pytest.mark.acceptance("measure selection tracks planted geometry")
 def test_measure_selection_tracks_planted_geometry():
     x, labels = anisotropic_fixture()
-    assignment, measure, report = hc_aecs(x, k=2)
-    assert measure is DistanceMeasureId.MAHALANOBIS
-    split = {tuple(np.flatnonzero(assignment == g)) for g in (0, 1)}
+    selection = select_best_measure(x, k=2)
+    assert selection.measure is DistanceMeasureId.MAHALANOBIS
+    split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth
 
     x, labels = isotropic_tie_fixture()
-    assignment, measure, report = hc_aecs(x, k=2)
-    assert measure is DistanceMeasureId.CHEBYSHEV
-    assert report.scores["CHEBYSHEV"] == report.scores["MANHATTAN"]
-    split = {tuple(np.flatnonzero(assignment == g)) for g in (0, 1)}
+    selection = select_best_measure(x, k=2)
+    assert selection.measure is DistanceMeasureId.CHEBYSHEV
+    assert selection.report.scores["CHEBYSHEV"] == selection.report.scores["MANHATTAN"]
+    split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth
 

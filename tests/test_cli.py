@@ -43,12 +43,13 @@ def test_parser_accepts_every_verb():
     assert parser.parse_args(["infer", "--mapping", "CR_CR"]).command == "infer"
     assert parser.parse_args(["report", "--out", "somewhere"]).command == "report"
     assert parser.parse_args(["gradcheck", "--seeds", "2"]).command == "gradcheck"
-    assert parser.parse_args(["selftest"]).command == "selftest"
 
 
 def test_missing_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["selftest"])
 
 
 def test_unknown_config_section_exits_config(tmp_path):
@@ -121,15 +122,57 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["autoencoder"]["seed"] == 11
 
 
+def flip_middle_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:300])
+
+
+def drop_grouping_fields(path):
+    path.write_text(json.dumps({"grouping": {}}))
+
+
+def shorten_assignment(path):
+    data = json.loads(path.read_text())
+    data["grouping"]["assignment"] = [0]
+    path.write_text(json.dumps(data))
+
+
 def test_corrupt_model_exits_io(completed_run, tmp_path):
     config_path, run_dir = completed_run
-    copy = tmp_path / "copy"
-    shutil.copytree(run_dir, copy)
-    model_path = copy / "model.bin"
-    blob = bytearray(model_path.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    model_path.write_bytes(bytes(blob))
-    assert main(["infer", "--config", str(config_path), "--out", str(copy)]) == EXIT_IO
+    cases = [
+        ("model.bin", flip_middle_byte, "infer"),
+        ("bundle_grouped.zip", truncate, "infer"),
+        ("aecs_train.zip", truncate, "infer"),
+        ("cgf_train.json", drop_grouping_fields, "report"),
+        ("cgf_train.json", shorten_assignment, "report"),
+    ]
+    for name, damage, verb in cases:
+        copy = tmp_path / f"{damage.__name__}-{name}"
+        shutil.copytree(run_dir, copy)
+        damage(copy / name)
+        if verb == "report":
+            args = ["report", "--out", str(copy)]
+        else:
+            args = [verb, "--config", str(config_path), "--out", str(copy)]
+        assert main(args) == EXIT_IO, name
+
+
+def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
+    config_path, run_dir = completed_run
+    copy = tmp_path / "baseline"
+    copy.mkdir()
+    for name in ("train_dataset.zip", "test_dataset.zip"):
+        shutil.copy(run_dir / name, copy / name)
+    for verb in ("train", "infer"):
+        assert main([verb, "--config", str(config_path), "--out", str(copy),
+                     "--baseline-only"]) == EXIT_OK
+    measure = json.loads((copy / "infer_report.json").read_text())["measure"]
+    assert measure == json.loads((copy / "cgf_test.json").read_text())["measure"]
 
 
 def test_gradcheck_verb(capsys):
@@ -137,10 +180,3 @@ def test_gradcheck_verb(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["results"][0]["max_relative_error"] < payload["threshold"]
-
-
-def test_selftest_verb(capsys):
-    assert main(["selftest"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True
-    assert all(payload["suites"].values())

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from tsgroups.consistent import (
-    CgfConfig,
-    difference,
-    form_consistent_groups,
-    new_group_members,
-)
+from tsgroups.consistent import CgfConfig, difference, form_consistent_groups
 from tsgroups.rng import seeded_rng
 
 from synthdata import adjusted_rand_index, planted_blobs
@@ -29,7 +24,6 @@ def test_difference_counts_smaller_child_of_nested_split():
     prev = np.array([0, 0, 0, 0, 0, 1, 1, 1])
     nxt = np.array([0, 0, 0, 2, 2, 1, 1, 1])
     assert difference(prev, nxt) == 2
-    assert set(new_group_members(prev, nxt).tolist()) == {3, 4}
 
 
 def test_difference_uneven_split_counts_minority():
@@ -88,13 +82,6 @@ def test_accepted_k_matches_grouping():
     sizes = result.grouping.group_sizes()
     assert sizes.sum() == 40
     assert np.all(sizes > 0)
-
-
-def test_reselect_mode_returns_valid_grouping():
-    x, labels = planted_blobs(seed=6)
-    result = form_consistent_groups(x, CgfConfig(tau=0.05, reselect_measure_per_k=True))
-    assert result.grouping.K == 3
-    assert adjusted_rand_index(result.grouping.assignment, labels) == 1.0
 
 
 def test_input_validation():

@@ -12,13 +12,12 @@ from tsgroups.hierarchy import (
     agglomerate,
     centroids,
     cut,
-    hc_aecs,
     hubert_statistic,
     select_best_measure,
 )
-from tsgroups.reference import naive_agglomerate, naive_hubert
 from tsgroups.rng import seeded_rng
 
+from reference import naive_agglomerate, naive_hubert
 from synthdata import anisotropic_fixture, isotropic_tie_fixture, random_distance_matrix
 
 
@@ -163,21 +162,22 @@ def test_select_best_measure_reports_all_scores():
 
 def test_anisotropic_data_selects_covariance_scaled():
     x, labels = anisotropic_fixture()
-    assignment, measure, report = hc_aecs(x, k=2)
-    assert measure is DistanceMeasureId.MAHALANOBIS
-    assert report.scores["MAHALANOBIS"] > report.scores["CHEBYSHEV"]
-    assert report.scores["MAHALANOBIS"] > report.scores["MANHATTAN"]
-    split = {tuple(np.flatnonzero(assignment == g)) for g in (0, 1)}
+    selection = select_best_measure(x, k=2)
+    scores = selection.report.scores
+    assert selection.measure is DistanceMeasureId.MAHALANOBIS
+    assert scores["MAHALANOBIS"] > scores["CHEBYSHEV"]
+    assert scores["MAHALANOBIS"] > scores["MANHATTAN"]
+    split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth
 
 
 def test_isotropic_tie_breaks_to_chebyshev():
     x, labels = isotropic_tie_fixture()
-    assignment, measure, report = hc_aecs(x, k=2)
-    assert measure is DistanceMeasureId.CHEBYSHEV
-    assert report.scores["CHEBYSHEV"] == report.scores["MANHATTAN"]
-    split = {tuple(np.flatnonzero(assignment == g)) for g in (0, 1)}
+    selection = select_best_measure(x, k=2)
+    assert selection.measure is DistanceMeasureId.CHEBYSHEV
+    assert selection.report.scores["CHEBYSHEV"] == selection.report.scores["MANHATTAN"]
+    split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth
 
@@ -186,7 +186,6 @@ def test_hc_aecs_respects_requested_k():
     rng = seeded_rng(17)
     x = rng.standard_normal((15, 3))
     for k in (2, 5):
-        assignment, _, _ = hc_aecs(x, k=k)
-        assert np.unique(assignment).size == k
+        assert np.unique(select_best_measure(x, k=k).assignment).size == k
     with pytest.raises(ValueError):
-        hc_aecs(x, k=1)
+        select_best_measure(x, k=1)

@@ -18,7 +18,6 @@ from tsgroups.ingest import (
     parse_session_name,
     parse_uah_session,
     split_indices,
-    stratified_split,
     window_sessions,
 )
 
@@ -152,11 +151,12 @@ def test_split_indices_properties():
 def test_stratified_split_returns_matching_datasets():
     spec = SyntheticSpec(windows_per_class=5, t=8, d=2, seed=3)
     ds, _ = generate_synthetic(spec)
-    train, test = stratified_split(ds, 0.8, seed=0)
+    train_idx, test_idx = split_indices(ds, 0.8, seed=0)
+    train, test = ds.subset(train_idx), ds.subset(test_idx)
     assert train.n_windows + test.n_windows == ds.n_windows
     assert train.class_names == test.class_names == list(ds.class_names)
     with pytest.raises(ValueError):
-        stratified_split(ds, 1.5, seed=0)
+        split_indices(ds, 1.5, seed=0)
 
 
 def test_normalization_round_trip():

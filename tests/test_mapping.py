@@ -14,12 +14,9 @@ from tsgroups.distances import (
 from tsgroups.group_mapping import (
     MappingMethod,
     MappingReport,
-    avg_group_distance,
-    group_representative,
+    candidate_distances,
     group_representatives,
     infer_with_groups,
-    map_avg,
-    map_cr_cr,
 )
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
 from tsgroups.rng import derive_seed, seeded_rng
@@ -52,42 +49,64 @@ def clustered_setup(seed=0, kind="SOFTMAX_AECS"):
     return ds, aecs, grouping, bundle
 
 
+def singletons(n):
+    """Grouping that puts each of n train vectors in its own group."""
+    return Grouping(assignment=np.arange(n), K=n, measure="CHEBYSHEV")
+
+
+def one_group(n):
+    return Grouping(assignment=np.zeros(n, dtype=np.int64), K=1, measure="CHEBYSHEV")
+
+
+def nearest(method, train, grouping, test_block, measure, ctx=None):
+    return int(np.argmin(candidate_distances(method, train, grouping, test_block, measure, ctx)))
+
+
 def test_group_representative_mean_and_range():
     vectors = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0]])
     grouping = Grouping(assignment=np.array([0, 0, 1]), K=2, measure="MANHATTAN")
-    assert np.array_equal(group_representative(vectors, grouping, 0), [1.0, 1.0])
-    assert np.array_equal(group_representative(vectors, grouping, 1), [4.0, 0.0])
-    with pytest.raises(ValueError):
-        group_representative(vectors, grouping, 2)
     crs = group_representatives(vectors, grouping)
     assert crs.shape == (2, 2)
     assert np.array_equal(crs[0], [1.0, 1.0])
+    assert np.array_equal(crs[1], [4.0, 0.0])
 
 
 def test_map_cr_cr_hand_cases():
-    train_crs = np.array([[0.0, 0.0], [10.0, 0.0]])
-    assert map_cr_cr(train_crs, np.array([2.0, 0.0]), DistanceMeasureId.CHEBYSHEV) == 0
-    assert map_cr_cr(train_crs, np.array([9.0, 0.0]), DistanceMeasureId.CHEBYSHEV) == 1
+    train = np.array([[0.0, 0.0], [10.0, 0.0]])
+    cheb = DistanceMeasureId.CHEBYSHEV
+    assert nearest(MappingMethod.CR_CR, train, singletons(2), np.array([[2.0, 0.0]]), cheb) == 0
+    assert nearest(MappingMethod.CR_CR, train, singletons(2), np.array([[9.0, 0.0]]), cheb) == 1
+    # The test side is compared through its mean, not its members.
+    block = np.array([[7.0, 0.0], [9.0, 0.0]])
+    dists = candidate_distances(MappingMethod.CR_CR, train, singletons(2), block, cheb)
+    assert dists.tolist() == [8.0, 2.0]
 
 
 def test_map_cr_cr_tie_prefers_smaller_index():
-    train_crs = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert map_cr_cr(train_crs, np.array([0.0, 0.0]), DistanceMeasureId.MANHATTAN) == 0
+    train = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    for method in MappingMethod:
+        assert nearest(method, train, singletons(2), np.array([[0.0, 0.0]]),
+                       DistanceMeasureId.MANHATTAN) == 0
 
 
 def test_map_cr_cr_validates_shape():
-    with pytest.raises(ValueError):
-        map_cr_cr(np.zeros(3), np.zeros(3), DistanceMeasureId.CHEBYSHEV)
-    with pytest.raises(ValueError):
-        map_cr_cr(np.zeros((0, 3)), np.zeros(3), DistanceMeasureId.CHEBYSHEV)
+    train = np.zeros((2, 3))
+    for method in MappingMethod:
+        with pytest.raises(ValueError):
+            candidate_distances(method, train, singletons(2), np.zeros(3), DistanceMeasureId.CHEBYSHEV)
+        with pytest.raises(ValueError):
+            candidate_distances(method, train, singletons(2), np.zeros((0, 3)),
+                                DistanceMeasureId.CHEBYSHEV)
+        with pytest.raises(ValueError):
+            candidate_distances(method, train, singletons(2), np.zeros((1, 4)),
+                                DistanceMeasureId.CHEBYSHEV)
 
 
 def test_avg_group_distance_hand_value():
     a = np.array([[0.0], [2.0]])
     b = np.array([[1.0]])
-    assert avg_group_distance(a, b, DistanceMeasureId.MANHATTAN) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        avg_group_distance(a[:0], b, DistanceMeasureId.MANHATTAN)
+    got = candidate_distances(MappingMethod.AVG, a, one_group(2), b, DistanceMeasureId.MANHATTAN)
+    assert got.tolist() == [pytest.approx(1.0)]
 
 
 def test_avg_group_distance_matches_double_loop():
@@ -103,17 +122,16 @@ def test_avg_group_distance_matches_double_loop():
         ]
         for measure, fn in cases:
             naive = np.mean([fn(x, y) for x in a for y in b])
-            got = avg_group_distance(a, b, measure, ctx)
+            got = candidate_distances(MappingMethod.AVG, a, one_group(len(a)), b, measure, ctx)[0]
             assert got == pytest.approx(naive, abs=1e-10)
 
 
 def test_map_avg_hand_case():
     vectors = np.array([[0.0], [0.5], [10.0], [10.5]])
     grouping = Grouping(assignment=np.array([0, 0, 1, 1]), K=2, measure="MANHATTAN")
-    test_block = np.array([[9.8], [10.2]])
-    assert map_avg(vectors, grouping, test_block, DistanceMeasureId.MANHATTAN) == 1
-    near_zero = np.array([[0.4]])
-    assert map_avg(vectors, grouping, near_zero, DistanceMeasureId.MANHATTAN) == 0
+    manh = DistanceMeasureId.MANHATTAN
+    assert nearest(MappingMethod.AVG, vectors, grouping, np.array([[9.8], [10.2]]), manh) == 1
+    assert nearest(MappingMethod.AVG, vectors, grouping, np.array([[0.4]]), manh) == 0
 
 
 def test_self_mapping_is_identity_both_methods():
