@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .rng import derive_seed, seeded_rng
+from .storage import atomic_open
 from .types import AecsMatrix, DivergenceError, WindowedDataset
 
 GATE_NAMES = ("i", "f", "g", "o")
@@ -580,7 +581,7 @@ def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConf
         "model_id": model_id(params, config, d),
         "shapes": {k: list(params[k].shape) for k in keys},
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for key in keys:

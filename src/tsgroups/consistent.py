@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import Linkage, MeasureSelection, cut, select_best_measure
+from .hierarchy import Linkage, cut, select_best_measure
 from .types import AecsMatrix, Grouping
 
 DEFAULT_TAU = 0.05
@@ -49,7 +49,6 @@ class CgfResult:
     """Final grouping plus the per-step audit trail."""
 
     grouping: Grouping
-    selection: MeasureSelection
     accepted_k: int
     stopped_by: str
     rejected_size: int | None = None
@@ -139,7 +138,6 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     )
     return CgfResult(
         grouping=grouping,
-        selection=selection,
         accepted_k=k,
         stopped_by=stopped_by,
         rejected_size=rejected_size,

@@ -91,7 +91,16 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
 
     Among candidate merges at the same (exactly equal) distance, the pair
     whose sorted cluster-id tuple is lexicographically smallest merges
-    first, making the dendrogram independent of evaluation order.
+    first, making the dendrogram independent of evaluation order. Every
+    tied pair joins two rows whose cached minimum equals the height, so that
+    pair is the tied row with the smallest id and, within its row, the tied
+    column with the smallest id.
+
+    The matrix is stored whole. Each merge costs O(M) numpy work for the
+    tie-break and the Lance-Williams update of the two merged rows, plus
+    O(M) for each row whose cached minimum pointed at either of them. Ties
+    add no loop over tied pairs, so inputs full of exact duplicates
+    cluster about as fast as distinct ones.
     """
     dist = _validate_distance_matrix(dist)
     linkage = Linkage(linkage)
@@ -107,24 +116,17 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
 
     merges: list[tuple[int, int, float]] = []
     for step in range(m - 1):
-        height = row_min[active].min()
+        # Retired rows hold inf, so the minimum over all rows is the height.
+        height = row_min.min()
+        tied = np.flatnonzero(row_min == height)
+        i = tied[np.argmin(ids[tied])]
+        partners = np.flatnonzero(work[i] == height)
+        j = partners[np.argmin(ids[partners])]
+        si, sj = min(i, j), max(i, j)
+        merges.append((int(ids[i]), int(ids[j]), float(height)))
 
-        # Gather every pair attaining the minimum, then tie-break on ids.
-        best_pair: tuple[int, int] | None = None
-        best_key: tuple[int, int] | None = None
-        for i in np.flatnonzero(active & (row_min == height)):
-            for j in np.flatnonzero(work[i] == height):
-                key = (min(ids[i], ids[j]), max(ids[i], ids[j]))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (min(i, j), max(i, j))
-        assert best_pair is not None and best_key is not None
-        si, sj = best_pair
-        merges.append((int(best_key[0]), int(best_key[1]), float(height)))
-
-        others = active.copy()
-        others[si] = others[sj] = False
-        di, dj = work[si, others], work[sj, others]
+        # Retired columns hold inf in both rows and stay inf after the update.
+        di, dj = work[si], work[sj]
         if linkage is Linkage.SINGLE:
             updated = np.minimum(di, dj)
         elif linkage is Linkage.COMPLETE:
@@ -132,10 +134,10 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
         else:
             ni, nj = sizes[si], sizes[sj]
             updated = (ni * di + nj * dj) / (ni + nj)
+        updated[si] = updated[sj] = np.inf
 
-        work[si, others] = updated
-        work[others, si] = updated
-        work[si, sj] = work[sj, si] = np.inf
+        work[si] = updated
+        work[:, si] = updated
         work[sj, :] = np.inf
         work[:, sj] = np.inf
         active[sj] = False
@@ -146,15 +148,15 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
         if step == m - 2:
             break
         # Refresh cached row minima invalidated by the merge.
-        row_min[si] = work[si].min()
-        row_arg[si] = work[si].argmin()
+        row_min[si] = updated.min()
+        row_arg[si] = updated.argmin()
         stale = active & ((row_arg == si) | (row_arg == sj))
         stale[si] = False
         for k in np.flatnonzero(stale):
             row_min[k] = work[k].min()
             row_arg[k] = work[k].argmin()
-        improved = active & (work[:, si] < row_min)
-        row_min[improved] = work[improved, si]
+        improved = active & (updated < row_min)
+        row_min[improved] = updated[improved]
         row_arg[improved] = si
 
     return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)

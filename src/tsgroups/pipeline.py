@@ -585,13 +585,10 @@ def cmd_report(run_dir: str | Path) -> dict:
         else:
             note("mapping reports absent; mapping summary skipped")
 
-        test_path = _artifact(out, "test_dataset")
         cgf_test_path = _artifact(out, "cgf_test")
-        if test_path.is_file() and cgf_test_path.is_file():
-            test_ds, _, _, _ = load_dataset(test_path)
-            test_data = read_json(cgf_test_path)
+        if cgf_test_path.is_file():
             # cgf_test carries no assignment payload; recover sizes from the trace file.
-            sizes = test_data.get("group_sizes", [])
+            sizes = read_json(cgf_test_path).get("group_sizes", [])
             path = out / "composition_test.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")

@@ -5,7 +5,9 @@ metadata (no compression, epoch date stamps, sorted names), so a rerun
 with identical content produces byte-identical files. Numeric payloads
 are little-endian 64-bit floats in row-major order; headers are
 canonical JSON (sorted keys, LF endings). Digest helpers strip wall-time
-fields so timing never leaks into content digests.
+fields so timing never leaks into content digests. Every file is written
+to a temporary name beside its target and renamed over it, so a write
+that fails partway leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -33,10 +35,30 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+@contextmanager
+def atomic_open(path: str | Path):
+    """Binary handle on a temporary file that replaces ``path`` on success.
+
+    The temporary file lives in the target's directory, so ``os.replace``
+    is a rename within one file system. If the body raises, the temporary
+    file is removed and ``path`` keeps its previous content. This guards
+    against a process dying mid-write, not against power loss (no fsync).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2))
-        fh.write("\n")
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def read_json(path: str | Path):
@@ -52,7 +74,7 @@ def write_archive(path: str | Path, entries: dict[str, bytes]) -> None:
             info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
             info.external_attr = 0o644 << 16
             zf.writestr(info, entries[name])
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(buffer.getvalue())
 
 

@@ -175,6 +175,18 @@ def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
     assert measure == json.loads((copy / "cgf_test.json").read_text())["measure"]
 
 
+def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
+    _, run_dir = completed_run
+    copy = tmp_path / "no_test_dataset"
+    shutil.copytree(run_dir, copy)
+    (copy / "test_dataset.zip").unlink()
+    (copy / "composition_test.csv").unlink()
+    assert main(["report", "--out", str(copy)]) == EXIT_OK
+    sizes = json.loads((copy / "cgf_test.json").read_text())["group_sizes"]
+    rows = (copy / "composition_test.csv").read_text().splitlines()
+    assert rows == ["group,size"] + [f"{g},{size}" for g, size in enumerate(sizes)]
+
+
 def test_gradcheck_verb(capsys):
     assert main(["gradcheck", "--seeds", "1"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 """Agglomerative clustering, tree cuts, and measure selection."""
 
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,35 @@ def test_matches_naive_on_raw_matrices():
             fast = agglomerate(dist, linkage)
             ref = naive_agglomerate(dist, linkage)
             assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
+
+
+def test_matches_naive_on_duplicate_heavy_inputs():
+    for seed in range(12):
+        rng = seeded_rng(seed)
+        distinct = rng.standard_normal((int(rng.integers(2, 5)), 3))
+        x = np.repeat(distinct, rng.integers(2, 7, size=distinct.shape[0]), axis=0)
+        x = x[rng.permutation(x.shape[0])]
+        for linkage in Linkage:
+            for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
+                dist = pairwise_matrix(x, measure)
+                fast = agglomerate(dist, linkage)
+                ref = naive_agglomerate(dist, linkage)
+                assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
+                for f, r in zip(fast.merges, ref.merges):
+                    assert f[2] == pytest.approx(r[2], abs=1e-9)
+
+
+def test_exact_duplicates_cluster_in_quadratic_time():
+    # Four points, each repeated 200 times: all but the last three merges tie
+    # at height 0, so a tie-break that walks the tied pairs goes cubic.
+    m = 800
+    x = seeded_rng(5).standard_normal((4, 3))[np.arange(m) % 4]
+    dist = pairwise_matrix(x, DistanceMeasureId.MANHATTAN)
+    start = time.perf_counter()
+    tree = agglomerate(dist, Linkage.AVERAGE)
+    assert time.perf_counter() - start < 5.0
+    assert all(height == 0.0 for _, _, height in tree.merges[: m - 4])
+    assert all(height > 0.0 for _, _, height in tree.merges[m - 4:])
 
 
 def test_input_validation():

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec
 from tsgroups.grouped import train_per_group
 from tsgroups.ingest import NormalizationStats
@@ -67,6 +69,28 @@ def test_write_json_layout(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert read_json(path) == {"a": 2, "b": 1}
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    config = ae.AutoencoderConfig(hidden1=3, hidden2=2, epochs=1, batch_size=1)
+    params = ae.init_params(config, d=2, seed=0)
+    writers = {
+        "x.json": lambda p: write_json(p, {"new": list(range(100))}),
+        "x.zip": lambda p: write_archive(p, {"a.bin": bytes(1000)}),
+        "x.model": lambda p: ae.save_model(str(p), params, config, d=2),
+    }
+    for name in writers:
+        (tmp_path / name).write_bytes(b"previous content")
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    for name, write in writers.items():
+        with pytest.raises(OSError, match="simulated crash"):
+            write(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == b"previous content"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
 
 
 def test_file_digest_matches_hashlib(tmp_path):
