@@ -6,6 +6,12 @@ used everywhere downstream. A mirrored two-layer decoder, fed its own
 previous output frame, reconstructs the window in original time order.
 Forward, full backpropagation through time, and the Adam update are all
 plain numpy, verified against central finite differences.
+
+Each LSTM step makes one activation call over its whole (B, 4n)
+pre-activation, and the logistic function is computed without boolean
+masks. Both give the same floats, bit for bit, as one masked two-branch
+sigmoid call per gate; ``tests/reference.py`` keeps that form as the
+oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -21,6 +28,8 @@ import numpy as np
 from .rng import derive_seed, seeded_rng
 from .storage import atomic_open
 from .types import AecsMatrix, DivergenceError, WindowedDataset
+
+logger = logging.getLogger(__name__)
 
 GATE_NAMES = ("i", "f", "g", "o")
 GRAD_CLIP_NORM = 5.0
@@ -136,49 +145,75 @@ def _unstack_into(grads: dict[str, np.ndarray], layer: str, dw: np.ndarray, db: 
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function without masks, in the dtype of ``x``.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow: 1/(1+e^-x) for
+    x >= 0 and e^x/(1+e^x) below. Every element goes through exactly the
+    operations of the two-branch boolean-mask split, so the result is the
+    same bit for bit, at +-0.0 and +-inf too; a NaN stays NaN (only its
+    meaningless sign bit may differ).
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def _cell_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
                   c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step for a batch; returns (h, c, cache for backprop)."""
+    """One LSTM step for a batch; returns (h, c, cache for backprop).
+
+    One sigmoid call covers the whole (B, 4n) pre-activation; the g slab
+    is then overwritten with its tanh, so ``act`` holds i, f, g, o side
+    by side and the cache keeps views of it rather than four arrays.
+    """
     n = h_prev.shape[1]
     z = np.concatenate([x, h_prev], axis=1)
-    a = z @ w.T + b
-    i = _sigmoid(a[:, :n])
-    f = _sigmoid(a[:, n:2 * n])
-    g = np.tanh(a[:, 2 * n:3 * n])
-    o = _sigmoid(a[:, 3 * n:])
-    c = f * c_prev + i * g
+    a = z @ w.T
+    a += b
+    act = _sigmoid(a)
+    i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+    np.tanh(a[:, 2 * n:3 * n], out=g)
+    c = f * c_prev
+    c += i * g
     tc = np.tanh(c)
     h = o * tc
-    return h, c, (z, i, f, g, o, c_prev, tc)
+    return h, c, (z, act, c_prev, tc)
 
 
 def _cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndarray,
                    dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one step; accumulates dw/db, returns (dz, dc_prev)."""
-    z, i, f, g, o, c_prev, tc = cache
-    do = dh * tc
-    dc_total = dc + dh * o * (1.0 - tc * tc)
-    di = dc_total * g
-    dg = dc_total * i
-    df = dc_total * c_prev
-    dc_prev = dc_total * f
-    da = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - g * g),
-        do * o * (1.0 - o),
-    ], axis=1)
+    """Backprop one step; accumulates dw/db, returns (dz, dc_prev).
+
+    The four gate gradients are written straight into one ``da`` array.
+    Each keeps the association of its textbook form, e.g.
+    ((dc_total * g) * i) * (1 - i), so the floats do not depend on the
+    fusing.
+    """
+    z, act, c_prev, tc = cache
+    n = tc.shape[1]
+    i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+    dc_total = dh * o
+    dc_total *= 1.0 - tc * tc
+    dc_total += dc
+    da = np.empty_like(act)
+    np.multiply(dc_total, g, out=da[:, :n])
+    np.multiply(dc_total, c_prev, out=da[:, n:2 * n])
+    np.multiply(dc_total, i, out=da[:, 2 * n:3 * n])
+    np.multiply(dh, tc, out=da[:, 3 * n:])
+    # Sigmoid gates: (d * s) * (1 - s); tanh gate: d * (1 - g * g).
+    da[:, :2 * n] *= act[:, :2 * n]
+    da[:, 3 * n:] *= o
+    slope = 1.0 - act
+    np.multiply(g, g, out=slope[:, 2 * n:3 * n])
+    np.subtract(1.0, slope[:, 2 * n:3 * n], out=slope[:, 2 * n:3 * n])
+    da *= slope
     dw += da.T @ z
     db += da.sum(axis=0)
-    return da @ w, dc_prev
+    return da @ w, dc_total * f
 
 
 def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray, hidden1: int,
@@ -440,6 +475,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
     stale = 0
     epochs_run = 0
     for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
         order = shuffle_rng.permutation(len(x_train))
         total, seen = 0.0, 0
         for lo in range(0, len(order), config.batch_size):
@@ -457,15 +493,19 @@ def fit(dataset: WindowedDataset | np.ndarray,
         train_losses.append(epoch_loss)
         val_losses.append(val_loss)
         epochs_run = epoch + 1
-        if val_loss < best_val:
+        improved = val_loss < best_val
+        if improved:
             best_val = val_loss
             best_epoch = epochs_run
             best_params = copy.deepcopy(params)
             stale = 0
         else:
             stale += 1
-            if stale >= config.early_stop_patience:
-                break
+        logger.info("epoch %d/%d: train loss %.6g, val loss %.6g, %.2f s, "
+                    "early stop %d/%d", epochs_run, config.epochs, epoch_loss, val_loss,
+                    time.perf_counter() - epoch_start, stale, config.early_stop_patience)
+        if not improved and stale >= config.early_stop_patience:
+            break
 
     report = TrainReport(
         train_losses=train_losses,

@@ -157,28 +157,37 @@ def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
     )
 
 
+def _check_road(road: str | None) -> None:
+    if road is not None and road not in ROAD_NAMES:
+        raise ValueError(f"road must be one of {ROAD_NAMES} or None, got {road!r}")
+
+
 def discover_sessions(root: str | Path, columns: ColumnMap | None = None,
-                      filename: str = ACCELEROMETER_FILENAME) -> list[RawSession]:
-    """Parse every subdirectory of ``root`` that holds an accelerometer file."""
+                      filename: str = ACCELEROMETER_FILENAME,
+                      road: str | None = None) -> list[RawSession]:
+    """Parse every subdirectory of ``root`` that holds an accelerometer file.
+
+    With ``road`` set, a session whose directory name names another road
+    is skipped before its file is opened; every name is still checked.
+    The result is empty when session directories exist but none is on
+    ``road``.
+    """
+    _check_road(road)
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
-    sessions = []
-    for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-        if not (sub / filename).is_file():
-            continue
-        sessions.append(parse_uah_session(sub, columns, filename))
-    if not sessions:
+    subs = [p for p in sorted(root.iterdir()) if p.is_dir() and (p / filename).is_file()]
+    if not subs:
         raise ValueError(f"no session directories with {filename} under {root}")
-    return sessions
+    return [parse_uah_session(sub, columns, filename) for sub in subs
+            if road is None or parse_session_name(sub.name)[2] == road]
 
 
 def filter_road(sessions: list[RawSession], road: str | None = "MOTORWAY") -> list[RawSession]:
     """Keep sessions on one road type; None disables the filter."""
+    _check_road(road)
     if road is None:
         return list(sessions)
-    if road not in ROAD_NAMES:
-        raise ValueError(f"road must be one of {ROAD_NAMES} or None, got {road!r}")
     return [s for s in sessions if s.road == road]
 
 

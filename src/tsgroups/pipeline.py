@@ -11,6 +11,7 @@ wall-time fields excluded from digests so reruns stay byte-comparable.
 from __future__ import annotations
 
 import csv
+import io
 import time
 import zipfile
 from contextlib import contextmanager
@@ -41,6 +42,7 @@ from .ingest import (
 )
 from .metrics import evaluate_metrics
 from .storage import (
+    atomic_open,
     content_digest,
     grouping_to_dict,
     load_aecs,
@@ -265,7 +267,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             if config.dataset_root is None:
                 raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
             sessions = discover_sessions(config.dataset_root, opts.columns(),
-                                         opts.accelerometer_filename)
+                                         opts.accelerometer_filename, opts.road)
+            # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
             sessions = filter_road(sessions, opts.road)
             if not sessions:
                 raise ArtifactError(f"no sessions left after road filter {opts.road!r}")
@@ -377,20 +380,21 @@ def cmd_train(config: PipelineConfig) -> dict:
     return summary
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """UTF-8 CSV with LF line ends, written atomically."""
+    with atomic_open(path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_predictions_csv(path: Path, predictions: np.ndarray, truth: np.ndarray | None,
                            test_assignment: np.ndarray, chosen: list[int]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance_index", "predicted", "true", "test_group", "train_group"])
-        for i in range(predictions.size):
-            group = int(test_assignment[i])
-            writer.writerow([
-                i,
-                int(predictions[i]),
-                "" if truth is None else int(truth[i]),
-                group,
-                chosen[group],
-            ])
+    _write_csv(path, ["instance_index", "predicted", "true", "test_group", "train_group"], (
+        [i, int(predictions[i]), "" if truth is None else int(truth[i]),
+         int(test_assignment[i]), chosen[int(test_assignment[i])]]
+        for i in range(predictions.size)
+    ))
 
 
 def cmd_infer(config: PipelineConfig) -> dict:
@@ -534,11 +538,8 @@ def cmd_report(run_dir: str | Path) -> dict:
                 key = (int(assignment[i]), wm.driver_id, wm.behavior)
                 counts[key] = counts.get(key, 0) + 1
             path = out / "composition_train.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["group", "driver_id", "behavior", "count"])
-                for key in sorted(counts):
-                    writer.writerow([key[0], key[1], key[2], counts[key]])
+            _write_csv(path, ["group", "driver_id", "behavior", "count"],
+                       ([*key, counts[key]] for key in sorted(counts)))
             written["composition_train"] = str(path)
         elif not train_path.is_file():
             note(f"missing {train_path}; composition table skipped")
@@ -548,25 +549,21 @@ def cmd_report(run_dir: str | Path) -> dict:
             assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
             coords = _pca_2d(aecs.vectors)
             path = out / "pca_train.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["index", "pc1", "pc2", "group"])
-                for i in range(coords.shape[0]):
-                    writer.writerow([i, repr(float(coords[i, 0])), repr(float(coords[i, 1])),
-                                     int(assignment[i])])
+            _write_csv(path, ["index", "pc1", "pc2", "group"], (
+                [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(assignment[i])]
+                for i in range(coords.shape[0])
+            ))
             written["pca_train"] = str(path)
         elif not aecs_path.is_file():
             note(f"missing {aecs_path}; projection export skipped")
 
         if grouping_data is not None:
             path = out / "hubert_scores.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["measure", "rho", "selected"])
-                scores = grouping_data["hubert_scores"]
-                for token in scores:
-                    writer.writerow([token, repr(float(scores[token])),
-                                     int(token == grouping_data["measure"])])
+            scores = grouping_data["hubert_scores"]
+            _write_csv(path, ["measure", "rho", "selected"], (
+                [token, repr(float(scores[token])), int(token == grouping_data["measure"])]
+                for token in scores
+            ))
             written["hubert_scores"] = str(path)
 
         mapping_avg = _artifact(out, "mapping_avg")
@@ -575,12 +572,11 @@ def cmd_report(run_dir: str | Path) -> dict:
             avg = read_json(mapping_avg)
             crcr = read_json(mapping_cr)
             path = out / "mapping_summary.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["test_group", "size", "chosen_avg", "chosen_cr_cr"])
-                for row_a, row_c in zip(avg["rows"], crcr["rows"]):
-                    writer.writerow([row_a["test_group"], row_a["test_group_size"],
-                                     row_a["chosen_train_group"], row_c["chosen_train_group"]])
+            _write_csv(path, ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
+                [row_a["test_group"], row_a["test_group_size"],
+                 row_a["chosen_train_group"], row_c["chosen_train_group"]]
+                for row_a, row_c in zip(avg["rows"], crcr["rows"])
+            ))
             written["mapping_summary"] = str(path)
         else:
             note("mapping reports absent; mapping summary skipped")
@@ -590,11 +586,7 @@ def cmd_report(run_dir: str | Path) -> dict:
             # cgf_test carries no assignment payload; recover sizes from the trace file.
             sizes = read_json(cgf_test_path).get("group_sizes", [])
             path = out / "composition_test.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["group", "size"])
-                for g, size in enumerate(sizes):
-                    writer.writerow([g, size])
+            _write_csv(path, ["group", "size"], enumerate(sizes))
             written["composition_test"] = str(path)
 
     summary = {"written": written, "notices": notices}

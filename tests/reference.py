@@ -131,3 +131,50 @@ def naive_agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> D
         clusters = [c for idx, c in enumerate(clusters) if idx not in (a, b)]
         clusters.append(merged)
     return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)
+
+
+def naive_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Two-branch logistic function over boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def naive_cell_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
+                       c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One LSTM step with one activation call and one array per gate."""
+    n = h_prev.shape[1]
+    z = np.concatenate([x, h_prev], axis=1)
+    a = z @ w.T + b
+    i = naive_sigmoid(a[:, :n])
+    f = naive_sigmoid(a[:, n:2 * n])
+    g = np.tanh(a[:, 2 * n:3 * n])
+    o = naive_sigmoid(a[:, 3 * n:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    h = o * tc
+    return h, c, (z, i, f, g, o, c_prev, tc)
+
+
+def naive_cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndarray,
+                        dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop of ``naive_cell_forward``, one temporary per gate gradient."""
+    z, i, f, g, o, c_prev, tc = cache
+    do = dh * tc
+    dc_total = dc + dh * o * (1.0 - tc * tc)
+    di = dc_total * g
+    dg = dc_total * i
+    df = dc_total * c_prev
+    dc_prev = dc_total * f
+    da = np.concatenate([
+        di * i * (1.0 - i),
+        df * f * (1.0 - f),
+        dg * (1.0 - g * g),
+        do * o * (1.0 - o),
+    ], axis=1)
+    dw += da.T @ z
+    db += da.sum(axis=0)
+    return da @ w, dc_prev

@@ -1,9 +1,11 @@
 """Recurrent autoencoder: config, gradients, training, persistence."""
 
 import copy
+import logging
 
 import numpy as np
 import pytest
+from reference import naive_cell_backward, naive_cell_forward, naive_sigmoid
 
 from tsgroups import autoencoder as ae
 from tsgroups.ingest import SyntheticSpec, generate_synthetic
@@ -233,3 +235,73 @@ def test_decode_shape():
     vec, _ = ae.encode(params, tiny_window(), TINY)
     recon = ae.decode(params, vec, t=5, config=TINY)
     assert recon.shape == (5, 2)
+
+
+def test_sigmoid_matches_mask_split_bit_for_bit():
+    rng = seeded_rng(derive_seed(0, "sigmoid-oracle"))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
+               1e-17, -1e-17, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0]
+    x = np.concatenate([special, rng.standard_normal(2000) * 10, rng.uniform(-800, 800, 2000)])
+    for dtype in (np.float64, np.longdouble):
+        for arr in (x.astype(dtype), x.astype(dtype)[:4011].reshape(21, 191)[:, 3:97]):
+            fast, naive = ae._sigmoid(arr), naive_sigmoid(arr)
+            assert fast.dtype == naive.dtype == dtype
+            assert np.array_equal(fast, naive, equal_nan=True)
+            numbers = ~np.isnan(arr)
+            assert np.array_equal(np.signbit(fast[numbers]), np.signbit(naive[numbers]))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 40.0, 400.0])
+def test_cells_match_reference_bit_for_bit(scale):
+    rng = seeded_rng(derive_seed(0, "cell-oracle", repr(scale)))
+    pre = []
+    for _ in range(8):
+        batch, n, din = (int(v) for v in rng.integers(1, 40, size=3))
+        w = rng.standard_normal((4 * n, din + n)) * scale
+        b = rng.standard_normal(4 * n) * scale
+        w[::3] = 0.0  # every third unit's pre-activation is its bias: 0.0 or -0.0
+        b[::3] = np.where(rng.random(b[::3].shape) < 0.5, 0.0, -0.0)
+        x = rng.standard_normal((batch, din))
+        h_prev = rng.standard_normal((batch, n))
+        c_prev = 3.0 * rng.standard_normal((batch, n))
+        pre.append((np.concatenate([x, h_prev], axis=1) @ w.T + b).ravel())
+        h, c, cache = ae._cell_forward(w, b, x, h_prev, c_prev)
+        h_ref, c_ref, cache_ref = naive_cell_forward(w, b, x, h_prev, c_prev)
+        dh = rng.standard_normal((batch, n))
+        dc = rng.standard_normal((batch, n))
+        dw, db = rng.standard_normal(w.shape), rng.standard_normal(b.shape)
+        dw_ref, db_ref = dw.copy(), db.copy()
+        dz, dc_prev = ae._cell_backward(w, cache, dh, dc, dw, db)
+        dz_ref, dc_prev_ref = naive_cell_backward(w, cache_ref, dh, dc, dw_ref, db_ref)
+        for got, want in ((h, h_ref), (c, c_ref), (dz, dz_ref), (dc_prev, dc_prev_ref),
+                          (dw, dw_ref), (db, db_ref)):
+            assert np.array_equal(got, want)
+    pre = np.abs(np.concatenate(pre))
+    assert np.any(pre == 0.0)
+    if scale < 1.0:
+        assert 0.0 < pre[pre > 0].max() < 1e-6
+    if scale > 100.0:
+        assert pre.max() > 700.0
+
+
+def test_fit_through_reference_cells_gives_same_model(monkeypatch):
+    ds = make_dataset(m=40, t=12, d=3)
+    cfg = ae.AutoencoderConfig(hidden1=5, hidden2=3, epochs=2, batch_size=8, seed=4)
+    fast_params, fast_report = ae.fit(ds, cfg)
+    monkeypatch.setattr(ae, "_sigmoid", naive_sigmoid)
+    monkeypatch.setattr(ae, "_cell_forward", naive_cell_forward)
+    monkeypatch.setattr(ae, "_cell_backward", naive_cell_backward)
+    ref_params, ref_report = ae.fit(ds, cfg)
+    assert ref_report.train_losses == fast_report.train_losses
+    assert ae.model_id(ref_params, cfg, 3) == ae.model_id(fast_params, cfg, 3)
+
+
+def test_fit_logs_one_line_per_epoch(caplog):
+    ds = make_dataset(m=16)
+    cfg = ae.AutoencoderConfig(hidden1=4, hidden2=2, epochs=3, batch_size=8, seed=0)
+    with caplog.at_level(logging.INFO, logger="tsgroups.autoencoder"):
+        _, report = ae.fit(ds, cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "tsgroups.autoencoder"]
+    assert len(lines) == report.stopped_epoch == 3
+    assert lines[0].startswith("epoch 1/3: train loss ")
+    assert "val loss" in lines[-1] and "early stop" in lines[-1]

@@ -20,6 +20,7 @@ from tsgroups.ingest import (
     split_indices,
     window_sessions,
 )
+from tsgroups.pipeline import PipelineConfig, cmd_ingest
 
 
 def write_session(root, name, n_rows=20, start=1.0, bad_rows=()):
@@ -91,6 +92,42 @@ def test_discover_and_filter(tmp_path):
     assert [s.driver_id for s in sessions] == ["D1", "D2"]
     assert [s.road for s in [*filter_road(sessions, "MOTORWAY")]] == ["MOTORWAY"]
     assert len(filter_road(sessions, None)) == 2
+
+
+def test_discover_skips_other_roads_unread(tmp_path):
+    write_session(tmp_path, "a-D1-NORMAL1-MOTORWAY", n_rows=4)
+    broken = write_session(tmp_path, "b-D2-DROWSY-SECONDARY", n_rows=4)
+    (broken / "RAW_ACCELEROMETERS.txt").write_text("not a number\n")
+    with pytest.raises(ValueError):
+        discover_sessions(tmp_path)
+    sessions = discover_sessions(tmp_path, road="MOTORWAY")
+    assert [s.session_id for s in sessions] == ["a-D1-NORMAL1-MOTORWAY"]
+    with pytest.raises(ValueError, match="road must be one of"):
+        discover_sessions(tmp_path, road="HIGHWAY")
+    only_other = tmp_path / "only_other"
+    only_other.mkdir()
+    broken.rename(only_other / broken.name)
+    assert discover_sessions(only_other, road="MOTORWAY") == []
+    write_session(tmp_path, "c-NAMELESS", n_rows=4)
+    with pytest.raises(ValueError, match="no driver token"):
+        discover_sessions(tmp_path, road="MOTORWAY")
+
+
+def test_ingest_ignores_malformed_session_on_other_road(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a-D1-NORMAL-MOTORWAY", "b-D1-DROWSY-MOTORWAY", "c-D2-NORMAL-MOTORWAY",
+                 "d-D2-DROWSY-MOTORWAY"):
+        write_session(corpus, name, n_rows=40)
+    broken = write_session(corpus, "e-D3-NORMAL-SECONDARY", n_rows=4)
+    (broken / "RAW_ACCELEROMETERS.txt").write_bytes(b"\xff\xfe garbage\n")
+    config = PipelineConfig.from_dict({
+        "paths": {"dataset_root": str(corpus), "out_dir": str(tmp_path / "run")},
+        "ingest": {"window_len": 8},
+    })
+    report = cmd_ingest(config)
+    assert report["n_sessions"] == 4
+    assert report["M_total"] == 4 * 9
 
 
 def test_window_counts_and_labels(tmp_path):

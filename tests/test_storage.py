@@ -11,6 +11,7 @@ from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec
 from tsgroups.grouped import train_per_group
 from tsgroups.ingest import NormalizationStats
+from tsgroups.pipeline import _write_predictions_csv
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
     canonical_json,
@@ -78,6 +79,8 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         "x.json": lambda p: write_json(p, {"new": list(range(100))}),
         "x.zip": lambda p: write_archive(p, {"a.bin": bytes(1000)}),
         "x.model": lambda p: ae.save_model(str(p), params, config, d=2),
+        "predictions.csv": lambda p: _write_predictions_csv(
+            p, np.array([1, 0]), np.array([1, 1]), np.array([0, 1]), [2, 0]),
     }
     for name in writers:
         (tmp_path / name).write_bytes(b"previous content")
@@ -91,6 +94,20 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
             write(tmp_path / name)
         assert (tmp_path / name).read_bytes() == b"previous content"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+
+
+def test_predictions_csv_bytes_and_crash_mid_rows(tmp_path):
+    path = tmp_path / "predictions.csv"
+    _write_predictions_csv(path, np.array([1, 0, 2]), None, np.array([0, 1, 1]), [2, 0])
+    assert path.read_bytes() == (b"instance_index,predicted,true,test_group,train_group\n"
+                                 b"0,1,,0,2\n1,0,,1,0\n2,2,,1,0\n")
+    previous = path.read_bytes()
+    with pytest.raises(IndexError):
+        # The truth array runs out on the third row, after two rows were written.
+        _write_predictions_csv(path, np.array([1, 0, 2]), np.array([1, 1]),
+                               np.array([0, 1, 1]), [2, 0])
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["predictions.csv"]
 
 
 def test_file_digest_matches_hashlib(tmp_path):
