@@ -12,6 +12,12 @@ pre-activation, and the logistic function is computed without boolean
 masks. Both give the same floats, bit for bit, as one masked two-branch
 sigmoid call per gate; ``tests/reference.py`` keeps that form as the
 oracle.
+
+There is one encoder pass and one decoder pass, shared by training, the
+validation loss, ``transform`` and the finite-difference audit. A pass
+keeps per-step cell caches only when its caller hands it lists to fill,
+which only backprop needs; ``transform`` encodes the whole set at once,
+so a window's vector does not depend on the other windows beside it.
 """
 
 from __future__ import annotations
@@ -62,6 +68,13 @@ class AutoencoderConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_epsilon > 0:
+            raise ValueError(f"adam_epsilon must be > 0, got {self.adam_epsilon}")
+        if self.early_stop_patience < 0:
+            raise ValueError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -216,91 +229,80 @@ def _cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndarray,
     return da @ w, dc_total * f
 
 
-def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray, hidden1: int,
-                     hidden2: int) -> tuple[np.ndarray, dict]:
-    """Run both encoder layers; AECS is layer 2's final hidden state."""
-    batch, t_len, _ = x.shape
+def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray,
+                     caches: tuple[list, list] | None = None) -> np.ndarray:
+    """Run both encoder layers over (B, t, d) windows; returns the AECS.
+
+    The AECS is layer 2's final hidden state. ``caches``, when given, is a
+    pair of lists that receive each step's layer-1 and layer-2 cell caches.
+    """
     w1, b1 = _stacked(params, "enc1")
     w2, b2 = _stacked(params, "enc2")
-
-    h1 = np.zeros((batch, hidden1))
-    c1 = np.zeros((batch, hidden1))
-    h2 = np.zeros((batch, hidden2))
-    c2 = np.zeros((batch, hidden2))
-    caches1, caches2 = [], []
-    for t in range(t_len):
+    batch = x.shape[0]
+    h1, c1 = np.zeros((2, batch, w1.shape[0] // 4))
+    h2, c2 = np.zeros((2, batch, w2.shape[0] // 4))
+    for t in range(x.shape[1]):
         h1, c1, cache1 = _cell_forward(w1, b1, x[:, t], h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)
-        caches1.append(cache1)
-        caches2.append(cache2)
-    return h2, {"caches1": caches1, "caches2": caches2, "t": t_len}
+        if caches is not None:
+            caches[0].append(cache1)
+            caches[1].append(cache2)
+    return h2
 
 
-def _decoder_forward(params: dict[str, np.ndarray], aecs: np.ndarray, t_len: int, d: int,
-                     hidden1: int, hidden2: int) -> tuple[np.ndarray, dict]:
-    """Unroll the decoder, feeding each reconstructed frame back in."""
-    batch = aecs.shape[0]
+def _decoder_forward(params: dict[str, np.ndarray], aecs: np.ndarray, t_len: int,
+                     caches: tuple[list, list, list] | None = None) -> np.ndarray:
+    """Unroll the decoder for t_len steps, feeding each reconstructed frame back in.
+
+    ``caches``, when given, is three lists that receive each step's layer-1
+    and layer-2 cell caches and layer 2's hidden state (the output layer's
+    input).
+    """
     w1, b1 = _stacked(params, "dec1")
     w2, b2 = _stacked(params, "dec2")
     w_out, b_out = params["out.W"], params["out.b"]
-
-    h1 = aecs
-    c1 = np.zeros((batch, hidden2))
-    h2 = np.zeros((batch, hidden1))
-    c2 = np.zeros((batch, hidden1))
+    batch, d = aecs.shape[0], w_out.shape[0]
+    h1, c1 = aecs, np.zeros(aecs.shape)
+    h2, c2 = np.zeros((2, batch, w2.shape[0] // 4))
     y_prev = np.zeros((batch, d))
     recon = np.empty((batch, t_len, d))
-    h2_seq = np.empty((batch, t_len, hidden1))
-    caches1, caches2 = [], []
     for t in range(t_len):
         h1, c1, cache1 = _cell_forward(w1, b1, y_prev, h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)
         y_prev = h2 @ w_out.T + b_out
         recon[:, t] = y_prev
-        h2_seq[:, t] = h2
-        caches1.append(cache1)
-        caches2.append(cache2)
-    return recon, {"caches1": caches1, "caches2": caches2, "h2_seq": h2_seq}
+        if caches is not None:
+            caches[0].append(cache1)
+            caches[1].append(cache2)
+            caches[2].append(h2)
+    return recon
 
 
-def loss(reconstruction: np.ndarray, window: np.ndarray) -> float:
-    """Mean squared error over every entry of the window."""
-    reconstruction = np.asarray(reconstruction, dtype=np.float64)
-    window = np.asarray(window, dtype=np.float64)
-    if reconstruction.shape != window.shape:
-        raise ValueError(f"shape mismatch: {reconstruction.shape} vs {window.shape}")
-    diff = reconstruction - window
-    return float(np.mean(diff * diff))
+def _reconstruction_loss(params: dict[str, np.ndarray], x: np.ndarray,
+                         caches: tuple[list, ...] | None = None) -> tuple[np.floating, np.ndarray]:
+    """Reconstruction MSE of (B, t, d) windows in the dtype of ``x``, and the reconstruction.
 
-
-def _forward(params: dict[str, np.ndarray], x: np.ndarray, config: AutoencoderConfig) -> tuple[float, dict]:
-    """Full reconstruction pass on a batch; returns (loss, caches)."""
-    batch, t_len, d = x.shape
-    aecs, enc_cache = _encoder_forward(params, x, config.hidden1, config.hidden2)
-    recon, dec_cache = _decoder_forward(params, aecs, t_len, d, config.hidden1, config.hidden2)
+    ``caches``, when given, is five empty lists that the two passes fill
+    for ``_backward``: the cell caches of enc1, enc2, dec1 and dec2, and
+    dec2's hidden states. Without it no step is kept.
+    """
+    enc, dec = (None, None) if caches is None else (caches[:2], caches[2:])
+    recon = _decoder_forward(params, _encoder_forward(params, x, enc), x.shape[1], dec)
     diff = recon - x
-    value = float(np.mean(diff * diff))
-    caches = {
-        "x": x, "aecs": aecs, "recon": recon,
-        "enc": enc_cache, "dec": dec_cache,
-        "batch": batch, "t": t_len, "d": d,
-    }
-    return value, caches
+    return np.mean(diff * diff), recon
 
 
-def _backward(params: dict[str, np.ndarray], caches: dict,
-              config: AutoencoderConfig) -> dict[str, np.ndarray]:
+def _backward(params: dict[str, np.ndarray], x: np.ndarray, recon: np.ndarray,
+              caches: tuple[list, ...]) -> dict[str, np.ndarray]:
     """Gradients of the batch MSE with respect to every parameter."""
-    x, recon, aecs = caches["x"], caches["recon"], caches["aecs"]
-    batch, t_len, d = caches["batch"], caches["t"], caches["d"]
-    h1n, h2n = config.hidden1, config.hidden2
-    dec, enc = caches["dec"], caches["enc"]
-
+    enc1, enc2, dec1, dec2, dec_h2 = caches
+    batch, t_len, d = x.shape
     w_dec1, _ = _stacked(params, "dec1")
     w_dec2, _ = _stacked(params, "dec2")
     w_enc1, _ = _stacked(params, "enc1")
     w_enc2, _ = _stacked(params, "enc2")
     w_out = params["out.W"]
+    h1n, h2n = w_enc1.shape[0] // 4, w_enc2.shape[0] // 4
 
     dw_dec1 = np.zeros_like(w_dec1)
     db_dec1 = np.zeros(4 * h2n)
@@ -310,7 +312,6 @@ def _backward(params: dict[str, np.ndarray], caches: dict,
     db_out = np.zeros(d)
 
     dy_loss = 2.0 * (recon - x) / recon.size
-    h2_seq = dec["h2_seq"]
 
     du_next = np.zeros((batch, d))
     dh1 = np.zeros((batch, h2n))
@@ -319,13 +320,13 @@ def _backward(params: dict[str, np.ndarray], caches: dict,
     dc2 = np.zeros((batch, h1n))
     for t in range(t_len - 1, -1, -1):
         dy = dy_loss[:, t] + du_next
-        dw_out += dy.T @ h2_seq[:, t]
+        dw_out += dy.T @ dec_h2[t]
         db_out += dy.sum(axis=0)
         dh2_t = dy @ w_out + dh2
-        dz2, dc2 = _cell_backward(w_dec2, dec["caches2"][t], dh2_t, dc2, dw_dec2, db_dec2)
+        dz2, dc2 = _cell_backward(w_dec2, dec2[t], dh2_t, dc2, dw_dec2, db_dec2)
         dh1_t = dz2[:, :h2n] + dh1
         dh2 = dz2[:, h2n:]
-        dz1, dc1 = _cell_backward(w_dec1, dec["caches1"][t], dh1_t, dc1, dw_dec1, db_dec1)
+        dz1, dc1 = _cell_backward(w_dec1, dec1[t], dh1_t, dc1, dw_dec1, db_dec1)
         du_next = dz1[:, :d]
         dh1 = dz1[:, d:]
     d_aecs = dh1
@@ -340,10 +341,10 @@ def _backward(params: dict[str, np.ndarray], caches: dict,
     dh1 = np.zeros((batch, h1n))
     dc1 = np.zeros((batch, h1n))
     for t in range(t_len - 1, -1, -1):
-        dz2, dc2 = _cell_backward(w_enc2, enc["caches2"][t], dh2, dc2, dw_enc2, db_enc2)
+        dz2, dc2 = _cell_backward(w_enc2, enc2[t], dh2, dc2, dw_enc2, db_enc2)
         dh1_t = dz2[:, :h1n] + dh1
         dh2 = dz2[:, h1n:]
-        dz1, dc1 = _cell_backward(w_enc1, enc["caches1"][t], dh1_t, dc1, dw_enc1, db_enc1)
+        dz1, dc1 = _cell_backward(w_enc1, enc1[t], dh1_t, dc1, dw_enc1, db_enc1)
         dh1 = dz1[:, d:]
 
     grads: dict[str, np.ndarray] = {}
@@ -354,35 +355,6 @@ def _backward(params: dict[str, np.ndarray], caches: dict,
     grads["out.W"] = dw_out
     grads["out.b"] = db_out
     return grads
-
-
-def encode(params: dict[str, np.ndarray], window: np.ndarray,
-           config: AutoencoderConfig) -> tuple[np.ndarray, dict]:
-    """Compact representation of one (t, d) window, plus forward caches."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError(f"window must be 2-d (t, d), got shape {window.shape}")
-    if not np.all(np.isfinite(window)):
-        raise ValueError("window contains NaN/Inf")
-    aecs, cache = _encoder_forward(params, window[None], config.hidden1, config.hidden2)
-    if not np.all(np.isfinite(aecs)):
-        raise DivergenceError("encoder produced non-finite values")
-    return aecs[0], cache
-
-
-def decode(params: dict[str, np.ndarray], aecs_vector: np.ndarray, t: int,
-           config: AutoencoderConfig) -> np.ndarray:
-    """Reconstruct a (t, d) window from one compact vector."""
-    aecs_vector = np.asarray(aecs_vector, dtype=np.float64)
-    if aecs_vector.ndim != 1 or aecs_vector.size != config.hidden2:
-        raise ValueError(f"expected a length-{config.hidden2} vector, got shape {aecs_vector.shape}")
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
-    d = params["out.W"].shape[0]
-    recon, _ = _decoder_forward(params, aecs_vector[None], t, d, config.hidden1, config.hidden2)
-    if not np.all(np.isfinite(recon)):
-        raise DivergenceError("decoder produced non-finite values")
-    return recon[0]
 
 
 @dataclass
@@ -421,10 +393,11 @@ def train_step(params: dict[str, np.ndarray], batch: np.ndarray, state: AdamStat
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValueError(f"batch must be nonempty (B, t, d), got shape {batch.shape}")
-    value, caches = _forward(params, batch, config)
+    caches: tuple[list, ...] = ([], [], [], [], [])
+    value, recon = _reconstruction_loss(params, batch, caches)
     if not np.isfinite(value):
         raise DivergenceError(f"training loss diverged to {value} at step {state.step + 1}")
-    grads = _backward(params, caches, config)
+    grads = _backward(params, batch, recon, caches)
     clip_global_norm(grads)
 
     state.step += 1
@@ -438,7 +411,7 @@ def train_step(params: dict[str, np.ndarray], batch: np.ndarray, state: AdamStat
         m_hat = state.m[key] / bias1
         v_hat = state.v[key] / bias2
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return value
+    return float(value)
 
 
 def fit(dataset: WindowedDataset | np.ndarray,
@@ -485,7 +458,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
             seen += batch.shape[0]
         epoch_loss = total / seen
         if n_val:
-            val_loss, _ = _forward(params, x_val, config)
+            val_loss = float(_reconstruction_loss(params, x_val)[0])
         else:
             val_loss = epoch_loss
         if not np.isfinite(val_loss):
@@ -522,35 +495,21 @@ def fit(dataset: WindowedDataset | np.ndarray,
 
 
 def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarray,
-              config: AutoencoderConfig, chunk: int = 256) -> AecsMatrix:
-    """Encode every window; row i of the result represents window i."""
+              config: AutoencoderConfig) -> AecsMatrix:
+    """Encode every window in one pass; row i of the result represents window i."""
     x = dataset.windows if isinstance(dataset, WindowedDataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"expected (M, t, d) windows, got shape {x.shape}")
     d_expected = params["out.W"].shape[0]
     if x.shape[2] != d_expected:
         raise ValueError(f"model expects {d_expected} channels, dataset has {x.shape[2]}")
-    rows = []
-    for lo in range(0, x.shape[0], chunk):
-        aecs, _ = _encoder_forward(params, x[lo:lo + chunk], config.hidden1, config.hidden2)
-        rows.append(aecs)
-    vectors = np.concatenate(rows, axis=0)
+    vectors = _encoder_forward(params, x)
     if not np.all(np.isfinite(vectors)):
         raise DivergenceError("encoder produced non-finite representation values")
     return AecsMatrix(vectors=vectors, source_model_id=model_id(params, config, d_expected))
 
 
-def _mse_value(params: dict[str, np.ndarray], x: np.ndarray, config: AutoencoderConfig):
-    """Reconstruction loss alone, preserving the dtype of the inputs."""
-    _, t_len, d = x.shape
-    aecs, _ = _encoder_forward(params, x, config.hidden1, config.hidden2)
-    recon, _ = _decoder_forward(params, aecs, t_len, d, config.hidden1, config.hidden2)
-    diff = recon - x
-    return np.mean(diff * diff)
-
-
 def finite_difference_gradients(params: dict[str, np.ndarray], batch: np.ndarray,
-                                config: AutoencoderConfig,
                                 epsilon: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference estimate of the loss gradient, one scalar at a time.
 
@@ -570,9 +529,9 @@ def finite_difference_gradients(params: dict[str, np.ndarray], batch: np.ndarray
         for idx in range(flat_p.size):
             orig = flat_p[idx]
             flat_p[idx] = orig + eps
-            hi = _mse_value(work, batch, config)
+            hi, _ = _reconstruction_loss(work, batch)
             flat_p[idx] = orig - eps
-            lo = _mse_value(work, batch, config)
+            lo, _ = _reconstruction_loss(work, batch)
             flat_p[idx] = orig
             flat_g[idx] = float((hi - lo) / (2 * eps))
         grads[key] = g
@@ -580,7 +539,7 @@ def finite_difference_gradients(params: dict[str, np.ndarray], batch: np.ndarray
 
 
 def gradient_check(params: dict[str, np.ndarray], window: np.ndarray,
-                   config: AutoencoderConfig, epsilon: float = 1e-5) -> float:
+                   epsilon: float = 1e-5) -> float:
     """Max relative disagreement between analytic and numeric gradients."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 2:
@@ -589,9 +548,10 @@ def gradient_check(params: dict[str, np.ndarray], window: np.ndarray,
         batch = window
     else:
         raise ValueError(f"window must be (t, d) or (B, t, d), got shape {window.shape}")
-    _, caches = _forward(params, batch, config)
-    analytic = _backward(params, caches, config)
-    numeric = finite_difference_gradients(params, batch, config, epsilon)
+    caches: tuple[list, ...] = ([], [], [], [], [])
+    _, recon = _reconstruction_loss(params, batch, caches)
+    analytic = _backward(params, batch, recon, caches)
+    numeric = finite_difference_gradients(params, batch, epsilon)
     worst = 0.0
     for key in params:
         ga = analytic[key].reshape(-1)

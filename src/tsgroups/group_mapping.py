@@ -17,6 +17,7 @@ import numpy as np
 
 from .distances import DistanceMeasureId, MahalanobisContext, cross_distances, fit_mahalanobis
 from .grouped import GroupModelBundle, predict
+from .hierarchy import centroids
 from .types import AecsMatrix, Grouping, WindowedDataset
 
 
@@ -26,12 +27,6 @@ class MappingMethod(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def group_representatives(aecs: AecsMatrix | np.ndarray, grouping: Grouping) -> np.ndarray:
-    """Mean vector of each group's members, stacked as a (K, h) matrix."""
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
-    return np.stack([x[grouping.members(g)].mean(axis=0) for g in range(grouping.K)])
 
 
 def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarray,
@@ -48,7 +43,7 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
     if test_block.ndim != 2 or test_block.shape[0] == 0:
         raise ValueError(f"test group must be a nonempty (n, h) matrix, got {test_block.shape}")
     if MappingMethod(method) is MappingMethod.CR_CR:
-        train_crs = group_representatives(x, train_grouping)
+        train_crs = centroids(x, train_grouping.assignment)
         return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
     return np.array([
         cross_distances(x[train_grouping.members(g)], test_block, measure, ctx).mean()

@@ -604,7 +604,7 @@ def cmd_gradcheck(n_seeds: int = 5, epsilon: float = 1e-5, threshold: float = 1e
         params = ae.init_params(config, d=2, seed=seed)
         rng = seeded_rng(derive_seed(seed, "gradcheck", "window"))
         window = rng.standard_normal((5, 2))
-        worst = ae.gradient_check(params, window, config, epsilon)
+        worst = ae.gradient_check(params, window, epsilon)
         results.append({"seed": seed, "max_relative_error": worst, "ok": bool(worst < threshold)})
     return {
         "threshold": threshold,

@@ -114,18 +114,28 @@ def content_digest(path: str | Path) -> str:
 
 @contextmanager
 def run_lock(directory: str | Path):
-    """Exclusive marker preventing concurrent writers to one run directory."""
+    """Exclusive marker preventing concurrent writers to one run directory.
+
+    The marker holds the holder's pid, and the error names it, so a lock
+    left by a killed process can be told from a live one.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lock_path = directory / ".lock"
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
+        try:
+            holder = lock_path.read_text().strip() or "unknown"
+        except OSError:
+            holder = "unknown"
         raise RuntimeError(
-            f"run directory {directory} is locked by another process (remove {lock_path} if stale)"
+            f"run directory {directory} is locked by another process (pid {holder}; "
+            f"remove {lock_path} if stale)"
         ) from None
     try:
-        os.close(fd)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(str(os.getpid()))
         yield
     finally:
         lock_path.unlink(missing_ok=True)

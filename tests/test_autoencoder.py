@@ -2,6 +2,7 @@
 
 import copy
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ def test_config_validation():
         ae.AutoencoderConfig(epochs=0)
     with pytest.raises(ValueError):
         ae.AutoencoderConfig(learning_rate=-1.0)
+    for bad in ({"beta1": 1.0}, {"beta1": 1.5}, {"beta1": -0.1}, {"beta2": 1.0},
+                {"beta2": -1e-9}, {"adam_epsilon": 0.0}, {"adam_epsilon": -1.0},
+                {"early_stop_patience": -1}, {"early_stop_patience": -3}):
+        with pytest.raises(ValueError):
+            ae.AutoencoderConfig(**bad)
+    ae.AutoencoderConfig(beta1=0.0, beta2=0.0, early_stop_patience=0)
     cfg = ae.AutoencoderConfig(hidden1=16, hidden2=12)
     with pytest.raises(ValueError):
         cfg.check_undercomplete(t=2, d=5)
@@ -57,8 +64,8 @@ def test_init_param_shapes_and_forget_bias():
 def test_encode_is_pure_and_shapes_hold():
     params = ae.init_params(TINY, d=2, seed=0)
     w = tiny_window()
-    v1, _ = ae.encode(params, w, TINY)
-    v2, _ = ae.encode(params, w, TINY)
+    v1 = ae.transform(params, w[None], TINY).vectors[0]
+    v2 = ae.transform(params, w[None], TINY).vectors[0]
     assert v1.shape == (2,)
     assert np.array_equal(v1, v2)
 
@@ -76,17 +83,9 @@ def test_transform_rows_match_encode():
     assert np.allclose(single.vectors[0], aecs.vectors[0], rtol=0.0, atol=1e-12)
 
 
-def test_loss_hand_value():
-    recon = np.array([[1.0, 2.0], [3.0, 4.0]])
-    target = np.array([[0.0, 2.0], [3.0, 2.0]])
-    assert ae.loss(recon, target) == pytest.approx((1.0 + 0.0 + 0.0 + 4.0) / 4.0)
-    with pytest.raises(ValueError):
-        ae.loss(recon, target[:1])
-
-
 def test_gradient_matches_finite_differences():
     params = ae.init_params(TINY, d=2, seed=0)
-    worst = ae.gradient_check(params, tiny_window(), TINY)
+    worst = ae.gradient_check(params, tiny_window())
     assert worst < 1e-4
 
 
@@ -94,7 +93,7 @@ def test_zero_case_passes_by_convention():
     params = ae.init_params(TINY, d=2, seed=0)
     for key in params:
         params[key] = np.zeros_like(params[key])
-    worst = ae.gradient_check(params, np.zeros((5, 2)), TINY)
+    worst = ae.gradient_check(params, np.zeros((5, 2)))
     assert worst < 1e-4
 
 
@@ -102,9 +101,10 @@ def test_corrupted_gradient_fails_check():
     params = ae.init_params(TINY, d=2, seed=0)
     window = tiny_window()
     batch = window[None]
-    _, caches = ae._forward(params, batch, TINY)
-    analytic = ae._backward(params, caches, TINY)
-    numeric = ae.finite_difference_gradients(params, batch, TINY)
+    caches = ([], [], [], [], [])
+    _, recon = ae._reconstruction_loss(params, batch, caches)
+    analytic = ae._backward(params, batch, recon, caches)
+    numeric = ae.finite_difference_gradients(params, batch)
     analytic["enc1.Wg"] = analytic["enc1.Wg"] * 2.0
     worst = 0.0
     for key in params:
@@ -130,10 +130,10 @@ def test_single_example_step_decreases_loss():
     cfg = ae.AutoencoderConfig(hidden1=3, hidden2=2, learning_rate=1e-3, epochs=1, batch_size=1)
     params = ae.init_params(cfg, d=2, seed=1)
     batch = tiny_window(3)[None]
-    before, _ = ae._forward(params, batch, cfg)
+    before, _ = ae._reconstruction_loss(params, batch)
     state = ae.AdamState.for_params(params)
     ae.train_step(params, batch, state, cfg)
-    after, _ = ae._forward(params, batch, cfg)
+    after, _ = ae._reconstruction_loss(params, batch)
     assert after < before
 
 
@@ -141,7 +141,7 @@ def test_divergence_raises():
     params = ae.init_params(TINY, d=2, seed=0)
     params["enc1.Wi"] = params["enc1.Wi"] + np.nan
     with pytest.raises(DivergenceError):
-        ae.encode(params, tiny_window(), TINY)
+        ae.transform(params, tiny_window()[None], TINY)
 
 
 def test_divergent_training_step_raises():
@@ -230,13 +230,6 @@ def test_model_id_changes_with_weights():
     assert ae.model_id(a, cfg, 3) != ae.model_id(b, cfg, 3)
 
 
-def test_decode_shape():
-    params = ae.init_params(TINY, d=2, seed=0)
-    vec, _ = ae.encode(params, tiny_window(), TINY)
-    recon = ae.decode(params, vec, t=5, config=TINY)
-    assert recon.shape == (5, 2)
-
-
 def test_sigmoid_matches_mask_split_bit_for_bit():
     rng = seeded_rng(derive_seed(0, "sigmoid-oracle"))
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
@@ -305,3 +298,46 @@ def test_fit_logs_one_line_per_epoch(caplog):
     assert len(lines) == report.stopped_epoch == 3
     assert lines[0].startswith("epoch 1/3: train loss ")
     assert "val loss" in lines[-1] and "early stop" in lines[-1]
+
+
+def test_transform_row_does_not_depend_on_its_neighbours():
+    # 257 = 256 + 1: a chunked encoder would see the last window alone.
+    params = ae.init_params(ae.AutoencoderConfig(), d=6, seed=0)
+    x = seeded_rng(derive_seed(0, "transform-prefix")).standard_normal((300, 64, 6))
+    head = ae.transform(params, x[:257], ae.AutoencoderConfig()).vectors
+    assert np.array_equal(head, ae.transform(params, x, ae.AutoencoderConfig()).vectors[:257])
+
+
+def test_cache_filling_pass_gives_same_loss():
+    cfg = ae.AutoencoderConfig(hidden1=5, hidden2=3)
+    params = ae.init_params(cfg, d=3, seed=2)
+    x = seeded_rng(derive_seed(0, "cached-loss")).standard_normal((9, 11, 3))
+    caches = ([], [], [], [], [])
+    cached, cached_recon = ae._reconstruction_loss(params, x, caches)
+    free, free_recon = ae._reconstruction_loss(params, x)
+    assert cached == free
+    assert np.array_equal(cached_recon, free_recon)
+    assert [len(c) for c in caches] == [11] * 5
+
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_keeps_no_step_caches():
+    cfg = ae.AutoencoderConfig()
+    params = ae.init_params(cfg, d=6, seed=0)
+    x = seeded_rng(derive_seed(0, "transform-memory")).standard_normal((1024, 64, 6))
+    # The input alone is 3 MiB; one cache per step and layer would be ~60 MiB.
+    assert _peak_mib(lambda: ae.transform(params, x, cfg)) < 16.0
+
+
+def test_validation_loss_keeps_no_step_caches():
+    params = ae.init_params(ae.AutoencoderConfig(), d=6, seed=0)
+    x_val = seeded_rng(derive_seed(0, "val-memory")).standard_normal((270, 64, 6))
+    assert _peak_mib(lambda: ae._reconstruction_loss(params, x_val)) < 8.0

@@ -192,3 +192,9 @@ def test_gradcheck_verb(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["results"][0]["max_relative_error"] < payload["threshold"]
+
+
+def test_out_of_range_adam_beta_exits_config(tmp_path, capsys):
+    config_path, _ = write_config(tmp_path, autoencoder={"hidden1": 6, "hidden2": 3, "beta1": 1.5})
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
+    assert "beta1" in capsys.readouterr().err

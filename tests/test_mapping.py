@@ -15,7 +15,6 @@ from tsgroups.group_mapping import (
     MappingMethod,
     MappingReport,
     candidate_distances,
-    group_representatives,
     infer_with_groups,
 )
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
@@ -60,15 +59,6 @@ def one_group(n):
 
 def nearest(method, train, grouping, test_block, measure, ctx=None):
     return int(np.argmin(candidate_distances(method, train, grouping, test_block, measure, ctx)))
-
-
-def test_group_representative_mean_and_range():
-    vectors = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0]])
-    grouping = Grouping(assignment=np.array([0, 0, 1]), K=2, measure="MANHATTAN")
-    crs = group_representatives(vectors, grouping)
-    assert crs.shape == (2, 2)
-    assert np.array_equal(crs[0], [1.0, 1.0])
-    assert np.array_equal(crs[1], [4.0, 0.0])
 
 
 def test_map_cr_cr_hand_cases():

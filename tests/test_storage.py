@@ -145,8 +145,8 @@ def test_content_digest_binary_files_are_byte_exact(tmp_path):
 def test_run_lock_excludes_and_releases(tmp_path):
     run_dir = tmp_path / "run"
     with run_lock(run_dir):
-        assert (run_dir / ".lock").exists()
-        with pytest.raises(RuntimeError):
+        assert (run_dir / ".lock").read_text() == str(os.getpid())
+        with pytest.raises(RuntimeError, match=rf"pid {os.getpid()}\b"):
             with run_lock(run_dir):
                 pass
     assert not (run_dir / ".lock").exists()
