@@ -265,7 +265,7 @@ def _decoder_forward(params: dict[str, np.ndarray], aecs: np.ndarray, t_len: int
     h1, c1 = aecs, np.zeros(aecs.shape)
     h2, c2 = np.zeros((2, batch, w2.shape[0] // 4))
     y_prev = np.zeros((batch, d))
-    recon = np.empty((batch, t_len, d))
+    recon = np.empty((batch, t_len, d), dtype=aecs.dtype)
     for t in range(t_len):
         h1, c1, cache1 = _cell_forward(w1, b1, y_prev, h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)

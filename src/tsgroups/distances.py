@@ -3,13 +3,16 @@
 Three measures are supported: Chebyshev (max coordinate difference),
 Manhattan (sum of coordinate differences) and Mahalanobis under a ridge-
 regularized covariance fitted on the full set of vectors being compared.
+Mahalanobis is Euclidean distance after Cholesky whitening: with
+``L Lᵀ = C'⁻¹``, ``sqrt(δᵀ C'⁻¹ δ) = ‖δᵀ L‖``. So one row kernel reduces
+``|y - x_i|`` for every measure, and only numpy is needed.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +41,18 @@ EPSILON_FLOOR = 1e-12
 
 @dataclass
 class MahalanobisContext:
-    """Inverse regularized covariance plus a fingerprint of the fitting set."""
+    """Inverse regularized covariance plus a fingerprint of the fitting set.
+
+    ``whitening`` is the lower Cholesky factor ``L`` of the inverse
+    covariance (``L Lᵀ = C'⁻¹``). It is derived here, so hand-built
+    contexts work too, and a matrix that is not symmetric positive
+    definite is rejected.
+    """
 
     inverse_covariance: np.ndarray
     epsilon: float
     source_fingerprint: str
+    whitening: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.inverse_covariance = np.ascontiguousarray(self.inverse_covariance, dtype=np.float64)
@@ -51,30 +61,16 @@ class MahalanobisContext:
             raise ValueError(f"inverse covariance must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("inverse covariance contains NaN/Inf")
+        if not np.array_equal(m, m.T):  # the Cholesky factor reads one triangle only
+            raise ValueError("inverse covariance is not symmetric")
+        try:
+            self.whitening = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise ValueError("inverse covariance is not positive definite") from None
 
     @property
     def width(self) -> int:
         return self.inverse_covariance.shape[0]
-
-
-def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def chebyshev(a, b) -> float:
-    """Largest absolute coordinate difference."""
-    a, b = _pair(a, b)
-    return float(np.max(np.abs(a - b)))
-
-
-def manhattan(a, b) -> float:
-    """Sum of absolute coordinate differences."""
-    a, b = _pair(a, b)
-    return float(np.sum(np.abs(a - b)))
 
 
 def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) -> MahalanobisContext:
@@ -111,14 +107,26 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
     return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon, source_fingerprint=fingerprint)
 
 
-def mahalanobis(a, b, ctx: MahalanobisContext) -> float:
-    """sqrt((a-b)^T C'^-1 (a-b)) under the fitted context."""
-    a, b = _pair(a, b)
-    if a.size != ctx.width:
-        raise ValueError(f"vectors have length {a.size}, context expects {ctx.width}")
-    delta = a - b
-    q = float(delta @ ctx.inverse_covariance @ delta)
-    return float(np.sqrt(max(q, 0.0)))
+def _kernel_rows(x: np.ndarray, measure: DistanceMeasureId,
+                 ctx: MahalanobisContext | None) -> np.ndarray:
+    """The rows the kernel reduces: ``x`` itself, or ``x @ L`` for Mahalanobis."""
+    if measure is not DistanceMeasureId.MAHALANOBIS:
+        return x
+    if ctx is None:
+        raise ValueError("MAHALANOBIS requires a fitted context")
+    if x.shape[1] != ctx.width:
+        raise ValueError(f"vectors have width {x.shape[1]}, context expects {ctx.width}")
+    return x @ ctx.whitening
+
+
+def _row_distances(x_i: np.ndarray, y: np.ndarray, measure: DistanceMeasureId) -> np.ndarray:
+    """Distances from one kernel row ``x_i`` to every kernel row of ``y``."""
+    gap = np.abs(y - x_i)
+    if measure is DistanceMeasureId.CHEBYSHEV:
+        return np.max(gap, axis=1)
+    if measure is DistanceMeasureId.MANHATTAN:
+        return np.sum(gap, axis=1)
+    return np.sqrt(np.sum(gap * gap, axis=1))
 
 
 def cross_distances(
@@ -133,21 +141,11 @@ def cross_distances(
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"width mismatch: {x.shape[1]} vs {y.shape[1]}")
     measure = DistanceMeasureId(measure)
-    if measure is DistanceMeasureId.MAHALANOBIS:
-        if ctx is None:
-            raise ValueError("MAHALANOBIS requires a fitted context")
-        if x.shape[1] != ctx.width:
-            raise ValueError(f"vectors have width {x.shape[1]}, context expects {ctx.width}")
+    x = _kernel_rows(x, measure, ctx)
+    y = _kernel_rows(y, measure, ctx)
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
     for i in range(x.shape[0]):
-        diff = y - x[i]
-        if measure is DistanceMeasureId.CHEBYSHEV:
-            out[i] = np.max(np.abs(diff), axis=1)
-        elif measure is DistanceMeasureId.MANHATTAN:
-            out[i] = np.sum(np.abs(diff), axis=1)
-        else:
-            q = np.einsum("ij,jk,ik->i", diff, ctx.inverse_covariance, diff)
-            out[i] = np.sqrt(np.maximum(q, 0.0))
+        out[i] = _row_distances(x[i], y, measure)
     return out
 
 
@@ -166,13 +164,11 @@ def pairwise_matrix(
         raise ValueError(f"need an (M, h) matrix, got {x.shape}")
     m = x.shape[0]
     measure = DistanceMeasureId(measure)
-    if measure is DistanceMeasureId.MAHALANOBIS and ctx is None:
-        raise ValueError("MAHALANOBIS requires a fitted context")
+    x = _kernel_rows(x, measure, ctx)
 
     out = np.zeros((m, m), dtype=np.float64)
     for i in range(m - 1):
-        rest = x[i + 1 :]
-        row = cross_distances(x[i : i + 1], rest, measure, ctx)[0]
+        row = _row_distances(x[i], x[i + 1 :], measure)
         out[i, i + 1 :] = row
         out[i + 1 :, i] = row
     return out

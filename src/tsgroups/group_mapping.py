@@ -45,10 +45,9 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
     if MappingMethod(method) is MappingMethod.CR_CR:
         train_crs = centroids(x, train_grouping.assignment)
         return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
-    return np.array([
-        cross_distances(x[train_grouping.members(g)], test_block, measure, ctx).mean()
-        for g in range(train_grouping.K)
-    ])
+    row_means = cross_distances(x, test_block, measure, ctx).mean(axis=1)
+    return (np.bincount(train_grouping.assignment, weights=row_means, minlength=train_grouping.K)
+            / train_grouping.group_sizes())
 
 
 @dataclass

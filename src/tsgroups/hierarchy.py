@@ -224,8 +224,10 @@ def hubert_statistic(
 
     rho = 2/(M(M-1)) * sum_{i<j} d(x_i, x_j) * d(centroid(i), centroid(j)).
     Same-group pairs contribute zero since their centroid distance is zero.
-    Defined as 0 for a single group. ``pairwise`` may carry a precomputed
-    instance-distance matrix; otherwise blocks are computed on the fly.
+    Defined as 0 for a single group. ``pairwise`` may carry the precomputed
+    instance-distance matrix D; otherwise it is computed here. With G the
+    (M, K) one-hot assignment, ``G.T @ D @ G`` sums D over each ordered pair
+    of groups, which counts every unordered pair twice.
     """
     x = vectors.vectors if isinstance(vectors, AecsMatrix) else np.asarray(vectors, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -238,17 +240,10 @@ def hubert_statistic(
 
     cents = centroids(x, assignment)
     cent_dist = cross_distances(cents, cents, measure, ctx)
-    groups = [np.flatnonzero(assignment == g) for g in range(k)]
-
-    total = 0.0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if pairwise is not None:
-                block = pairwise[np.ix_(groups[a], groups[b])]
-            else:
-                block = cross_distances(x[groups[a]], x[groups[b]], measure, ctx)
-            total += cent_dist[a, b] * float(block.sum())
-    return 2.0 * total / (m * (m - 1))
+    dist = pairwise if pairwise is not None else pairwise_matrix(x, measure, ctx)
+    one_hot = np.eye(k)[assignment]
+    group_sums = one_hot.T @ dist @ one_hot
+    return float(np.sum(cent_dist * group_sums)) / (m * (m - 1))
 
 
 @dataclass

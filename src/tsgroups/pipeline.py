@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import autoencoder as ae
 from .classifiers import ClassifierSpec
@@ -228,7 +227,6 @@ def _versions() -> dict:
     return {
         "package": PACKAGE_VERSION,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

@@ -61,6 +61,31 @@ def naive_pairwise(x: np.ndarray, measure: DistanceMeasureId,
     return out
 
 
+def rowloop_pairwise_matrix(x: np.ndarray, measure: DistanceMeasureId,
+                            ctx: MahalanobisContext | None = None) -> np.ndarray:
+    """Row-at-a-time pairwise matrix with Mahalanobis as a quadratic form.
+
+    Each upper-triangle row is reduced straight from ``y - x_i`` and
+    mirrored into the lower half. Mahalanobis is ``sqrt(δᵀ C'⁻¹ δ)`` through
+    ``einsum`` with the inverse covariance, independent of any whitening.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    m = x.shape[0]
+    out = np.zeros((m, m), dtype=np.float64)
+    for i in range(m - 1):
+        diff = x[i + 1:] - x[i]
+        if measure is DistanceMeasureId.CHEBYSHEV:
+            row = np.max(np.abs(diff), axis=1)
+        elif measure is DistanceMeasureId.MANHATTAN:
+            row = np.sum(np.abs(diff), axis=1)
+        else:
+            q = np.einsum("ij,jk,ik->i", diff, ctx.inverse_covariance, diff)
+            row = np.sqrt(np.maximum(q, 0.0))
+        out[i, i + 1:] = row
+        out[i + 1:, i] = row
+    return out
+
+
 def naive_centroids(x: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     k = int(max(assignment)) + 1
     h = x.shape[1]

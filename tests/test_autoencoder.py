@@ -320,6 +320,15 @@ def test_cache_filling_pass_gives_same_loss():
     assert [len(c) for c in caches] == [11] * 5
 
 
+def test_wide_loss_keeps_the_reconstruction_wide():
+    # The finite-difference audit evaluates in longdouble; no frame may round to float64.
+    params = {key: p.astype(np.longdouble) for key, p in ae.init_params(TINY, d=2, seed=1).items()}
+    x = tiny_window(seed=1)[None].astype(np.longdouble)
+    loss, recon = ae._reconstruction_loss(params, x)
+    assert loss.dtype == np.longdouble
+    assert recon.dtype == np.longdouble
+
+
 def _peak_mib(fn):
     tracemalloc.start()
     try:

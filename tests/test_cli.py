@@ -1,7 +1,11 @@
 """Command-line exit codes and the end-to-end synthetic workflow."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,14 @@ def test_out_of_range_adam_beta_exits_config(tmp_path, capsys):
     config_path, _ = write_config(tmp_path, autoencoder={"hidden1": 6, "hidden2": 3, "beta1": 1.5})
     assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
     assert "beta1" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy.spatial adds about 0.5 s and 30 MB to the start of every verb.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, tsgroups.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -7,23 +7,26 @@ from tsgroups.distances import (
     MEASURE_ORDER,
     DistanceMeasureId,
     MahalanobisContext,
-    chebyshev,
     cross_distances,
     fit_mahalanobis,
-    mahalanobis,
-    manhattan,
     pairwise_matrix,
 )
 from tsgroups.rng import seeded_rng
 
-from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan, naive_pairwise
+from reference import (
+    naive_chebyshev,
+    naive_mahalanobis,
+    naive_manhattan,
+    naive_pairwise,
+    rowloop_pairwise_matrix,
+)
 
 
 def test_hand_values():
     a = np.array([0.0, 0.0])
     b = np.array([3.0, -4.0])
-    assert chebyshev(a, b) == 4.0
-    assert manhattan(a, b) == 7.0
+    assert naive_chebyshev(a, b) == 4.0
+    assert naive_manhattan(a, b) == 7.0
 
 
 def test_identity_covariance_matches_euclidean():
@@ -33,7 +36,9 @@ def test_identity_covariance_matches_euclidean():
     for _ in range(20):
         a = rng.standard_normal(3)
         b = rng.standard_normal(3)
-        assert mahalanobis(a, b, ctx) == pytest.approx(np.linalg.norm(a - b), abs=1e-12)
+        assert naive_mahalanobis(a, b, ctx) == pytest.approx(np.linalg.norm(a - b), abs=1e-12)
+        got = cross_distances(a, b, DistanceMeasureId.MAHALANOBIS, ctx)[0, 0]
+        assert got == pytest.approx(np.linalg.norm(a - b), abs=1e-12)
 
 
 def test_matches_naive_on_random_fixtures():
@@ -42,11 +47,14 @@ def test_matches_naive_on_random_fixtures():
         h = int(rng.integers(1, 9))
         a = rng.standard_normal(h)
         b = rng.standard_normal(h)
-        assert abs(chebyshev(a, b) - naive_chebyshev(a, b)) < 1e-10
-        assert abs(manhattan(a, b) - naive_manhattan(a, b)) < 1e-10
+        cheb = cross_distances(a, b, DistanceMeasureId.CHEBYSHEV)[0, 0]
+        manh = cross_distances(a, b, DistanceMeasureId.MANHATTAN)[0, 0]
+        assert abs(cheb - naive_chebyshev(a, b)) < 1e-10
+        assert abs(manh - naive_manhattan(a, b)) < 1e-10
         x = rng.standard_normal((max(4, h + 2), h))
         ctx = fit_mahalanobis(x)
-        assert abs(mahalanobis(a, b, ctx) - naive_mahalanobis(a, b, ctx)) < 1e-10
+        mahal = cross_distances(a, b, DistanceMeasureId.MAHALANOBIS, ctx)[0, 0]
+        assert abs(mahal - naive_mahalanobis(a, b, ctx)) < 1e-10
 
 
 def test_metric_axioms_hold():
@@ -70,7 +78,7 @@ def test_fit_mahalanobis_handles_degenerate_data():
     x[:, 0] = np.arange(6.0)
     ctx = fit_mahalanobis(x)
     assert np.all(np.isfinite(ctx.inverse_covariance))
-    d = mahalanobis(x[0], x[1], ctx)
+    d = naive_mahalanobis(x[0], x[1], ctx)
     assert np.isfinite(d) and d > 0
 
 
@@ -103,6 +111,29 @@ def test_pairwise_matrix_properties():
         assert np.all(np.diag(mat) == 0.0)
         ref = naive_pairwise(x, measure, ctx)
         assert np.max(np.abs(mat - ref)) < 1e-10
+
+
+def test_pairwise_matrix_matches_row_loop_reference():
+    rng = seeded_rng(21)
+    inputs = {
+        "random": rng.standard_normal((60, 6)),
+        "duplicate-heavy": np.repeat(rng.standard_normal((6, 4)), 10, axis=0)[rng.permutation(60)],
+        "integer grid": rng.integers(-3, 4, size=(60, 5)).astype(np.float64),
+    }
+    for name, x in inputs.items():
+        for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
+            assert np.array_equal(pairwise_matrix(x, measure), rowloop_pairwise_matrix(x, measure)), name
+        ctx = fit_mahalanobis(x)
+        got = pairwise_matrix(x, DistanceMeasureId.MAHALANOBIS, ctx)
+        ref = rowloop_pairwise_matrix(x, DistanceMeasureId.MAHALANOBIS, ctx)
+        assert np.all(np.abs(got - ref) <= 1e-9 * ref), name
+
+
+def test_hand_built_context_must_be_symmetric_positive_definite():
+    for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), -np.eye(3),
+                np.array([[2.0, 0.5], [0.0, 2.0]])):
+        with pytest.raises(ValueError):
+            MahalanobisContext(inverse_covariance=bad, epsilon=0.0, source_fingerprint="manual")
 
 
 def test_measure_order_is_fixed():

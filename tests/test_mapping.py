@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from tsgroups.classifiers import ClassifierSpec
-from tsgroups.distances import (
-    DistanceMeasureId,
-    chebyshev,
-    fit_mahalanobis,
-    mahalanobis,
-    manhattan,
-)
+from tsgroups.distances import DistanceMeasureId, fit_mahalanobis
 from tsgroups.group_mapping import (
     MappingMethod,
     MappingReport,
@@ -20,6 +14,8 @@ from tsgroups.group_mapping import (
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
+
+from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan
 
 
 def make_dataset(m, t=5, d=2, n_classes=2, seed=0):
@@ -99,20 +95,34 @@ def test_avg_group_distance_hand_value():
     assert got.tolist() == [pytest.approx(1.0)]
 
 
+def naive_measures(ctx):
+    return [
+        (DistanceMeasureId.CHEBYSHEV, naive_chebyshev),
+        (DistanceMeasureId.MANHATTAN, naive_manhattan),
+        (DistanceMeasureId.MAHALANOBIS, lambda x, y: naive_mahalanobis(x, y, ctx)),
+    ]
+
+
 def test_avg_group_distance_matches_double_loop():
     rng = seeded_rng(derive_seed(9, "avg-naive"))
     for trial in range(10):
         a = rng.normal(size=(rng.integers(1, 6), 4))
         b = rng.normal(size=(rng.integers(1, 6), 4))
         ctx = fit_mahalanobis(np.vstack([a, b]))
-        cases = [
-            (DistanceMeasureId.CHEBYSHEV, lambda x, y: chebyshev(x, y)),
-            (DistanceMeasureId.MANHATTAN, lambda x, y: manhattan(x, y)),
-            (DistanceMeasureId.MAHALANOBIS, lambda x, y: mahalanobis(x, y, ctx)),
-        ]
-        for measure, fn in cases:
+        for measure, fn in naive_measures(ctx):
             naive = np.mean([fn(x, y) for x in a for y in b])
             got = candidate_distances(MappingMethod.AVG, a, one_group(len(a)), b, measure, ctx)[0]
+            assert got == pytest.approx(naive, abs=1e-10)
+    for trial in range(10):  # several train groups, so the per-group reduction is exercised
+        train = rng.normal(size=(rng.integers(3, 10), 4))
+        b = rng.normal(size=(rng.integers(1, 6), 4))
+        k = int(rng.integers(2, 4))
+        assignment = rng.permutation(np.arange(len(train)) % k)
+        grouping = Grouping(assignment=assignment, K=k, measure="CHEBYSHEV")
+        ctx = fit_mahalanobis(np.vstack([train, b]))
+        for measure, fn in naive_measures(ctx):
+            naive = [np.mean([fn(x, y) for x in train[assignment == g] for y in b]) for g in range(k)]
+            got = candidate_distances(MappingMethod.AVG, train, grouping, b, measure, ctx)
             assert got == pytest.approx(naive, abs=1e-10)
 
 
