@@ -9,9 +9,11 @@ their session's behavior as the class label.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,9 @@ DEFAULT_WINDOW_LEN = 64
 DEFAULT_OVERLAP = 0.5
 DEFAULT_TRAIN_FRACTION = 0.8
 ACCELEROMETER_FILENAME = "RAW_ACCELEROMETERS.txt"
+# Lines per float conversion call: big enough to amortise the call, small
+# enough that a session's token strings are never all alive at once.
+PARSE_BLOCK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,12 @@ class ColumnMap:
     roll: int = 8
     pitch: int = 9
     yaw: int = 10
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            index = getattr(self, f.name)
+            if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+                raise ValueError(f"column {f.name} must be a non-negative int, got {index!r}")
 
     def channel_indices(self) -> tuple[int, ...]:
         return (self.acc_x, self.acc_y, self.acc_z, self.roll, self.pitch, self.yaw)
@@ -98,13 +109,53 @@ def parse_session_name(name: str) -> tuple[str, str, str]:
     return driver.group(0), behavior, road
 
 
+def _parse_lines(lines: list[str], columns: ColumnMap) -> tuple[np.ndarray, int]:
+    """(n, 7) timestamp and channel values of the lines that parse, and the
+    count of dropped lines.
+
+    Blank lines are skipped without counting. The mapped tokens of every
+    line wide enough go through one ``np.array`` call; only if it fails are
+    the rows converted one at a time to find the ones to drop.
+    """
+    needed = columns.min_columns()
+    pick = operator.itemgetter(columns.timestamp, *columns.channel_indices())
+    tokens: list[str] = []
+    rejected = 0
+    for line in lines:
+        parts = line.split()
+        if len(parts) >= needed:
+            tokens.extend(pick(parts))
+        elif parts:
+            rejected += 1
+    try:
+        return np.array(tokens, dtype=np.float64).reshape(-1, 7), rejected
+    except ValueError:
+        pass
+    rows = []
+    for start in range(0, len(tokens), 7):
+        try:
+            rows.append(np.array(tokens[start:start + 7], dtype=np.float64))
+        except ValueError:
+            rejected += 1
+    return np.array(rows, dtype=np.float64).reshape(-1, 7), rejected
+
+
 def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
                       filename: str = ACCELEROMETER_FILENAME) -> RawSession:
     """Read one session directory into a RawSession.
 
-    Rows with too few columns, unparseable numbers, non-finite values, or
-    a timestamp that does not advance are dropped and counted in
+    Blank lines are skipped. Rows with too few columns, a token that does
+    not parse as a float, a non-finite value, or a timestamp that does not
+    exceed every timestamp accepted before it are dropped and counted in
     ``rejected_rows``.
+
+    Lines end at a newline after universal-newline decoding, as iterating
+    the file gives them (``str.splitlines`` would also break at ``\\f``,
+    ``\\x85`` and others). Each block of ``PARSE_BLOCK_LINES`` lines is
+    split into tokens, and the mapped tokens of the block go through one
+    ``np.array(..., dtype=float64)`` call, which parses each string as
+    ``float()`` does. The finite and timestamp rules then run on the whole
+    session's array.
     """
     directory = Path(directory)
     columns = columns or ColumnMap()
@@ -113,36 +164,23 @@ def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
         raise FileNotFoundError(f"missing {filename} in {directory}")
     driver, behavior, road = parse_session_name(directory.name)
 
-    needed = columns.min_columns()
-    chan_idx = columns.channel_indices()
-    timestamps: list[float] = []
-    rows: list[tuple[float, ...]] = []
+    blocks = [np.empty((0, 7))]
     rejected = 0
-    last_ts = -np.inf
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < needed:
-                rejected += 1
-                continue
-            try:
-                ts = float(parts[columns.timestamp])
-                values = tuple(float(parts[i]) for i in chan_idx)
-            except ValueError:
-                rejected += 1
-                continue
-            if not np.isfinite(ts) or not all(np.isfinite(v) for v in values):
-                rejected += 1
-                continue
-            if ts <= last_ts:
-                rejected += 1
-                continue
-            last_ts = ts
-            timestamps.append(ts)
-            rows.append(values)
-    if not rows:
+        while lines := list(itertools.islice(fh, PARSE_BLOCK_LINES)):
+            values, dropped = _parse_lines(lines, columns)
+            blocks.append(values)
+            rejected += dropped
+    values = np.concatenate(blocks)
+    finite = values[np.isfinite(values).all(axis=1)]
+    # A finite row is kept iff its timestamp exceeds every earlier finite
+    # timestamp: a dropped row never raises that maximum, a kept row always does.
+    ts = finite[:, 0]
+    advances = np.ones(ts.shape, dtype=bool)
+    advances[1:] = ts[1:] > np.maximum.accumulate(ts)[:-1]
+    kept = finite[advances]
+    rejected += values.shape[0] - kept.shape[0]
+    if kept.shape[0] == 0:
         raise ValueError(f"no valid rows in {path}")
     if rejected:
         logger.warning("session %s: rejected %d rows", directory.name, rejected)
@@ -151,8 +189,8 @@ def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
         behavior=behavior,
         road=road,
         session_id=directory.name,
-        timestamps=np.asarray(timestamps),
-        samples=np.asarray(rows),
+        timestamps=kept[:, 0],
+        samples=kept[:, 1:],
         rejected_rows=rejected,
     )
 

@@ -99,7 +99,7 @@ class IngestOptions:
     def columns(self) -> ColumnMap:
         try:
             return ColumnMap(**self.column_map)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad column_map: {exc}") from None
 
     def synthetic_spec(self) -> SyntheticSpec | None:

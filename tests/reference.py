@@ -7,10 +7,13 @@ fast paths the tests compare them against.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from tsgroups.distances import DistanceMeasureId, MahalanobisContext
 from tsgroups.hierarchy import Dendrogram, Linkage
+from tsgroups.ingest import ACCELEROMETER_FILENAME, ColumnMap, RawSession, parse_session_name
 
 
 def naive_chebyshev(a: np.ndarray, b: np.ndarray) -> float:
@@ -203,3 +206,46 @@ def naive_cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndar
     dw += da.T @ z
     db += da.sum(axis=0)
     return da @ w, dc_prev
+
+
+def rowloop_parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
+                              filename: str = ACCELEROMETER_FILENAME) -> RawSession:
+    """``parse_uah_session`` as one loop over the file's lines, ``float()`` per token."""
+    directory = Path(directory)
+    columns = columns or ColumnMap()
+    path = directory / filename
+    if not path.is_file():
+        raise FileNotFoundError(f"missing {filename} in {directory}")
+    driver, behavior, road = parse_session_name(directory.name)
+    timestamps: list[float] = []
+    rows: list[tuple[float, ...]] = []
+    rejected = 0
+    last_ts = -np.inf
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) < columns.min_columns():
+                rejected += 1
+                continue
+            try:
+                ts = float(parts[columns.timestamp])
+                values = tuple(float(parts[i]) for i in columns.channel_indices())
+            except ValueError:
+                rejected += 1
+                continue
+            if not np.isfinite(ts) or not all(np.isfinite(v) for v in values):
+                rejected += 1
+                continue
+            if ts <= last_ts:
+                rejected += 1
+                continue
+            last_ts = ts
+            timestamps.append(ts)
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"no valid rows in {path}")
+    return RawSession(driver_id=driver, behavior=behavior, road=road, session_id=directory.name,
+                      timestamps=np.asarray(timestamps), samples=np.asarray(rows),
+                      rejected_rows=rejected)

@@ -1,10 +1,14 @@
 """Corpus parsing, windowing, splitting, normalization, synthesis."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
+from reference import rowloop_parse_uah_session
 
+from tsgroups import ingest
+from tsgroups.cli import EXIT_CONFIG, main
 from tsgroups.ingest import (
     CLASS_NAMES,
     ColumnMap,
@@ -20,7 +24,8 @@ from tsgroups.ingest import (
     split_indices,
     window_sessions,
 )
-from tsgroups.pipeline import PipelineConfig, cmd_ingest
+from tsgroups.pipeline import ARTIFACTS, ConfigError, IngestOptions, PipelineConfig, cmd_ingest
+from tsgroups.storage import content_digest
 
 
 def write_session(root, name, n_rows=20, start=1.0, bad_rows=()):
@@ -77,6 +82,78 @@ def test_parse_session_rejects_bad_rows(tmp_path, caplog):
     assert any("rejected" in rec.getMessage() for rec in caplog.records)
 
 
+def row(ts, *channels, extra=""):
+    """One 11-column line: timestamp, four ignored columns, six channels."""
+    values = list(channels) + [f"{0.25 * j:.2f}" for j in range(len(channels), 6)]
+    return f"{ts} 1 2 3 4 {' '.join(values)}{extra}"
+
+
+DAMAGED_SESSIONS = {
+    "short-extra-blank": "\n".join([
+        row("1.0"), "2.0 1 0.1 0.2", row("3.0", extra=" 99 98 97"), "", "   \t  ",
+        row("4.0"), "\t", row("5.0"),
+    ]) + "\n",
+    "tokens": "\n".join([
+        row("1.0"), row("2.0", "nan"), row("inf"), row("3.0", "0.1", "1e400"),
+        row("4.0", "1_0"), row("\u0665", "\u0661\u0662.\u0665"), row("6.0", "\uff15"),
+        row("7.0", "0x10"), row("8.0", "1.5e"), row("9.0", "_1"), row("-nan"),
+        row("10.0", "-inf"), row("11.0", "1e-400"), row("Infinity", "1"), row("12.0"),
+    ]) + "\n",
+    "timestamps": "\n".join([
+        row("-0.0"), row("0.0"), row("1.0"), row("1.0"), row("0.5"), row("2.0"),
+        row("1.5"), row("1.8"), row("3.0"), row("50.0", "nan"), row("4.0"),
+        row("60.0", "bad"), row("5.0"), row("4.5"), row("6.0"),
+    ]) + "\n",
+    "line-ends": "\r\n".join([row("1.0"), row("2.0"), row("3.0")]) + "\r"
+                 + "\r".join([row("4.0"), row("5.0")]) + "\n"
+                 + "\n".join([
+                     row("6.0").replace(" ", "\f", 3), row("7.0").replace(" ", "\v", 2),
+                     row("8.0").replace(" ", "\x85", 4), row("9.0").replace(" ", "\u2028"),
+                     "10.0 1\f2 3\x1c4", row("11.0").replace(" ", " \x1e "),
+                 ]) + "\n",
+}
+
+
+@pytest.mark.parametrize("block_lines", [ingest.PARSE_BLOCK_LINES, 3, 1])
+@pytest.mark.parametrize("name", sorted(DAMAGED_SESSIONS))
+def test_parse_session_matches_row_loop(tmp_path, monkeypatch, name, block_lines):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK_LINES", block_lines)
+    directory = tmp_path / f"x-D1-NORMAL-MOTORWAY-{name}"
+    directory.mkdir()
+    (directory / "RAW_ACCELEROMETERS.txt").write_bytes(DAMAGED_SESSIONS[name].encode("utf-8"))
+    assert_same_session(parse_uah_session(directory), rowloop_parse_uah_session(directory))
+
+
+def test_parse_session_matches_row_loop_on_bad_bytes(tmp_path):
+    directory = tmp_path / "x-D1-NORMAL-MOTORWAY"
+    directory.mkdir()
+    text = "\n".join([row("1.0"), row("2.0", "0.5\udcff"), row("3.0"), row("\udcfe4.0"),
+                      row("5.0").replace(" ", "\udcff ", 2), row("6.0")])
+    (directory / "RAW_ACCELEROMETERS.txt").write_bytes(
+        text.encode("utf-8", "surrogateescape") + b" \xc3")
+    got = parse_uah_session(directory)
+    assert_same_session(got, rowloop_parse_uah_session(directory))
+    assert got.rejected_rows == 3
+
+
+def test_parse_session_without_valid_rows_raises_like_row_loop(tmp_path):
+    directory = tmp_path / "x-D1-NORMAL-MOTORWAY"
+    directory.mkdir()
+    (directory / "RAW_ACCELEROMETERS.txt").write_text(f"{row('nan')}\nshort row\n{row('x')}")
+    for parse in (parse_uah_session, rowloop_parse_uah_session):
+        with pytest.raises(ValueError, match="no valid rows"):
+            parse(directory)
+
+
+def assert_same_session(got, want):
+    assert got.rejected_rows == want.rejected_rows
+    for field in ("timestamps", "samples"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+
+
 def test_parse_session_missing_file(tmp_path):
     directory = tmp_path / "x-D1-NORMAL-MOTORWAY"
     directory.mkdir()
@@ -128,6 +205,38 @@ def test_ingest_ignores_malformed_session_on_other_road(tmp_path):
     report = cmd_ingest(config)
     assert report["n_sessions"] == 4
     assert report["M_total"] == 4 * 9
+
+
+@pytest.mark.parametrize("road", ["MOTORWAY", None])
+def test_ingest_artifacts_match_row_loop_parser(tmp_path, monkeypatch, road):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    damage = [(3, "9.99 1 short"), (5, row("0.0")), (7, row("100.0", "nan")),
+              (9, row("100.0", "1e400")), (11, row("100.0", "oops")), (12, ""),
+              (99, row("\u0661\u0660\u0660", "\uff11"))]
+    for i, name in enumerate(("a-D1-NORMAL-MOTORWAY", "b-D1-DROWSY-MOTORWAY",
+                              "c-D2-NORMAL-MOTORWAY", "d-D2-DROWSY-MOTORWAY",
+                              "e-D3-NORMAL-SECONDARY")):
+        write_session(corpus, name, n_rows=40 + 3 * i, start=1.0 + i, bad_rows=damage)
+    config = PipelineConfig.from_dict({
+        "paths": {"dataset_root": str(corpus), "out_dir": str(tmp_path / "run")},
+        "ingest": {"window_len": 8, "road": road},
+    })
+    n_sessions = 4 if road else 5
+    wanted = {ARTIFACTS[name] for name in
+              ("train_dataset", "test_dataset", "ingest_report", "manifest_ingest")}
+
+    def digests() -> dict[str, str]:
+        report = cmd_ingest(config)
+        assert report["n_sessions"] == n_sessions
+        assert report["rejected_rows"] == n_sessions * 5
+        found = {p.name: content_digest(p) for p in (tmp_path / "run").iterdir() if p.is_file()}
+        assert wanted <= set(found)
+        return found
+
+    fast = digests()
+    monkeypatch.setattr(ingest, "parse_uah_session", rowloop_parse_uah_session)
+    assert digests() == fast
 
 
 def test_window_counts_and_labels(tmp_path):
@@ -265,3 +374,21 @@ def test_column_map_bounds():
     cm = ColumnMap()
     assert cm.min_columns() == 11
     assert len(cm.channel_indices()) == 6
+
+
+@pytest.mark.parametrize("index", [-1, True, 5.0, "5"])
+def test_column_map_refuses_non_index(tmp_path, capsys, index):
+    with pytest.raises(ValueError, match="acc_x must be a non-negative int"):
+        ColumnMap(acc_x=index)
+    with pytest.raises(ConfigError, match="bad column_map"):
+        IngestOptions(column_map={"acc_x": index}).columns()
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_session(corpus, "a-D1-NORMAL-MOTORWAY", n_rows=20)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "paths": {"dataset_root": str(corpus), "out_dir": str(tmp_path / "run")},
+        "ingest": {"window_len": 8, "column_map": {"acc_x": index}},
+    }))
+    assert main(["ingest", "--config", str(config)]) == EXIT_CONFIG
+    assert "bad column_map" in capsys.readouterr().err
