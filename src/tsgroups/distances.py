@@ -4,8 +4,11 @@ Three measures are supported: Chebyshev (max coordinate difference),
 Manhattan (sum of coordinate differences) and Mahalanobis under a ridge-
 regularized covariance fitted on the full set of vectors being compared.
 Mahalanobis is Euclidean distance after Cholesky whitening: with
-``L Lᵀ = C'⁻¹``, ``sqrt(δᵀ C'⁻¹ δ) = ‖δᵀ L‖``. So one row kernel reduces
-``|y - x_i|`` for every measure, and only numpy is needed.
+``L Lᵀ = C'⁻¹``, ``sqrt(δᵀ C'⁻¹ δ) = ‖δᵀ L‖``. So one kernel reduces
+``|x_i - y_j|`` for every measure, and only numpy is needed. It works
+feature-major over blocks of rows and adds a distance's terms in the
+order ``np.sum`` would, so its floats are those of a per-row
+``max``/``sum``.
 """
 
 from __future__ import annotations
@@ -107,26 +110,121 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
     return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon, source_fingerprint=fingerprint)
 
 
+# Scratch bytes one kernel call holds besides its output; sets the rows per block.
+_SCRATCH_BYTES = 1 << 20
+
+
 def _kernel_rows(x: np.ndarray, measure: DistanceMeasureId,
                  ctx: MahalanobisContext | None) -> np.ndarray:
-    """The rows the kernel reduces: ``x`` itself, or ``x @ L`` for Mahalanobis."""
-    if measure is not DistanceMeasureId.MAHALANOBIS:
-        return x
-    if ctx is None:
-        raise ValueError("MAHALANOBIS requires a fitted context")
-    if x.shape[1] != ctx.width:
-        raise ValueError(f"vectors have width {x.shape[1]}, context expects {ctx.width}")
-    return x @ ctx.whitening
+    """The kernel's rows, feature-major: ``x.T``, or ``(x @ L).T`` for Mahalanobis."""
+    if x.shape[1] == 0:
+        raise ValueError("vectors have zero width")
+    if measure is DistanceMeasureId.MAHALANOBIS:
+        if ctx is None:
+            raise ValueError("MAHALANOBIS requires a fitted context")
+        if x.shape[1] != ctx.width:
+            raise ValueError(f"vectors have width {x.shape[1]}, context expects {ctx.width}")
+        x = x @ ctx.whitening
+    return np.ascontiguousarray(x.T)
 
 
-def _row_distances(x_i: np.ndarray, y: np.ndarray, measure: DistanceMeasureId) -> np.ndarray:
-    """Distances from one kernel row ``x_i`` to every kernel row of ``y``."""
-    gap = np.abs(y - x_i)
+def _sum_slots(h: int) -> int:
+    """Scratch blocks ``_pairwise_sum`` needs to add h terms."""
+    if h < 8:
+        return 1
+    if h <= 128:
+        return 8
+    half = h // 2 - (h // 2) % 8
+    return max(_sum_slots(half), 1 + _sum_slots(h - half))
+
+
+def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray, scratch: np.ndarray) -> None:
+    """Add terms ``lo..hi-1`` into ``acc`` in the order ``np.sum`` adds a contiguous axis.
+
+    That is numpy's pairwise summation: in sequence below 8 terms, eight
+    running sums over strides of 8 up to 128 terms, and two halves (split
+    at a multiple of 8) above. ``term(f, out)`` writes term f into ``out``.
+    """
+    n = hi - lo
+    if n < 8:
+        term(lo, acc)
+        for f in range(lo + 1, hi):
+            acc += term(f, scratch[0])
+    elif n <= 128:
+        parts = [acc, *scratch[:7]]
+        for j in range(8):
+            term(lo + j, parts[j])
+        tail = hi - n % 8
+        for base in range(lo + 8, tail, 8):
+            for j in range(8):
+                parts[j] += term(base + j, scratch[7])
+        r0, r1, r2, r3, r4, r5, r6, r7 = parts
+        r0 += r1
+        r2 += r3
+        r0 += r2
+        r4 += r5
+        r6 += r7
+        r4 += r6
+        r0 += r4
+        for f in range(tail, hi):
+            acc += term(f, scratch[7])
+    else:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(term, lo, lo + half, acc, scratch)
+        _pairwise_sum(term, lo + half, hi, scratch[0], scratch[1:])
+        acc += scratch[0]
+
+
+def _block_distances(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
+                     out: np.ndarray, scratch: np.ndarray) -> None:
+    """Distances from kernel columns ``xt`` (h, r) to ``yt`` (h, n) into ``out`` (r, n).
+
+    One feature at a time: ``|x_f - y_f|`` over the whole block, then
+    combined with the running result, so each distance gets the same
+    floats as ``max``/``sum`` over its row of gaps.
+    """
+    def gap(f: int, dest: np.ndarray) -> np.ndarray:
+        np.subtract(xt[f, :, None], yt[f], out=dest)
+        return np.abs(dest, out=dest)
+
+    def squared_gap(f: int, dest: np.ndarray) -> np.ndarray:
+        np.subtract(xt[f, :, None], yt[f], out=dest)
+        return np.multiply(dest, dest, out=dest)
+
+    h = xt.shape[0]
     if measure is DistanceMeasureId.CHEBYSHEV:
-        return np.max(gap, axis=1)
-    if measure is DistanceMeasureId.MANHATTAN:
-        return np.sum(gap, axis=1)
-    return np.sqrt(np.sum(gap * gap, axis=1))
+        gap(0, out)
+        for f in range(1, h):
+            np.maximum(out, gap(f, scratch[0]), out=out)
+    elif measure is DistanceMeasureId.MANHATTAN:
+        _pairwise_sum(gap, 0, h, out, scratch)
+    else:
+        _pairwise_sum(squared_gap, 0, h, out, scratch)
+        np.sqrt(out, out=out)
+
+
+def _fill(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId, out: np.ndarray,
+          upper: bool = False) -> None:
+    """Write ``out[i, j] = d(x_i, y_j)`` a block of rows at a time.
+
+    The blocks' scratch stays within ``_SCRATCH_BYTES``. With ``upper``
+    (``x`` is ``y``), a block of rows ``lo:hi`` is computed only for
+    columns from ``lo`` on, and mirrored below the diagonal as one tile.
+    """
+    (h, rows), cols = xt.shape, yt.shape[1]
+    slots = 1 if measure is DistanceMeasureId.CHEBYSHEV else _sum_slots(h)
+    flat = np.empty(min(max(_SCRATCH_BYTES // 8, slots * cols), slots * rows * cols))
+    lo = 0
+    while lo < rows:
+        first = lo if upper else 0
+        n = cols - first
+        hi = min(lo + max(1, _SCRATCH_BYTES // (8 * slots * max(n, 1))), rows)
+        block = out[lo:hi, first:]
+        scratch = flat[: slots * (hi - lo) * n].reshape(slots, hi - lo, n)
+        _block_distances(xt[:, lo:hi], yt[:, first:], measure, block, scratch)
+        if upper:
+            out[hi:, lo:hi] = block[:, hi - lo:].T
+        lo = hi
 
 
 def cross_distances(
@@ -141,11 +239,8 @@ def cross_distances(
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"width mismatch: {x.shape[1]} vs {y.shape[1]}")
     measure = DistanceMeasureId(measure)
-    x = _kernel_rows(x, measure, ctx)
-    y = _kernel_rows(y, measure, ctx)
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
-    for i in range(x.shape[0]):
-        out[i] = _row_distances(x[i], y, measure)
+    _fill(_kernel_rows(x, measure, ctx), _kernel_rows(y, measure, ctx), measure, out)
     return out
 
 
@@ -156,19 +251,16 @@ def pairwise_matrix(
 ) -> np.ndarray:
     """Full symmetric M x M distance matrix with an exactly zero diagonal.
 
-    Only the upper triangle is computed; the lower half is mirrored, so the
-    matrix equals its transpose bit-for-bit.
+    Only blocks on and above the diagonal are computed; each is mirrored
+    into the lower half as one tile, so the matrix equals its transpose
+    bit-for-bit.
     """
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.ascontiguousarray(aecs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"need an (M, h) matrix, got {x.shape}")
-    m = x.shape[0]
     measure = DistanceMeasureId(measure)
-    x = _kernel_rows(x, measure, ctx)
-
-    out = np.zeros((m, m), dtype=np.float64)
-    for i in range(m - 1):
-        row = _row_distances(x[i], x[i + 1 :], measure)
-        out[i, i + 1 :] = row
-        out[i + 1 :, i] = row
+    xt = _kernel_rows(x, measure, ctx)
+    out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
+    _fill(xt, xt, measure, out, upper=True)
+    np.fill_diagonal(out, 0.0)
     return out

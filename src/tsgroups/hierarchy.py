@@ -69,18 +69,26 @@ class Dendrogram:
         return h.hexdigest()
 
 
+# Rows per tile of the symmetry check.
+_SYMMETRY_TILE = 64
+
+
 def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
-    if dist.shape[0] < 2:
+    m = dist.shape[0]
+    if m < 2:
         raise ValueError("need at least two instances")
-    if not np.all(np.isfinite(dist)):
+    low, high = dist.min(), dist.max()  # a NaN anywhere makes both NaN
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("distance matrix contains NaN/Inf")
-    if np.any(dist < 0):
+    if low < 0:
         raise ValueError("distance matrix has negative entries")
-    if not np.array_equal(dist, dist.T):
-        raise ValueError("distance matrix is not symmetric")
+    for lo in range(0, m, _SYMMETRY_TILE):
+        hi = lo + _SYMMETRY_TILE
+        if not np.array_equal(dist[lo:hi, lo:], dist[lo:, lo:hi].T):
+            raise ValueError("distance matrix is not symmetric")
     if np.any(np.diag(dist) != 0):
         raise ValueError("distance matrix diagonal must be zero")
     return dist
@@ -96,18 +104,27 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     pair is the tied row with the smallest id and, within its row, the tied
     column with the smallest id.
 
-    The matrix is stored whole. Each merge costs O(M) numpy work for the
-    tie-break and the Lance-Williams update of the two merged rows, plus
-    O(M) for each row whose cached minimum pointed at either of them. Ties
-    add no loop over tied pairs, so inputs full of exact duplicates
+    The matrix is stored whole, once. A retired cluster's row and column
+    are left as they are; every read adds the penalty row ``pen`` (-0.0 on
+    live columns, which leaves a value as it is, and inf on retired ones).
+    Each merge costs O(P) numpy work for the tie-break, the Lance-Williams
+    update of the merged row and its one column write, plus O(P) for each
+    row whose cached minimum pointed at either merged cluster, where P is
+    the matrix's current size. When the live clusters fall to half of P,
+    their rows and columns are gathered in order into the matrix's own
+    buffer, so positions keep their order and no second M x M is made.
+    Ties add no loop over tied pairs, so inputs full of exact duplicates
     cluster about as fast as distinct ones.
     """
     dist = _validate_distance_matrix(dist)
     linkage = Linkage(linkage)
     m = dist.shape[0]
 
-    work = dist.copy()
+    buffer = np.empty(m * m)
+    work = buffer.reshape(m, m)
+    np.copyto(work, dist)
     np.fill_diagonal(work, np.inf)
+    pen = np.full(m, -0.0)
     active = np.ones(m, dtype=bool)
     sizes = np.ones(m, dtype=np.int64)
     ids = np.arange(m, dtype=np.int64)
@@ -118,14 +135,13 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     for step in range(m - 1):
         # Retired rows hold inf, so the minimum over all rows is the height.
         height = row_min.min()
-        tied = np.flatnonzero(row_min == height)
-        i = tied[np.argmin(ids[tied])]
-        partners = np.flatnonzero(work[i] == height)
-        j = partners[np.argmin(ids[partners])]
+        tied = (row_min == height).nonzero()[0]
+        i = tied[ids[tied].argmin()]
+        partners = (work[i] + pen == height).nonzero()[0]
+        j = partners[ids[partners].argmin()]
         si, sj = min(i, j), max(i, j)
         merges.append((int(ids[i]), int(ids[j]), float(height)))
 
-        # Retired columns hold inf in both rows and stay inf after the update.
         di, dj = work[si], work[sj]
         if linkage is Linkage.SINGLE:
             updated = np.minimum(di, dj)
@@ -134,12 +150,12 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
         else:
             ni, nj = sizes[si], sizes[sj]
             updated = (ni * di + nj * dj) / (ni + nj)
+        updated += pen
         updated[si] = updated[sj] = np.inf
 
         work[si] = updated
         work[:, si] = updated
-        work[sj, :] = np.inf
-        work[:, sj] = np.inf
+        pen[sj] = np.inf
         active[sj] = False
         row_min[sj] = np.inf
         sizes[si] += sizes[sj]
@@ -147,17 +163,36 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
 
         if step == m - 2:
             break
-        # Refresh cached row minima invalidated by the merge.
+        # Refresh cached row minima invalidated by the merge. Retired rows are
+        # never refreshed, and a gather holds at most 1/32 of the matrix.
         row_min[si] = updated.min()
         row_arg[si] = updated.argmin()
-        stale = active & ((row_arg == si) | (row_arg == sj))
+        stale = (row_arg == si) | (row_arg == sj)
+        stale &= active
         stale[si] = False
-        for k in np.flatnonzero(stale):
-            row_min[k] = work[k].min()
-            row_arg[k] = work[k].argmin()
+        ks = stale.nonzero()[0]
+        chunk = max(1, work.shape[0] // 32)
+        for lo in range(0, ks.size, chunk):
+            part = ks[lo:lo + chunk]
+            rows = work[part]
+            rows += pen
+            row_min[part] = rows.min(axis=1)
+            row_arg[part] = rows.argmin(axis=1)
         improved = active & (updated < row_min)
         row_min[improved] = updated[improved]
         row_arg[improved] = si
+
+        live = m - 1 - step
+        if 2 * live <= work.shape[0]:
+            keep = np.flatnonzero(active)
+            # Row a lands at or before row keep[a]'s start, behind every row still to be read.
+            for a, r in enumerate(keep):
+                buffer[a * live:(a + 1) * live] = work[r, keep]
+            work = buffer[:live * live].reshape(live, live)
+            row_arg = (np.cumsum(active) - 1)[row_arg[keep]]
+            row_min, sizes, ids = row_min[keep], sizes[keep], ids[keep]
+            pen = np.full(live, -0.0)
+            active = np.ones(live, dtype=bool)
 
     return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)
 
@@ -172,29 +207,18 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
 
-    parent = np.arange(m + (m - k), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(m - k):
-        a, b, _ = dendrogram.merges[s]
-        new = m + s
-        parent[find(a)] = new
-        parent[find(b)] = new
-
-    roots = np.fromiter((find(i) for i in range(m)), dtype=np.int64, count=m)
-    order: dict[int, int] = {}
-    assignment = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        r = int(roots[i])
-        if r not in order:
-            order[r] = len(order)
-        assignment[i] = order[r]
-    return assignment
+    pairs = np.array([(a, b) for a, b, _ in dendrogram.merges[:m - k]], dtype=np.int64).reshape(-1, 2)
+    parent = np.arange(m + len(pairs), dtype=np.int64)
+    parent[pairs[:, 0]] = parent[pairs[:, 1]] = np.arange(m, parent.size)
+    while True:  # pointer jumping: each pass halves every path to a root
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    _, first, inverse = np.unique(parent[:m], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.reshape(m)]
 
 
 def centroids(vectors: AecsMatrix | np.ndarray, assignment: np.ndarray) -> np.ndarray:

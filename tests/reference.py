@@ -89,6 +89,30 @@ def rowloop_pairwise_matrix(x: np.ndarray, measure: DistanceMeasureId,
     return out
 
 
+def rowloop_cross_distances(x: np.ndarray, y: np.ndarray, measure: DistanceMeasureId,
+                            ctx: MahalanobisContext | None = None) -> np.ndarray:
+    """One row of ``cross_distances`` per Python step, reduced with numpy's own ``max``/``sum``.
+
+    Mahalanobis reduces the rows after whitening with ``ctx.whitening``, so
+    this is the fast kernel's float-for-float oracle.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if measure is DistanceMeasureId.MAHALANOBIS:
+        x = x @ ctx.whitening
+        y = y @ ctx.whitening
+    out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
+    for i in range(x.shape[0]):
+        gap = np.abs(y - x[i])
+        if measure is DistanceMeasureId.CHEBYSHEV:
+            out[i] = np.max(gap, axis=1)
+        elif measure is DistanceMeasureId.MANHATTAN:
+            out[i] = np.sum(gap, axis=1)
+        else:
+            out[i] = np.sqrt(np.sum(gap * gap, axis=1))
+    return out
+
+
 def naive_centroids(x: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     k = int(max(assignment)) + 1
     h = x.shape[1]
@@ -159,6 +183,85 @@ def naive_agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> D
         clusters = [c for idx, c in enumerate(clusters) if idx not in (a, b)]
         clusters.append(merged)
     return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)
+
+
+def rowloop_agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrogram:
+    """Whole-matrix agglomeration that writes inf over every retired row and column.
+
+    Same tie-break and Lance-Williams floats as the fast path, which must
+    reproduce its merges, heights included, exactly.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    linkage = Linkage(linkage)
+    m = dist.shape[0]
+    work = dist.copy()
+    np.fill_diagonal(work, np.inf)
+    active = np.ones(m, dtype=bool)
+    sizes = np.ones(m, dtype=np.int64)
+    ids = np.arange(m, dtype=np.int64)
+    row_min = work.min(axis=1)
+    row_arg = work.argmin(axis=1)
+    merges: list[tuple[int, int, float]] = []
+    for step in range(m - 1):
+        height = row_min.min()
+        tied = np.flatnonzero(row_min == height)
+        i = tied[np.argmin(ids[tied])]
+        partners = np.flatnonzero(work[i] == height)
+        j = partners[np.argmin(ids[partners])]
+        si, sj = min(i, j), max(i, j)
+        merges.append((int(ids[i]), int(ids[j]), float(height)))
+        di, dj = work[si], work[sj]
+        if linkage is Linkage.SINGLE:
+            updated = np.minimum(di, dj)
+        elif linkage is Linkage.COMPLETE:
+            updated = np.maximum(di, dj)
+        else:
+            ni, nj = sizes[si], sizes[sj]
+            updated = (ni * di + nj * dj) / (ni + nj)
+        updated[si] = updated[sj] = np.inf
+        work[si] = updated
+        work[:, si] = updated
+        work[sj, :] = np.inf
+        work[:, sj] = np.inf
+        active[sj] = False
+        row_min[sj] = np.inf
+        sizes[si] += sizes[sj]
+        ids[si] = m + step
+        if step == m - 2:
+            break
+        row_min[si] = updated.min()
+        row_arg[si] = updated.argmin()
+        stale = active & ((row_arg == si) | (row_arg == sj))
+        stale[si] = False
+        for k in np.flatnonzero(stale):
+            row_min[k] = work[k].min()
+            row_arg[k] = work[k].argmin()
+        improved = active & (updated < row_min)
+        row_min[improved] = updated[improved]
+        row_arg[improved] = si
+    return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)
+
+
+def unionfind_cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
+    """Cut by replaying the first M-k merges through union-find, one leaf at a time."""
+    m = dendrogram.n_leaves
+    parent = list(range(m + (m - k)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for s in range(m - k):
+        a, b, _ = dendrogram.merges[s]
+        parent[find(a)] = m + s
+        parent[find(b)] = m + s
+    order: dict[int, int] = {}
+    assignment = np.empty(m, dtype=np.int64)
+    for i in range(m):
+        assignment[i] = order.setdefault(find(i), len(order))
+    return assignment
 
 
 def naive_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Distance measures against naive references and hand values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tsgroups import distances
 from tsgroups.distances import (
     MEASURE_ORDER,
     DistanceMeasureId,
@@ -18,6 +21,7 @@ from reference import (
     naive_mahalanobis,
     naive_manhattan,
     naive_pairwise,
+    rowloop_cross_distances,
     rowloop_pairwise_matrix,
 )
 
@@ -71,6 +75,14 @@ def test_metric_axioms_hold():
 def test_mahalanobis_requires_context():
     with pytest.raises(ValueError):
         cross_distances(np.zeros((1, 2)), np.ones((1, 2)), DistanceMeasureId.MAHALANOBIS, None)
+
+
+def test_zero_width_vectors_are_rejected():
+    for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
+        with pytest.raises(ValueError, match="zero width"):
+            cross_distances(np.zeros((2, 0)), np.zeros((3, 0)), measure)
+        with pytest.raises(ValueError, match="zero width"):
+            pairwise_matrix(np.zeros((4, 0)), measure)
 
 
 def test_fit_mahalanobis_handles_degenerate_data():
@@ -147,3 +159,42 @@ def test_context_fingerprint_tracks_source():
     y = rng.standard_normal((8, 3))
     assert fit_mahalanobis(x).source_fingerprint == fit_mahalanobis(x).source_fingerprint
     assert fit_mahalanobis(x).source_fingerprint != fit_mahalanobis(y).source_fingerprint
+
+
+def scaled_vectors(rng, n, h):
+    """Rows whose features span six decades, so the order of additions shows in the floats."""
+    return rng.standard_normal((n, h)) * 10.0 ** rng.integers(-3, 4, size=h)
+
+
+@pytest.mark.parametrize("scratch_bytes", [None, 4096])
+@pytest.mark.parametrize("h", [1, 2, 7, 8, 9, 12, 16, 17, 130])
+def test_kernel_matches_row_loop_bit_for_bit(h, scratch_bytes, monkeypatch):
+    # A 4 KB budget forces blocks down to one row, so every block edge is crossed.
+    if scratch_bytes is not None:
+        monkeypatch.setattr(distances, "_SCRATCH_BYTES", scratch_bytes)
+    rng = seeded_rng(100 + h)
+    x = scaled_vectors(rng, 150, h)
+    y = scaled_vectors(rng, 41, h)
+    ctx = fit_mahalanobis(np.vstack([x, y]))
+    for measure in MEASURE_ORDER:
+        for a, b in ((x, y), (y, x), (x[:1], y), (x, y[:1]), (x[0], y[3])):
+            got = cross_distances(a, b, measure, ctx)
+            assert np.array_equal(got, rowloop_cross_distances(a, b, measure, ctx)), (measure, got.shape)
+        ref = rowloop_cross_distances(x, x, measure, ctx)
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(pairwise_matrix(x, measure, ctx), ref), measure
+
+
+def test_pairwise_matrix_scratch_stays_bounded():
+    m = 600
+    x = seeded_rng(8).standard_normal((m, 12))
+    ctx = fit_mahalanobis(x)
+    for measure in MEASURE_ORDER:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pairwise_matrix(x, measure, ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * m * 8 + 2 * 2**20, (measure, peak)

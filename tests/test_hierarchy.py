@@ -2,6 +2,7 @@
 
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from tsgroups.hierarchy import (
 )
 from tsgroups.rng import seeded_rng
 
-from reference import naive_agglomerate, naive_hubert
+from reference import naive_agglomerate, naive_hubert, rowloop_agglomerate, unionfind_cut
 from synthdata import anisotropic_fixture, isotropic_tie_fixture, random_distance_matrix
 
 
@@ -118,9 +119,9 @@ def test_input_validation():
     negative = np.array([[0.0, -1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError):
         agglomerate(negative)
-    nan = np.array([[0.0, np.nan], [np.nan, 0.0]])
-    with pytest.raises(ValueError):
-        agglomerate(nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            agglomerate(np.array([[0.0, bad], [bad, 0.0]]))
     with pytest.raises(ValueError):
         agglomerate(np.zeros((1, 1)))
 
@@ -219,3 +220,61 @@ def test_hc_aecs_respects_requested_k():
         assert np.unique(select_best_measure(x, k=k).assignment).size == k
     with pytest.raises(ValueError):
         select_best_measure(x, k=1)
+
+
+def oracle_inputs(m, seed):
+    """Distance matrices of m points: distinct, duplicate-heavy and on a small integer grid."""
+    rng = seeded_rng(seed)
+    distinct = rng.standard_normal((m, 5))
+    copies = rng.standard_normal((max(1, m // 8), 3))[rng.integers(0, max(1, m // 8), size=m)]
+    grid = rng.integers(-2, 3, size=(m, 3)).astype(np.float64)
+    return {
+        "random": pairwise_matrix(distinct, DistanceMeasureId.MAHALANOBIS, fit_mahalanobis(distinct)),
+        "duplicate-heavy": pairwise_matrix(copies, DistanceMeasureId.MANHATTAN),
+        "integer grid": pairwise_matrix(grid, DistanceMeasureId.CHEBYSHEV),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 200, 700])
+def test_agglomerate_matches_row_loop_exactly(m):
+    for name, dist in oracle_inputs(m, seed=m).items():
+        for linkage in Linkage:
+            fast = agglomerate(dist, linkage)
+            assert fast.merges == rowloop_agglomerate(dist, linkage).merges, (name, linkage)
+
+
+def test_cut_matches_union_find_for_every_k():
+    for name, dist in oracle_inputs(90, seed=4).items():
+        for linkage in Linkage:
+            tree = agglomerate(dist, linkage)
+            for k in range(1, tree.n_leaves + 1):
+                assert np.array_equal(cut(tree, k), unionfind_cut(tree, k)), (name, linkage, k)
+
+
+def test_agglomerate_holds_one_working_copy():
+    # Compaction reuses the working buffer, and stale-row gathers are bounded,
+    # even when hundreds of rows share one nearest neighbour.
+    m = 600
+    rng = seeded_rng(6)
+    points = {"random": rng.standard_normal((m, 4)),
+              "duplicate-heavy": rng.standard_normal((3, 4))[np.arange(m) % 3]}
+    for name, x in points.items():
+        dist = pairwise_matrix(x, DistanceMeasureId.MANHATTAN)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            agglomerate(dist, Linkage.AVERAGE)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * m * m * 8, (name, peak)
+
+
+@pytest.mark.parametrize("position", [(63, 64), (64, 130), (10, 20), (199, 0), (0, 199)])
+def test_one_asymmetric_pair_is_rejected(position):
+    # 64-row tiles: a pair on a tile edge, one inside a tile, and the far corners.
+    dist = pairwise_matrix(seeded_rng(14).standard_normal((200, 3)), DistanceMeasureId.MANHATTAN)
+    agglomerate(dist)
+    dist[position] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        agglomerate(dist)
