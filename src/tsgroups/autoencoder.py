@@ -7,11 +7,14 @@ previous output frame, reconstructs the window in original time order.
 Forward, full backpropagation through time, and the Adam update are all
 plain numpy, verified against central finite differences.
 
-Each LSTM step makes one activation call over its whole (B, 4n)
-pre-activation, and the logistic function is computed without boolean
-masks. Both give the same floats, bit for bit, as one masked two-branch
-sigmoid call per gate; ``tests/reference.py`` keeps that form as the
-oracle.
+The state runs feature-major: hidden state, cell state and gates are
+(n, B) arrays, one column per window. Each layer has one (4n, in + n)
+weight matrix and one bias, with the gate rows in the order i, f, o, g,
+so one logistic call covers the three sigmoid gates and one tanh call
+the g slab. Every parameter array is a view into one float64 buffer, so
+Adam, gradient clipping and the best-epoch snapshot each work on one
+array. ``tests/reference.py`` keeps the batch-major, gate-by-gate model
+as the oracle.
 
 There is one encoder pass and one decoder pass, shared by training, the
 validation loss, ``transform`` and the finite-difference audit. A pass
@@ -22,12 +25,12 @@ so a window's vector does not depend on the other windows beside it.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
+import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .types import AecsMatrix, DivergenceError, WindowedDataset
 
 logger = logging.getLogger(__name__)
 
-GATE_NAMES = ("i", "f", "g", "o")
+MODEL_FORMAT = "lstm-autoencoder-v2"
 GRAD_CLIP_NORM = 5.0
 
 
@@ -113,136 +116,129 @@ def _layer_dims(d: int, hidden1: int, hidden2: int) -> dict[str, tuple[int, int]
     }
 
 
-def param_keys(d: int, hidden1: int, hidden2: int) -> list[str]:
-    """Canonical ordering of every parameter array in the stack."""
-    keys: list[str] = []
-    for layer in _layer_dims(d, hidden1, hidden2):
-        keys.extend(f"{layer}.W{g}" for g in GATE_NAMES)
-        keys.extend(f"{layer}.b{g}" for g in GATE_NAMES)
-    keys.extend(["out.W", "out.b"])
-    return keys
+def param_shapes(d: int, hidden1: int, hidden2: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter array, in the order they fill the buffer.
+
+    Each LSTM layer has a weight ``W`` of shape (4n, in + n), gate rows in
+    the order i, f, o, g, and a bias ``b`` of length 4n.
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+    for layer, (din, n) in _layer_dims(d, hidden1, hidden2).items():
+        shapes[f"{layer}.W"] = (4 * n, din + n)
+        shapes[f"{layer}.b"] = (4 * n,)
+    shapes["out.W"] = (d, hidden1)
+    shapes["out.b"] = (d,)
+    return shapes
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Arrays of the given shapes laid end to end over the 1-D buffer ``flat``."""
+    arrays, offset = {}, 0
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        arrays[key] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return arrays
+
+
+def _zeros(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    return _views(np.zeros(sum(math.prod(s) for s in shapes.values())), shapes)
+
+
+def _buffer(arrays: dict[str, np.ndarray]) -> np.ndarray:
+    """The one buffer that every array in ``arrays`` views."""
+    flat = next(iter(arrays.values())).base
+    if flat is None or any(a.base is not flat for a in arrays.values()):
+        raise ValueError("parameters must be views of one buffer, as init_params returns them")
+    return flat
 
 
 def init_params(config: AutoencoderConfig, d: int, seed: int | None = None) -> dict[str, np.ndarray]:
-    """Scaled-uniform weights, zero biases except forget-gate bias of 1."""
+    """Scaled-uniform weights, zero biases except forget-gate bias of 1.
+
+    Each layer draws its four gate blocks in the order i, f, g, o, as the
+    per-gate model format v1 did, so the weights are the same numbers
+    restacked as rows i, f, o, g.
+    """
     if d < 1:
         raise ValueError(f"channel count must be positive, got {d}")
     rng = seeded_rng(derive_seed(config.seed if seed is None else seed, "init"))
-    params: dict[str, np.ndarray] = {}
+    params = _zeros(param_shapes(d, config.hidden1, config.hidden2))
     for layer, (din, n) in _layer_dims(d, config.hidden1, config.hidden2).items():
         scale = 1.0 / np.sqrt(din + n)
-        for g in GATE_NAMES:
-            params[f"{layer}.W{g}"] = rng.uniform(-scale, scale, size=(n, din + n))
-        for g in GATE_NAMES:
-            bias = np.zeros(n)
-            if g == "f":
-                bias[:] = 1.0
-            params[f"{layer}.b{g}"] = bias
+        drawn = rng.uniform(-scale, scale, size=(4, n, din + n))
+        params[f"{layer}.W"][...] = drawn[[0, 1, 3, 2]].reshape(4 * n, din + n)
+        params[f"{layer}.b"][n:2 * n] = 1.0
     scale = 1.0 / np.sqrt(config.hidden1)
-    params["out.W"] = rng.uniform(-scale, scale, size=(d, config.hidden1))
-    params["out.b"] = np.zeros(d)
+    params["out.W"][...] = rng.uniform(-scale, scale, size=(d, config.hidden1))
     return params
-
-
-def _stacked(params: dict[str, np.ndarray], layer: str) -> tuple[np.ndarray, np.ndarray]:
-    w = np.concatenate([params[f"{layer}.W{g}"] for g in GATE_NAMES], axis=0)
-    b = np.concatenate([params[f"{layer}.b{g}"] for g in GATE_NAMES])
-    return w, b
-
-
-def _unstack_into(grads: dict[str, np.ndarray], layer: str, dw: np.ndarray, db: np.ndarray) -> None:
-    n = dw.shape[0] // 4
-    for idx, g in enumerate(GATE_NAMES):
-        grads[f"{layer}.W{g}"] = dw[idx * n:(idx + 1) * n]
-        grads[f"{layer}.b{g}"] = db[idx * n:(idx + 1) * n]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function without masks, in the dtype of ``x``.
-
-    ``exp`` only ever sees ``-|x|``, so it cannot overflow: 1/(1+e^-x) for
-    x >= 0 and e^x/(1+e^x) below. Every element goes through exactly the
-    operations of the two-branch boolean-mask split, so the result is the
-    same bit for bit, at +-0.0 and +-inf too; a NaN stays NaN (only its
-    meaningless sign bit may differ).
-    """
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
 
 
 def _cell_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
                   c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step for a batch; returns (h, c, cache for backprop).
+    """One LSTM step over (features, B) columns; returns (h, c, cache for backprop).
 
-    One sigmoid call covers the whole (B, 4n) pre-activation; the g slab
-    is then overwritten with its tanh, so ``act`` holds i, f, g, o side
-    by side and the cache keeps views of it rather than four arrays.
+    The pre-activation is computed as (z.T @ w.T).T, with the batch on
+    BLAS's N side; ``w @ z`` puts it on the M side, where a column's floats
+    depend on its position in the batch. One copy makes it a contiguous
+    (4n, B) array, whose i, f, o slab takes the logistic and g slab the
+    tanh in place, so ``act`` holds all four gates.
     """
-    n = h_prev.shape[1]
-    z = np.concatenate([x, h_prev], axis=1)
-    a = z @ w.T
-    a += b
-    act = _sigmoid(a)
-    i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
-    np.tanh(a[:, 2 * n:3 * n], out=g)
+    n = h_prev.shape[0]
+    z = np.concatenate([x, h_prev])
+    act = np.add((z.T @ w.T).T, b[:, None], order="C")
+    s = act[:3 * n]
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):  # exp(-a) = inf below a = -709.78, and 1 / (1 + inf) = 0
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    np.tanh(act[3 * n:], out=act[3 * n:])
+    i, f, o, g = act[:n], act[n:2 * n], act[2 * n:3 * n], act[3 * n:]
     c = f * c_prev
     c += i * g
     tc = np.tanh(c)
-    h = o * tc
-    return h, c, (z, act, c_prev, tc)
+    return o * tc, c, (z, act, c_prev, tc)
 
 
 def _cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndarray,
                    dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one step; accumulates dw/db, returns (dz, dc_prev).
-
-    The four gate gradients are written straight into one ``da`` array.
-    Each keeps the association of its textbook form, e.g.
-    ((dc_total * g) * i) * (1 - i), so the floats do not depend on the
-    fusing.
-    """
+    """Backprop one step; accumulates dw/db in place, returns (dz, dc_prev)."""
     z, act, c_prev, tc = cache
-    n = tc.shape[1]
-    i, f, g, o = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+    n = tc.shape[0]
+    i, f, o, g = act[:n], act[n:2 * n], act[2 * n:3 * n], act[3 * n:]
     dc_total = dh * o
     dc_total *= 1.0 - tc * tc
     dc_total += dc
     da = np.empty_like(act)
-    np.multiply(dc_total, g, out=da[:, :n])
-    np.multiply(dc_total, c_prev, out=da[:, n:2 * n])
-    np.multiply(dc_total, i, out=da[:, 2 * n:3 * n])
-    np.multiply(dh, tc, out=da[:, 3 * n:])
-    # Sigmoid gates: (d * s) * (1 - s); tanh gate: d * (1 - g * g).
-    da[:, :2 * n] *= act[:, :2 * n]
-    da[:, 3 * n:] *= o
-    slope = 1.0 - act
-    np.multiply(g, g, out=slope[:, 2 * n:3 * n])
-    np.subtract(1.0, slope[:, 2 * n:3 * n], out=slope[:, 2 * n:3 * n])
-    da *= slope
-    dw += da.T @ z
-    db += da.sum(axis=0)
-    return da @ w, dc_total * f
+    np.multiply(dc_total, g, out=da[:n])
+    np.multiply(dc_total, c_prev, out=da[n:2 * n])
+    np.multiply(dh, tc, out=da[2 * n:3 * n])
+    np.multiply(dc_total, i, out=da[3 * n:])
+    # Sigmoid gates: d * s * (1 - s); tanh gate: d * (1 - g * g).
+    s = act[:3 * n]
+    da[:3 * n] *= s
+    da[:3 * n] *= 1.0 - s
+    da[3 * n:] *= 1.0 - g * g
+    dw += da @ z.T
+    db += da.sum(axis=1)
+    return w.T @ da, dc_total * f
 
 
 def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray,
                      caches: tuple[list, list] | None = None) -> np.ndarray:
-    """Run both encoder layers over (B, t, d) windows; returns the AECS.
+    """Run both encoder layers over (B, t, d) windows; returns the AECS as (h2, B) columns.
 
     The AECS is layer 2's final hidden state. ``caches``, when given, is a
     pair of lists that receive each step's layer-1 and layer-2 cell caches.
     """
-    w1, b1 = _stacked(params, "enc1")
-    w2, b2 = _stacked(params, "enc2")
+    w1, b1 = params["enc1.W"], params["enc1.b"]
+    w2, b2 = params["enc2.W"], params["enc2.b"]
     batch = x.shape[0]
-    h1, c1 = np.zeros((2, batch, w1.shape[0] // 4))
-    h2, c2 = np.zeros((2, batch, w2.shape[0] // 4))
+    h1, c1 = np.zeros((2, b1.size // 4, batch))
+    h2, c2 = np.zeros((2, b2.size // 4, batch))
     for t in range(x.shape[1]):
-        h1, c1, cache1 = _cell_forward(w1, b1, x[:, t], h1, c1)
+        h1, c1, cache1 = _cell_forward(w1, b1, x[:, t].T, h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)
         if caches is not None:
             caches[0].append(cache1)
@@ -252,25 +248,25 @@ def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray,
 
 def _decoder_forward(params: dict[str, np.ndarray], aecs: np.ndarray, t_len: int,
                      caches: tuple[list, list, list] | None = None) -> np.ndarray:
-    """Unroll the decoder for t_len steps, feeding each reconstructed frame back in.
+    """Unroll the decoder from (h2, B) AECS columns for t_len steps, feeding each frame back in.
 
-    ``caches``, when given, is three lists that receive each step's layer-1
-    and layer-2 cell caches and layer 2's hidden state (the output layer's
-    input).
+    Returns the (B, t_len, d) reconstruction. ``caches``, when given, is
+    three lists that receive each step's layer-1 and layer-2 cell caches
+    and layer 2's hidden state (the output layer's input).
     """
-    w1, b1 = _stacked(params, "dec1")
-    w2, b2 = _stacked(params, "dec2")
+    w1, b1 = params["dec1.W"], params["dec1.b"]
+    w2, b2 = params["dec2.W"], params["dec2.b"]
     w_out, b_out = params["out.W"], params["out.b"]
-    batch, d = aecs.shape[0], w_out.shape[0]
+    batch, d = aecs.shape[1], b_out.size
     h1, c1 = aecs, np.zeros(aecs.shape)
-    h2, c2 = np.zeros((2, batch, w2.shape[0] // 4))
-    y_prev = np.zeros((batch, d))
+    h2, c2 = np.zeros((2, b2.size // 4, batch))
+    y_prev = np.zeros((d, batch))
     recon = np.empty((batch, t_len, d), dtype=aecs.dtype)
     for t in range(t_len):
         h1, c1, cache1 = _cell_forward(w1, b1, y_prev, h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)
-        y_prev = h2 @ w_out.T + b_out
-        recon[:, t] = y_prev
+        recon[:, t] = h2.T @ w_out.T + b_out
+        y_prev = recon[:, t].T
         if caches is not None:
             caches[0].append(cache1)
             caches[1].append(cache2)
@@ -294,96 +290,60 @@ def _reconstruction_loss(params: dict[str, np.ndarray], x: np.ndarray,
 
 def _backward(params: dict[str, np.ndarray], x: np.ndarray, recon: np.ndarray,
               caches: tuple[list, ...]) -> dict[str, np.ndarray]:
-    """Gradients of the batch MSE with respect to every parameter."""
+    """Gradients of the batch MSE for every parameter, as views of one buffer."""
     enc1, enc2, dec1, dec2, dec_h2 = caches
     batch, t_len, d = x.shape
-    w_dec1, _ = _stacked(params, "dec1")
-    w_dec2, _ = _stacked(params, "dec2")
-    w_enc1, _ = _stacked(params, "enc1")
-    w_enc2, _ = _stacked(params, "enc2")
+    grads = _zeros({key: p.shape for key, p in params.items()})
     w_out = params["out.W"]
-    h1n, h2n = w_enc1.shape[0] // 4, w_enc2.shape[0] // 4
+    h1n, h2n = params["enc1.b"].size // 4, params["enc2.b"].size // 4
 
-    dw_dec1 = np.zeros_like(w_dec1)
-    db_dec1 = np.zeros(4 * h2n)
-    dw_dec2 = np.zeros_like(w_dec2)
-    db_dec2 = np.zeros(4 * h1n)
-    dw_out = np.zeros_like(w_out)
-    db_out = np.zeros(d)
+    def cell(layer: str, cache: tuple, dh: np.ndarray, dc: np.ndarray):
+        return _cell_backward(params[f"{layer}.W"], cache, dh, dc,
+                              grads[f"{layer}.W"], grads[f"{layer}.b"])
 
     dy_loss = 2.0 * (recon - x) / recon.size
-
-    du_next = np.zeros((batch, d))
-    dh1 = np.zeros((batch, h2n))
-    dc1 = np.zeros((batch, h2n))
-    dh2 = np.zeros((batch, h1n))
-    dc2 = np.zeros((batch, h1n))
+    du_next = np.zeros((d, batch))
+    dh1, dc1 = np.zeros((2, h2n, batch))
+    dh2, dc2 = np.zeros((2, h1n, batch))
     for t in range(t_len - 1, -1, -1):
-        dy = dy_loss[:, t] + du_next
-        dw_out += dy.T @ dec_h2[t]
-        db_out += dy.sum(axis=0)
-        dh2_t = dy @ w_out + dh2
-        dz2, dc2 = _cell_backward(w_dec2, dec2[t], dh2_t, dc2, dw_dec2, db_dec2)
-        dh1_t = dz2[:, :h2n] + dh1
-        dh2 = dz2[:, h2n:]
-        dz1, dc1 = _cell_backward(w_dec1, dec1[t], dh1_t, dc1, dw_dec1, db_dec1)
-        du_next = dz1[:, :d]
-        dh1 = dz1[:, d:]
-    d_aecs = dh1
+        dy = dy_loss[:, t].T + du_next
+        grads["out.W"] += dy @ dec_h2[t].T
+        grads["out.b"] += dy.sum(axis=1)
+        dz2, dc2 = cell("dec2", dec2[t], w_out.T @ dy + dh2, dc2)
+        dh2 = dz2[h2n:]
+        dz1, dc1 = cell("dec1", dec1[t], dz2[:h2n] + dh1, dc1)
+        du_next, dh1 = dz1[:d], dz1[d:]
 
-    dw_enc1 = np.zeros_like(w_enc1)
-    db_enc1 = np.zeros(4 * h1n)
-    dw_enc2 = np.zeros_like(w_enc2)
-    db_enc2 = np.zeros(4 * h2n)
-
-    dh2 = d_aecs
-    dc2 = np.zeros((batch, h2n))
-    dh1 = np.zeros((batch, h1n))
-    dc1 = np.zeros((batch, h1n))
+    # dh1 is now the gradient of the AECS, layer 2's final hidden state.
+    dh2, dc2 = dh1, np.zeros(dh1.shape)
+    dh1, dc1 = np.zeros((2, h1n, batch))
     for t in range(t_len - 1, -1, -1):
-        dz2, dc2 = _cell_backward(w_enc2, enc2[t], dh2, dc2, dw_enc2, db_enc2)
-        dh1_t = dz2[:, :h1n] + dh1
-        dh2 = dz2[:, h1n:]
-        dz1, dc1 = _cell_backward(w_enc1, enc1[t], dh1_t, dc1, dw_enc1, db_enc1)
-        dh1 = dz1[:, d:]
-
-    grads: dict[str, np.ndarray] = {}
-    _unstack_into(grads, "enc1", dw_enc1, db_enc1)
-    _unstack_into(grads, "enc2", dw_enc2, db_enc2)
-    _unstack_into(grads, "dec1", dw_dec1, db_dec1)
-    _unstack_into(grads, "dec2", dw_dec2, db_dec2)
-    grads["out.W"] = dw_out
-    grads["out.b"] = db_out
+        dz2, dc2 = cell("enc2", enc2[t], dh2, dc2)
+        dh2 = dz2[h1n:]
+        dz1, dc1 = cell("enc1", enc1[t], dz2[:h1n] + dh1, dc1)
+        dh1 = dz1[d:]
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, flat like the parameter buffer, and the step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
+        size = _buffer(params).size
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale all gradients in place so their joint norm is at most max_norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        factor = max_norm / norm
-        for g in grads.values():
-            g *= factor
+def clip_global_norm(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> float:
+    """Scale a flat gradient in place so its norm is at most max_norm; returns the norm before."""
+    norm = float(np.sqrt(np.dot(grad, grad)))
+    if norm > max_norm:
+        grad *= max_norm / norm
     return norm
 
 
@@ -393,24 +353,23 @@ def train_step(params: dict[str, np.ndarray], batch: np.ndarray, state: AdamStat
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValueError(f"batch must be nonempty (B, t, d), got shape {batch.shape}")
+    flat = _buffer(params)
     caches: tuple[list, ...] = ([], [], [], [], [])
     value, recon = _reconstruction_loss(params, batch, caches)
     if not np.isfinite(value):
         raise DivergenceError(f"training loss diverged to {value} at step {state.step + 1}")
-    grads = _backward(params, batch, recon, caches)
-    clip_global_norm(grads)
+    grad = _buffer(_backward(params, batch, recon, caches))
+    clip_global_norm(grad)
 
     state.step += 1
     lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.adam_epsilon
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
-    for key, p in params.items():
-        g = grads[key]
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * (g * g)
-        m_hat = state.m[key] / bias1
-        v_hat = state.v[key] / bias2
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * (grad * grad)
+    m_hat = state.m / (1.0 - b1 ** state.step)
+    v_hat = state.v / (1.0 - b2 ** state.step)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return float(value)
 
 
@@ -437,6 +396,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
     x_train, x_val = x[train_idx], x[val_idx]
 
     params = init_params(config, d)
+    flat = _buffer(params)
     state = AdamState.for_params(params)
     shuffle_rng = seeded_rng(derive_seed(config.seed, "fit", "shuffle"))
 
@@ -444,7 +404,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
     val_losses: list[float] = []
     best_val = np.inf
     best_epoch = 0
-    best_params = copy.deepcopy(params)
+    best = flat.copy()
     stale = 0
     epochs_run = 0
     for epoch in range(config.epochs):
@@ -470,7 +430,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
         if improved:
             best_val = val_loss
             best_epoch = epochs_run
-            best_params = copy.deepcopy(params)
+            best[:] = flat
             stale = 0
         else:
             stale += 1
@@ -491,7 +451,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
         n_train=len(train_idx),
         n_val=len(val_idx),
     )
-    return best_params, report
+    return _views(best, param_shapes(d, config.hidden1, config.hidden2)), report
 
 
 def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarray,
@@ -503,7 +463,7 @@ def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarr
     d_expected = params["out.W"].shape[0]
     if x.shape[2] != d_expected:
         raise ValueError(f"model expects {d_expected} channels, dataset has {x.shape[2]}")
-    vectors = _encoder_forward(params, x)
+    vectors = _encoder_forward(params, x).T
     if not np.all(np.isfinite(vectors)):
         raise DivergenceError("encoder produced non-finite representation values")
     return AecsMatrix(vectors=vectors, source_model_id=model_id(params, config, d_expected))
@@ -565,7 +525,7 @@ def model_id(params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -
     """Stable digest of architecture plus weights."""
     h = hashlib.sha256()
     h.update(json.dumps({"config": asdict(config), "d": d}, sort_keys=True).encode())
-    for key in param_keys(d, config.hidden1, config.hidden2):
+    for key in param_shapes(d, config.hidden1, config.hidden2):
         h.update(key.encode())
         h.update(np.ascontiguousarray(params[key], dtype="<f8").tobytes())
     return h.hexdigest()
@@ -573,43 +533,61 @@ def model_id(params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -
 
 def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> str:
     """JSON header line plus a little-endian float64 weight blob."""
-    keys = param_keys(d, config.hidden1, config.hidden2)
+    shapes = param_shapes(d, config.hidden1, config.hidden2)
     header = {
-        "format": "lstm-autoencoder-v1",
+        "format": MODEL_FORMAT,
         "config": asdict(config),
         "d": d,
         "model_id": model_id(params, config, d),
-        "shapes": {k: list(params[k].shape) for k in keys},
+        "shapes": {k: list(s) for k, s in shapes.items()},
     }
     with atomic_open(path) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for key in keys:
+        for key in shapes:
             fh.write(np.ascontiguousarray(params[key], dtype="<f8").tobytes())
     return header["model_id"]
 
 
+def _header_config(data: object) -> AutoencoderConfig:
+    """The config a model header stores: every field present, each of its declared type."""
+    kinds = {f.name: f.type for f in fields(AutoencoderConfig)}
+    if not isinstance(data, dict) or set(data) != set(kinds):
+        raise ValueError(f"model header config must be an object with exactly the keys {sorted(kinds)}")
+    for name, kind in kinds.items():
+        value = data[name]
+        if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
+            raise ValueError(f"model header config {name!r} must be {kind}, got {value!r}")
+    return AutoencoderConfig(**data)
+
+
 def load_model(path: str) -> tuple[dict[str, np.ndarray], AutoencoderConfig, int]:
-    """Inverse of save_model; verifies the stored digest."""
+    """Inverse of save_model; checks every header field and the stored digest.
+
+    Raises ValueError for any file it cannot use, a model format v1 file
+    included: v1 stored one weight block per gate and has to be retrained.
+    """
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         blob = fh.read()
-    if header.get("format") != "lstm-autoencoder-v1":
+    if not isinstance(header, dict):
+        raise ValueError(f"model header must be a JSON object, got {type(header).__name__}")
+    if header.get("format") == "lstm-autoencoder-v1":
+        raise ValueError("model format v1 (per-gate weights) is no longer read; "
+                         "retrain with 'tsgroups train' to write format v2")
+    if header.get("format") != MODEL_FORMAT:
         raise ValueError(f"unrecognized model file format: {header.get('format')!r}")
-    config = AutoencoderConfig(**header["config"])
-    d = int(header["d"])
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for key in param_keys(d, config.hidden1, config.hidden2):
-        shape = tuple(header["shapes"][key])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        params[key] = arr.astype(np.float64).copy()
-        offset += count * 8
-    if offset != len(blob):
-        raise ValueError(f"weight blob has {len(blob)} bytes, expected {offset}")
-    stored = header.get("model_id")
-    actual = model_id(params, config, d)
-    if stored != actual:
+    config = _header_config(header.get("config"))
+    d = header.get("d")
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"model header d must be a positive integer, got {d!r}")
+    shapes = param_shapes(d, config.hidden1, config.hidden2)
+    if header.get("shapes") != {k: list(s) for k, s in shapes.items()}:
+        raise ValueError("model header shapes do not match its config and d")
+    expected = 8 * sum(math.prod(s) for s in shapes.values())
+    if len(blob) != expected:
+        raise ValueError(f"weight blob has {len(blob)} bytes, expected {expected}")
+    params = _views(np.frombuffer(blob, dtype="<f8").astype(np.float64), shapes)
+    if header.get("model_id") != model_id(params, config, d):
         raise ValueError("model file digest mismatch; file corrupted or edited")
     return params, config, d

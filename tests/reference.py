@@ -276,24 +276,28 @@ def naive_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def naive_cell_forward(w: np.ndarray, b: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
                        c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """One LSTM step with one activation call and one array per gate."""
+    """One batch-major LSTM step, rows (B, ·), one array per gate.
+
+    ``w`` and ``b`` are a layer's stacked weights with the gate rows in the
+    order i, f, o, g.
+    """
     n = h_prev.shape[1]
     z = np.concatenate([x, h_prev], axis=1)
     a = z @ w.T + b
     i = naive_sigmoid(a[:, :n])
     f = naive_sigmoid(a[:, n:2 * n])
-    g = np.tanh(a[:, 2 * n:3 * n])
-    o = naive_sigmoid(a[:, 3 * n:])
+    o = naive_sigmoid(a[:, 2 * n:3 * n])
+    g = np.tanh(a[:, 3 * n:])
     c = f * c_prev + i * g
     tc = np.tanh(c)
     h = o * tc
-    return h, c, (z, i, f, g, o, c_prev, tc)
+    return h, c, (z, i, f, o, g, c_prev, tc)
 
 
 def naive_cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndarray,
                         dw: np.ndarray, db: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backprop of ``naive_cell_forward``, one temporary per gate gradient."""
-    z, i, f, g, o, c_prev, tc = cache
+    z, i, f, o, g, c_prev, tc = cache
     do = dh * tc
     dc_total = dc + dh * o * (1.0 - tc * tc)
     di = dc_total * g
@@ -303,12 +307,72 @@ def naive_cell_backward(w: np.ndarray, cache: tuple, dh: np.ndarray, dc: np.ndar
     da = np.concatenate([
         di * i * (1.0 - i),
         df * f * (1.0 - f),
-        dg * (1.0 - g * g),
         do * o * (1.0 - o),
+        dg * (1.0 - g * g),
     ], axis=1)
     dw += da.T @ z
     db += da.sum(axis=0)
     return da @ w, dc_prev
+
+
+def naive_autoencoder_loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray
+                                         ) -> tuple[float, dict[str, np.ndarray]]:
+    """Reconstruction MSE of (B, t, d) windows and its gradient for every parameter.
+
+    The whole seq-2-seq model run batch-major, step by step: two encoder
+    layers, then a decoder fed its own previous frame, then backprop
+    through time, sharing no code with ``tsgroups.autoencoder``.
+    """
+    batch, t_len, d = x.shape
+    n1, n2 = params["enc1.b"].size // 4, params["enc2.b"].size // 4
+
+    def run(layer, inp, h, c, caches):
+        h, c, cache = naive_cell_forward(params[f"{layer}.W"], params[f"{layer}.b"], inp, h, c)
+        caches[layer].append(cache)
+        return h, c
+
+    caches: dict[str, list] = {"enc1": [], "enc2": [], "dec1": [], "dec2": []}
+    h1, c1, h2, c2 = np.zeros((batch, n1)), np.zeros((batch, n1)), np.zeros((batch, n2)), np.zeros((batch, n2))
+    for t in range(t_len):
+        h1, c1 = run("enc1", x[:, t], h1, c1, caches)
+        h2, c2 = run("enc2", h1, h2, c2, caches)
+    h1, c1 = h2, np.zeros((batch, n2))
+    h2, c2 = np.zeros((batch, n1)), np.zeros((batch, n1))
+    y = np.zeros((batch, d))
+    recon, dec_h2 = np.zeros(x.shape), []
+    for t in range(t_len):
+        h1, c1 = run("dec1", y, h1, c1, caches)
+        h2, c2 = run("dec2", h1, h2, c2, caches)
+        y = h2 @ params["out.W"].T + params["out.b"]
+        recon[:, t] = y
+        dec_h2.append(h2)
+    loss = float(np.mean((recon - x) ** 2))
+
+    grads = {key: np.zeros(p.shape) for key, p in params.items()}
+
+    def back(layer, t, dh, dc):
+        return naive_cell_backward(params[f"{layer}.W"], caches[layer][t], dh, dc,
+                                   grads[f"{layer}.W"], grads[f"{layer}.b"])
+
+    dy_loss = 2.0 * (recon - x) / recon.size
+    du, dh1, dc1, dh2, dc2 = (np.zeros((batch, d)), np.zeros((batch, n2)), np.zeros((batch, n2)),
+                              np.zeros((batch, n1)), np.zeros((batch, n1)))
+    for t in reversed(range(t_len)):
+        dy = dy_loss[:, t] + du
+        grads["out.W"] += dy.T @ dec_h2[t]
+        grads["out.b"] += dy.sum(axis=0)
+        dz2, dc2 = back("dec2", t, dy @ params["out.W"] + dh2, dc2)
+        dh2 = dz2[:, n2:]
+        dz1, dc1 = back("dec1", t, dz2[:, :n2] + dh1, dc1)
+        du, dh1 = dz1[:, :d], dz1[:, d:]
+    dh2, dc2 = dh1, np.zeros((batch, n2))
+    dh1, dc1 = np.zeros((batch, n1)), np.zeros((batch, n1))
+    for t in reversed(range(t_len)):
+        dz2, dc2 = back("enc2", t, dh2, dc2)
+        dh2 = dz2[:, n1:]
+        dz1, dc1 = back("enc1", t, dz2[:, :n1] + dh1, dc1)
+        dh1 = dz1[:, d:]
+    return loss, grads
 
 
 def rowloop_parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,

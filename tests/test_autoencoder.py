@@ -3,10 +3,11 @@
 import copy
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from reference import naive_cell_backward, naive_cell_forward, naive_sigmoid
+from reference import naive_autoencoder_loss_and_gradients, naive_cell_backward, naive_cell_forward
 
 from tsgroups import autoencoder as ae
 from tsgroups.ingest import SyntheticSpec, generate_synthetic
@@ -45,20 +46,26 @@ def test_config_validation():
 def test_init_param_shapes_and_forget_bias():
     cfg = ae.AutoencoderConfig(hidden1=16, hidden2=12)
     params = ae.init_params(cfg, d=6, seed=0)
-    assert params["enc1.Wi"].shape == (16, 6 + 16)
-    assert params["enc2.Wg"].shape == (12, 16 + 12)
-    assert params["dec1.Wo"].shape == (12, 6 + 12)
-    assert params["dec2.Wf"].shape == (16, 12 + 16)
+    expected = {"enc1": (16, 6), "enc2": (12, 16), "dec1": (12, 6), "dec2": (16, 12)}
+    assert list(params) == [f"{layer}.{p}" for layer in expected for p in "Wb"] + ["out.W", "out.b"]
+    for layer, (n, din) in expected.items():
+        assert params[f"{layer}.W"].shape == (4 * n, din + n)
+        bias = params[f"{layer}.b"]
+        assert bias.shape == (4 * n,)
+        assert np.all(bias[n:2 * n] == 1.0)  # rows i, f, o, g: only the forget gate starts at 1
+        assert np.all(np.delete(bias, np.s_[n:2 * n]) == 0.0)
     assert params["out.W"].shape == (6, 16)
     assert params["out.b"].shape == (6,)
-    for layer in ("enc1", "enc2", "dec1", "dec2"):
-        assert np.all(params[f"{layer}.bf"] == 1.0)
-        assert np.all(params[f"{layer}.bi"] == 0.0)
+    flat = ae._buffer(params)
+    assert flat.size == sum(p.size for p in params.values())
+    # The same uniforms as one (n, in + n) block per gate drawn in the order i, f, g, o.
+    rng = seeded_rng(derive_seed(0, "init"))
+    wi, wf, wg, wo = (rng.uniform(-1 / np.sqrt(22), 1 / np.sqrt(22), size=(16, 22)) for _ in range(4))
+    assert np.array_equal(params["enc1.W"], np.concatenate([wi, wf, wo, wg]))
     again = ae.init_params(cfg, d=6, seed=0)
-    for key in params:
-        assert np.array_equal(params[key], again[key])
+    assert np.array_equal(flat, ae._buffer(again))
     other = ae.init_params(cfg, d=6, seed=1)
-    assert not np.array_equal(params["enc1.Wi"], other["enc1.Wi"])
+    assert not np.array_equal(params["enc1.W"], other["enc1.W"])
 
 
 def test_encode_is_pure_and_shapes_hold():
@@ -105,7 +112,7 @@ def test_corrupted_gradient_fails_check():
     _, recon = ae._reconstruction_loss(params, batch, caches)
     analytic = ae._backward(params, batch, recon, caches)
     numeric = ae.finite_difference_gradients(params, batch)
-    analytic["enc1.Wg"] = analytic["enc1.Wg"] * 2.0
+    analytic["enc1.W"] = analytic["enc1.W"] * 2.0
     worst = 0.0
     for key in params:
         ga = analytic[key].reshape(-1)
@@ -139,7 +146,7 @@ def test_single_example_step_decreases_loss():
 
 def test_divergence_raises():
     params = ae.init_params(TINY, d=2, seed=0)
-    params["enc1.Wi"] = params["enc1.Wi"] + np.nan
+    params["enc1.W"] += np.nan
     with pytest.raises(DivergenceError):
         ae.transform(params, tiny_window()[None], TINY)
 
@@ -147,7 +154,7 @@ def test_divergence_raises():
 def test_divergent_training_step_raises():
     cfg = ae.AutoencoderConfig(hidden1=3, hidden2=2, epochs=1, batch_size=2)
     params = ae.init_params(cfg, d=2, seed=0)
-    params["enc2.Wg"] = params["enc2.Wg"] + np.nan
+    params["enc2.W"] += np.nan
     state = ae.AdamState.for_params(params)
     batch = np.stack([tiny_window(i) for i in range(2)])
     with pytest.raises(DivergenceError):
@@ -230,63 +237,79 @@ def test_model_id_changes_with_weights():
     assert ae.model_id(a, cfg, 3) != ae.model_id(b, cfg, 3)
 
 
-def test_sigmoid_matches_mask_split_bit_for_bit():
-    rng = seeded_rng(derive_seed(0, "sigmoid-oracle"))
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-300, -1e-300,
-               1e-17, -1e-17, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0]
-    x = np.concatenate([special, rng.standard_normal(2000) * 10, rng.uniform(-800, 800, 2000)])
-    for dtype in (np.float64, np.longdouble):
-        for arr in (x.astype(dtype), x.astype(dtype)[:4011].reshape(21, 191)[:, 3:97]):
-            fast, naive = ae._sigmoid(arr), naive_sigmoid(arr)
-            assert fast.dtype == naive.dtype == dtype
-            assert np.array_equal(fast, naive, equal_nan=True)
-            numbers = ~np.isnan(arr)
-            assert np.array_equal(np.signbit(fast[numbers]), np.signbit(naive[numbers]))
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_loss_and_gradients_match_reference_model(batch):
+    cfg = ae.AutoencoderConfig()
+    params = ae.init_params(cfg, d=6, seed=4)
+    x = seeded_rng(derive_seed(batch, "model-oracle")).standard_normal((batch, 20, 6))
+    caches = ([], [], [], [], [])
+    loss, recon = ae._reconstruction_loss(params, x, caches)
+    grads = ae._backward(params, x, recon, caches)
+    ref_loss, ref_grads = naive_autoencoder_loss_and_gradients(params, x)
+    assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+    for key in params:
+        scale = np.max(np.abs(ref_grads[key]))
+        assert scale > 0.0, key
+        assert np.max(np.abs(grads[key] - ref_grads[key])) <= 1e-10 * scale, key
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 40.0, 400.0])
-def test_cells_match_reference_bit_for_bit(scale):
+def test_cells_match_reference(scale):
     rng = seeded_rng(derive_seed(0, "cell-oracle", repr(scale)))
     pre = []
     for _ in range(8):
         batch, n, din = (int(v) for v in rng.integers(1, 40, size=3))
         w = rng.standard_normal((4 * n, din + n)) * scale
         b = rng.standard_normal(4 * n) * scale
-        w[::3] = 0.0  # every third unit's pre-activation is its bias: 0.0 or -0.0
-        b[::3] = np.where(rng.random(b[::3].shape) < 0.5, 0.0, -0.0)
         x = rng.standard_normal((batch, din))
         h_prev = rng.standard_normal((batch, n))
         c_prev = 3.0 * rng.standard_normal((batch, n))
         pre.append((np.concatenate([x, h_prev], axis=1) @ w.T + b).ravel())
-        h, c, cache = ae._cell_forward(w, b, x, h_prev, c_prev)
+        h, c, cache = ae._cell_forward(w, b, x.T, h_prev.T, c_prev.T)
         h_ref, c_ref, cache_ref = naive_cell_forward(w, b, x, h_prev, c_prev)
         dh = rng.standard_normal((batch, n))
         dc = rng.standard_normal((batch, n))
         dw, db = rng.standard_normal(w.shape), rng.standard_normal(b.shape)
         dw_ref, db_ref = dw.copy(), db.copy()
-        dz, dc_prev = ae._cell_backward(w, cache, dh, dc, dw, db)
+        dz, dc_prev = ae._cell_backward(w, cache, dh.T, dc.T, dw, db)
         dz_ref, dc_prev_ref = naive_cell_backward(w, cache_ref, dh, dc, dw_ref, db_ref)
-        for got, want in ((h, h_ref), (c, c_ref), (dz, dz_ref), (dc_prev, dc_prev_ref),
+        for got, want in ((h.T, h_ref), (c.T, c_ref), (dz.T, dz_ref), (dc_prev.T, dc_prev_ref),
                           (dw, dw_ref), (db, db_ref)):
-            assert np.array_equal(got, want)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     pre = np.abs(np.concatenate(pre))
-    assert np.any(pre == 0.0)
     if scale < 1.0:
-        assert 0.0 < pre[pre > 0].max() < 1e-6
+        assert 0.0 < pre.max() < 1e-6
     if scale > 100.0:
-        assert pre.max() > 700.0
+        assert pre.max() > 745.2  # beyond exp's range: exp(-a) overflows, exp(a) underflows to 0
 
 
-def test_fit_through_reference_cells_gives_same_model(monkeypatch):
-    ds = make_dataset(m=40, t=12, d=3)
-    cfg = ae.AutoencoderConfig(hidden1=5, hidden2=3, epochs=2, batch_size=8, seed=4)
-    fast_params, fast_report = ae.fit(ds, cfg)
-    monkeypatch.setattr(ae, "_sigmoid", naive_sigmoid)
-    monkeypatch.setattr(ae, "_cell_forward", naive_cell_forward)
-    monkeypatch.setattr(ae, "_cell_backward", naive_cell_backward)
-    ref_params, ref_report = ae.fit(ds, cfg)
-    assert ref_report.train_losses == fast_report.train_losses
-    assert ae.model_id(ref_params, cfg, 3) == ae.model_id(fast_params, cfg, 3)
+def test_saturated_gates_are_exact_and_silent():
+    rng = seeded_rng(derive_seed(0, "saturated-gates"))
+    n, din, batch = 4, 3, 7
+    w = np.zeros((4 * n, din + n))
+    b = np.where(np.arange(4 * n) % 2 == 0, 1000.0, -1000.0)
+    x, h_prev, c_prev = (rng.standard_normal((k, batch)) for k in (din, n, n))
+    dw, db = np.zeros(w.shape), np.zeros(b.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, c, cache = ae._cell_forward(w, b, x, h_prev, c_prev)
+        dz, dc_prev = ae._cell_backward(w, cache, rng.standard_normal((n, batch)),
+                                        rng.standard_normal((n, batch)), dw, db)
+    act = cache[1]
+    assert np.array_equal(act[:3 * n], np.repeat((b[:3 * n] > 0).astype(float)[:, None], batch, axis=1))
+    assert np.array_equal(act[3 * n:], np.repeat(np.sign(b[3 * n:])[:, None], batch, axis=1))
+    for arr in (h, c, dz, dc_prev, dw, db):
+        assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("batch", [9, 17, 65, 300])
+def test_identical_windows_encode_identically_at_every_batch_position(batch):
+    cfg = ae.AutoencoderConfig()
+    params = ae.init_params(cfg, d=6, seed=0)
+    window = seeded_rng(derive_seed(batch, "batch-position")).standard_normal((64, 6))
+    vectors = ae.transform(params, np.repeat(window[None], batch, axis=0), cfg).vectors
+    assert np.array_equal(vectors, np.repeat(vectors[:1], batch, axis=0))
 
 
 def test_fit_logs_one_line_per_epoch(caplog):

@@ -146,7 +146,27 @@ def shorten_assignment(path):
     path.write_text(json.dumps(data))
 
 
-def test_corrupt_model_exits_io(completed_run, tmp_path):
+def edit_model_header(edit):
+    def damage(path):
+        header, blob = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
+    return damage
+
+
+MODEL_HEADER_EDITS = [
+    lambda h: [],
+    lambda h: {**h, "config": {**h["config"], "mystery_knob": 1}},
+    lambda h: {**h, "config": {**h["config"], "hidden1": str(h["config"]["hidden1"])}},
+    lambda h: {**h, "config": {**h["config"], "epochs": True}},
+    lambda h: {**h, "config": None},
+    lambda h: {**h, "d": None},
+    lambda h: {**h, "d": float(h["d"])},
+    lambda h: {**h, "shapes": {}},
+    lambda h: {**h, "format": "lstm-autoencoder-v1"},
+]
+
+
+def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
     config_path, run_dir = completed_run
     cases = [
         ("model.bin", flip_middle_byte, "infer"),
@@ -154,16 +174,17 @@ def test_corrupt_model_exits_io(completed_run, tmp_path):
         ("aecs_train.zip", truncate, "infer"),
         ("cgf_train.json", drop_grouping_fields, "report"),
         ("cgf_train.json", shorten_assignment, "report"),
-    ]
-    for name, damage, verb in cases:
-        copy = tmp_path / f"{damage.__name__}-{name}"
+    ] + [("model.bin", edit_model_header(edit), "infer") for edit in MODEL_HEADER_EDITS]
+    for index, (name, damage, verb) in enumerate(cases):
+        copy = tmp_path / f"{index}-{name}"
         shutil.copytree(run_dir, copy)
         damage(copy / name)
         if verb == "report":
             args = ["report", "--out", str(copy)]
         else:
             args = [verb, "--config", str(config_path), "--out", str(copy)]
-        assert main(args) == EXIT_IO, name
+        assert main(args) == EXIT_IO, (index, name)
+    assert "retrain" in capsys.readouterr().err.splitlines()[-1]  # the v1 file, last case
 
 
 def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
