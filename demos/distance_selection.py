@@ -43,7 +43,7 @@ def show(name: str, x: np.ndarray, labels: np.ndarray) -> None:
         np.mean(selection.assignment == labels),
         np.mean(selection.assignment == 1 - labels),
     )
-    scores = selection.report.scores
+    scores = selection.scores
     print(f"\n{name}:")
     for token in sorted(scores):
         flag = "  <- selected" if token == selection.measure.value else ""

@@ -102,9 +102,6 @@ class TrainReport:
     n_train: int
     n_val: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _layer_dims(d: int, hidden1: int, hidden2: int) -> dict[str, tuple[int, int]]:
     """(input width, hidden width) of each LSTM layer, in stack order."""

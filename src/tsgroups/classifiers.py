@@ -10,7 +10,7 @@ so identical inputs always give identical models.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,6 @@ class ClassifierSpec:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.l2 < 0:
             raise ValueError(f"l2 must be >= 0, got {self.l2}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassifierSpec":
-        return cls(**data)
 
 
 def stats_features(windows: np.ndarray) -> np.ndarray:

@@ -49,7 +49,6 @@ class CgfResult:
     """Final grouping plus the per-step audit trail."""
 
     grouping: Grouping
-    accepted_k: int
     stopped_by: str
     rejected_size: int | None = None
     trace: list[dict] = field(default_factory=list)
@@ -57,7 +56,7 @@ class CgfResult:
 
     def to_dict(self) -> dict:
         return {
-            "accepted_k": self.accepted_k,
+            "accepted_k": self.grouping.K,
             "stopped_by": self.stopped_by,
             "rejected_size": self.rejected_size,
             "measure": self.grouping.measure,
@@ -133,12 +132,11 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
         assignment=assignment,
         K=k,
         measure=selection.measure.value,
-        hubert_scores=dict(selection.report.scores),
+        hubert_scores=dict(selection.scores),
         iteration_trace=[(t["k"], t["new_group_size"]) for t in trace],
     )
     return CgfResult(
         grouping=grouping,
-        accepted_k=k,
         stopped_by=stopped_by,
         rejected_size=rejected_size,
         trace=trace,

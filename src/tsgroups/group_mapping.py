@@ -66,14 +66,6 @@ class MappingReport:
     def chosen(self) -> list[int]:
         return [row["chosen_train_group"] for row in self.rows]
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "measure": self.measure.value,
-            "rows": self.rows,
-            "test_grouping_fingerprint": self.test_grouping_fingerprint,
-        }
-
 
 def infer_with_groups(
     bundle: GroupModelBundle,

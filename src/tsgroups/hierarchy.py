@@ -271,29 +271,16 @@ def hubert_statistic(
 
 
 @dataclass
-class HubertReport:
-    """Per-measure validity scores and the winning measure at a given k."""
-
-    scores: dict[str, float]
-    selected: DistanceMeasureId
-    k: int
-
-    def to_dict(self) -> dict:
-        return {
-            "scores": {name: float(v) for name, v in self.scores.items()},
-            "selected": self.selected.value,
-            "k": self.k,
-        }
-
-
-@dataclass
 class MeasureSelection:
-    """What the winning measure produced: its partition and tree."""
+    """What the winning measure produced: its partition and tree.
+
+    ``scores`` holds every measure's Hubert rho, keyed by measure token.
+    """
 
     measure: DistanceMeasureId
     assignment: np.ndarray
     dendrogram: Dendrogram
-    report: HubertReport
+    scores: dict[str, float]
 
 
 def select_best_measure(
@@ -322,13 +309,9 @@ def select_best_measure(
         scores[measure.value] = rho
         if best is None or rho > best_rho:
             best_rho = rho
-            best = MeasureSelection(
-                measure=measure,
-                assignment=assignment,
-                dendrogram=dendrogram,
-                report=HubertReport(scores={}, selected=measure, k=k),
-            )
+            # Shares ``scores``, which the remaining iterations complete.
+            best = MeasureSelection(measure=measure, assignment=assignment,
+                                    dendrogram=dendrogram, scores=scores)
     assert best is not None
-    best.report.scores = scores
     return best
 

@@ -322,13 +322,6 @@ class NormalizationStats:
         if np.any(self.std <= 0):
             raise ValueError("std entries must be positive")
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NormalizationStats":
-        return cls(mean=np.asarray(data["mean"]), std=np.asarray(data["std"]))
-
 
 def fit_normalization(ds: WindowedDataset) -> NormalizationStats:
     """Per-channel mean/std over all train samples; constant channels get std 1."""

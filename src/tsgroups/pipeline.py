@@ -43,7 +43,6 @@ from .metrics import evaluate_metrics
 from .storage import (
     atomic_open,
     content_digest,
-    grouping_to_dict,
     load_aecs,
     load_bundle,
     load_dataset,
@@ -72,7 +71,7 @@ def _reading_artifacts(what: str):
     """Report truncated or edited artifact content as an ArtifactError."""
     try:
         yield
-    except (zipfile.BadZipFile, KeyError, IndexError, ValueError) as exc:
+    except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ArtifactError(f"corrupt {what}: {exc!r}") from None
 
 
@@ -336,7 +335,7 @@ def cmd_train(config: PipelineConfig) -> dict:
         params, report = ae.fit(ds, config.autoencoder)
         timings["fit_autoencoder"] = time.perf_counter() - start
         ae.save_model(_artifact(out, "model"), params, config.autoencoder, ds.n_channels)
-        write_json(_artifact(out, "train_report"), report.to_dict())
+        write_json(_artifact(out, "train_report"), report)
         files["model"] = _artifact(out, "model")
         files["train_report"] = _artifact(out, "train_report")
 
@@ -346,13 +345,13 @@ def cmd_train(config: PipelineConfig) -> dict:
         save_aecs(_artifact(out, "aecs_train"), aecs.vectors, aecs.source_model_id)
         files["aecs_train"] = _artifact(out, "aecs_train")
 
-        summary: dict = {"autoencoder": report.to_dict()}
+        summary: dict = {"autoencoder": asdict(report)}
         if not config.baseline_only:
             start = time.perf_counter()
             cgf_result = form_consistent_groups(aecs, config.cgf)
             timings["cgf"] = time.perf_counter() - start
             payload = cgf_result.to_dict()
-            payload["grouping"] = grouping_to_dict(cgf_result.grouping)
+            payload["grouping"] = cgf_result.grouping
             write_json(_artifact(out, "cgf_train"), payload)
             files["cgf_train"] = _artifact(out, "cgf_train")
 
@@ -448,8 +447,8 @@ def cmd_infer(config: PipelineConfig) -> dict:
             )
             results[method] = (pred, mapping_report)
         timings["mapping"] = time.perf_counter() - start
-        write_json(_artifact(out, "mapping_avg"), results[MappingMethod.AVG][1].to_dict())
-        write_json(_artifact(out, "mapping_cr_cr"), results[MappingMethod.CR_CR][1].to_dict())
+        write_json(_artifact(out, "mapping_avg"), results[MappingMethod.AVG][1])
+        write_json(_artifact(out, "mapping_cr_cr"), results[MappingMethod.CR_CR][1])
         files["mapping_avg"] = _artifact(out, "mapping_avg")
         files["mapping_cr_cr"] = _artifact(out, "mapping_cr_cr")
 
@@ -468,7 +467,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
         }
         if has_labels:
             grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
-            write_json(_artifact(out, "metrics"), grouped_metrics.to_dict())
+            write_json(_artifact(out, "metrics"), grouped_metrics)
             files["metrics"] = _artifact(out, "metrics")
             report["grouped"] = {
                 "accuracy": grouped_metrics.accuracy,

@@ -4,7 +4,10 @@ All composite artifacts are zip archives written with fixed entry
 metadata (no compression, epoch date stamps, sorted names), so a rerun
 with identical content produces byte-identical files. Numeric payloads
 are little-endian 64-bit floats in row-major order; headers are
-canonical JSON (sorted keys, LF endings). Digest helpers strip wall-time
+canonical JSON (sorted keys, LF endings). This module is the one place a
+record becomes JSON: ``write_json`` and ``canonical_json`` write a
+dataclass as its ``init`` fields and numpy data as lists and scalars, and
+readers rebuild a record with ``cls(**data)``. Digest helpers strip wall-time
 fields so timing never leaks into content digests. Every file is written
 to a temporary name beside its target and renamed over it, so a write
 that fails partway leaves the previous file as it was.
@@ -12,6 +15,7 @@ that fails partway leaves the previous file as it was.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel
+from .classifiers import ClassifierSpec, SoftmaxModel
 from .grouped import GroupModelBundle
 from .ingest import NormalizationStats
 from .types import Grouping, WindowMeta, WindowedDataset
@@ -31,8 +35,22 @@ _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 TIMING_KEYS = frozenset({"wall_time_s", "stage_timings", "timings"})
 
 
+def _encode(obj):
+    """JSON form of what ``json`` cannot write itself: records and numpy data.
+
+    ``json`` already writes str-enums as their value and tuples as lists,
+    so plain data never reaches this hook.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                      default=_encode)
 
 
 @contextmanager
@@ -56,7 +74,7 @@ def atomic_open(path: str | Path):
 
 
 def write_json(path: str | Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2, default=_encode) + "\n"
     with atomic_open(path) as fh:
         fh.write(text.encode("utf-8"))
 
@@ -149,26 +167,6 @@ def _tensor_from(blob: bytes, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def grouping_to_dict(grouping: Grouping) -> dict:
-    return {
-        "assignment": grouping.assignment.tolist(),
-        "K": grouping.K,
-        "measure": grouping.measure,
-        "hubert_scores": {k: float(v) for k, v in grouping.hubert_scores.items()},
-        "iteration_trace": [[int(k), int(s)] for k, s in grouping.iteration_trace],
-    }
-
-
-def grouping_from_dict(data: dict) -> Grouping:
-    return Grouping(
-        assignment=np.asarray(data["assignment"], dtype=np.int64),
-        K=int(data["K"]),
-        measure=data["measure"],
-        hubert_scores={k: float(v) for k, v in data["hubert_scores"].items()},
-        iteration_trace=[(int(k), int(s)) for k, s in data["iteration_trace"]],
-    )
-
-
 def save_dataset(path: str | Path, ds: WindowedDataset,
                  normalization: NormalizationStats | None = None,
                  has_labels: bool = True, extra: dict | None = None) -> None:
@@ -179,14 +177,10 @@ def save_dataset(path: str | Path, ds: WindowedDataset,
         "t": ds.n_timesteps,
         "d": ds.n_channels,
         "C": ds.n_classes,
-        "class_names": list(ds.class_names),
-        "labels": ds.labels.tolist() if has_labels else None,
-        "meta": [
-            {"driver_id": m.driver_id, "behavior": m.behavior,
-             "road": m.road, "session_id": m.session_id}
-            for m in ds.meta
-        ],
-        "normalization": normalization.to_dict() if normalization else None,
+        "class_names": ds.class_names,
+        "labels": ds.labels if has_labels else None,
+        "meta": ds.meta,
+        "normalization": normalization,
         "extra": extra or {},
     }
     write_archive(path, {
@@ -213,7 +207,7 @@ def load_dataset(path: str | Path) -> tuple[WindowedDataset, NormalizationStats 
         meta=meta,
         class_names=list(header["class_names"]),
     )
-    stats = (NormalizationStats.from_dict(header["normalization"])
+    stats = (NormalizationStats(**header["normalization"])
              if header.get("normalization") else None)
     return ds, stats, has_labels, header.get("extra", {})
 
@@ -246,22 +240,22 @@ def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:
     """Bundle archive: JSON manifest plus one weight blob per model."""
     manifest = {
         "format": "group-bundle-v1",
-        "spec": bundle.spec.to_dict(),
-        "grouping": grouping_to_dict(bundle.grouping),
-        "class_presence": bundle.class_presence.astype(int).tolist(),
+        "spec": bundle.spec,
+        "grouping": bundle.grouping,
+        "class_presence": bundle.class_presence.astype(int),
         "aecs_model_id": bundle.aecs_model_id,
         "n_classes": bundle.n_classes,
-        "warnings": list(bundle.warnings),
+        "warnings": bundle.warnings,
         "models": [],
     }
     entries: dict[str, bytes] = {}
     for i, model in enumerate(bundle.models):
         manifest["models"].append({
-            "kind": model.kind.value,
+            "kind": model.kind,
             "n_train": model.n_train,
             "n_features": model.n_features,
-            "seen_classes": model.seen_classes.tolist(),
-            "weights_shape": list(model.weights.shape),
+            "seen_classes": model.seen_classes,
+            "weights_shape": model.weights.shape,
         })
         blob = b"".join([
             _tensor_bytes(model.weights),
@@ -279,32 +273,24 @@ def load_bundle(path: str | Path) -> GroupModelBundle:
     manifest = json.loads(entries["manifest.json"].decode("utf-8"))
     if manifest.get("format") != "group-bundle-v1":
         raise ValueError(f"unrecognized bundle format: {manifest.get('format')!r}")
-    spec = ClassifierSpec.from_dict(manifest["spec"])
-    grouping = grouping_from_dict(manifest["grouping"])
+    spec = ClassifierSpec(**manifest["spec"])
+    grouping = Grouping(**manifest["grouping"])
     models: list[SoftmaxModel] = []
     for i, meta in enumerate(manifest["models"]):
-        blob = entries[f"model_{i}.f8"]
         n_features = int(meta["n_features"])
         n_seen = len(meta["seen_classes"])
-        offset = 0
-
-        def take(count: int, shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal offset
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-            offset += count * 8
-            return arr.reshape(shape).astype(np.float64)
-
-        weights = take(n_features * n_seen, (n_features, n_seen))
-        bias = take(n_seen, (n_seen,))
-        feature_mean = take(n_features, (n_features,))
-        feature_std = take(n_features, (n_features,))
+        sizes = [n_features * n_seen, n_seen, n_features, n_features]
+        flat = np.frombuffer(entries[f"model_{i}.f8"], dtype="<f8").astype(np.float64)
+        if flat.size != sum(sizes):
+            raise ValueError(f"model_{i}.f8 holds {flat.size} floats, expected {sum(sizes)}")
+        weights, bias, feature_mean, feature_std = np.split(flat, np.cumsum(sizes[:-1]))
         models.append(SoftmaxModel(
-            weights=weights,
+            weights=weights.reshape(n_features, n_seen),
             bias=bias,
             seen_classes=np.asarray(meta["seen_classes"], dtype=np.int64),
             feature_mean=feature_mean,
             feature_std=feature_std,
-            kind=ClassifierKind(meta["kind"]),
+            kind=meta["kind"],
             n_train=int(meta["n_train"]),
         ))
     return GroupModelBundle(

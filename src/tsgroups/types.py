@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Global tolerance for exact-math assertions in tests.
-EXACT_TOL = 1e-9
-
 
 class DivergenceError(RuntimeError):
     """Numeric training produced NaN/Inf and was aborted."""
@@ -132,6 +129,7 @@ class Grouping:
 
     def __post_init__(self) -> None:
         self.assignment = np.ascontiguousarray(self.assignment, dtype=np.int64)
+        self.iteration_trace = [(int(k), int(size)) for k, size in self.iteration_trace]
         if self.assignment.ndim != 1 or self.assignment.size < 1:
             raise ValueError("assignment must be a nonempty 1-D array")
         if self.K < 1:
@@ -177,12 +175,3 @@ class ClassMetrics:
     f1_weighted: float
     confusion: np.ndarray
     confusion_row_normalized: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": float(self.accuracy),
-            "f1_macro": float(self.f1_macro),
-            "f1_weighted": float(self.f1_weighted),
-            "confusion": self.confusion.tolist(),
-            "confusion_row_normalized": self.confusion_row_normalized.tolist(),
-        }

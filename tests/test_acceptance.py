@@ -208,7 +208,7 @@ def test_measure_selection_tracks_planted_geometry():
     x, labels = isotropic_tie_fixture()
     selection = select_best_measure(x, k=2)
     assert selection.measure is DistanceMeasureId.CHEBYSHEV
-    assert selection.report.scores["CHEBYSHEV"] == selection.report.scores["MANHATTAN"]
+    assert selection.scores["CHEBYSHEV"] == selection.scores["MANHATTAN"]
     split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth

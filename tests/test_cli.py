@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from tsgroups.storage import read_archive, write_archive
 
 
 def write_config(directory, **overrides):
@@ -146,6 +147,18 @@ def shorten_assignment(path):
     path.write_text(json.dumps(data))
 
 
+def edit_entry(name, edit):
+    def damage(path):
+        entries = read_archive(path)
+        entries[name] = edit(entries[name])
+        write_archive(path, entries)
+    return damage
+
+
+def json_edit(edit):
+    return lambda raw: json.dumps(edit(json.loads(raw))).encode()
+
+
 def edit_model_header(edit):
     def damage(path):
         header, blob = path.read_bytes().split(b"\n", 1)
@@ -174,6 +187,12 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("aecs_train.zip", truncate, "infer"),
         ("cgf_train.json", drop_grouping_fields, "report"),
         ("cgf_train.json", shorten_assignment, "report"),
+        ("cgf_train.json", lambda path: path.write_text("[]"), "report"),
+        ("test_dataset.zip", edit_entry("header.json", json_edit(
+            lambda h: {**h, "meta": [{**h["meta"][0], "lane": 1}, *h["meta"][1:]]})), "infer"),
+        ("bundle_grouped.zip", edit_entry("manifest.json", json_edit(
+            lambda m: {**m, "grouping": {**m["grouping"], "lane": 1}})), "infer"),
+        ("bundle_grouped.zip", edit_entry("model_0.f8", lambda blob: blob + bytes(8)), "infer"),
     ] + [("model.bin", edit_model_header(edit), "infer") for edit in MODEL_HEADER_EDITS]
     for index, (name, damage, verb) in enumerate(cases):
         copy = tmp_path / f"{index}-{name}"

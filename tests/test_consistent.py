@@ -39,7 +39,7 @@ def test_planted_blobs_recovered():
     assert result.grouping.K == 3
     assert adjusted_rand_index(result.grouping.assignment, labels) == 1.0
     assert result.stopped_by == "tau"
-    assert result.accepted_k == 3
+    assert result.to_dict()["accepted_k"] == 3
 
 
 def test_sub_threshold_first_split_collapses_to_one_group():
@@ -77,7 +77,7 @@ def test_accepted_k_matches_grouping():
     rng = seeded_rng(4)
     x = rng.standard_normal((40, 5))
     result = form_consistent_groups(x)
-    assert result.grouping.K == result.accepted_k
+    assert result.to_dict()["accepted_k"] == result.grouping.K
     assert result.grouping.n_instances == 40
     sizes = result.grouping.group_sizes()
     assert sizes.sum() == 40
@@ -102,7 +102,7 @@ def test_result_dict_round_trips_as_json():
     x, _ = planted_blobs(sizes=(20, 15, 10), seed=2)
     result = form_consistent_groups(x, CgfConfig(tau=0.05))
     payload = json.loads(json.dumps(result.to_dict()))
-    assert payload["accepted_k"] == result.accepted_k
+    assert payload["accepted_k"] == result.grouping.K
     assert payload["stopped_by"] in ("tau", "k_max")
     assert len(payload["group_sizes"]) == result.grouping.K
 

@@ -1,5 +1,7 @@
 """Per-group classifier training, prediction, and the one-group baseline."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tsgroups.grouped import (
     trivial_grouping,
 )
 from tsgroups.rng import derive_seed, seeded_rng
+from tsgroups.storage import canonical_json
 from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
 
 
@@ -106,7 +109,7 @@ def test_spec_validation_and_round_trip():
         ClassifierSpec(l2=-1e-6)
     spec = ClassifierSpec(kind="SOFTMAX_STATS", epochs=7)
     assert spec.kind is ClassifierKind.SOFTMAX_STATS
-    assert ClassifierSpec.from_dict(spec.to_dict()) == spec
+    assert ClassifierSpec(**json.loads(canonical_json(spec))) == spec
 
 
 def test_train_softmax_fits_separable_data():

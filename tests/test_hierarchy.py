@@ -186,15 +186,15 @@ def test_select_best_measure_reports_all_scores():
     rng = seeded_rng(31)
     x = rng.standard_normal((20, 4))
     selection = select_best_measure(x, k=2)
-    assert set(selection.report.scores) == {m.value for m in DistanceMeasureId}
-    assert selection.measure.value == selection.report.selected
+    assert set(selection.scores) == {m.value for m in DistanceMeasureId}
+    assert selection.scores[selection.measure.value] == max(selection.scores.values())
     assert selection.assignment.size == 20
 
 
 def test_anisotropic_data_selects_covariance_scaled():
     x, labels = anisotropic_fixture()
     selection = select_best_measure(x, k=2)
-    scores = selection.report.scores
+    scores = selection.scores
     assert selection.measure is DistanceMeasureId.MAHALANOBIS
     assert scores["MAHALANOBIS"] > scores["CHEBYSHEV"]
     assert scores["MAHALANOBIS"] > scores["MANHATTAN"]
@@ -207,7 +207,7 @@ def test_isotropic_tie_breaks_to_chebyshev():
     x, labels = isotropic_tie_fixture()
     selection = select_best_measure(x, k=2)
     assert selection.measure is DistanceMeasureId.CHEBYSHEV
-    assert selection.report.scores["CHEBYSHEV"] == selection.report.scores["MANHATTAN"]
+    assert selection.scores["CHEBYSHEV"] == selection.scores["MANHATTAN"]
     split = {tuple(np.flatnonzero(selection.assignment == g)) for g in (0, 1)}
     truth = {tuple(np.flatnonzero(labels == g)) for g in (0, 1)}
     assert split == truth

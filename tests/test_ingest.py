@@ -25,7 +25,7 @@ from tsgroups.ingest import (
     window_sessions,
 )
 from tsgroups.pipeline import ARTIFACTS, ConfigError, IngestOptions, PipelineConfig, cmd_ingest
-from tsgroups.storage import content_digest
+from tsgroups.storage import canonical_json, content_digest
 
 
 def write_session(root, name, n_rows=20, start=1.0, bad_rows=()):
@@ -313,7 +313,7 @@ def test_normalization_round_trip():
     flat = normed.windows.reshape(-1, 3)
     assert np.allclose(flat.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(flat.std(axis=0), 1.0, atol=1e-9)
-    restored = NormalizationStats.from_dict(stats.to_dict())
+    restored = NormalizationStats(**json.loads(canonical_json(stats)))
     assert np.array_equal(restored.mean, stats.mean)
     assert np.array_equal(restored.std, stats.std)
 

@@ -1,5 +1,7 @@
 """Routing test groups onto train-group models by representation distance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from tsgroups.group_mapping import (
 )
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
 from tsgroups.rng import derive_seed, seeded_rng
+from tsgroups.storage import canonical_json
 from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
 
 from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan
@@ -166,7 +169,7 @@ def test_report_rows_carry_sizes_and_candidates():
         chosen = row["chosen_train_group"]
         assert row["candidate_distances"][chosen] == min(row["candidate_distances"])
     assert report.test_grouping_fingerprint == grouping.fingerprint()
-    payload = report.to_dict()
+    payload = json.loads(canonical_json(report))
     assert payload["method"] == "AVG"
     assert payload["measure"] == "CHEBYSHEV"
     assert len(payload["rows"]) == 3
@@ -248,7 +251,7 @@ def test_infer_deterministic():
     a_preds, a_report = infer_with_groups(bundle, aecs, None, aecs, grouping)
     b_preds, b_report = infer_with_groups(bundle, aecs, None, aecs, grouping)
     assert np.array_equal(a_preds, b_preds)
-    assert a_report.to_dict() == b_report.to_dict()
+    assert canonical_json(a_report) == canonical_json(b_report)
 
 
 def test_mapping_report_round_trip_types():

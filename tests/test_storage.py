@@ -9,6 +9,7 @@ import pytest
 
 from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec
+from tsgroups.group_mapping import MappingReport
 from tsgroups.grouped import train_per_group
 from tsgroups.ingest import NormalizationStats
 from tsgroups.pipeline import _write_predictions_csv
@@ -17,8 +18,6 @@ from tsgroups.storage import (
     canonical_json,
     content_digest,
     file_digest,
-    grouping_from_dict,
-    grouping_to_dict,
     load_aecs,
     load_bundle,
     load_dataset,
@@ -31,7 +30,7 @@ from tsgroups.storage import (
     write_archive,
     write_json,
 )
-from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import AecsMatrix, ClassMetrics, Grouping, WindowedDataset, WindowMeta
 
 
 def make_dataset(m=9, t=4, d=2, n_classes=3, seed=0):
@@ -70,6 +69,152 @@ def test_write_json_layout(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert read_json(path) == {"a": 2, "b": 1}
+
+
+# One hand-built record of each kind the pipeline writes, and the exact text
+# write_json gives for it. This pins the artifact format on every host;
+# test_golden_digests skips on hosts other than the one that made its file.
+RECORDS = {
+    "train_report": (ae.TrainReport(
+        train_losses=[0.5, np.float64(0.1)], val_losses=[0.75, 1 / 3], stopped_epoch=2,
+        best_epoch=1, best_val_loss=0.75, final_loss=0.1, wall_time_s=0.125, n_train=9, n_val=1,
+    ), """\
+{
+  "best_epoch": 1,
+  "best_val_loss": 0.75,
+  "final_loss": 0.1,
+  "n_train": 9,
+  "n_val": 1,
+  "stopped_epoch": 2,
+  "train_losses": [
+    0.5,
+    0.1
+  ],
+  "val_losses": [
+    0.75,
+    0.3333333333333333
+  ],
+  "wall_time_s": 0.125
+}
+"""),
+    "class_metrics": (ClassMetrics(
+        accuracy=0.75, f1_macro=0.7, f1_weighted=np.float64(0.72),
+        confusion=np.array([[2, 1], [0, 1]]),
+        confusion_row_normalized=np.array([[2 / 3, 1 / 3], [0.0, 1.0]]),
+    ), """\
+{
+  "accuracy": 0.75,
+  "confusion": [
+    [
+      2,
+      1
+    ],
+    [
+      0,
+      1
+    ]
+  ],
+  "confusion_row_normalized": [
+    [
+      0.6666666666666666,
+      0.3333333333333333
+    ],
+    [
+      0.0,
+      1.0
+    ]
+  ],
+  "f1_macro": 0.7,
+  "f1_weighted": 0.72
+}
+"""),
+    "mapping_report": (MappingReport(method="AVG", measure="MANHATTAN", rows=[
+        {"test_group": 0, "test_group_size": 3, "chosen_train_group": 1,
+         "candidate_distances": [0.5, 0.25]},
+    ], test_grouping_fingerprint="ab12"), """\
+{
+  "measure": "MANHATTAN",
+  "method": "AVG",
+  "rows": [
+    {
+      "candidate_distances": [
+        0.5,
+        0.25
+      ],
+      "chosen_train_group": 1,
+      "test_group": 0,
+      "test_group_size": 3
+    }
+  ],
+  "test_grouping_fingerprint": "ab12"
+}
+"""),
+    "grouping": (Grouping(
+        assignment=np.array([0, 1, 1, 0]), K=2, measure="CHEBYSHEV",
+        hubert_scores={"MANHATTAN": 0.25, "CHEBYSHEV": 0.5, "MAHALANOBIS": -0.125},
+        iteration_trace=[(2, 2)],
+    ), """\
+{
+  "K": 2,
+  "assignment": [
+    0,
+    1,
+    1,
+    0
+  ],
+  "hubert_scores": {
+    "CHEBYSHEV": 0.5,
+    "MAHALANOBIS": -0.125,
+    "MANHATTAN": 0.25
+  },
+  "iteration_trace": [
+    [
+      2,
+      2
+    ]
+  ],
+  "measure": "CHEBYSHEV"
+}
+"""),
+    "classifier_spec": (ClassifierSpec(kind="SOFTMAX_STATS", learning_rate=0.05, epochs=80,
+                                       l2=1e-4, seed=5), """\
+{
+  "epochs": 80,
+  "kind": "SOFTMAX_STATS",
+  "l2": 0.0001,
+  "learning_rate": 0.05,
+  "seed": 5
+}
+"""),
+    "normalization": (NormalizationStats(mean=np.array([0.5, -1.25]), std=np.array([2.0, 0.1])), """\
+{
+  "mean": [
+    0.5,
+    -1.25
+  ],
+  "std": [
+    2.0,
+    0.1
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_write_the_pinned_json_text(tmp_path, name):
+    record, text = RECORDS[name]
+    path = tmp_path / f"{name}.json"
+    write_json(path, record)
+    assert path.read_text(encoding="utf-8") == text
+    assert canonical_json(record) == canonical_json(json.loads(text))
+
+
+def test_json_encoder_rejects_unknown_objects():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        canonical_json({"a": {1, 2}})
+    with pytest.raises(TypeError, match="type is not JSON serializable"):
+        canonical_json(Grouping)
 
 
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -214,7 +359,7 @@ def test_grouping_dict_round_trip():
         hubert_scores={"CHEBYSHEV": 1.5, "MAHALANOBIS": 2.5},
         iteration_trace=[(2, 1), (3, 2)],
     )
-    back = grouping_from_dict(grouping_to_dict(grouping))
+    back = Grouping(**json.loads(canonical_json(grouping)))
     assert np.array_equal(back.assignment, grouping.assignment)
     assert back.K == grouping.K
     assert back.measure == grouping.measure
@@ -255,6 +400,20 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     again = tmp_path / "bundle2.zip"
     save_bundle(again, loaded)
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_bundle_rejects_blob_of_wrong_length(tmp_path):
+    ds = make_dataset(m=12, n_classes=2)
+    aecs = AecsMatrix(vectors=seeded_rng(4).normal(size=(12, 3)), source_model_id="m-1")
+    grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
+    path = tmp_path / "bundle.zip"
+    save_bundle(path, train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=5)))
+    entries = read_archive(path)
+    for blob in (entries["model_0.f8"] + bytes(8), entries["model_0.f8"][:-8],
+                 entries["model_0.f8"] + bytes(3)):
+        write_archive(path, {**entries, "model_0.f8": blob})
+        with pytest.raises(ValueError):
+            load_bundle(path)
 
 
 def test_bundle_rejects_unknown_format(tmp_path):
