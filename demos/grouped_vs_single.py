@@ -60,7 +60,7 @@ def main() -> None:
     print(f"\n              accuracy   macro F1")
     print(f"per-group     {m_grouped.accuracy:8.3f} {m_grouped.f1_macro:10.3f}")
     print(f"single model  {m_single.accuracy:8.3f} {m_single.f1_macro:10.3f}")
-    fanin = Counter(row["chosen_train_group"] for row in report.rows)
+    fanin = Counter(report.chosen())
     routed = ", ".join(
         f"{fanin[g]} -> train group {g}" for g in sorted(fanin))
     print(f"\nrouting of {len(report.rows)} test groups: {routed}")

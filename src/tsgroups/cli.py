@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 from . import pipeline
 from .pipeline import ArtifactError, ConfigError, PipelineConfig, load_config
@@ -23,35 +24,29 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    data = config.to_dict()
-    if getattr(args, "dataset_root", None) is not None:
-        data["paths"]["dataset_root"] = args.dataset_root
-    if getattr(args, "out", None) is not None:
-        data["paths"]["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        data["ingest"]["seed"] = args.seed
-        data["autoencoder"]["seed"] = args.seed
-        data["classifier"]["seed"] = args.seed
-    if getattr(args, "synthetic", False):
-        data["ingest"]["synthetic"] = data["ingest"]["synthetic"] or {}
-    if getattr(args, "epochs", None) is not None:
-        data["autoencoder"]["epochs"] = args.epochs
-    if getattr(args, "tau", None) is not None:
-        data["cgf"]["tau"] = args.tau
-    if getattr(args, "mapping", None) is not None:
-        data["mapping"]["method"] = args.mapping
-    if getattr(args, "baseline_only", False):
-        data["train"]["baseline_only"] = True
-    return PipelineConfig.from_dict(data)
-
-
 def _load(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None) is not None:
-        config = load_config(args.config)
-    else:
-        config = PipelineConfig()
-    return _apply_overrides(config, args)
+    """The config file's record, or the defaults, with each given flag replacing its value.
+
+    ``replace`` re-runs the section's checks, so a flag is checked like a file value.
+    """
+    config = PipelineConfig() if args.config is None else load_config(args.config)
+    flag = vars(args).get
+    seed = flag("seed")
+
+    def edit(section, **changes):
+        return replace(section, **{key: value for key, value in changes.items() if value is not None})
+
+    return replace(
+        config,
+        paths=edit(config.paths, dataset_root=flag("dataset_root"), out_dir=flag("out")),
+        ingest=edit(config.ingest, seed=seed,
+                    synthetic=(config.ingest.synthetic or {}) if flag("synthetic") else None),
+        autoencoder=edit(config.autoencoder, seed=seed, epochs=flag("epochs")),
+        cgf=edit(config.cgf, tau=flag("tau")),
+        classifier=edit(config.classifier, seed=seed),
+        mapping=edit(config.mapping, method=flag("mapping")),
+        train=edit(config.train, baseline_only=flag("baseline_only") or None),
+    )
 
 
 def _print(obj) -> None:

@@ -51,20 +51,36 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
 
 
 @dataclass
+class MappingRow:
+    """One test group's chosen train group, and its distance to every train group."""
+
+    test_group: int
+    test_group_size: int
+    chosen_train_group: int
+    candidate_distances: list[float]
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.chosen_train_group < len(self.candidate_distances):
+            raise ValueError(f"chosen train group {self.chosen_train_group} is not one of "
+                             f"{len(self.candidate_distances)} candidates")
+
+
+@dataclass
 class MappingReport:
     """Which train model each test group chose, with all candidate distances."""
 
     method: MappingMethod
     measure: DistanceMeasureId
-    rows: list[dict] = field(default_factory=list)
+    rows: list[MappingRow] = field(default_factory=list)
     test_grouping_fingerprint: str = ""
 
     def __post_init__(self) -> None:
         self.method = MappingMethod(self.method)
         self.measure = DistanceMeasureId(self.measure)
+        self.rows = [row if isinstance(row, MappingRow) else MappingRow(**row) for row in self.rows]
 
     def chosen(self) -> list[int]:
-        return [row["chosen_train_group"] for row in self.rows]
+        return [row.chosen_train_group for row in self.rows]
 
 
 def infer_with_groups(
@@ -112,12 +128,12 @@ def infer_with_groups(
         block = test_x[members]
         candidates = candidate_distances(method, train_aecs, bundle.grouping, block, measure, ctx)
         chosen = int(np.argmin(candidates))
-        report.rows.append({
-            "test_group": j,
-            "test_group_size": int(members.size),
-            "chosen_train_group": chosen,
-            "candidate_distances": [float(c) for c in candidates],
-        })
+        report.rows.append(MappingRow(
+            test_group=j,
+            test_group_size=int(members.size),
+            chosen_train_group=chosen,
+            candidate_distances=[float(c) for c in candidates],
+        ))
         windows = test_ds.windows[members] if test_ds is not None else None
         predictions[members] = predict(bundle, chosen, windows, block)
     return predictions, report

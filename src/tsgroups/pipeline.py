@@ -12,21 +12,24 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import time
 import zipfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import autoencoder as ae
 from .classifiers import ClassifierSpec
 from .consistent import CgfConfig, form_consistent_groups
 from .distances import DistanceMeasureId, fit_mahalanobis
 from .grouped import predict as bundle_predict
 from .grouped import train_per_group, train_single_baseline
-from .group_mapping import MappingMethod, infer_with_groups
+from .group_mapping import MappingMethod, MappingReport, infer_with_groups
 from .ingest import (
     ACCELEROMETER_FILENAME,
     ColumnMap,
@@ -53,9 +56,7 @@ from .storage import (
     save_dataset,
     write_json,
 )
-from .types import WindowedDataset
-
-PACKAGE_VERSION = "0.1.0"
+from .types import Grouping, WindowedDataset
 
 
 class ConfigError(ValueError):
@@ -75,10 +76,20 @@ def _reading_artifacts(what: str):
         raise ArtifactError(f"corrupt {what}: {exc!r}") from None
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}; allowed: {sorted(allowed)}")
+def _check_bools(record, *names: str) -> None:
+    """Reject a non-bool value, such as "no" or 0, that bool() would read as a choice."""
+    for name in names:
+        value = getattr(record, name)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
+@dataclass
+class Paths:
+    """Where the corpus is read from and the run directory is written."""
+
+    dataset_root: str | None = None
+    out_dir: str = "run"
 
 
 @dataclass
@@ -94,6 +105,9 @@ class IngestOptions:
     accelerometer_filename: str = ACCELEROMETER_FILENAME
     column_map: dict = field(default_factory=dict)
     synthetic: dict | None = None
+
+    def __post_init__(self) -> None:
+        _check_bools(self, "normalize")
 
     def columns(self) -> ColumnMap:
         try:
@@ -115,81 +129,74 @@ class IngestOptions:
 
 
 @dataclass
-class PipelineConfig:
-    """Validated top-level configuration for a whole run."""
+class MappingOptions:
+    """How infer routes each test group to a train group's model."""
 
-    dataset_root: str | None = None
-    out_dir: str = "run"
+    method: MappingMethod = MappingMethod.AVG
+
+    def __post_init__(self) -> None:
+        self.method = MappingMethod(self.method)
+
+
+@dataclass
+class TrainOptions:
+    """Which classifier bundles train fits."""
+
+    baseline: bool = True
+    baseline_only: bool = False
+
+    def __post_init__(self) -> None:
+        _check_bools(self, "baseline", "baseline_only")
+
+
+@dataclass
+class PipelineConfig:
+    """A whole run's configuration: one field per section of the config file."""
+
+    paths: Paths = field(default_factory=Paths)
     ingest: IngestOptions = field(default_factory=IngestOptions)
     autoencoder: ae.AutoencoderConfig = field(default_factory=ae.AutoencoderConfig)
     cgf: CgfConfig = field(default_factory=CgfConfig)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
-    mapping_method: MappingMethod = MappingMethod.AVG
-    train_baseline: bool = True
-    baseline_only: bool = False
+    mapping: MappingOptions = field(default_factory=MappingOptions)
+    train: TrainOptions = field(default_factory=TrainOptions)
 
-    def __post_init__(self) -> None:
-        self.mapping_method = MappingMethod(self.mapping_method)
+    @property
+    def out_dir(self) -> str:
+        return self.paths.out_dir
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        _check_keys("config", data, {
-            "paths", "ingest", "autoencoder", "cgf", "classifier", "mapping", "train",
-        })
-        paths = data.get("paths", {})
-        _check_keys("paths", paths, {"dataset_root", "out_dir"})
-        sections: dict = {}
-        for name, target in (("ingest", IngestOptions), ("autoencoder", ae.AutoencoderConfig),
-                             ("cgf", CgfConfig), ("classifier", ClassifierSpec)):
-            payload = dict(data.get(name, {}))
-            allowed = {f.name for f in dataclass_fields(target)}
-            _check_keys(name, payload, allowed)
-            try:
-                sections[name] = target(**payload)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad '{name}' section: {exc}") from None
-        mapping = data.get("mapping", {})
-        _check_keys("mapping", mapping, {"method"})
-        train = data.get("train", {})
-        _check_keys("train", train, {"baseline", "baseline_only"})
+
+def read_config(data) -> PipelineConfig:
+    """The config record of a config file's JSON: each section an object of its record's fields.
+
+    A section left out keeps its defaults; anything its record rejects is a ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    records = {f.name: f.default_factory for f in dataclass_fields(PipelineConfig)}
+    sections = {}
+    for name, payload in data.items():
+        if name not in records:
+            raise ConfigError(f"unknown section '{name}'; allowed: {sorted(records)}")
+        if not isinstance(payload, dict):
+            raise ConfigError(f"section '{name}' must be a JSON object, got {type(payload).__name__}")
+        allowed = {f.name for f in dataclass_fields(records[name])}
+        unknown = set(payload) - allowed
+        if unknown:
+            raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}; allowed: {sorted(allowed)}")
         try:
-            method = MappingMethod(mapping.get("method", "AVG"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cls(
-            dataset_root=paths.get("dataset_root"),
-            out_dir=paths.get("out_dir", "run"),
-            ingest=sections["ingest"],
-            autoencoder=sections["autoencoder"],
-            cgf=sections["cgf"],
-            classifier=sections["classifier"],
-            mapping_method=method,
-            train_baseline=bool(train.get("baseline", True)),
-            baseline_only=bool(train.get("baseline_only", False)),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "paths": {"dataset_root": self.dataset_root, "out_dir": self.out_dir},
-            "ingest": asdict(self.ingest),
-            "autoencoder": asdict(self.autoencoder),
-            "cgf": asdict(self.cgf),
-            "classifier": asdict(self.classifier),
-            "mapping": {"method": self.mapping_method.value},
-            "train": {"baseline": self.train_baseline, "baseline_only": self.baseline_only},
-        }
+            sections[name] = records[name](**payload)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad '{name}' section: {exc}") from None
+    return PipelineConfig(**sections)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     try:
         data = read_json(path)
-    except FileNotFoundError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    return PipelineConfig.from_dict(data)
+    return read_config(data)
 
 
 ARTIFACTS = {
@@ -220,23 +227,14 @@ def _artifact(out_dir: str | Path, name: str) -> Path:
     return Path(out_dir) / ARTIFACTS[name]
 
 
-def _versions() -> dict:
-    import sys
-
-    return {
-        "package": PACKAGE_VERSION,
-        "numpy": np.__version__,
-        "python": sys.version.split()[0],
-    }
-
-
 def _write_manifest(path: Path, config: PipelineConfig, stage_timings: dict[str, float],
                     files: dict[str, Path]) -> None:
     manifest = {
-        "config": config.to_dict(),
+        "config": config,
         "stage_timings": {k: float(v) for k, v in stage_timings.items()},
         "files": {name: content_digest(p) for name, p in sorted(files.items())},
-        "versions": _versions(),
+        "versions": {"package": __version__, "numpy": np.__version__,
+                     "python": sys.version.split()[0]},
         "seeds": {
             "ingest": config.ingest.seed,
             "autoencoder": config.autoencoder.seed,
@@ -261,9 +259,9 @@ def cmd_ingest(config: PipelineConfig) -> dict:
         if spec is not None:
             ds, archetypes = generate_synthetic(spec)
         else:
-            if config.dataset_root is None:
+            if config.paths.dataset_root is None:
                 raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
-            sessions = discover_sessions(config.dataset_root, opts.columns(),
+            sessions = discover_sessions(config.paths.dataset_root, opts.columns(),
                                          opts.accelerometer_filename, opts.road)
             # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
             sessions = filter_road(sessions, opts.road)
@@ -346,7 +344,7 @@ def cmd_train(config: PipelineConfig) -> dict:
         files["aecs_train"] = _artifact(out, "aecs_train")
 
         summary: dict = {"autoencoder": asdict(report)}
-        if not config.baseline_only:
+        if not config.train.baseline_only:
             start = time.perf_counter()
             cgf_result = form_consistent_groups(aecs, config.cgf)
             timings["cgf"] = time.perf_counter() - start
@@ -365,7 +363,7 @@ def cmd_train(config: PipelineConfig) -> dict:
             summary["group_sizes"] = cgf_result.grouping.group_sizes().tolist()
             summary["group_warnings"] = bundle.warnings
 
-        if config.train_baseline or config.baseline_only:
+        if config.train.baseline or config.train.baseline_only:
             start = time.perf_counter()
             baseline = train_single_baseline(ds, aecs, config.classifier)
             timings["train_baseline"] = time.perf_counter() - start
@@ -400,7 +398,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
     for name in ("test_dataset", "model", "aecs_train"):
         if not _artifact(out, name).is_file():
             raise ArtifactError(f"missing artifact {_artifact(out, name)}; run earlier stages first")
-    bundle_name = "bundle_baseline" if config.baseline_only else "bundle_grouped"
+    bundle_name = "bundle_baseline" if config.train.baseline_only else "bundle_grouped"
     if not _artifact(out, bundle_name).is_file():
         raise ArtifactError(f"missing artifact {_artifact(out, bundle_name)}; run train first")
 
@@ -433,7 +431,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
 
         # The baseline bundle's single group was never clustered, so
         # baseline-only mapping uses the measure the test side selected.
-        grouping = test_grouping if config.baseline_only else bundle.grouping
+        grouping = test_grouping if config.train.baseline_only else bundle.grouping
         measure = DistanceMeasureId(grouping.measure)
         ctx = (fit_mahalanobis(train_aecs)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
@@ -452,14 +450,14 @@ def cmd_infer(config: PipelineConfig) -> dict:
         files["mapping_avg"] = _artifact(out, "mapping_avg")
         files["mapping_cr_cr"] = _artifact(out, "mapping_cr_cr")
 
-        predictions, mapping_report = results[config.mapping_method]
+        predictions, mapping_report = results[config.mapping.method]
         truth = test_ds.labels if has_labels else None
         _write_predictions_csv(_artifact(out, "predictions"), predictions, truth,
                                test_grouping.assignment, mapping_report.chosen())
         files["predictions"] = _artifact(out, "predictions")
 
         report: dict = {
-            "mapping_method": config.mapping_method.value,
+            "mapping_method": config.mapping.method.value,
             "measure": measure.value,
             "test_groups": test_grouping.K,
             "chosen_avg": results[MappingMethod.AVG][1].chosen(),
@@ -475,7 +473,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
                 "f1_weighted": grouped_metrics.f1_weighted,
             }
             baseline_path = _artifact(out, "bundle_baseline")
-            if baseline_path.is_file() and not config.baseline_only:
+            if baseline_path.is_file() and not config.train.baseline_only:
                 with _reading_artifacts("baseline bundle"):
                     baseline = load_bundle(baseline_path)
                 baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
@@ -513,78 +511,73 @@ def cmd_report(run_dir: str | Path) -> dict:
     notices: list[str] = []
     written: dict[str, str] = {}
 
-    def note(msg: str) -> None:
-        notices.append(msg)
+    def export(name: str, header: list[str], rows) -> None:
+        path = out / f"{name}.csv"
+        _write_csv(path, header, rows)
+        written[name] = str(path)
 
     with _reading_artifacts(f"artifact in {out}"):
         cgf_path = _artifact(out, "cgf_train")
         train_path = _artifact(out, "train_dataset")
         aecs_path = _artifact(out, "aecs_train")
 
-        grouping_data = None
+        grouping = None
         if cgf_path.is_file():
-            grouping_data = read_json(cgf_path)
+            grouping = Grouping(**read_json(cgf_path)["grouping"])
         else:
-            note(f"missing {cgf_path}; group-based tables skipped")
+            notices.append(f"missing {cgf_path}; group-based tables skipped")
 
-        if grouping_data is not None and train_path.is_file():
+        if grouping is not None and train_path.is_file():
             ds, _, _, _ = load_dataset(train_path)
-            assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
-            counts: dict[tuple[int, str, str], int] = {}
-            for i, wm in enumerate(ds.meta):
-                key = (int(assignment[i]), wm.driver_id, wm.behavior)
-                counts[key] = counts.get(key, 0) + 1
-            path = out / "composition_train.csv"
-            _write_csv(path, ["group", "driver_id", "behavior", "count"],
-                       ([*key, counts[key]] for key in sorted(counts)))
-            written["composition_train"] = str(path)
+            if grouping.n_instances != ds.n_windows:
+                raise ArtifactError(f"{cgf_path} and {train_path} differ in row count")
+            counts = Counter((int(g), wm.driver_id, wm.behavior)
+                             for g, wm in zip(grouping.assignment, ds.meta))
+            export("composition_train", ["group", "driver_id", "behavior", "count"],
+                   ([*key, counts[key]] for key in sorted(counts)))
         elif not train_path.is_file():
-            note(f"missing {train_path}; composition table skipped")
+            notices.append(f"missing {train_path}; composition table skipped")
 
-        if grouping_data is not None and aecs_path.is_file():
+        if grouping is not None and aecs_path.is_file():
             aecs = load_aecs(aecs_path)
-            assignment = np.asarray(grouping_data["grouping"]["assignment"], dtype=np.int64)
+            if grouping.n_instances != aecs.n_instances:
+                raise ArtifactError(f"{cgf_path} and {aecs_path} differ in row count")
             coords = _pca_2d(aecs.vectors)
-            path = out / "pca_train.csv"
-            _write_csv(path, ["index", "pc1", "pc2", "group"], (
-                [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(assignment[i])]
+            export("pca_train", ["index", "pc1", "pc2", "group"], (
+                [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
                 for i in range(coords.shape[0])
             ))
-            written["pca_train"] = str(path)
         elif not aecs_path.is_file():
-            note(f"missing {aecs_path}; projection export skipped")
+            notices.append(f"missing {aecs_path}; projection export skipped")
 
-        if grouping_data is not None:
-            path = out / "hubert_scores.csv"
-            scores = grouping_data["hubert_scores"]
-            _write_csv(path, ["measure", "rho", "selected"], (
-                [token, repr(float(scores[token])), int(token == grouping_data["measure"])]
+        if grouping is not None:
+            scores = grouping.hubert_scores
+            export("hubert_scores", ["measure", "rho", "selected"], (
+                [token, repr(float(scores[token])), int(token == grouping.measure)]
                 for token in scores
             ))
-            written["hubert_scores"] = str(path)
 
         mapping_avg = _artifact(out, "mapping_avg")
         mapping_cr = _artifact(out, "mapping_cr_cr")
         if mapping_avg.is_file() and mapping_cr.is_file():
-            avg = read_json(mapping_avg)
-            crcr = read_json(mapping_cr)
-            path = out / "mapping_summary.csv"
-            _write_csv(path, ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
-                [row_a["test_group"], row_a["test_group_size"],
-                 row_a["chosen_train_group"], row_c["chosen_train_group"]]
-                for row_a, row_c in zip(avg["rows"], crcr["rows"])
+            avg = MappingReport(**read_json(mapping_avg))
+            crcr = MappingReport(**read_json(mapping_cr))
+            groups = [(row.test_group, row.test_group_size) for row in avg.rows]
+            if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
+                raise ArtifactError(f"{mapping_avg} and {mapping_cr} list different test groups")
+            export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
+                [*group, a, c] for group, a, c in zip(groups, avg.chosen(), crcr.chosen())
             ))
-            written["mapping_summary"] = str(path)
         else:
-            note("mapping reports absent; mapping summary skipped")
+            notices.append("mapping reports absent; mapping summary skipped")
 
         cgf_test_path = _artifact(out, "cgf_test")
         if cgf_test_path.is_file():
             # cgf_test carries no assignment payload; recover sizes from the trace file.
-            sizes = read_json(cgf_test_path).get("group_sizes", [])
-            path = out / "composition_test.csv"
-            _write_csv(path, ["group", "size"], enumerate(sizes))
-            written["composition_test"] = str(path)
+            sizes = read_json(cgf_test_path)["group_sizes"]
+            if not (isinstance(sizes, list) and all(type(n) is int and n > 0 for n in sizes)):
+                raise ArtifactError(f"{cgf_test_path}: group_sizes must be a list of positive counts")
+            export("composition_test", ["group", "size"], enumerate(sizes))
 
     summary = {"written": written, "notices": notices}
     write_json(out / "report_summary.json", summary)

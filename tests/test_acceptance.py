@@ -29,7 +29,7 @@ from tsgroups.distances import (
 from tsgroups.group_mapping import MappingMethod, candidate_distances, infer_with_groups
 from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
 from tsgroups.hierarchy import Linkage, agglomerate, hubert_statistic, select_best_measure
-from tsgroups.pipeline import PipelineConfig, cmd_gradcheck, cmd_infer, cmd_ingest, cmd_train
+from tsgroups.pipeline import cmd_gradcheck, cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import content_digest, file_digest
 from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
@@ -218,7 +218,7 @@ def test_measure_selection_tracks_planted_geometry():
 def test_per_group_models_beat_global_model(tmp_path):
     started = time.perf_counter()
     out = tmp_path / "opposed"
-    config = PipelineConfig.from_dict({
+    config = read_config({
         "paths": {"out_dir": str(out)},
         "ingest": {
             "seed": 9,
@@ -313,7 +313,7 @@ def test_forced_single_group_equals_baseline():
 @pytest.mark.acceptance("identical config and seed reproduce every artifact")
 def test_identical_config_reproduces_artifacts(tmp_path):
     out = tmp_path / "twice"
-    config = PipelineConfig.from_dict({
+    config = read_config({
         "paths": {"out_dir": str(out)},
         "ingest": {"seed": 3, "synthetic": {"windows_per_class": 10, "t": 20, "d": 3, "seed": 3}},
         "autoencoder": {"hidden1": 6, "hidden2": 3, "epochs": 4, "seed": 3},
@@ -351,7 +351,7 @@ def test_identical_config_reproduces_artifacts(tmp_path):
                     reason="UAH_DRIVESET_ROOT not set; real-corpus harness skipped")
 def test_real_corpus_harness(tmp_path):
     out = tmp_path / "uah"
-    config = PipelineConfig.from_dict({
+    config = read_config({
         "paths": {"dataset_root": os.environ["UAH_DRIVESET_ROOT"], "out_dir": str(out)},
         "ingest": {"road": "MOTORWAY", "window_len": 64, "overlap": 0.5, "seed": 0},
         "autoencoder": {"hidden1": 16, "hidden2": 12, "epochs": 5, "seed": 0},

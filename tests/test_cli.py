@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, build_parser, main
+from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _load, build_parser, main
 from tsgroups.storage import read_archive, write_archive
 
 
@@ -71,6 +71,25 @@ def test_unknown_key_in_section_exits_config(tmp_path):
     assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+@pytest.mark.parametrize("section, key", [("ingest", "normalize"), ("train", "baseline"),
+                                          ("train", "baseline_only")])
+def test_bool_key_takes_only_true_or_false(tmp_path, capsys, section, key, value):
+    config_path, _ = write_config(tmp_path)
+    data = json.loads(config_path.read_text())
+    data[section][key] = value
+    config_path.write_text(json.dumps(data))
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
+    assert f"{key} must be true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, value", [("paths", None), ("ingest", [])])
+def test_section_that_is_not_an_object_exits_config(tmp_path, capsys, section, value):
+    config_path, _ = write_config(tmp_path, **{section: value})
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
+    assert f"'{section}'" in capsys.readouterr().err
+
+
 def test_ingest_without_any_source_exits_config(tmp_path):
     path = tmp_path / "none.json"
     path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r")}}))
@@ -127,6 +146,28 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["autoencoder"]["seed"] == 11
 
 
+def test_flags_replace_only_their_values(tmp_path):
+    config_path, _ = write_config(tmp_path)
+    parse = build_parser().parse_args
+    config = _load(parse(["train", "--config", str(config_path), "--epochs", "7", "--tau", "0.2",
+                          "--baseline-only", "--seed", "4"]))
+    assert (config.autoencoder.epochs, config.cgf.tau, config.train.baseline_only) == (7, 0.2, True)
+    assert config.ingest.seed == config.autoencoder.seed == config.classifier.seed == 4
+    assert config.autoencoder.hidden1 == 6 and config.train.baseline is True
+    config = _load(parse(["infer", "--config", str(config_path), "--mapping", "CR_CR"]))
+    assert config.mapping.method == "CR_CR"
+    config = _load(parse(["ingest", "--synthetic", "--dataset-root", "corpus", "--out", "elsewhere"]))
+    assert config.ingest.synthetic == {}
+    assert (config.paths.dataset_root, config.out_dir) == ("corpus", "elsewhere")
+
+
+@pytest.mark.parametrize("flag, value", [("--tau", "1.5"), ("--epochs", "0")])
+def test_flag_is_checked_like_a_file_value(tmp_path, capsys, flag, value):
+    config_path, _ = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path), flag, value]) == EXIT_CONFIG
+    assert flag.lstrip("-") in capsys.readouterr().err
+
+
 def flip_middle_byte(path):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
@@ -145,6 +186,29 @@ def shorten_assignment(path):
     data = json.loads(path.read_text())
     data["grouping"]["assignment"] = [0]
     path.write_text(json.dumps(data))
+
+
+def out_of_range_group_id(path):
+    data = json.loads(path.read_text())
+    assert data["grouping"]["K"] < 7
+    data["grouping"]["assignment"][0] = 7
+    path.write_text(json.dumps(data))
+
+
+def edit_json(edit):
+    def damage(path):
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+    return damage
+
+
+def lengthen_assignment_without(other):
+    """One more grouped row than the other of the two files the grouping must match."""
+    def damage(path):
+        edit_json(lambda d: d["grouping"]["assignment"].append(0))(path)
+        path.with_name(other).unlink()
+    return damage
 
 
 def edit_entry(name, edit):
@@ -188,6 +252,14 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("cgf_train.json", drop_grouping_fields, "report"),
         ("cgf_train.json", shorten_assignment, "report"),
         ("cgf_train.json", lambda path: path.write_text("[]"), "report"),
+        ("cgf_test.json", lambda path: path.write_text("[]"), "report"),
+        ("cgf_train.json", out_of_range_group_id, "report"),
+        ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
+        ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
+        ("cgf_test.json", edit_json(lambda d: d.update(group_sizes="abc")), "report"),
+        ("mapping_avg.json", edit_json(lambda d: d["rows"][0].update(chosen_train_group=99)),
+         "report"),
+        ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
             lambda h: {**h, "meta": [{**h["meta"][0], "lane": 1}, *h["meta"][1:]]})), "infer"),
         ("bundle_grouped.zip", edit_entry("manifest.json", json_edit(

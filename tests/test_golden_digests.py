@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsgroups.pipeline import PipelineConfig, cmd_infer, cmd_ingest, cmd_train
+from tsgroups.pipeline import cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.storage import content_digest
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -75,7 +75,7 @@ def run_digests(workdir: Path) -> dict[str, dict[str, str]]:
     os.chdir(workdir)  # out_dir is relative, so the manifests hold no absolute path
     try:
         for name, data in RUNS.items():
-            config = PipelineConfig.from_dict({"paths": {"out_dir": name}, **data})
+            config = read_config({"paths": {"out_dir": name}, **data})
             cmd_ingest(config)
             cmd_train(config)
             cmd_infer(config)

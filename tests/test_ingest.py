@@ -24,7 +24,7 @@ from tsgroups.ingest import (
     split_indices,
     window_sessions,
 )
-from tsgroups.pipeline import ARTIFACTS, ConfigError, IngestOptions, PipelineConfig, cmd_ingest
+from tsgroups.pipeline import ARTIFACTS, ConfigError, IngestOptions, cmd_ingest, read_config
 from tsgroups.storage import canonical_json, content_digest
 
 
@@ -198,7 +198,7 @@ def test_ingest_ignores_malformed_session_on_other_road(tmp_path):
         write_session(corpus, name, n_rows=40)
     broken = write_session(corpus, "e-D3-NORMAL-SECONDARY", n_rows=4)
     (broken / "RAW_ACCELEROMETERS.txt").write_bytes(b"\xff\xfe garbage\n")
-    config = PipelineConfig.from_dict({
+    config = read_config({
         "paths": {"dataset_root": str(corpus), "out_dir": str(tmp_path / "run")},
         "ingest": {"window_len": 8},
     })
@@ -218,7 +218,7 @@ def test_ingest_artifacts_match_row_loop_parser(tmp_path, monkeypatch, road):
                               "c-D2-NORMAL-MOTORWAY", "d-D2-DROWSY-MOTORWAY",
                               "e-D3-NORMAL-SECONDARY")):
         write_session(corpus, name, n_rows=40 + 3 * i, start=1.0 + i, bad_rows=damage)
-    config = PipelineConfig.from_dict({
+    config = read_config({
         "paths": {"dataset_root": str(corpus), "out_dir": str(tmp_path / "run")},
         "ingest": {"window_len": 8, "road": road},
     })

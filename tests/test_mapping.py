@@ -163,11 +163,10 @@ def test_self_mapping_identity_with_stats_kind():
 def test_report_rows_carry_sizes_and_candidates():
     ds, aecs, grouping, bundle = clustered_setup()
     _, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=MappingMethod.AVG)
-    assert [row["test_group_size"] for row in report.rows] == [6, 6, 6]
+    assert [row.test_group_size for row in report.rows] == [6, 6, 6]
     for row in report.rows:
-        assert len(row["candidate_distances"]) == bundle.n_groups
-        chosen = row["chosen_train_group"]
-        assert row["candidate_distances"][chosen] == min(row["candidate_distances"])
+        assert len(row.candidate_distances) == bundle.n_groups
+        assert row.candidate_distances[row.chosen_train_group] == min(row.candidate_distances)
     assert report.test_grouping_fingerprint == grouping.fingerprint()
     payload = json.loads(canonical_json(report))
     assert payload["method"] == "AVG"

@@ -9,10 +9,19 @@ import pytest
 
 from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec
+from tsgroups.consistent import CgfConfig
 from tsgroups.group_mapping import MappingReport
 from tsgroups.grouped import train_per_group
 from tsgroups.ingest import NormalizationStats
-from tsgroups.pipeline import _write_predictions_csv
+from tsgroups.pipeline import (
+    IngestOptions,
+    MappingOptions,
+    Paths,
+    PipelineConfig,
+    TrainOptions,
+    _write_predictions_csv,
+    read_config,
+)
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
     canonical_json,
@@ -198,6 +207,131 @@ RECORDS = {
   ]
 }
 """),
+    "config_default": (PipelineConfig(), """\
+{
+  "autoencoder": {
+    "adam_epsilon": 1e-08,
+    "batch_size": 64,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "early_stop_patience": 10,
+    "epochs": 100,
+    "hidden1": 16,
+    "hidden2": 12,
+    "learning_rate": 0.001,
+    "seed": 0,
+    "val_fraction": 0.1
+  },
+  "cgf": {
+    "k_max": null,
+    "k_start": 2,
+    "linkage": "AVERAGE",
+    "tau": 0.05
+  },
+  "classifier": {
+    "epochs": 500,
+    "kind": "SOFTMAX_AECS",
+    "l2": 0.0001,
+    "learning_rate": 0.1,
+    "seed": 0
+  },
+  "ingest": {
+    "accelerometer_filename": "RAW_ACCELEROMETERS.txt",
+    "column_map": {},
+    "normalize": true,
+    "overlap": 0.5,
+    "road": "MOTORWAY",
+    "seed": 0,
+    "synthetic": null,
+    "train_fraction": 0.8,
+    "window_len": 64
+  },
+  "mapping": {
+    "method": "AVG"
+  },
+  "paths": {
+    "dataset_root": null,
+    "out_dir": "run"
+  },
+  "train": {
+    "baseline": true,
+    "baseline_only": false
+  }
+}
+"""),
+    "config_synthetic": (PipelineConfig(
+        paths=Paths(dataset_root="corpus", out_dir="out"),
+        ingest=IngestOptions(road=None, column_map={"acc_x": 2, "timestamp": 0}, synthetic={
+            "windows_per_class": 12, "t": 20, "d": 3, "seed": 3, "noise_sigmas": [0.0, 0.5, 0.25]}),
+        cgf=CgfConfig(linkage="COMPLETE", k_max=6),
+        classifier=ClassifierSpec(kind="SOFTMAX_STATS"),
+        mapping=MappingOptions(method="CR_CR"),
+        train=TrainOptions(baseline=False),
+    ), """\
+{
+  "autoencoder": {
+    "adam_epsilon": 1e-08,
+    "batch_size": 64,
+    "beta1": 0.9,
+    "beta2": 0.999,
+    "early_stop_patience": 10,
+    "epochs": 100,
+    "hidden1": 16,
+    "hidden2": 12,
+    "learning_rate": 0.001,
+    "seed": 0,
+    "val_fraction": 0.1
+  },
+  "cgf": {
+    "k_max": 6,
+    "k_start": 2,
+    "linkage": "COMPLETE",
+    "tau": 0.05
+  },
+  "classifier": {
+    "epochs": 500,
+    "kind": "SOFTMAX_STATS",
+    "l2": 0.0001,
+    "learning_rate": 0.1,
+    "seed": 0
+  },
+  "ingest": {
+    "accelerometer_filename": "RAW_ACCELEROMETERS.txt",
+    "column_map": {
+      "acc_x": 2,
+      "timestamp": 0
+    },
+    "normalize": true,
+    "overlap": 0.5,
+    "road": null,
+    "seed": 0,
+    "synthetic": {
+      "d": 3,
+      "noise_sigmas": [
+        0.0,
+        0.5,
+        0.25
+      ],
+      "seed": 3,
+      "t": 20,
+      "windows_per_class": 12
+    },
+    "train_fraction": 0.8,
+    "window_len": 64
+  },
+  "mapping": {
+    "method": "CR_CR"
+  },
+  "paths": {
+    "dataset_root": "corpus",
+    "out_dir": "out"
+  },
+  "train": {
+    "baseline": false,
+    "baseline_only": false
+  }
+}
+"""),
 }
 
 
@@ -208,6 +342,12 @@ def test_records_write_the_pinned_json_text(tmp_path, name):
     write_json(path, record)
     assert path.read_text(encoding="utf-8") == text
     assert canonical_json(record) == canonical_json(json.loads(text))
+
+
+@pytest.mark.parametrize("name", ["config_default", "config_synthetic"])
+def test_config_reads_back_from_its_json(name):
+    config = RECORDS[name][0]
+    assert read_config(json.loads(canonical_json(config))) == config
 
 
 def test_json_encoder_rejects_unknown_objects():
