@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .rng import derive_seed, seeded_rng
-from .storage import atomic_open
+from .storage import atomic_open, check_field_types
 from .types import AecsMatrix, DivergenceError, WindowedDataset
 
 logger = logging.getLogger(__name__)
@@ -548,13 +548,13 @@ def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConf
 
 def _header_config(data: object) -> AutoencoderConfig:
     """The config a model header stores: every field present, each of its declared type."""
-    kinds = {f.name: f.type for f in fields(AutoencoderConfig)}
-    if not isinstance(data, dict) or set(data) != set(kinds):
-        raise ValueError(f"model header config must be an object with exactly the keys {sorted(kinds)}")
-    for name, kind in kinds.items():
-        value = data[name]
-        if isinstance(value, bool) or not isinstance(value, int if kind == "int" else (int, float)):
-            raise ValueError(f"model header config {name!r} must be {kind}, got {value!r}")
+    names = {f.name for f in fields(AutoencoderConfig)}
+    if not isinstance(data, dict) or set(data) != names:
+        raise ValueError(f"model header config must be an object with exactly the keys {sorted(names)}")
+    try:
+        check_field_types(AutoencoderConfig, data)
+    except ValueError as exc:
+        raise ValueError(f"model header config: {exc}") from None
     return AutoencoderConfig(**data)
 
 

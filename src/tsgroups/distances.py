@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +115,8 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
 _SCRATCH_BYTES = 1 << 20
 
 
-def _kernel_rows(x: np.ndarray, measure: DistanceMeasureId,
-                 ctx: MahalanobisContext | None) -> np.ndarray:
+def kernel_rows(x: np.ndarray, measure: DistanceMeasureId,
+                ctx: MahalanobisContext | None) -> np.ndarray:
     """The kernel's rows, feature-major: ``x.T``, or ``(x @ L).T`` for Mahalanobis."""
     if x.shape[1] == 0:
         raise ValueError("vectors have zero width")
@@ -203,28 +204,47 @@ def _block_distances(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
         np.sqrt(out, out=out)
 
 
-def _fill(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId, out: np.ndarray,
-          upper: bool = False) -> None:
-    """Write ``out[i, j] = d(x_i, y_j)`` a block of rows at a time.
+def distance_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
+                    out: np.ndarray | None = None, upper: bool = False) -> Iterator[np.ndarray]:
+    """Distances from kernel columns ``xt`` (h, r) to ``yt`` (h, n), a block of rows at a time.
 
-    The blocks' scratch stays within ``_SCRATCH_BYTES``. With ``upper``
-    (``x`` is ``y``), a block of rows ``lo:hi`` is computed only for
-    columns from ``lo`` on, and mirrored below the diagonal as one tile.
+    Yields the blocks in row order; the block of rows ``lo:hi`` holds
+    ``d(x_i, y_j)`` at ``[i - lo, j]``, and the blocks' scratch stays within
+    ``_SCRATCH_BYTES``. A block is written into ``out[lo:hi]``, or into one
+    buffer reused for every block when ``out`` is None, so read it before
+    taking the next. With ``upper`` (``x`` is ``y``, ``out`` given), a block
+    of rows ``lo:hi`` is computed only for columns from ``lo`` on, into
+    ``out[lo:hi, lo:]``, and mirrored below the diagonal as one tile.
     """
     (h, rows), cols = xt.shape, yt.shape[1]
+    if yt.shape[0] != h:
+        raise ValueError(f"width mismatch: {h} vs {yt.shape[0]}")
     slots = 1 if measure is DistanceMeasureId.CHEBYSHEV else _sum_slots(h)
+
+    def block_rows(n: int) -> int:
+        return max(1, _SCRATCH_BYTES // (8 * slots * max(n, 1)))
+
     flat = np.empty(min(max(_SCRATCH_BYTES // 8, slots * cols), slots * rows * cols))
+    reused = np.empty(min(block_rows(cols), rows) * cols) if out is None else None
     lo = 0
     while lo < rows:
         first = lo if upper else 0
         n = cols - first
-        hi = min(lo + max(1, _SCRATCH_BYTES // (8 * slots * max(n, 1))), rows)
-        block = out[lo:hi, first:]
+        hi = min(lo + block_rows(n), rows)
+        block = reused[:(hi - lo) * n].reshape(hi - lo, n) if out is None else out[lo:hi, first:]
         scratch = flat[: slots * (hi - lo) * n].reshape(slots, hi - lo, n)
         _block_distances(xt[:, lo:hi], yt[:, first:], measure, block, scratch)
         if upper:
             out[hi:, lo:hi] = block[:, hi - lo:].T
+        yield block
         lo = hi
+
+
+def _fill(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId, out: np.ndarray,
+          upper: bool = False) -> None:
+    """Write ``out[i, j] = d(x_i, y_j)``, every block of ``distance_blocks``."""
+    for _ in distance_blocks(xt, yt, measure, out, upper):
+        pass
 
 
 def cross_distances(
@@ -240,7 +260,7 @@ def cross_distances(
         raise ValueError(f"width mismatch: {x.shape[1]} vs {y.shape[1]}")
     measure = DistanceMeasureId(measure)
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
-    _fill(_kernel_rows(x, measure, ctx), _kernel_rows(y, measure, ctx), measure, out)
+    _fill(kernel_rows(x, measure, ctx), kernel_rows(y, measure, ctx), measure, out)
     return out
 
 
@@ -259,7 +279,7 @@ def pairwise_matrix(
     if x.ndim != 2:
         raise ValueError(f"need an (M, h) matrix, got {x.shape}")
     measure = DistanceMeasureId(measure)
-    xt = _kernel_rows(x, measure, ctx)
+    xt = kernel_rows(x, measure, ctx)
     out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
     _fill(xt, xt, measure, out, upper=True)
     np.fill_diagonal(out, 0.0)

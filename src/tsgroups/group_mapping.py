@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import DistanceMeasureId, MahalanobisContext, cross_distances, fit_mahalanobis
+from .distances import (
+    DistanceMeasureId,
+    MahalanobisContext,
+    cross_distances,
+    distance_blocks,
+    fit_mahalanobis,
+    kernel_rows,
+)
 from .grouped import GroupModelBundle, predict
 from .hierarchy import centroids
 from .types import AecsMatrix, Grouping, WindowedDataset
@@ -45,7 +52,10 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
     if MappingMethod(method) is MappingMethod.CR_CR:
         train_crs = centroids(x, train_grouping.assignment)
         return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
-    row_means = cross_distances(x, test_block, measure, ctx).mean(axis=1)
+    # A block of train rows at a time, so no train x test matrix is held.
+    measure = DistanceMeasureId(measure)
+    blocks = distance_blocks(kernel_rows(x, measure, ctx), kernel_rows(test_block, measure, ctx), measure)
+    row_means = np.concatenate([block.mean(axis=1) for block in blocks])
     return (np.bincount(train_grouping.assignment, weights=row_means, minlength=train_grouping.K)
             / train_grouping.group_sizes())
 

@@ -19,7 +19,9 @@ from .distances import (
     DistanceMeasureId,
     MahalanobisContext,
     cross_distances,
+    distance_blocks,
     fit_mahalanobis,
+    kernel_rows,
     pairwise_matrix,
 )
 from .types import AecsMatrix
@@ -104,25 +106,27 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     pair is the tied row with the smallest id and, within its row, the tied
     column with the smallest id.
 
-    The matrix is stored whole, once. A retired cluster's row and column
-    are left as they are; every read adds the penalty row ``pen`` (-0.0 on
-    live columns, which leaves a value as it is, and inf on retired ones).
-    Each merge costs O(P) numpy work for the tie-break, the Lance-Williams
-    update of the merged row and its one column write, plus O(P) for each
-    row whose cached minimum pointed at either merged cluster, where P is
-    the matrix's current size. When the live clusters fall to half of P,
-    their rows and columns are gathered in order into the matrix's own
-    buffer, so positions keep their order and no second M x M is made.
-    Ties add no loop over tied pairs, so inputs full of exact duplicates
-    cluster about as fast as distinct ones.
+    The matrix is consumed: clustering works inside it, so it holds no
+    distances when this returns, and no second M x M is made. Pass a copy
+    to keep the distances. Only a matrix that is not a writeable
+    C-contiguous float64 array is copied first. A retired cluster's row and
+    column are left as they are; every read adds the penalty row ``pen``
+    (-0.0 on live columns, which leaves a value as it is, and inf on
+    retired ones). Each merge costs O(P) numpy work for the tie-break, the
+    Lance-Williams update of the merged row and its one column write, plus
+    O(P) for each row whose cached minimum pointed at either merged
+    cluster, where P is the matrix's current size.
+    When the live clusters fall to half of P, their rows and columns are
+    gathered in order into the start of the same buffer, so positions keep
+    their order. Ties add no loop over tied pairs, so inputs full of exact
+    duplicates cluster about as fast as distinct ones.
     """
     dist = _validate_distance_matrix(dist)
     linkage = Linkage(linkage)
     m = dist.shape[0]
 
-    buffer = np.empty(m * m)
-    work = buffer.reshape(m, m)
-    np.copyto(work, dist)
+    work = np.require(dist, requirements="CW")
+    buffer = work.reshape(m * m)
     np.fill_diagonal(work, np.inf)
     pen = np.full(m, -0.0)
     active = np.ones(m, dtype=bool)
@@ -242,16 +246,16 @@ def hubert_statistic(
     assignment: np.ndarray,
     measure: DistanceMeasureId,
     ctx: MahalanobisContext | None = None,
-    pairwise: np.ndarray | None = None,
 ) -> float:
     """Internal validity index: pairwise distance weighted by centroid distance.
 
     rho = 2/(M(M-1)) * sum_{i<j} d(x_i, x_j) * d(centroid(i), centroid(j)).
-    Same-group pairs contribute zero since their centroid distance is zero.
-    Defined as 0 for a single group. ``pairwise`` may carry the precomputed
-    instance-distance matrix D; otherwise it is computed here. With G the
-    (M, K) one-hot assignment, ``G.T @ D @ G`` sums D over each ordered pair
-    of groups, which counts every unordered pair twice.
+    Same-group pairs contribute zero since their centroid distance is zero,
+    so only cross-group pairs are measured. With the instances ordered by
+    group, each group's rows meet the rows of every later group through
+    ``distance_blocks``, a block of rows at a time within the kernel's
+    scratch budget, so no M x M matrix is made. Defined as 0 for a single
+    group.
     """
     x = vectors.vectors if isinstance(vectors, AecsMatrix) else np.asarray(vectors, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -262,12 +266,19 @@ def hubert_statistic(
     if k < 2 or m < 2:
         return 0.0
 
+    measure = DistanceMeasureId(measure)
     cents = centroids(x, assignment)
     cent_dist = cross_distances(cents, cents, measure, ctx)
-    dist = pairwise if pairwise is not None else pairwise_matrix(x, measure, ctx)
-    one_hot = np.eye(k)[assignment]
-    group_sums = one_hot.T @ dist @ one_hot
-    return float(np.sum(cent_dist * group_sums)) / (m * (m - 1))
+    xt = kernel_rows(x[np.argsort(assignment, kind="stable")], measure, ctx)
+    sizes = np.bincount(assignment, minlength=k)
+    ends = np.cumsum(sizes)
+    total = 0.0
+    for g in range(k - 1):
+        # Each later row's weight is its group's centroid distance to group g.
+        weights = np.repeat(cent_dist[g, g + 1:], sizes[g + 1:])
+        for block in distance_blocks(xt[:, ends[g] - sizes[g]:ends[g]], xt[:, ends[g]:], measure):
+            total += float(block.sum(axis=0) @ weights)
+    return 2.0 * total / (m * (m - 1))
 
 
 @dataclass
@@ -302,10 +313,10 @@ def select_best_measure(
     best_rho = -np.inf
     for measure in MEASURE_ORDER:
         ctx = fit_mahalanobis(aecs) if measure is DistanceMeasureId.MAHALANOBIS else None
-        dist = pairwise_matrix(x, measure, ctx)
-        dendrogram = agglomerate(dist, linkage)
+        # Clustering consumes the matrix, so one M x M is alive at a time.
+        dendrogram = agglomerate(pairwise_matrix(x, measure, ctx), linkage)
         assignment = cut(dendrogram, k)
-        rho = hubert_statistic(x, assignment, measure, ctx, pairwise=dist)
+        rho = hubert_statistic(x, assignment, measure, ctx)
         scores[measure.value] = rho
         if best is None or rho > best_rho:
             best_rho = rho

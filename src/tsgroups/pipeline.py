@@ -45,6 +45,7 @@ from .ingest import (
 from .metrics import evaluate_metrics
 from .storage import (
     atomic_open,
+    check_field_types,
     content_digest,
     load_aecs,
     load_bundle,
@@ -76,14 +77,6 @@ def _reading_artifacts(what: str):
         raise ArtifactError(f"corrupt {what}: {exc!r}") from None
 
 
-def _check_bools(record, *names: str) -> None:
-    """Reject a non-bool value, such as "no" or 0, that bool() would read as a choice."""
-    for name in names:
-        value = getattr(record, name)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
 @dataclass
 class Paths:
     """Where the corpus is read from and the run directory is written."""
@@ -105,9 +98,6 @@ class IngestOptions:
     accelerometer_filename: str = ACCELEROMETER_FILENAME
     column_map: dict = field(default_factory=dict)
     synthetic: dict | None = None
-
-    def __post_init__(self) -> None:
-        _check_bools(self, "normalize")
 
     def columns(self) -> ColumnMap:
         try:
@@ -145,9 +135,6 @@ class TrainOptions:
     baseline: bool = True
     baseline_only: bool = False
 
-    def __post_init__(self) -> None:
-        _check_bools(self, "baseline", "baseline_only")
-
 
 @dataclass
 class PipelineConfig:
@@ -169,7 +156,8 @@ class PipelineConfig:
 def read_config(data) -> PipelineConfig:
     """The config record of a config file's JSON: each section an object of its record's fields.
 
-    A section left out keeps its defaults; anything its record rejects is a ConfigError.
+    A section left out keeps its defaults. A value of the wrong JSON type
+    (``check_field_types``) or one its record rejects is a ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
@@ -185,6 +173,7 @@ def read_config(data) -> PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}; allowed: {sorted(allowed)}")
         try:
+            check_field_types(records[name], payload)
             sections[name] = records[name](**payload)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad '{name}' section: {exc}") from None
@@ -559,6 +548,7 @@ def cmd_report(run_dir: str | Path) -> dict:
 
         mapping_avg = _artifact(out, "mapping_avg")
         mapping_cr = _artifact(out, "mapping_cr_cr")
+        groups = None
         if mapping_avg.is_file() and mapping_cr.is_file():
             avg = MappingReport(**read_json(mapping_avg))
             crcr = MappingReport(**read_json(mapping_cr))
@@ -577,6 +567,9 @@ def cmd_report(run_dir: str | Path) -> dict:
             sizes = read_json(cgf_test_path)["group_sizes"]
             if not (isinstance(sizes, list) and all(type(n) is int and n > 0 for n in sizes)):
                 raise ArtifactError(f"{cgf_test_path}: group_sizes must be a list of positive counts")
+            if groups is not None and sizes != [size for _, size in groups]:
+                raise ArtifactError(f"{cgf_test_path} group_sizes differ from the mapping reports' "
+                                    f"test group sizes")
             export("composition_test", ["group", "size"], enumerate(sizes))
 
     summary = {"written": written, "notices": notices}

@@ -7,7 +7,8 @@ are little-endian 64-bit floats in row-major order; headers are
 canonical JSON (sorted keys, LF endings). This module is the one place a
 record becomes JSON: ``write_json`` and ``canonical_json`` write a
 dataclass as its ``init`` fields and numpy data as lists and scalars, and
-readers rebuild a record with ``cls(**data)``. Digest helpers strip wall-time
+readers rebuild a record with ``cls(**data)``, after ``check_field_types``
+where a user may have written the file. Digest helpers strip wall-time
 fields so timing never leaks into content digests. Every file is written
 to a temporary name beside its target and renamed over it, so a write
 that fails partway leaves the previous file as it was.
@@ -46,6 +47,30 @@ def _encode(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# JSON types a field of each declared type accepts; a bool is an int to Python.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def check_field_types(cls, data: dict) -> None:
+    """Reject a JSON value whose type the record field it fills does not take.
+
+    A JSON ``true`` is not a number: an ``int`` field takes an int but not
+    a bool, a ``float`` field an int or a float but not a bool, and a
+    ``bool`` field only true or false. A ``... | None`` field also takes
+    null. Fields of other types are left to the record's own checks.
+    """
+    for f in dataclasses.fields(cls):
+        kind = f.type.removesuffix(" | None")
+        if f.name not in data or kind not in _FIELD_TYPES:
+            continue
+        value = data[f.name]
+        if value is None and kind != f.type:
+            continue
+        if not (isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")):
+            expected = "true or false" if kind == "bool" else kind
+            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
 
 
 def canonical_json(obj) -> str:

@@ -106,7 +106,7 @@ def test_clustering_reproduces_naive_merge_sequences():
         ctx = fit_mahalanobis(x) if measure is DistanceMeasureId.MAHALANOBIS else None
         dist = pairwise_matrix(x, measure, ctx)
         for linkage in Linkage:
-            fast = agglomerate(dist, linkage)
+            fast = agglomerate(dist.copy(), linkage)
             ref = naive_tree(dist, linkage)
             assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref], (seed, linkage)
             for f, r in zip(fast.merges, ref):

@@ -230,6 +230,16 @@ def test_model_digest_detects_corruption(tmp_path):
         ae.load_model(path)
 
 
+def test_model_header_takes_no_true_for_a_number(tmp_path):
+    # The digest matches, so only the header's type rule can refuse these files.
+    path = tmp_path / "model.bin"
+    for name, kind in (("epochs", "int"), ("learning_rate", "float")):
+        cfg = ae.AutoencoderConfig(hidden1=4, hidden2=2, **{name: True})
+        ae.save_model(path, ae.init_params(cfg, d=3, seed=7), cfg, d=3)
+        with pytest.raises(ValueError, match=f"{name} must be {kind}, got True"):
+            ae.load_model(path)
+
+
 def test_model_id_changes_with_weights():
     cfg = ae.AutoencoderConfig(hidden1=4, hidden2=2)
     a = ae.init_params(cfg, d=3, seed=0)

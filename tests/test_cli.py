@@ -83,6 +83,17 @@ def test_bool_key_takes_only_true_or_false(tmp_path, capsys, section, key, value
     assert f"{key} must be true or false" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("autoencoder", "epochs"), ("autoencoder", "batch_size"),
+                                          ("classifier", "epochs")])
+def test_json_true_is_not_a_number(tmp_path, capsys, section, key):
+    config_path, _ = write_config(tmp_path)
+    data = json.loads(config_path.read_text())
+    data[section][key] = True
+    config_path.write_text(json.dumps(data))
+    assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
+    assert f"{key} must be int, got True" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, value", [("paths", None), ("ingest", [])])
 def test_section_that_is_not_an_object_exits_config(tmp_path, capsys, section, value):
     config_path, _ = write_config(tmp_path, **{section: value})
@@ -257,6 +268,7 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
         ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
         ("cgf_test.json", edit_json(lambda d: d.update(group_sizes="abc")), "report"),
+        ("cgf_test.json", edit_json(lambda d: d.update(group_sizes=[1, 2])), "report"),
         ("mapping_avg.json", edit_json(lambda d: d["rows"][0].update(chosen_train_group=99)),
          "report"),
         ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),

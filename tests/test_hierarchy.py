@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsgroups.distances import DistanceMeasureId, fit_mahalanobis, pairwise_matrix
+from tsgroups import distances
+from tsgroups.distances import MEASURE_ORDER, DistanceMeasureId, fit_mahalanobis, pairwise_matrix
 from tsgroups.hierarchy import (
     Dendrogram,
     Linkage,
@@ -38,7 +39,7 @@ def test_single_linkage_hand_case():
 
 def test_complete_and_average_heights():
     dist = pairwise_matrix(line_points([0.0, 1.0, 10.0]), DistanceMeasureId.MANHATTAN)
-    assert agglomerate(dist, Linkage.COMPLETE).merges[1][2] == pytest.approx(10.0)
+    assert agglomerate(dist.copy(), Linkage.COMPLETE).merges[1][2] == pytest.approx(10.0)
     assert agglomerate(dist, Linkage.AVERAGE).merges[1][2] == pytest.approx(9.5)
 
 
@@ -62,7 +63,7 @@ def test_matches_naive_reference():
         for linkage in Linkage:
             for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
                 dist = pairwise_matrix(x, measure)
-                fast = agglomerate(dist, linkage)
+                fast = agglomerate(dist.copy(), linkage)
                 ref = naive_agglomerate(dist, linkage)
                 assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
                 for f, r in zip(fast.merges, ref.merges):
@@ -73,7 +74,7 @@ def test_matches_naive_on_raw_matrices():
     for seed in range(10):
         dist = random_distance_matrix(int(seeded_rng(seed).integers(4, 13)), seed)
         for linkage in Linkage:
-            fast = agglomerate(dist, linkage)
+            fast = agglomerate(dist.copy(), linkage)
             ref = naive_agglomerate(dist, linkage)
             assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
 
@@ -87,7 +88,7 @@ def test_matches_naive_on_duplicate_heavy_inputs():
         for linkage in Linkage:
             for measure in (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN):
                 dist = pairwise_matrix(x, measure)
-                fast = agglomerate(dist, linkage)
+                fast = agglomerate(dist.copy(), linkage)
                 ref = naive_agglomerate(dist, linkage)
                 assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
                 for f, r in zip(fast.merges, ref.merges):
@@ -170,16 +171,56 @@ def test_hubert_single_group_is_zero():
     assert hubert_statistic(x, np.zeros(8, dtype=int), DistanceMeasureId.MANHATTAN) == 0.0
 
 
-def test_hubert_matches_naive():
+def test_hubert_matches_naive(monkeypatch):
     rng = seeded_rng(21)
-    for _ in range(20):
-        x = rng.standard_normal((10, 3))
-        assignment = rng.integers(0, 3, size=10)
-        assignment[:3] = [0, 1, 2]
-        ctx = fit_mahalanobis(x)
-        for measure in DistanceMeasureId:
-            fast = hubert_statistic(x, assignment, measure, ctx)
-            assert fast == pytest.approx(naive_hubert(x, assignment, measure, ctx), abs=1e-10)
+    # Then 90 points under a 256-byte budget: blocks of one row, so each
+    # group spans many blocks.
+    for m, trials, scratch_bytes in ((10, 20, distances._SCRATCH_BYTES), (90, 3, 256)):
+        monkeypatch.setattr(distances, "_SCRATCH_BYTES", scratch_bytes)
+        for _ in range(trials):
+            x = rng.standard_normal((m, 3))
+            assignment = rng.integers(0, 3, size=m)
+            assignment[:3] = [0, 1, 2]
+            ctx = fit_mahalanobis(x)
+            for measure in DistanceMeasureId:
+                fast = hubert_statistic(x, assignment, measure, ctx)
+                assert fast == pytest.approx(naive_hubert(x, assignment, measure, ctx), abs=1e-10)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_hubert_holds_no_pairwise_matrix(monkeypatch):
+    # With a 64 KB kernel budget the blocks are small, so a peak near m^2 could only be a matrix.
+    monkeypatch.setattr(distances, "_SCRATCH_BYTES", 1 << 16)
+    m = 600
+    rng = seeded_rng(9)
+    x = rng.standard_normal((m, 12))
+    ctx = fit_mahalanobis(x)
+    for assignment in (np.arange(m) % 5, (np.arange(m) >= 1).astype(np.int64), rng.integers(0, 2, m)):
+        for measure in MEASURE_ORDER:
+            peak = traced_peak(lambda: hubert_statistic(x, assignment, measure, ctx))
+            assert peak <= m * m * 8 / 4, (measure, peak)
+
+
+def test_select_best_measure_holds_one_matrix(monkeypatch):
+    # Under a 64 KB kernel budget the rest is small: the scratch and two
+    # dendrograms' merge lists (about 0.09 of a 600 x 600 matrix).
+    monkeypatch.setattr(distances, "_SCRATCH_BYTES", 1 << 16)
+    m = 600
+    rng = seeded_rng(6)
+    points = {"random": rng.standard_normal((m, 12)),
+              "duplicate-heavy": rng.standard_normal((3, 12))[np.arange(m) % 3]}
+    for name, x in points.items():
+        peak = traced_peak(lambda: select_best_measure(x, k=2))
+        assert peak <= 1.15 * m * m * 8, (name, peak / (m * m * 8))
 
 
 def test_select_best_measure_reports_all_scores():
@@ -239,14 +280,26 @@ def oracle_inputs(m, seed):
 def test_agglomerate_matches_row_loop_exactly(m):
     for name, dist in oracle_inputs(m, seed=m).items():
         for linkage in Linkage:
-            fast = agglomerate(dist, linkage)
+            fast = agglomerate(dist.copy(), linkage)
             assert fast.merges == rowloop_agglomerate(dist, linkage).merges, (name, linkage)
+
+
+def test_agglomerate_consumes_only_a_writeable_c_matrix():
+    for name, dist in oracle_inputs(65, seed=65).items():
+        tree = rowloop_agglomerate(dist, Linkage.AVERAGE)
+        read_only, fortran, consumed = dist.copy(), np.asfortranarray(dist), dist.copy()
+        read_only.flags.writeable = False
+        for kept in (read_only, fortran):
+            assert agglomerate(kept, Linkage.AVERAGE).merges == tree.merges, name
+            assert np.array_equal(kept, dist), name
+        assert agglomerate(consumed, Linkage.AVERAGE).merges == tree.merges, name
+        assert not np.array_equal(consumed, dist), name
 
 
 def test_cut_matches_union_find_for_every_k():
     for name, dist in oracle_inputs(90, seed=4).items():
         for linkage in Linkage:
-            tree = agglomerate(dist, linkage)
+            tree = agglomerate(dist.copy(), linkage)
             for k in range(1, tree.n_leaves + 1):
                 assert np.array_equal(cut(tree, k), unionfind_cut(tree, k)), (name, linkage, k)
 
@@ -274,7 +327,7 @@ def test_agglomerate_holds_one_working_copy():
 def test_one_asymmetric_pair_is_rejected(position):
     # 64-row tiles: a pair on a tile edge, one inside a tile, and the far corners.
     dist = pairwise_matrix(seeded_rng(14).standard_normal((200, 3)), DistanceMeasureId.MANHATTAN)
-    agglomerate(dist)
+    agglomerate(dist.copy())
     dist[position] += 1.0
     with pytest.raises(ValueError, match="not symmetric"):
         agglomerate(dist)

@@ -1,12 +1,14 @@
 """Routing test groups onto train-group models by representation distance."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tsgroups import distances
 from tsgroups.classifiers import ClassifierSpec
-from tsgroups.distances import DistanceMeasureId, fit_mahalanobis
+from tsgroups.distances import MEASURE_ORDER, DistanceMeasureId, cross_distances, fit_mahalanobis
 from tsgroups.group_mapping import (
     MappingMethod,
     MappingReport,
@@ -127,6 +129,34 @@ def test_avg_group_distance_matches_double_loop():
             naive = [np.mean([fn(x, y) for x in train[assignment == g] for y in b]) for g in range(k)]
             got = candidate_distances(MappingMethod.AVG, train, grouping, b, measure, ctx)
             assert got == pytest.approx(naive, abs=1e-10)
+
+
+def test_avg_holds_no_train_by_test_matrix(monkeypatch):
+    rng = seeded_rng(derive_seed(4, "avg-blocks"))
+    m = 600
+    # Features six decades apart, so the order of additions shows in the floats.
+    scale = 10.0 ** rng.integers(-3, 4, size=12)
+    train, tests = rng.normal(size=(m + 1, 12)) * scale, rng.normal(size=(m, 12)) * scale
+    # The tail row is a group of its own, so its distances alone make that candidate.
+    grouping = Grouping(assignment=np.append(np.arange(m) % 3, 3), K=4, measure="CHEBYSHEV")
+    ctx = fit_mahalanobis(train)
+    # With one test row a candidate is one distance, so a change in its last bit shows.
+    for test in (tests, tests[:1]):
+        # Four rows of eight sum slots per block: 601 train rows leave a
+        # one-row tail, and a peak near m^2 could only be a matrix.
+        monkeypatch.setattr(distances, "_SCRATCH_BYTES", 4 * len(test) * 8 * 8)
+        for measure in MEASURE_ORDER:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                got = candidate_distances(MappingMethod.AVG, train, grouping, test, measure, ctx)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= m * m * 8 / 4, (measure, peak)
+            row_means = cross_distances(train, test, measure, ctx).mean(axis=1)
+            want = np.bincount(grouping.assignment, weights=row_means) / grouping.group_sizes()
+            assert np.array_equal(got, want), (measure, len(test))
 
 
 def test_map_avg_hand_case():

@@ -25,6 +25,7 @@ from tsgroups.pipeline import (
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
     canonical_json,
+    check_field_types,
     content_digest,
     file_digest,
     load_aecs,
@@ -348,6 +349,22 @@ def test_records_write_the_pinned_json_text(tmp_path, name):
 def test_config_reads_back_from_its_json(name):
     config = RECORDS[name][0]
     assert read_config(json.loads(canonical_json(config))) == config
+
+
+def test_field_types_take_json_numbers_but_not_true():
+    check_field_types(CgfConfig, {"tau": 0.5, "k_start": 3, "k_max": None})
+    check_field_types(ae.AutoencoderConfig, {"learning_rate": 0, "beta1": 0.5, "seed": 7})
+    check_field_types(TrainOptions, {"baseline": False})
+    for cls, data, message in [
+        (CgfConfig, {"k_max": True}, "k_max must be int, got True"),
+        (CgfConfig, {"k_start": 3.0}, "k_start must be int, got 3.0"),
+        (CgfConfig, {"tau": False}, "tau must be float, got False"),
+        (ae.AutoencoderConfig, {"learning_rate": "0.1"}, "learning_rate must be float"),
+        (TrainOptions, {"baseline": 1}, "baseline must be true or false, got 1"),
+        (TrainOptions, {"baseline_only": None}, "baseline_only must be true or false, got None"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_field_types(cls, data)
 
 
 def test_json_encoder_rejects_unknown_objects():
