@@ -2,9 +2,11 @@
 
 Starting from the trivial single group, the group count increases one
 step at a time; each step must introduce a new group holding at least a
-``tau`` fraction of all instances. The first step that fails this test
-is rejected and the last accepted partition is returned, so a dataset
-whose very first split is already marginal stays one group.
+``tau`` fraction of all instances. Each later k undoes one more merge of
+one dendrogram; the new group is that merge's smaller child. The first
+step that fails this test is rejected and the last accepted partition is
+returned, so a dataset whose very first split is already marginal stays
+one group.
 """
 
 from __future__ import annotations
@@ -67,31 +69,13 @@ class CgfResult:
         }
 
 
-def difference(prev: np.ndarray, nxt: np.ndarray) -> int:
-    """Size of the new group created going from prev to the finer nxt.
-
-    Both partitions must come from cuts of one dendrogram, so nxt splits
-    exactly one group of prev in two: each old group keeps its largest
-    part, and what is left over is the smaller child of the split.
-    Identical partitions give 0.
-    """
-    prev = np.asarray(prev, dtype=np.int64)
-    nxt = np.asarray(nxt, dtype=np.int64)
-    if prev.shape != nxt.shape:
-        raise ValueError(f"partition length mismatch: {prev.shape} vs {nxt.shape}")
-    if prev.ndim != 1 or prev.size == 0:
-        raise ValueError("partitions must be nonempty 1-d arrays")
-    overlap = np.zeros((int(prev.max()) + 1, int(nxt.max()) + 1), dtype=np.int64)
-    np.add.at(overlap, (prev, nxt), 1)
-    return int(prev.size - overlap.max(axis=1).sum())
-
-
 def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | None = None) -> CgfResult:
     """Grow the partition until the next split would create a marginal group.
 
-    The distance measure and dendrogram are chosen once at ``k_start``
-    and every later cut reuses that dendrogram, so successive partitions
-    nest and each step's new group is the smaller child of one split.
+    The distance measure and dendrogram are chosen once at ``k_start``.
+    Each later k undoes one more merge of that dendrogram; the new group
+    is that merge's smaller child, whose size the merge list holds, so
+    only the returned partition is cut.
     """
     config = config or CgfConfig()
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
@@ -106,14 +90,14 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     min_size = config.tau * m
 
     selection = select_best_measure(aecs, config.k_start, config.linkage)
+    # Going from k to k + 1 groups undoes merge m - 1 - k.
+    smaller = selection.dendrogram.smaller_children()
     k = config.k_start - 1
-    assignment = cut(selection.dendrogram, k)
     trace: list[dict] = []
     stopped_by = "k_max"
     rejected_size: int | None = None
     while k < k_max:
-        candidate = cut(selection.dendrogram, k + 1)
-        size = difference(assignment, candidate)
+        size = smaller[m - 1 - k]
         accepted = size >= min_size
         trace.append({
             "k": k + 1,
@@ -125,11 +109,10 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
             stopped_by = "tau"
             rejected_size = size
             break
-        assignment = candidate
         k += 1
 
     grouping = Grouping(
-        assignment=assignment,
+        assignment=cut(selection.dendrogram, k),
         K=k,
         measure=selection.measure.value,
         hubert_scores=dict(selection.scores),

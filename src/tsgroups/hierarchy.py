@@ -2,7 +2,7 @@
 
 Merging follows the classic Lance-Williams updates with a deterministic
 tie-break; cutting a dendrogram at successive k values yields nested
-partitions, which the consistent-grouping iteration relies on.
+partitions, each splitting one group into the two children of a merge.
 """
 
 from __future__ import annotations
@@ -53,14 +53,23 @@ class Dendrogram:
     def __post_init__(self) -> None:
         if len(self.merges) != self.n_leaves - 1:
             raise ValueError(f"expected {self.n_leaves - 1} merges, got {len(self.merges)}")
-        heights = [m[2] for m in self.merges]
-        for i in range(1, len(heights)):
-            if heights[i] < heights[i - 1] - 1e-12:
-                logger.warning(
-                    "non-monotone merge heights at step %d: %.17g < %.17g (kept in merge order)",
-                    i, heights[i], heights[i - 1],
-                )
-                break
+        heights = np.array([m[2] for m in self.merges], dtype=np.float64)
+        drops = np.flatnonzero(heights[1:] < heights[:-1] - 1e-12) + 1
+        if drops.size:
+            i = int(drops[0])
+            logger.warning(
+                "non-monotone merge heights at step %d: %.17g < %.17g (kept in merge order)",
+                i, heights[i], heights[i - 1],
+            )
+
+    def smaller_children(self) -> list[int]:
+        """Leaf count of each merge's smaller child, in merge order."""
+        counts = [1] * self.n_leaves
+        smaller = []
+        for a, b, _ in self.merges:
+            counts.append(counts[a] + counts[b])
+            smaller.append(min(counts[a], counts[b]))
+        return smaller
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

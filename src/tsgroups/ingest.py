@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import derive_seed, seeded_rng
 from .types import WindowedDataset, WindowMeta
@@ -235,7 +236,8 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
 
     The stride is ``round(window_len * (1 - overlap_fraction))``; trailing
     samples that do not fill a window are dropped, and sessions shorter
-    than one window contribute nothing (logged, not an error).
+    than one window contribute nothing (logged, not an error). The
+    windows of a session share one (frozen) ``WindowMeta``.
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -246,7 +248,7 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
     stride = max(1, int(round(window_len * (1.0 - overlap_fraction))))
 
     windows: list[np.ndarray] = []
-    labels: list[int] = []
+    labels: list[np.ndarray] = []
     meta: list[WindowMeta] = []
     for session in sessions:
         n = session.n_samples
@@ -254,21 +256,21 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
             logger.warning("session %s has %d samples, shorter than window_len %d; skipped",
                            session.session_id, n, window_len)
             continue
-        label = CLASS_NAMES.index(session.behavior)
-        for start in range(0, n - window_len + 1, stride):
-            windows.append(session.samples[start:start + window_len])
-            labels.append(label)
-            meta.append(WindowMeta(
-                driver_id=session.driver_id,
-                behavior=session.behavior,
-                road=session.road,
-                session_id=session.session_id,
-            ))
+        # (n - window_len + 1, d, window_len) views, every stride-th one kept, as (n_w, t, d).
+        views = sliding_window_view(session.samples, window_len, axis=0)[::stride]
+        windows.append(views.transpose(0, 2, 1))
+        labels.append(np.full(len(views), CLASS_NAMES.index(session.behavior), dtype=np.int64))
+        meta.extend([WindowMeta(
+            driver_id=session.driver_id,
+            behavior=session.behavior,
+            road=session.road,
+            session_id=session.session_id,
+        )] * len(views))
     if not windows:
         raise ValueError("no session long enough to produce a window")
     return WindowedDataset(
-        windows=np.stack(windows),
-        labels=np.asarray(labels, dtype=np.int64),
+        windows=np.concatenate(windows),
+        labels=np.concatenate(labels),
         meta=meta,
         class_names=list(CLASS_NAMES),
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import zipfile
@@ -111,14 +110,11 @@ def read_json(path: str | Path):
 
 def write_archive(path: str | Path, entries: dict[str, bytes]) -> None:
     """Zip archive with deterministic layout: sorted names, fixed dates."""
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", compression=zipfile.ZIP_STORED) as zf:
+    with atomic_open(path) as fh, zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(entries):
             info = zipfile.ZipInfo(name, date_time=_ZIP_EPOCH)
             info.external_attr = 0o644 << 16
             zf.writestr(info, entries[name])
-    with atomic_open(path) as fh:
-        fh.write(buffer.getvalue())
 
 
 def read_archive(path: str | Path) -> dict[str, bytes]:

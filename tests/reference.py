@@ -264,6 +264,23 @@ def unionfind_cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     return assignment
 
 
+def difference(prev: np.ndarray, nxt: np.ndarray) -> int:
+    """Size of the new group created going from prev to the finer nxt.
+
+    Both partitions must come from cuts of one dendrogram, so nxt splits
+    exactly one group of prev in two: each old group keeps its largest
+    part, and what is left over is the smaller child of the split.
+    Identical partitions give 0.
+    """
+    prev = np.asarray(prev, dtype=np.int64)
+    nxt = np.asarray(nxt, dtype=np.int64)
+    if prev.shape != nxt.shape:
+        raise ValueError(f"partition length mismatch: {prev.shape} vs {nxt.shape}")
+    overlap = np.zeros((int(prev.max()) + 1, int(nxt.max()) + 1), dtype=np.int64)
+    np.add.at(overlap, (prev, nxt), 1)
+    return int(prev.size - overlap.max(axis=1).sum())
+
+
 def naive_sigmoid(x: np.ndarray) -> np.ndarray:
     """Two-branch logistic function over boolean masks."""
     out = np.empty_like(x)

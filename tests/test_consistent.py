@@ -1,36 +1,45 @@
-"""Iterative group formation: difference counting and stopping rules."""
+"""Iterative group formation: new-group sizes and stopping rules."""
 
 import numpy as np
 import pytest
 
-from tsgroups.consistent import CgfConfig, difference, form_consistent_groups
+from tsgroups import consistent
+from tsgroups.consistent import CgfConfig, form_consistent_groups
+from tsgroups.hierarchy import cut
 from tsgroups.rng import seeded_rng
 
+from reference import difference
 from synthdata import adjusted_rand_index, planted_blobs
 
 
-def test_difference_of_identical_partitions_is_zero():
-    a = np.array([0, 0, 1, 1, 2, 2])
-    assert difference(a, a) == 0
+def _outlier_pair():
+    core = 0.01 * seeded_rng(0).standard_normal((100, 4))
+    return np.vstack([core, [[50.0, 0, 0, 0], [50.5, 0, 0, 0]]])
 
 
-def test_difference_ignores_relabeling():
-    a = np.array([0, 0, 1, 1, 2, 2])
-    b = np.array([2, 2, 0, 0, 1, 1])
-    assert difference(a, b) == 0
+@pytest.mark.parametrize("x, config", [
+    (planted_blobs(seed=3)[0], CgfConfig(tau=0.05)),
+    # Six points, 20 exact copies each: most merges tie at height 0.
+    (seeded_rng(5).standard_normal((6, 3))[np.arange(120) % 6], CgfConfig(tau=0.01)),
+    (planted_blobs(sizes=(30, 25, 20, 15), seed=4)[0], CgfConfig(tau=0.05, k_start=3)),
+    (_outlier_pair(), CgfConfig(tau=0.05)),
+], ids=["blobs", "exact-ties", "k-start-3", "first-split-under-tau"])
+def test_new_group_sizes_match_partition_difference(monkeypatch, x, config):
+    calls = []
 
+    def counting_cut(dendrogram, k):
+        calls.append((dendrogram, k))
+        return cut(dendrogram, k)
 
-def test_difference_counts_smaller_child_of_nested_split():
-    prev = np.array([0, 0, 0, 0, 0, 1, 1, 1])
-    nxt = np.array([0, 0, 0, 2, 2, 1, 1, 1])
-    assert difference(prev, nxt) == 2
-
-
-def test_difference_uneven_split_counts_minority():
-    prev = np.zeros(10, dtype=int)
-    nxt = np.zeros(10, dtype=int)
-    nxt[:3] = 1
-    assert difference(prev, nxt) == 3
+    monkeypatch.setattr(consistent, "cut", counting_cut)
+    result = form_consistent_groups(x, config)
+    assert len(calls) == 1
+    dendrogram, k = calls[0]
+    assert k == result.grouping.K
+    assert result.trace
+    for row in result.trace:
+        oracle = difference(cut(dendrogram, row["k"] - 1), cut(dendrogram, row["k"]))
+        assert row["new_group_size"] == oracle
 
 
 def test_planted_blobs_recovered():
@@ -43,11 +52,7 @@ def test_planted_blobs_recovered():
 
 
 def test_sub_threshold_first_split_collapses_to_one_group():
-    rng = seeded_rng(0)
-    core = 0.01 * rng.standard_normal((100, 4))
-    outliers = np.array([[50.0, 0, 0, 0], [50.5, 0, 0, 0]])
-    x = np.vstack([core, outliers])
-    result = form_consistent_groups(x, CgfConfig(tau=0.05))
+    result = form_consistent_groups(_outlier_pair(), CgfConfig(tau=0.05))
     assert result.grouping.K == 1
     assert np.all(result.grouping.assignment == 0)
     assert result.grouping.measure in ("CHEBYSHEV", "MANHATTAN", "MAHALANOBIS")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,18 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     save_dataset(again, loaded, normalization=got_stats, has_labels=True,
                  extra={"road": "MOTORWAY"})
     assert path.read_bytes() == again.read_bytes()
+
+
+def test_save_dataset_holds_one_copy_of_the_windows(tmp_path):
+    # About 6 MB of windows: the serialised tensor is the only full copy.
+    ds = make_dataset(m=2000, t=64, d=6)
+    tracemalloc.start()
+    try:
+        save_dataset(tmp_path / "dataset.zip", ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.windows.nbytes
 
 
 def test_dataset_without_labels(tmp_path):
