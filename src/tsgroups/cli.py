@@ -1,9 +1,8 @@
 """Command-line front end for the grouped time-series workflow.
 
-Verbs mirror the pipeline stages: ingest, train, infer, report, plus
-the self-contained gradient audit gradcheck. Exit codes: 0 success,
-2 configuration problems, 3 missing, truncated or inconsistent files,
-4 numeric divergence or failed numeric audit.
+Verbs mirror the pipeline stages: ingest, train, infer, report.
+Exit codes: 0 success, 2 configuration problems, 3 missing, truncated
+or inconsistent files, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
-from .pipeline import ArtifactError, ConfigError, PipelineConfig, load_config
+from .pipeline import ArtifactError, PipelineConfig, load_config
 from .types import DivergenceError
 
 EXIT_OK = 0
@@ -91,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="export CSV tables for a finished run")
     p_report.add_argument("--out", required=True, help="run directory to summarize")
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p_grad.add_argument("--seeds", type=int, default=5, help="number of random nets")
-    p_grad.add_argument("--epsilon", type=float, default=1e-5, help="perturbation size")
     return parser
 
 
@@ -114,14 +109,6 @@ def main(argv: list[str] | None = None) -> int:
             _print(pipeline.cmd_infer(_load(args)))
         elif args.command == "report":
             _print(pipeline.cmd_report(args.out))
-        elif args.command == "gradcheck":
-            result = pipeline.cmd_gradcheck(args.seeds, args.epsilon)
-            _print(result)
-            if not result["ok"]:
-                return EXIT_NUMERIC
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -57,7 +57,7 @@ from .storage import (
     save_dataset,
     write_json,
 )
-from .types import Grouping, WindowedDataset
+from .types import ClassMetrics, Grouping, WindowedDataset
 
 
 class ConfigError(ValueError):
@@ -216,72 +216,88 @@ def _artifact(out_dir: str | Path, name: str) -> Path:
     return Path(out_dir) / ARTIFACTS[name]
 
 
-def _write_manifest(path: Path, config: PipelineConfig, stage_timings: dict[str, float],
-                    files: dict[str, Path]) -> None:
-    manifest = {
-        "config": config,
-        "stage_timings": {k: float(v) for k, v in stage_timings.items()},
-        "files": {name: content_digest(p) for name, p in sorted(files.items())},
-        "versions": {"package": __version__, "numpy": np.__version__,
-                     "python": sys.version.split()[0]},
-        "seeds": {
-            "ingest": config.ingest.seed,
-            "autoencoder": config.autoencoder.seed,
-            "classifier": config.classifier.seed,
-        },
-    }
-    write_json(path, manifest)
+@dataclass
+class _Run:
+    """What a writing verb's manifest records: its stages' wall times and the artifacts it wrote."""
+
+    out: Path
+    stage_timings: dict[str, float] = field(default_factory=dict)
+    files: dict[str, Path] = field(default_factory=dict)
+
+    def path(self, name: str) -> Path:
+        """Where artifact ``name`` goes; the manifest lists it with its digest."""
+        self.files[name] = path = _artifact(self.out, name)
+        return path
+
+    @contextmanager
+    def stage(self, name: str):
+        """Time the body as ``stage_timings[name]``."""
+        start = time.perf_counter()
+        yield
+        self.stage_timings[name] = time.perf_counter() - start
+
+
+@contextmanager
+def _writing_run(config: PipelineConfig, manifest: str):
+    """Hold the run directory's lock; if the body succeeds, write the manifest of what it recorded."""
+    run = _Run(Path(config.out_dir))
+    with run_lock(run.out):
+        yield run
+        write_json(_artifact(run.out, manifest), {
+            "config": config,
+            "stage_timings": run.stage_timings,
+            "files": {name: content_digest(path) for name, path in sorted(run.files.items())},
+            "versions": {"package": __version__, "numpy": np.__version__,
+                         "python": sys.version.split()[0]},
+            "seeds": {
+                "ingest": config.ingest.seed,
+                "autoencoder": config.autoencoder.seed,
+                "classifier": config.classifier.seed,
+            },
+        })
 
 
 def cmd_ingest(config: PipelineConfig) -> dict:
     """Build canonical train/test dataset archives from corpus or synthesis."""
-    out = Path(config.out_dir)
     opts = config.ingest
-    timings: dict[str, float] = {}
-    files: dict[str, Path] = {}
-    with run_lock(out):
-        start = time.perf_counter()
-        spec = opts.synthetic_spec()
+    spec = opts.synthetic_spec()
+    if spec is None and config.paths.dataset_root is None:
+        raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
+    with _writing_run(config, "manifest_ingest") as run:
         archetypes = None
         rejected_rows = 0
         n_sessions = 0
-        if spec is not None:
-            ds, archetypes = generate_synthetic(spec)
-        else:
-            if config.paths.dataset_root is None:
-                raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
-            sessions = discover_sessions(config.paths.dataset_root, opts.columns(),
-                                         opts.accelerometer_filename, opts.road)
-            # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
-            sessions = filter_road(sessions, opts.road)
-            if not sessions:
-                raise ArtifactError(f"no sessions left after road filter {opts.road!r}")
-            rejected_rows = sum(s.rejected_rows for s in sessions)
-            n_sessions = len(sessions)
-            ds = window_sessions(sessions, opts.window_len, opts.overlap)
-        timings["parse"] = time.perf_counter() - start
+        with run.stage("parse"):
+            if spec is not None:
+                ds, archetypes = generate_synthetic(spec)
+            else:
+                sessions = discover_sessions(config.paths.dataset_root, opts.columns(),
+                                             opts.accelerometer_filename, opts.road)
+                # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
+                sessions = filter_road(sessions, opts.road)
+                if not sessions:
+                    raise ArtifactError(f"no sessions left after road filter {opts.road!r}")
+                rejected_rows = sum(s.rejected_rows for s in sessions)
+                n_sessions = len(sessions)
+                ds = window_sessions(sessions, opts.window_len, opts.overlap)
 
-        start = time.perf_counter()
-        train_idx, test_idx = split_indices(ds, opts.train_fraction, opts.seed)
-        train_ds = ds.subset(train_idx)
-        test_ds = ds.subset(test_idx)
-        stats = None
-        if opts.normalize:
-            stats = fit_normalization(train_ds)
-            train_ds = apply_normalization(train_ds, stats)
-            test_ds = apply_normalization(test_ds, stats)
-        timings["split"] = time.perf_counter() - start
+        with run.stage("split"):
+            train_idx, test_idx = split_indices(ds, opts.train_fraction, opts.seed)
+            train_ds = ds.subset(train_idx)
+            test_ds = ds.subset(test_idx)
+            stats = None
+            if opts.normalize:
+                stats = fit_normalization(train_ds)
+                train_ds = apply_normalization(train_ds, stats)
+                test_ds = apply_normalization(test_ds, stats)
 
-        save_dataset(_artifact(out, "train_dataset"), train_ds, stats)
-        save_dataset(_artifact(out, "test_dataset"), test_ds, stats)
-        files["train_dataset"] = _artifact(out, "train_dataset")
-        files["test_dataset"] = _artifact(out, "test_dataset")
+        save_dataset(run.path("train_dataset"), train_ds, stats)
+        save_dataset(run.path("test_dataset"), test_ds, stats)
         if archetypes is not None:
-            write_json(_artifact(out, "archetypes"), {
+            write_json(run.path("archetypes"), {
                 "train": archetypes[train_idx].tolist(),
                 "test": archetypes[test_idx].tolist(),
             })
-            files["archetypes"] = _artifact(out, "archetypes")
 
         def class_counts(d: WindowedDataset) -> dict:
             return {name: int((d.labels == i).sum()) for i, name in enumerate(d.class_names)}
@@ -300,67 +316,48 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             "class_counts_test": class_counts(test_ds),
             "normalized": opts.normalize,
         }
-        write_json(_artifact(out, "ingest_report"), report)
-        files["ingest_report"] = _artifact(out, "ingest_report")
-        _write_manifest(_artifact(out, "manifest_ingest"), config, timings, files)
+        write_json(run.path("ingest_report"), report)
     return report
 
 
 def cmd_train(config: PipelineConfig) -> dict:
     """Fit the autoencoder, form consistent groups, train per-group models."""
-    out = Path(config.out_dir)
-    train_path = _artifact(out, "train_dataset")
+    train_path = _artifact(config.out_dir, "train_dataset")
     if not train_path.is_file():
         raise ArtifactError(f"missing canonical train dataset {train_path}; run ingest first")
-    timings: dict[str, float] = {}
-    files: dict[str, Path] = {}
-    with run_lock(out):
+    with _writing_run(config, "manifest_train") as run:
         with _reading_artifacts("train dataset archive"):
             ds, _, _, _ = load_dataset(train_path)
 
-        start = time.perf_counter()
-        params, report = ae.fit(ds, config.autoencoder)
-        timings["fit_autoencoder"] = time.perf_counter() - start
-        ae.save_model(_artifact(out, "model"), params, config.autoencoder, ds.n_channels)
-        write_json(_artifact(out, "train_report"), report)
-        files["model"] = _artifact(out, "model")
-        files["train_report"] = _artifact(out, "train_report")
+        with run.stage("fit_autoencoder"):
+            params, report = ae.fit(ds, config.autoencoder)
+        ae.save_model(run.path("model"), params, config.autoencoder, ds.n_channels)
+        write_json(run.path("train_report"), report)
 
-        start = time.perf_counter()
-        aecs = ae.transform(params, ds, config.autoencoder)
-        timings["transform"] = time.perf_counter() - start
-        save_aecs(_artifact(out, "aecs_train"), aecs.vectors, aecs.source_model_id)
-        files["aecs_train"] = _artifact(out, "aecs_train")
+        with run.stage("transform"):
+            aecs = ae.transform(params, ds, config.autoencoder)
+        save_aecs(run.path("aecs_train"), aecs.vectors, aecs.source_model_id)
 
         summary: dict = {"autoencoder": asdict(report)}
         if not config.train.baseline_only:
-            start = time.perf_counter()
-            cgf_result = form_consistent_groups(aecs, config.cgf)
-            timings["cgf"] = time.perf_counter() - start
-            payload = cgf_result.to_dict()
-            payload["grouping"] = cgf_result.grouping
-            write_json(_artifact(out, "cgf_train"), payload)
-            files["cgf_train"] = _artifact(out, "cgf_train")
+            with run.stage("cgf"):
+                cgf_result = form_consistent_groups(aecs, config.cgf)
+            write_json(run.path("cgf_train"), {**cgf_result.to_dict(), "grouping": cgf_result.grouping})
 
-            start = time.perf_counter()
-            bundle = train_per_group(ds, aecs, cgf_result.grouping, config.classifier)
-            timings["train_groups"] = time.perf_counter() - start
-            save_bundle(_artifact(out, "bundle_grouped"), bundle)
-            files["bundle_grouped"] = _artifact(out, "bundle_grouped")
+            with run.stage("train_groups"):
+                bundle = train_per_group(ds, aecs, cgf_result.grouping, config.classifier)
+            save_bundle(run.path("bundle_grouped"), bundle)
             summary["cgf"] = {"K": cgf_result.grouping.K, "measure": cgf_result.grouping.measure,
                               "stopped_by": cgf_result.stopped_by}
             summary["group_sizes"] = cgf_result.grouping.group_sizes().tolist()
             summary["group_warnings"] = bundle.warnings
 
         if config.train.baseline or config.train.baseline_only:
-            start = time.perf_counter()
-            baseline = train_single_baseline(ds, aecs, config.classifier)
-            timings["train_baseline"] = time.perf_counter() - start
-            save_bundle(_artifact(out, "bundle_baseline"), baseline)
-            files["bundle_baseline"] = _artifact(out, "bundle_baseline")
+            with run.stage("train_baseline"):
+                baseline = train_single_baseline(ds, aecs, config.classifier)
+            save_bundle(run.path("bundle_baseline"), baseline)
 
-        _write_manifest(_artifact(out, "manifest_train"), config, timings, files)
-        summary["files"] = {k: str(v) for k, v in files.items()}
+        summary["files"] = {k: str(v) for k, v in run.files.items()}
     return summary
 
 
@@ -381,6 +378,11 @@ def _write_predictions_csv(path: Path, predictions: np.ndarray, truth: np.ndarra
     ))
 
 
+def _headline(metrics: ClassMetrics) -> dict:
+    return {"accuracy": metrics.accuracy, "f1_macro": metrics.f1_macro,
+            "f1_weighted": metrics.f1_weighted}
+
+
 def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = Path(config.out_dir)
@@ -391,9 +393,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
     if not _artifact(out, bundle_name).is_file():
         raise ArtifactError(f"missing artifact {_artifact(out, bundle_name)}; run train first")
 
-    timings: dict[str, float] = {}
-    files: dict[str, Path] = {}
-    with run_lock(out):
+    with _writing_run(config, "manifest_infer") as run:
         with _reading_artifacts("run artifact"):
             test_ds, _, has_labels, _ = load_dataset(_artifact(out, "test_dataset"))
             params, model_config, d = ae.load_model(_artifact(out, "model"))
@@ -405,18 +405,14 @@ def cmd_infer(config: PipelineConfig) -> dict:
         if train_aecs.source_model_id != model_digest:
             raise ArtifactError("stored train representations come from a different model")
 
-        start = time.perf_counter()
-        test_aecs = ae.transform(params, test_ds, model_config)
-        timings["transform"] = time.perf_counter() - start
-        save_aecs(_artifact(out, "aecs_test"), test_aecs.vectors, test_aecs.source_model_id)
-        files["aecs_test"] = _artifact(out, "aecs_test")
+        with run.stage("transform"):
+            test_aecs = ae.transform(params, test_ds, model_config)
+        save_aecs(run.path("aecs_test"), test_aecs.vectors, test_aecs.source_model_id)
 
-        start = time.perf_counter()
-        test_cgf = form_consistent_groups(test_aecs, config.cgf)
-        timings["test_cgf"] = time.perf_counter() - start
+        with run.stage("test_cgf"):
+            test_cgf = form_consistent_groups(test_aecs, config.cgf)
         test_grouping = test_cgf.grouping
-        write_json(_artifact(out, "cgf_test"), test_cgf.to_dict())
-        files["cgf_test"] = _artifact(out, "cgf_test")
+        write_json(run.path("cgf_test"), test_cgf.to_dict())
 
         # The baseline bundle's single group was never clustered, so
         # baseline-only mapping uses the measure the test side selected.
@@ -425,25 +421,21 @@ def cmd_infer(config: PipelineConfig) -> dict:
         ctx = (fit_mahalanobis(train_aecs)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
 
-        start = time.perf_counter()
-        results = {}
-        for method in (MappingMethod.AVG, MappingMethod.CR_CR):
-            pred, mapping_report = infer_with_groups(
-                bundle, train_aecs, test_ds, test_aecs, test_grouping,
-                method=method, measure=measure, ctx=ctx,
-            )
-            results[method] = (pred, mapping_report)
-        timings["mapping"] = time.perf_counter() - start
-        write_json(_artifact(out, "mapping_avg"), results[MappingMethod.AVG][1])
-        write_json(_artifact(out, "mapping_cr_cr"), results[MappingMethod.CR_CR][1])
-        files["mapping_avg"] = _artifact(out, "mapping_avg")
-        files["mapping_cr_cr"] = _artifact(out, "mapping_cr_cr")
+        with run.stage("mapping"):
+            results = {}
+            for method in (MappingMethod.AVG, MappingMethod.CR_CR):
+                pred, mapping_report = infer_with_groups(
+                    bundle, train_aecs, test_ds, test_aecs, test_grouping,
+                    method=method, measure=measure, ctx=ctx,
+                )
+                results[method] = (pred, mapping_report)
+        write_json(run.path("mapping_avg"), results[MappingMethod.AVG][1])
+        write_json(run.path("mapping_cr_cr"), results[MappingMethod.CR_CR][1])
 
         predictions, mapping_report = results[config.mapping.method]
         truth = test_ds.labels if has_labels else None
-        _write_predictions_csv(_artifact(out, "predictions"), predictions, truth,
+        _write_predictions_csv(run.path("predictions"), predictions, truth,
                                test_grouping.assignment, mapping_report.chosen())
-        files["predictions"] = _artifact(out, "predictions")
 
         report: dict = {
             "mapping_method": config.mapping.method.value,
@@ -454,28 +446,17 @@ def cmd_infer(config: PipelineConfig) -> dict:
         }
         if has_labels:
             grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
-            write_json(_artifact(out, "metrics"), grouped_metrics)
-            files["metrics"] = _artifact(out, "metrics")
-            report["grouped"] = {
-                "accuracy": grouped_metrics.accuracy,
-                "f1_macro": grouped_metrics.f1_macro,
-                "f1_weighted": grouped_metrics.f1_weighted,
-            }
+            write_json(run.path("metrics"), grouped_metrics)
+            report["grouped"] = _headline(grouped_metrics)
             baseline_path = _artifact(out, "bundle_baseline")
             if baseline_path.is_file() and not config.train.baseline_only:
                 with _reading_artifacts("baseline bundle"):
                     baseline = load_bundle(baseline_path)
                 baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
                 baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
-                report["baseline"] = {
-                    "accuracy": baseline_metrics.accuracy,
-                    "f1_macro": baseline_metrics.f1_macro,
-                    "f1_weighted": baseline_metrics.f1_weighted,
-                }
+                report["baseline"] = _headline(baseline_metrics)
                 report["delta_f1_macro"] = grouped_metrics.f1_macro - baseline_metrics.f1_macro
-        write_json(_artifact(out, "infer_report"), report)
-        files["infer_report"] = _artifact(out, "infer_report")
-        _write_manifest(_artifact(out, "manifest_infer"), config, timings, files)
+        write_json(run.path("infer_report"), report)
     return report
 
 
@@ -497,6 +478,8 @@ def _pca_2d(x: np.ndarray) -> np.ndarray:
 def cmd_report(run_dir: str | Path) -> dict:
     """Export composition tables, projection coordinates, and score bars."""
     out = Path(run_dir)
+    if not out.is_dir():
+        raise ArtifactError(f"run directory {out} does not exist")
     notices: list[str] = []
     written: dict[str, str] = {}
 
@@ -575,23 +558,4 @@ def cmd_report(run_dir: str | Path) -> dict:
     summary = {"written": written, "notices": notices}
     write_json(out / "report_summary.json", summary)
     return summary
-
-
-def cmd_gradcheck(n_seeds: int = 5, epsilon: float = 1e-5, threshold: float = 1e-4) -> dict:
-    """Finite-difference audit of the autoencoder gradients on tiny nets."""
-    from .rng import derive_seed, seeded_rng
-
-    config = ae.AutoencoderConfig(hidden1=3, hidden2=2, epochs=1, batch_size=1)
-    results = []
-    for seed in range(n_seeds):
-        params = ae.init_params(config, d=2, seed=seed)
-        rng = seeded_rng(derive_seed(seed, "gradcheck", "window"))
-        window = rng.standard_normal((5, 2))
-        worst = ae.gradient_check(params, window, epsilon)
-        results.append({"seed": seed, "max_relative_error": worst, "ok": bool(worst < threshold)})
-    return {
-        "threshold": threshold,
-        "results": results,
-        "ok": all(r["ok"] for r in results),
-    }
 

@@ -132,6 +132,14 @@ class Grouping:
         self.iteration_trace = [(int(k), int(size)) for k, size in self.iteration_trace]
         if self.assignment.ndim != 1 or self.assignment.size < 1:
             raise ValueError("assignment must be a nonempty 1-D array")
+        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
+        if not isinstance(self.measure, str):
+            raise ValueError(f"measure must be a string, got {self.measure!r}")
+        if not (isinstance(self.hubert_scores, dict) and all(
+                isinstance(name, str) and isinstance(rho, (int, float)) and not isinstance(rho, bool)
+                for name, rho in self.hubert_scores.items())):
+            raise ValueError(f"hubert_scores must map measure names to numbers, got {self.hubert_scores!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         present = np.unique(self.assignment)

@@ -1,7 +1,10 @@
 """Command-line exit codes and the end-to-end synthetic workflow."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _load, build_parser, main
-from tsgroups.storage import read_archive, write_archive
+from tsgroups.pipeline import ARTIFACTS
+from tsgroups.storage import content_digest, read_archive, write_archive
 
 
 def write_config(directory, **overrides):
@@ -47,14 +51,14 @@ def test_parser_accepts_every_verb():
     assert parser.parse_args(["train", "--epochs", "3"]).command == "train"
     assert parser.parse_args(["infer", "--mapping", "CR_CR"]).command == "infer"
     assert parser.parse_args(["report", "--out", "somewhere"]).command == "report"
-    assert parser.parse_args(["gradcheck", "--seeds", "2"]).command == "gradcheck"
 
 
 def test_missing_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["selftest"])
+    for retired in ("selftest", "gradcheck"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([retired])
 
 
 def test_unknown_config_section_exits_config(tmp_path):
@@ -105,6 +109,7 @@ def test_ingest_without_any_source_exits_config(tmp_path):
     path = tmp_path / "none.json"
     path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r")}}))
     assert main(["ingest", "--config", str(path)]) == EXIT_CONFIG
+    assert not (tmp_path / "r").exists()
 
 
 def test_infer_without_artifacts_exits_io(tmp_path):
@@ -113,8 +118,11 @@ def test_infer_without_artifacts_exits_io(tmp_path):
     assert main(["infer", "--config", str(config_path)]) == EXIT_IO
 
 
-def test_report_on_missing_directory_exits_io(tmp_path):
-    assert main(["report", "--out", str(tmp_path / "never_made")]) == EXIT_IO
+def test_report_on_missing_directory_exits_io(tmp_path, capsys):
+    missing = tmp_path / "never_made"
+    assert main(["report", "--out", str(missing)]) == EXIT_IO
+    assert capsys.readouterr().err == f"io error: run directory {missing} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_full_flow_writes_expected_artifacts(completed_run):
@@ -145,6 +153,33 @@ def test_full_flow_outputs_parse(completed_run):
     summary = json.loads((run_dir / "report_summary.json").read_text())
     assert summary["notices"] == []
     assert len(summary["written"]) == 5
+
+
+# Each writing verb's stage_timings keys, in the order it runs them.
+VERB_STAGES = {
+    "ingest": ["parse", "split"],
+    "train": ["fit_autoencoder", "transform", "cgf", "train_groups", "train_baseline"],
+    "infer": ["transform", "test_cgf", "mapping"],
+}
+
+
+def test_manifests_list_what_each_verb_wrote(tmp_path):
+    config_path, run_dir = write_config(tmp_path)
+    written, before = {}, set()
+    for verb in VERB_STAGES:
+        assert main([verb, "--config", str(config_path)]) == EXIT_OK
+        after = {path.name for path in run_dir.iterdir()}
+        written[verb], before = after - before - {f"manifest_{verb}.json"}, after
+    for verb, stages in VERB_STAGES.items():
+        manifest = json.loads((run_dir / f"manifest_{verb}.json").read_text())
+        assert {ARTIFACTS[name] for name in manifest["files"]} == written[verb], verb
+        for name, digest in manifest["files"].items():
+            assert digest == content_digest(run_dir / ARTIFACTS[name]), (verb, name)
+        assert list(manifest["stage_timings"]) == sorted(stages), verb
+    (run_dir / "manifest_infer.json").unlink()
+    truncate(run_dir / "bundle_grouped.zip")
+    assert main(["infer", "--config", str(config_path)]) == EXIT_IO
+    assert not (run_dir / "manifest_infer.json").exists()
 
 
 def test_seed_override_lands_in_manifest(tmp_path):
@@ -265,6 +300,13 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("cgf_train.json", lambda path: path.write_text("[]"), "report"),
         ("cgf_test.json", lambda path: path.write_text("[]"), "report"),
         ("cgf_train.json", out_of_range_group_id, "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"].update(K=True)), "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"].update(K=str(d["grouping"]["K"]))),
+         "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"].update(measure=5)), "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"].update(hubert_scores=[])), "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"]["hubert_scores"].update(CHEBYSHEV=True)),
+         "report"),
         ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
         ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
         ("cgf_test.json", edit_json(lambda d: d.update(group_sizes="abc")), "report"),
@@ -315,13 +357,6 @@ def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
     assert rows == ["group,size"] + [f"{g},{size}" for g, size in enumerate(sizes)]
 
 
-def test_gradcheck_verb(capsys):
-    assert main(["gradcheck", "--seeds", "1"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is True
-    assert payload["results"][0]["max_relative_error"] < payload["threshold"]
-
-
 def test_out_of_range_adam_beta_exits_config(tmp_path, capsys):
     config_path, _ = write_config(tmp_path, autoencoder={"hidden1": 6, "hidden2": 3, "beta1": 1.5})
     assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
@@ -337,3 +372,28 @@ def test_cli_import_loads_no_scipy():
                             timeout=60)
     assert result.returncode == 0, result.stderr[-2000:]
     assert result.stdout.strip() == "[]"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(title):
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_table_lists_every_verb():
+    rows = re.findall(r"^\| `(\w+)` \|", readme_section("CLI reference"), re.MULTILINE)
+    verbs = next(action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert sorted(rows) == sorted(verbs)
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    section = readme_section("Quick start")
+    config = re.search(r"<<'EOF'\n(.*?\n)EOF\n", section, re.DOTALL).group(1)
+    commands = [shlex.split(line)[1:] for line in section.splitlines() if line.startswith("tsgroups ")]
+    assert [args[0] for args in commands] == ["ingest", "train", "infer", "report"]
+    (tmp_path / "config.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert main(args) == EXIT_OK, args
