@@ -6,9 +6,8 @@ regularized covariance fitted on the full set of vectors being compared.
 Mahalanobis is Euclidean distance after Cholesky whitening: with
 ``L Lᵀ = C'⁻¹``, ``sqrt(δᵀ C'⁻¹ δ) = ‖δᵀ L‖``. So one kernel reduces
 ``|x_i - y_j|`` for every measure, and only numpy is needed. It works
-feature-major over blocks of rows and adds a distance's terms in the
-order ``np.sum`` would, so its floats are those of a per-row
-``max``/``sum``.
+feature-major over blocks of rows and adds a distance's terms in feature
+order, first to last, as a plain loop over the features would.
 """
 
 from __future__ import annotations
@@ -129,78 +128,26 @@ def kernel_rows(x: np.ndarray, measure: DistanceMeasureId,
     return np.ascontiguousarray(x.T)
 
 
-def _sum_slots(h: int) -> int:
-    """Scratch blocks ``_pairwise_sum`` needs to add h terms."""
-    if h < 8:
-        return 1
-    if h <= 128:
-        return 8
-    half = h // 2 - (h // 2) % 8
-    return max(_sum_slots(half), 1 + _sum_slots(h - half))
-
-
-def _pairwise_sum(term, lo: int, hi: int, acc: np.ndarray, scratch: np.ndarray) -> None:
-    """Add terms ``lo..hi-1`` into ``acc`` in the order ``np.sum`` adds a contiguous axis.
-
-    That is numpy's pairwise summation: in sequence below 8 terms, eight
-    running sums over strides of 8 up to 128 terms, and two halves (split
-    at a multiple of 8) above. ``term(f, out)`` writes term f into ``out``.
-    """
-    n = hi - lo
-    if n < 8:
-        term(lo, acc)
-        for f in range(lo + 1, hi):
-            acc += term(f, scratch[0])
-    elif n <= 128:
-        parts = [acc, *scratch[:7]]
-        for j in range(8):
-            term(lo + j, parts[j])
-        tail = hi - n % 8
-        for base in range(lo + 8, tail, 8):
-            for j in range(8):
-                parts[j] += term(base + j, scratch[7])
-        r0, r1, r2, r3, r4, r5, r6, r7 = parts
-        r0 += r1
-        r2 += r3
-        r0 += r2
-        r4 += r5
-        r6 += r7
-        r4 += r6
-        r0 += r4
-        for f in range(tail, hi):
-            acc += term(f, scratch[7])
-    else:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(term, lo, lo + half, acc, scratch)
-        _pairwise_sum(term, lo + half, hi, scratch[0], scratch[1:])
-        acc += scratch[0]
-
-
 def _block_distances(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
                      out: np.ndarray, scratch: np.ndarray) -> None:
     """Distances from kernel columns ``xt`` (h, r) to ``yt`` (h, n) into ``out`` (r, n).
 
-    One feature at a time: ``|x_f - y_f|`` over the whole block, then
-    combined with the running result, so each distance gets the same
-    floats as ``max``/``sum`` over its row of gaps.
+    One feature at a time, in feature order: ``|x_f - y_f|`` (squared for
+    Mahalanobis) over the whole block into ``scratch``, then folded into the
+    running result with ``np.maximum`` for Chebyshev and ``np.add`` otherwise.
     """
-    def gap(f: int, dest: np.ndarray) -> np.ndarray:
-        np.subtract(xt[f, :, None], yt[f], out=dest)
-        return np.abs(dest, out=dest)
-
-    def squared_gap(f: int, dest: np.ndarray) -> np.ndarray:
-        np.subtract(xt[f, :, None], yt[f], out=dest)
-        return np.multiply(dest, dest, out=dest)
-
-    h = xt.shape[0]
-    if measure is DistanceMeasureId.CHEBYSHEV:
-        gap(0, out)
-        for f in range(1, h):
-            np.maximum(out, gap(f, scratch[0]), out=out)
-    elif measure is DistanceMeasureId.MANHATTAN:
-        _pairwise_sum(gap, 0, h, out, scratch)
-    else:
-        _pairwise_sum(squared_gap, 0, h, out, scratch)
+    fold = np.maximum if measure is DistanceMeasureId.CHEBYSHEV else np.add
+    squared = measure is DistanceMeasureId.MAHALANOBIS
+    for f in range(xt.shape[0]):
+        term = scratch if f else out
+        np.subtract(xt[f, :, None], yt[f], out=term)
+        if squared:
+            np.multiply(term, term, out=term)
+        else:
+            np.abs(term, out=term)
+        if f:
+            fold(out, term, out=out)
+    if squared:
         np.sqrt(out, out=out)
 
 
@@ -219,12 +166,11 @@ def distance_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
     (h, rows), cols = xt.shape, yt.shape[1]
     if yt.shape[0] != h:
         raise ValueError(f"width mismatch: {h} vs {yt.shape[0]}")
-    slots = 1 if measure is DistanceMeasureId.CHEBYSHEV else _sum_slots(h)
 
     def block_rows(n: int) -> int:
-        return max(1, _SCRATCH_BYTES // (8 * slots * max(n, 1)))
+        return max(1, _SCRATCH_BYTES // (8 * max(n, 1)))
 
-    flat = np.empty(min(max(_SCRATCH_BYTES // 8, slots * cols), slots * rows * cols))
+    flat = np.empty(min(max(_SCRATCH_BYTES // 8, cols), rows * cols))
     reused = np.empty(min(block_rows(cols), rows) * cols) if out is None else None
     lo = 0
     while lo < rows:
@@ -232,7 +178,7 @@ def distance_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
         n = cols - first
         hi = min(lo + block_rows(n), rows)
         block = reused[:(hi - lo) * n].reshape(hi - lo, n) if out is None else out[lo:hi, first:]
-        scratch = flat[: slots * (hi - lo) * n].reshape(slots, hi - lo, n)
+        scratch = flat[:(hi - lo) * n].reshape(hi - lo, n)
         _block_distances(xt[:, lo:hi], yt[:, first:], measure, block, scratch)
         if upper:
             out[hi:, lo:hi] = block[:, hi - lo:].T

@@ -261,8 +261,12 @@ def cmd_ingest(config: PipelineConfig) -> dict:
     """Build canonical train/test dataset archives from corpus or synthesis."""
     opts = config.ingest
     spec = opts.synthetic_spec()
-    if spec is None and config.paths.dataset_root is None:
-        raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
+    if spec is None:  # check the corpus side before the run directory is made
+        if config.paths.dataset_root is None:
+            raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
+        columns, root = opts.columns(), Path(config.paths.dataset_root)
+        if not root.is_dir():
+            raise FileNotFoundError(f"corpus root {root} is not a directory")
     with _writing_run(config, "manifest_ingest") as run:
         archetypes = None
         rejected_rows = 0
@@ -271,8 +275,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             if spec is not None:
                 ds, archetypes = generate_synthetic(spec)
             else:
-                sessions = discover_sessions(config.paths.dataset_root, opts.columns(),
-                                             opts.accelerometer_filename, opts.road)
+                sessions = discover_sessions(root, columns, opts.accelerometer_filename, opts.road)
                 # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
                 sessions = filter_road(sessions, opts.road)
                 if not sessions:

@@ -64,13 +64,22 @@ def naive_pairwise(x: np.ndarray, measure: DistanceMeasureId,
     return out
 
 
+def feature_order_sum(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms`` (r, h), adding the columns one at a time, first to last."""
+    total = terms[:, 0].copy()
+    for f in range(1, terms.shape[1]):
+        total += terms[:, f]
+    return total
+
+
 def rowloop_pairwise_matrix(x: np.ndarray, measure: DistanceMeasureId,
                             ctx: MahalanobisContext | None = None) -> np.ndarray:
     """Row-at-a-time pairwise matrix with Mahalanobis as a quadratic form.
 
     Each upper-triangle row is reduced straight from ``y - x_i`` and
-    mirrored into the lower half. Mahalanobis is ``sqrt(δᵀ C'⁻¹ δ)`` through
-    ``einsum`` with the inverse covariance, independent of any whitening.
+    mirrored into the lower half; Manhattan adds its terms in feature
+    order. Mahalanobis is ``sqrt(δᵀ C'⁻¹ δ)`` through ``einsum`` with the
+    inverse covariance, independent of any whitening.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     m = x.shape[0]
@@ -80,7 +89,7 @@ def rowloop_pairwise_matrix(x: np.ndarray, measure: DistanceMeasureId,
         if measure is DistanceMeasureId.CHEBYSHEV:
             row = np.max(np.abs(diff), axis=1)
         elif measure is DistanceMeasureId.MANHATTAN:
-            row = np.sum(np.abs(diff), axis=1)
+            row = feature_order_sum(np.abs(diff))
         else:
             q = np.einsum("ij,jk,ik->i", diff, ctx.inverse_covariance, diff)
             row = np.sqrt(np.maximum(q, 0.0))
@@ -91,7 +100,7 @@ def rowloop_pairwise_matrix(x: np.ndarray, measure: DistanceMeasureId,
 
 def rowloop_cross_distances(x: np.ndarray, y: np.ndarray, measure: DistanceMeasureId,
                             ctx: MahalanobisContext | None = None) -> np.ndarray:
-    """One row of ``cross_distances`` per Python step, reduced with numpy's own ``max``/``sum``.
+    """One row of ``cross_distances`` per Python step: numpy's ``max``, or sums in feature order.
 
     Mahalanobis reduces the rows after whitening with ``ctx.whitening``, so
     this is the fast kernel's float-for-float oracle.
@@ -107,9 +116,9 @@ def rowloop_cross_distances(x: np.ndarray, y: np.ndarray, measure: DistanceMeasu
         if measure is DistanceMeasureId.CHEBYSHEV:
             out[i] = np.max(gap, axis=1)
         elif measure is DistanceMeasureId.MANHATTAN:
-            out[i] = np.sum(gap, axis=1)
+            out[i] = feature_order_sum(gap)
         else:
-            out[i] = np.sqrt(np.sum(gap * gap, axis=1))
+            out[i] = np.sqrt(feature_order_sum(gap * gap))
     return out
 
 

@@ -112,6 +112,18 @@ def test_ingest_without_any_source_exits_config(tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("paths, ingest, code, message", [
+    ({"dataset_root": "nowhere"}, {}, EXIT_IO, "io error: corpus root nowhere is not a directory"),
+    ({"dataset_root": "."}, {"column_map": {"acc_x": -1}}, EXIT_CONFIG, "config error: bad column_map"),
+], ids=["missing-root", "bad-column-map"])
+def test_ingest_with_a_bad_corpus_makes_no_run_directory(tmp_path, capsys, paths, ingest, code, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r"), **paths}, "ingest": ingest}))
+    assert main(["ingest", "--config", str(path)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "r").exists()
+
+
 def test_infer_without_artifacts_exits_io(tmp_path):
     config_path, run_dir = write_config(tmp_path)
     run_dir.mkdir()

@@ -166,10 +166,11 @@ def scaled_vectors(rng, n, h):
     return rng.standard_normal((n, h)) * 10.0 ** rng.integers(-3, 4, size=h)
 
 
-@pytest.mark.parametrize("scratch_bytes", [None, 4096])
+@pytest.mark.parametrize("scratch_bytes", [None, 4096, 8])
 @pytest.mark.parametrize("h", [1, 2, 7, 8, 9, 12, 16, 17, 130])
 def test_kernel_matches_row_loop_bit_for_bit(h, scratch_bytes, monkeypatch):
-    # A 4 KB budget forces blocks down to one row, so every block edge is crossed.
+    # 4 KB gives blocks of 3 to 12 rows with ragged tails, mirrored as tiles;
+    # 8 bytes, one float, gives one-row blocks for every operand pair.
     if scratch_bytes is not None:
         monkeypatch.setattr(distances, "_SCRATCH_BYTES", scratch_bytes)
     rng = seeded_rng(100 + h)

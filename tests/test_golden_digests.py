@@ -1,8 +1,10 @@
-"""Pinned artifact digests of two small fixed-seed pipeline runs.
+"""Pinned artifact digests of three small fixed-seed pipeline runs.
 
 Each run goes through ingest, train and infer on a synthetic corpus: one
-with AR(1) noise, and one without noise, where every window of an
-(archetype, class) cell is an exact copy of the others. The test compares
+with AR(1) noise; one without noise, where every window of an
+(archetype, class) cell is an exact copy of the others; and one with AR(1)
+noise at the default autoencoder widths, whose 12-wide vectors make each
+distance add twelve terms, as in a full-size run. The test compares
 every artifact's ``content_digest`` with ``golden_digests.json``. For files
 other than JSON that digest is of the raw bytes, so ``model.bin`` is
 compared byte for byte.
@@ -48,6 +50,11 @@ RUNS = {
         "ingest": {"seed": 6, "synthetic": {"windows_per_class": 30, "t": 24, "d": 3, "seed": 6,
                                             "noise_sigmas": [0.0, 0.0, 0.0]}},
         **_COMMON,
+    },
+    "default-widths": {
+        "ingest": {"seed": 7, "synthetic": {"windows_per_class": 30, "t": 24, "d": 3, "seed": 7}},
+        **_COMMON,
+        "autoencoder": {"epochs": 3, "seed": 5},
     },
 }
 

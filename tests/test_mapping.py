@@ -142,9 +142,9 @@ def test_avg_holds_no_train_by_test_matrix(monkeypatch):
     ctx = fit_mahalanobis(train)
     # With one test row a candidate is one distance, so a change in its last bit shows.
     for test in (tests, tests[:1]):
-        # Four rows of eight sum slots per block: 601 train rows leave a
-        # one-row tail, and a peak near m^2 could only be a matrix.
-        monkeypatch.setattr(distances, "_SCRATCH_BYTES", 4 * len(test) * 8 * 8)
+        # Four rows per block: 601 train rows leave a one-row tail, and a
+        # peak near m^2 could only be a matrix.
+        monkeypatch.setattr(distances, "_SCRATCH_BYTES", 4 * len(test) * 8)
         for measure in MEASURE_ORDER:
             tracemalloc.start()
             try:
