@@ -7,6 +7,11 @@ previous output frame, reconstructs the window in original time order.
 Forward, full backpropagation through time, and the Adam update are all
 plain numpy, verified against central finite differences.
 
+Training is mixed precision: each step runs the forward pass and BPTT in
+float32 on a float32 copy of the weights, and Adam updates float64
+master weights with the gradient cast back to float64. The validation
+loss, ``transform``, the saved model and its digest are float64.
+
 The state runs feature-major: hidden state, cell state and gates are
 (n, B) arrays, one column per window. Each layer has one (4n, in + n)
 weight matrix and one bias, with the gate rows in the order i, f, o, g,
@@ -17,10 +22,12 @@ array. ``tests/reference.py`` keeps the batch-major, gate-by-gate model
 as the oracle.
 
 There is one encoder pass and one decoder pass, shared by training, the
-validation loss, ``transform`` and the finite-difference audit. A pass
-keeps per-step cell caches only when its caller hands it lists to fill,
-which only backprop needs; ``transform`` encodes the whole set at once,
-so a window's vector does not depend on the other windows beside it.
+validation loss, ``transform`` and the finite-difference audit in
+``tests/reference.py``. Each computes in the dtype of the windows it is
+given. A pass keeps per-step cell caches only when its caller hands it
+lists to fill, which only backprop needs; ``transform`` encodes the
+whole set at once, so a window's vector does not depend on the other
+windows beside it.
 """
 
 from __future__ import annotations
@@ -138,8 +145,8 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     return arrays
 
 
-def _zeros(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    return _views(np.zeros(sum(math.prod(s) for s in shapes.values())), shapes)
+def _zeros(shapes: dict[str, tuple[int, ...]], dtype: np.dtype = np.float64) -> dict[str, np.ndarray]:
+    return _views(np.zeros(sum(math.prod(s) for s in shapes.values()), dtype), shapes)
 
 
 def _buffer(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -232,8 +239,8 @@ def _encoder_forward(params: dict[str, np.ndarray], x: np.ndarray,
     w1, b1 = params["enc1.W"], params["enc1.b"]
     w2, b2 = params["enc2.W"], params["enc2.b"]
     batch = x.shape[0]
-    h1, c1 = np.zeros((2, b1.size // 4, batch))
-    h2, c2 = np.zeros((2, b2.size // 4, batch))
+    h1, c1 = np.zeros((2, b1.size // 4, batch), x.dtype)
+    h2, c2 = np.zeros((2, b2.size // 4, batch), x.dtype)
     for t in range(x.shape[1]):
         h1, c1, cache1 = _cell_forward(w1, b1, x[:, t].T, h1, c1)
         h2, c2, cache2 = _cell_forward(w2, b2, h1, h2, c2)
@@ -255,9 +262,9 @@ def _decoder_forward(params: dict[str, np.ndarray], aecs: np.ndarray, t_len: int
     w2, b2 = params["dec2.W"], params["dec2.b"]
     w_out, b_out = params["out.W"], params["out.b"]
     batch, d = aecs.shape[1], b_out.size
-    h1, c1 = aecs, np.zeros(aecs.shape)
-    h2, c2 = np.zeros((2, b2.size // 4, batch))
-    y_prev = np.zeros((d, batch))
+    h1, c1 = aecs, np.zeros_like(aecs)
+    h2, c2 = np.zeros((2, b2.size // 4, batch), aecs.dtype)
+    y_prev = np.zeros((d, batch), aecs.dtype)
     recon = np.empty((batch, t_len, d), dtype=aecs.dtype)
     for t in range(t_len):
         h1, c1, cache1 = _cell_forward(w1, b1, y_prev, h1, c1)
@@ -290,7 +297,7 @@ def _backward(params: dict[str, np.ndarray], x: np.ndarray, recon: np.ndarray,
     """Gradients of the batch MSE for every parameter, as views of one buffer."""
     enc1, enc2, dec1, dec2, dec_h2 = caches
     batch, t_len, d = x.shape
-    grads = _zeros({key: p.shape for key, p in params.items()})
+    grads = _zeros({key: p.shape for key, p in params.items()}, x.dtype)
     w_out = params["out.W"]
     h1n, h2n = params["enc1.b"].size // 4, params["enc2.b"].size // 4
 
@@ -299,9 +306,9 @@ def _backward(params: dict[str, np.ndarray], x: np.ndarray, recon: np.ndarray,
                               grads[f"{layer}.W"], grads[f"{layer}.b"])
 
     dy_loss = 2.0 * (recon - x) / recon.size
-    du_next = np.zeros((d, batch))
-    dh1, dc1 = np.zeros((2, h2n, batch))
-    dh2, dc2 = np.zeros((2, h1n, batch))
+    du_next = np.zeros((d, batch), x.dtype)
+    dh1, dc1 = np.zeros((2, h2n, batch), x.dtype)
+    dh2, dc2 = np.zeros((2, h1n, batch), x.dtype)
     for t in range(t_len - 1, -1, -1):
         dy = dy_loss[:, t].T + du_next
         grads["out.W"] += dy @ dec_h2[t].T
@@ -312,8 +319,8 @@ def _backward(params: dict[str, np.ndarray], x: np.ndarray, recon: np.ndarray,
         du_next, dh1 = dz1[:d], dz1[d:]
 
     # dh1 is now the gradient of the AECS, layer 2's final hidden state.
-    dh2, dc2 = dh1, np.zeros(dh1.shape)
-    dh1, dc1 = np.zeros((2, h1n, batch))
+    dh2, dc2 = dh1, np.zeros_like(dh1)
+    dh1, dc1 = np.zeros((2, h1n, batch), x.dtype)
     for t in range(t_len - 1, -1, -1):
         dz2, dc2 = cell("enc2", enc2[t], dh2, dc2)
         dh2 = dz2[h1n:]
@@ -346,16 +353,23 @@ def clip_global_norm(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> floa
 
 def train_step(params: dict[str, np.ndarray], batch: np.ndarray, state: AdamState,
                config: AutoencoderConfig) -> float:
-    """One forward/backward/Adam update on a batch; mutates params and state."""
-    batch = np.asarray(batch, dtype=np.float64)
+    """One forward/backward/Adam update on a batch; mutates params and state.
+
+    The forward pass and BPTT run in float32, on the batch as float32 and
+    on a float32 copy of the float64 parameter buffer made for this step.
+    The gradient is cast back to float64 for clipping and Adam, which
+    update the float64 buffer and moments.
+    """
+    batch = np.asarray(batch, dtype=np.float32)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValueError(f"batch must be nonempty (B, t, d), got shape {batch.shape}")
     flat = _buffer(params)
+    work = _views(flat.astype(np.float32), {key: p.shape for key, p in params.items()})
     caches: tuple[list, ...] = ([], [], [], [], [])
-    value, recon = _reconstruction_loss(params, batch, caches)
+    value, recon = _reconstruction_loss(work, batch, caches)
     if not np.isfinite(value):
         raise DivergenceError(f"training loss diverged to {value} at step {state.step + 1}")
-    grad = _buffer(_backward(params, batch, recon, caches))
+    grad = _buffer(_backward(work, batch, recon, caches)).astype(np.float64)
     clip_global_norm(grad)
 
     state.step += 1
@@ -375,7 +389,9 @@ def fit(dataset: WindowedDataset | np.ndarray,
     """Train with shuffled mini-batches; early-stop on a held-out tenth.
 
     Returns the parameters from the epoch with the best validation MSE
-    along with the full loss trace.
+    along with the full loss trace. The training windows are converted to
+    float32 once, for ``train_step``; the validation MSE that picks the
+    best epoch is taken in float64.
     """
     x = dataset.windows if isinstance(dataset, WindowedDataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] < 1:
@@ -390,7 +406,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
     if config.val_fraction > 0 and m >= 2:
         n_val = max(1, min(n_val, m - 1))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_train, x_val = x[train_idx], x[val_idx]
+    x_train, x_val = x[train_idx].astype(np.float32), x[val_idx]
 
     params = init_params(config, d)
     flat = _buffer(params)
@@ -464,58 +480,6 @@ def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarr
     if not np.all(np.isfinite(vectors)):
         raise DivergenceError("encoder produced non-finite representation values")
     return AecsMatrix(vectors=vectors, source_model_id=model_id(params, config, d_expected))
-
-
-def finite_difference_gradients(params: dict[str, np.ndarray], batch: np.ndarray,
-                                epsilon: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference estimate of the loss gradient, one scalar at a time.
-
-    Losses are evaluated in the widest float numpy offers so the
-    difference quotient stays meaningful even where the true gradient is
-    close to zero and float64 rounding would swamp it.
-    """
-    wide = np.longdouble
-    batch = np.asarray(batch, dtype=np.float64).astype(wide)
-    work = {key: p.astype(wide) for key, p in params.items()}
-    eps = wide(epsilon)
-    grads = {}
-    for key, p in work.items():
-        g = np.zeros(p.shape, dtype=np.float64)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + eps
-            hi, _ = _reconstruction_loss(work, batch)
-            flat_p[idx] = orig - eps
-            lo, _ = _reconstruction_loss(work, batch)
-            flat_p[idx] = orig
-            flat_g[idx] = float((hi - lo) / (2 * eps))
-        grads[key] = g
-    return grads
-
-
-def gradient_check(params: dict[str, np.ndarray], window: np.ndarray,
-                   epsilon: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and numeric gradients."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 2:
-        batch = window[None]
-    elif window.ndim == 3:
-        batch = window
-    else:
-        raise ValueError(f"window must be (t, d) or (B, t, d), got shape {window.shape}")
-    caches: tuple[list, ...] = ([], [], [], [], [])
-    _, recon = _reconstruction_loss(params, batch, caches)
-    analytic = _backward(params, batch, recon, caches)
-    numeric = finite_difference_gradients(params, batch, epsilon)
-    worst = 0.0
-    for key in params:
-        ga = analytic[key].reshape(-1)
-        gn = numeric[key].reshape(-1)
-        denom = np.maximum(1e-8, np.abs(ga) + np.abs(gn))
-        worst = max(worst, float(np.max(np.abs(ga - gn) / denom)))
-    return worst
 
 
 def model_id(params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> str:

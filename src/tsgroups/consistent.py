@@ -39,9 +39,15 @@ class CgfConfig:
             raise ValueError(f"k_start must be >= 2, got {self.k_start}")
         if self.k_max is not None and self.k_max < self.k_start:
             raise ValueError(f"k_max {self.k_max} below k_start {self.k_start}")
+        if self.k_max is None and self.k_start > DEFAULT_K_CAP:
+            raise ValueError(f"k_start {self.k_start} is above the default k_max {DEFAULT_K_CAP}; set k_max")
         self.linkage = Linkage(self.linkage)
 
-    def effective_k_max(self, n_instances: int) -> int:
+    def effective_k_max(self, n_instances: int, data: str = "the data") -> int:
+        """The largest group count to try on n_instances; ValueError if they are too few to group."""
+        if n_instances <= self.k_start:
+            raise ValueError(f"{data} has {n_instances} instances, too few to group: "
+                             f"k_start {self.k_start} needs at least {self.k_start + 1}")
         cap = DEFAULT_K_CAP if self.k_max is None else self.k_max
         return min(cap, n_instances - 1)
 
@@ -80,13 +86,7 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     config = config or CgfConfig()
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
     m = x.shape[0]
-    if m < 3:
-        raise ValueError(f"need at least 3 instances, got {m}")
     k_max = config.effective_k_max(m)
-    if config.k_start > k_max:
-        raise ValueError(
-            f"k_start {config.k_start} exceeds the feasible maximum {k_max} for {m} instances"
-        )
     min_size = config.tau * m
 
     selection = select_best_measure(aecs, config.k_start, config.linkage)

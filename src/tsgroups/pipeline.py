@@ -331,6 +331,8 @@ def cmd_train(config: PipelineConfig) -> dict:
     with _writing_run(config, "manifest_train") as run:
         with _reading_artifacts("train dataset archive"):
             ds, _, _, _ = load_dataset(train_path)
+        if not config.train.baseline_only:  # fail before the model is written
+            config.cgf.effective_k_max(ds.n_windows, "the train split")
 
         with run.stage("fit_autoencoder"):
             params, report = ae.fit(ds, config.autoencoder)
@@ -402,6 +404,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
             params, model_config, d = ae.load_model(_artifact(out, "model"))
             train_aecs = load_aecs(_artifact(out, "aecs_train"))
             bundle = load_bundle(_artifact(out, bundle_name))
+        config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
         model_digest = ae.model_id(params, model_config, d)
         if bundle.aecs_model_id != model_digest:
             raise ArtifactError("bundle was trained against a different autoencoder model")

@@ -2,7 +2,9 @@
 
 Everything here recomputes results with plain double loops and
 first-principles definitions, deliberately sharing no code with the
-fast paths the tests compare them against.
+fast paths the tests compare them against. The finite-difference audit
+is the one exception: it differentiates the autoencoder's own loss
+numerically, to check that loss's analytic gradient.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tsgroups.autoencoder import _backward, _reconstruction_loss
 from tsgroups.distances import DistanceMeasureId, MahalanobisContext
 from tsgroups.hierarchy import Dendrogram, Linkage
 from tsgroups.ingest import ACCELEROMETER_FILENAME, ColumnMap, RawSession, parse_session_name
@@ -399,6 +402,56 @@ def naive_autoencoder_loss_and_gradients(params: dict[str, np.ndarray], x: np.nd
         dz1, dc1 = back("enc1", t, dz2[:, :n1] + dh1, dc1)
         dh1 = dz1[:, d:]
     return loss, grads
+
+
+def finite_difference_gradients(params: dict[str, np.ndarray], batch: np.ndarray,
+                                epsilon: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central-difference estimate of the loss gradient, one scalar at a time.
+
+    Losses are evaluated in the widest float numpy offers so the
+    difference quotient stays meaningful even where the true gradient is
+    close to zero and float64 rounding would swamp it.
+    """
+    wide = np.longdouble
+    batch = np.asarray(batch, dtype=np.float64).astype(wide)
+    work = {key: p.astype(wide) for key, p in params.items()}
+    eps = wide(epsilon)
+    grads = {}
+    for key, p in work.items():
+        g = np.zeros(p.shape, dtype=np.float64)
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for idx in range(flat_p.size):
+            orig = flat_p[idx]
+            flat_p[idx] = orig + eps
+            hi, _ = _reconstruction_loss(work, batch)
+            flat_p[idx] = orig - eps
+            lo, _ = _reconstruction_loss(work, batch)
+            flat_p[idx] = orig
+            flat_g[idx] = float((hi - lo) / (2 * eps))
+        grads[key] = g
+    return grads
+
+
+def worst_relative_gap(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
+    """Largest |a - n| / max(1e-8, |a| + |n|) over every parameter entry."""
+    worst = 0.0
+    for key, ga in analytic.items():
+        gn = numeric[key]
+        denom = np.maximum(1e-8, np.abs(ga) + np.abs(gn))
+        worst = max(worst, float(np.max(np.abs(ga - gn) / denom)))
+    return worst
+
+
+def gradient_check(params: dict[str, np.ndarray], window: np.ndarray,
+                   epsilon: float = 1e-5) -> float:
+    """Max relative disagreement between analytic and numeric gradients on one (t, d) window."""
+    batch = np.asarray(window, dtype=np.float64)[None]
+    caches: tuple[list, ...] = ([], [], [], [], [])
+    _, recon = _reconstruction_loss(params, batch, caches)
+    analytic = _backward(params, batch, recon, caches)
+    numeric = finite_difference_gradients(params, batch, epsilon)
+    return worst_relative_gap(analytic, numeric)
 
 
 def rowloop_parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,

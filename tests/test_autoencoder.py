@@ -7,7 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import naive_autoencoder_loss_and_gradients, naive_cell_backward, naive_cell_forward
+from reference import (
+    finite_difference_gradients,
+    gradient_check,
+    naive_autoencoder_loss_and_gradients,
+    naive_cell_backward,
+    naive_cell_forward,
+    worst_relative_gap,
+)
 
 from tsgroups import autoencoder as ae
 from tsgroups.ingest import SyntheticSpec, generate_synthetic
@@ -92,7 +99,7 @@ def test_transform_rows_match_encode():
 
 def test_gradient_matches_finite_differences():
     params = ae.init_params(TINY, d=2, seed=0)
-    worst = ae.gradient_check(params, tiny_window())
+    worst = gradient_check(params, tiny_window())
     assert worst < 1e-4
 
 
@@ -100,7 +107,7 @@ def test_zero_case_passes_by_convention():
     params = ae.init_params(TINY, d=2, seed=0)
     for key in params:
         params[key] = np.zeros_like(params[key])
-    worst = ae.gradient_check(params, np.zeros((5, 2)))
+    worst = gradient_check(params, np.zeros((5, 2)))
     assert worst < 1e-4
 
 
@@ -111,15 +118,10 @@ def test_corrupted_gradient_fails_check():
     caches = ([], [], [], [], [])
     _, recon = ae._reconstruction_loss(params, batch, caches)
     analytic = ae._backward(params, batch, recon, caches)
-    numeric = ae.finite_difference_gradients(params, batch)
+    numeric = finite_difference_gradients(params, batch)
+    assert worst_relative_gap(analytic, numeric) < 1e-4
     analytic["enc1.W"] = analytic["enc1.W"] * 2.0
-    worst = 0.0
-    for key in params:
-        ga = analytic[key].reshape(-1)
-        gn = numeric[key].reshape(-1)
-        rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
-        worst = max(worst, float(rel.max()))
-    assert worst > 1e-4
+    assert worst_relative_gap(analytic, numeric) > 1e-4
 
 
 def test_zero_learning_rate_keeps_params():
@@ -247,20 +249,90 @@ def test_model_id_changes_with_weights():
     assert ae.model_id(a, cfg, 3) != ae.model_id(b, cfg, 3)
 
 
-@pytest.mark.parametrize("batch", [1, 5, 64])
-def test_loss_and_gradients_match_reference_model(batch):
-    cfg = ae.AutoencoderConfig()
-    params = ae.init_params(cfg, d=6, seed=4)
-    x = seeded_rng(derive_seed(batch, "model-oracle")).standard_normal((batch, 20, 6))
+def _as_dtype(params, dtype):
+    """The parameters as one buffer of ``dtype``, as ``train_step`` hands them to the passes."""
+    return ae._views(ae._buffer(params).astype(dtype), {key: p.shape for key, p in params.items()})
+
+
+def _model_and_reference(batch, dtype):
+    """Loss and gradients of the passes in ``dtype``, and of the float64 oracle on the same inputs."""
+    params = _as_dtype(ae.init_params(ae.AutoencoderConfig(), d=6, seed=4), dtype)
+    x = seeded_rng(derive_seed(batch, "model-oracle")).standard_normal((batch, 20, 6)).astype(dtype)
     caches = ([], [], [], [], [])
     loss, recon = ae._reconstruction_loss(params, x, caches)
     grads = ae._backward(params, x, recon, caches)
-    ref_loss, ref_grads = naive_autoencoder_loss_and_gradients(params, x)
+    ref_loss, ref_grads = naive_autoencoder_loss_and_gradients(
+        {key: p.astype(np.float64) for key, p in params.items()}, x.astype(np.float64))
+    return loss, grads, ref_loss, ref_grads
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_loss_and_gradients_match_reference_model(batch):
+    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, np.float64)
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
-    for key in params:
-        scale = np.max(np.abs(ref_grads[key]))
+    for key, ref in ref_grads.items():
+        scale = np.max(np.abs(ref))
         assert scale > 0.0, key
-        assert np.max(np.abs(grads[key] - ref_grads[key])) <= 1e-10 * scale, key
+        assert np.max(np.abs(grads[key] - ref)) <= 1e-10 * scale, key
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_float32_passes_match_reference_model(batch):
+    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, np.float32)
+    assert abs(float(loss) - ref_loss) <= 1e-6 * ref_loss
+    for key, ref in ref_grads.items():
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0, key
+        assert np.max(np.abs(grads[key] - ref)) <= 1e-5 * scale, key
+
+
+def _arrays(values):
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _arrays(v)
+        elif isinstance(v, np.ndarray):
+            yield v
+
+
+def test_float32_passes_stay_float32(monkeypatch):
+    # One float64 zeros array or numpy float64 scalar would promote the pass from that step on.
+    # In-place writes round it back into the float32 reconstruction and gradient buffers, so
+    # every array each cell step takes and returns is checked.
+    dtypes = set()
+
+    def spy(cell):
+        def wrapped(*args):
+            out = cell(*args)
+            dtypes.update(a.dtype for a in _arrays((*args, *out)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ae, "_cell_forward", spy(ae._cell_forward))
+    monkeypatch.setattr(ae, "_cell_backward", spy(ae._cell_backward))
+    narrow = _as_dtype(ae.init_params(ae.AutoencoderConfig(hidden1=5, hidden2=3), d=3, seed=2), np.float32)
+    x = seeded_rng(derive_seed(0, "float32-contract")).standard_normal((4, 7, 3)).astype(np.float32)
+    caches = ([], [], [], [], [])
+    loss, recon = ae._reconstruction_loss(narrow, x, caches)
+    grads = ae._backward(narrow, x, recon, caches)
+    assert loss.dtype == np.float32
+    assert recon.dtype == np.float32
+    assert ae._buffer(grads).dtype == np.float32
+    assert dtypes == {np.dtype(np.float32)}
+
+
+def test_training_keeps_float64_master_weights():
+    cfg = ae.AutoencoderConfig(hidden1=4, hidden2=2, epochs=2, batch_size=8, seed=0)
+    params = ae.init_params(cfg, d=2, seed=0)
+    state = ae.AdamState.for_params(params)
+    ae.train_step(params, np.stack([tiny_window(i) for i in range(4)]), state, cfg)
+    assert ae._buffer(params).dtype == np.float64
+    assert state.m.dtype == np.float64 and state.v.dtype == np.float64
+    assert np.any(state.m != 0.0)
+
+    ds = make_dataset(m=16)
+    fitted, _ = ae.fit(ds, cfg)
+    assert all(p.dtype == np.float64 for p in fitted.values())
+    assert ae.transform(fitted, ds, cfg).vectors.dtype == np.float64
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 40.0, 400.0])

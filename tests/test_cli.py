@@ -130,6 +130,34 @@ def test_infer_without_artifacts_exits_io(tmp_path):
     assert main(["infer", "--config", str(config_path)]) == EXIT_IO
 
 
+def test_test_split_too_small_to_group_fails_before_writing(tmp_path, capsys):
+    # One archetype of one class at train_fraction 0.97 leaves a single test window.
+    synthetic = {"frequencies": [1.0], "amplitudes": [1.0], "noise_sigmas": [0.1],
+                 "class_effect_signs": [1], "C": 1, "windows_per_class": 30, "t": 20, "d": 3, "seed": 3}
+    config_path, run_dir = write_config(
+        tmp_path, ingest={"seed": 3, "train_fraction": 0.97, "synthetic": synthetic})
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_OK
+    assert main(["train", "--config", str(config_path)]) == EXIT_OK
+    before = sorted(path.name for path in run_dir.iterdir())
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("config error: the test split has 1 instances, too few to group: "
+                                       "k_start 2 needs at least 3\n")
+    assert sorted(path.name for path in run_dir.iterdir()) == before
+    assert ARTIFACTS["aecs_test"] not in before and ARTIFACTS["manifest_infer"] not in before
+
+
+def test_train_split_too_small_to_group_fails_before_writing(tmp_path, capsys):
+    config_path, run_dir = write_config(tmp_path, cgf={"tau": 0.05, "k_start": 200, "k_max": 200})
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_OK
+    before = sorted(path.name for path in run_dir.iterdir())
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == EXIT_CONFIG
+    assert re.fullmatch(r"config error: the train split has \d+ instances, too few to group: "
+                        r"k_start 200 needs at least 201\n", capsys.readouterr().err)
+    assert sorted(path.name for path in run_dir.iterdir()) == before
+
+
 def test_report_on_missing_directory_exits_io(tmp_path, capsys):
     missing = tmp_path / "never_made"
     assert main(["report", "--out", str(missing)]) == EXIT_IO

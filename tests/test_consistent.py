@@ -99,6 +99,11 @@ def test_input_validation():
         CgfConfig(tau=1.5)
     with pytest.raises(ValueError):
         form_consistent_groups(rng.standard_normal((10, 3)), CgfConfig(k_start=9, k_max=4))
+    with pytest.raises(ValueError, match="the data has 10 instances, too few to group: k_start 10"):
+        form_consistent_groups(rng.standard_normal((10, 3)), CgfConfig(k_start=10))
+    with pytest.raises(ValueError, match="default k_max 20; set k_max"):
+        CgfConfig(k_start=21)
+    assert CgfConfig(k_start=21, k_max=21).effective_k_max(30) == 21
 
 
 def test_result_dict_round_trips_as_json():
