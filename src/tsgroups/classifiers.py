@@ -89,10 +89,16 @@ class SoftmaxModel:
 
     def __post_init__(self) -> None:
         self.kind = ClassifierKind(self.kind)
-        if self.weights.shape != (self.feature_mean.size, self.seen_classes.size):
-            raise ValueError("weight matrix shape disagrees with features/classes")
-        if self.bias.shape != (self.seen_classes.size,):
-            raise ValueError("bias shape disagrees with class count")
+        self.weights, self.bias, self.feature_mean, self.feature_std = (
+            np.asarray(a, dtype=np.float64)
+            for a in (self.weights, self.bias, self.feature_mean, self.feature_std))
+        self.seen_classes = np.asarray(self.seen_classes, dtype=np.int64)
+        n, c = self.feature_mean.size, self.seen_classes.size
+        shapes = [a.shape for a in (self.weights, self.bias, self.feature_mean, self.feature_std,
+                                    self.seen_classes)]
+        if shapes != [(n, c), (c,), (n,), (n,), (c,)]:
+            raise ValueError(f"weights, bias, feature_mean, feature_std and seen_classes have shapes "
+                             f"{shapes}, not those of {n} features and {c} classes")
 
     @property
     def n_features(self) -> int:

@@ -6,7 +6,9 @@ step at a time; each step must introduce a new group holding at least a
 one dendrogram; the new group is that merge's smaller child. The first
 step that fails this test is rejected and the last accepted partition is
 returned, so a dataset whose very first split is already marginal stays
-one group.
+one group. The outcome is a ``CgfResult`` record: the train and test
+grouping files, ``cgf_train.json`` and ``cgf_test.json``, each hold one,
+written by ``storage.write_json`` and read back with ``storage.as_record``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import Linkage, cut, select_best_measure
+from .storage import as_record
 from .types import AecsMatrix, Grouping
 
 DEFAULT_TAU = 0.05
@@ -54,25 +57,24 @@ class CgfConfig:
 
 @dataclass
 class CgfResult:
-    """Final grouping plus the per-step audit trail."""
+    """Final grouping plus the trail of tried steps (``k``, ``new_group_size``, ``accepted``).
+
+    ``accepted_k`` is ``grouping.K``, kept so that a reader of the file alone finds it.
+    """
 
     grouping: Grouping
     stopped_by: str
+    accepted_k: int
     rejected_size: int | None = None
     trace: list[dict] = field(default_factory=list)
     dendrogram_fingerprint: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "accepted_k": self.grouping.K,
-            "stopped_by": self.stopped_by,
-            "rejected_size": self.rejected_size,
-            "measure": self.grouping.measure,
-            "group_sizes": self.grouping.group_sizes().tolist(),
-            "hubert_scores": {k: float(v) for k, v in self.grouping.hubert_scores.items()},
-            "trace": self.trace,
-            "dendrogram_fingerprint": self.dendrogram_fingerprint,
-        }
+    def __post_init__(self) -> None:
+        self.grouping = as_record(Grouping, self.grouping)
+        if self.accepted_k != self.grouping.K:
+            raise ValueError(f"accepted_k {self.accepted_k} is not the grouping's K {self.grouping.K}")
+        if self.stopped_by not in ("tau", "k_max"):
+            raise ValueError(f"stopped_by must be 'tau' or 'k_max', got {self.stopped_by!r}")
 
 
 def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | None = None) -> CgfResult:
@@ -99,12 +101,7 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     while k < k_max:
         size = smaller[m - 1 - k]
         accepted = size >= min_size
-        trace.append({
-            "k": k + 1,
-            "new_group_size": size,
-            "accepted": bool(accepted),
-            "measure": selection.measure.value,
-        })
+        trace.append({"k": k + 1, "new_group_size": size, "accepted": bool(accepted)})
         if not accepted:
             stopped_by = "tau"
             rejected_size = size
@@ -116,11 +113,11 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
         K=k,
         measure=selection.measure.value,
         hubert_scores=dict(selection.scores),
-        iteration_trace=[(t["k"], t["new_group_size"]) for t in trace],
     )
     return CgfResult(
         grouping=grouping,
         stopped_by=stopped_by,
+        accepted_k=k,
         rejected_size=rejected_size,
         trace=trace,
         dendrogram_fingerprint=selection.dendrogram.fingerprint(),

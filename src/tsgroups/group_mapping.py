@@ -25,6 +25,7 @@ from .distances import (
 )
 from .grouped import GroupModelBundle, predict
 from .hierarchy import centroids
+from .storage import as_record
 from .types import AecsMatrix, Grouping, WindowedDataset
 
 
@@ -87,7 +88,7 @@ class MappingReport:
     def __post_init__(self) -> None:
         self.method = MappingMethod(self.method)
         self.measure = DistanceMeasureId(self.measure)
-        self.rows = [row if isinstance(row, MappingRow) else MappingRow(**row) for row in self.rows]
+        self.rows = [as_record(MappingRow, row) for row in self.rows]
 
     def chosen(self) -> list[int]:
         return [row.chosen_train_group for row in self.rows]

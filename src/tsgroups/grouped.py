@@ -9,10 +9,12 @@ one-group partition, so the two stay comparable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .classifiers import ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
+from .storage import as_record, read_json, write_json
 from .types import AecsMatrix, Grouping, WindowedDataset
 
 UNGROUPED_MEASURE = "NONE"
@@ -31,6 +33,9 @@ class GroupModelBundle:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.models = [as_record(SoftmaxModel, model) for model in self.models]
+        self.grouping = as_record(Grouping, self.grouping)
+        self.spec = as_record(ClassifierSpec, self.spec)
         if len(self.models) != self.grouping.K:
             raise ValueError(f"{len(self.models)} models for {self.grouping.K} groups")
         self.class_presence = np.asarray(self.class_presence, dtype=bool)
@@ -42,14 +47,21 @@ class GroupModelBundle:
         return self.grouping.K
 
 
+def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:
+    """The bundle as one JSON record; ``load_bundle`` reads it back bit for bit."""
+    write_json(path, bundle)
+
+
+def load_bundle(path: str | Path) -> GroupModelBundle:
+    return as_record(GroupModelBundle, read_json(path))
+
+
 def trivial_grouping(n_instances: int) -> Grouping:
     """Everything in one group; the baseline's partition."""
     return Grouping(
         assignment=np.zeros(n_instances, dtype=np.int64),
         K=1,
         measure=UNGROUPED_MEASURE,
-        hubert_scores={},
-        iteration_trace=[],
     )
 
 

@@ -25,10 +25,10 @@ import numpy as np
 from . import __version__
 from . import autoencoder as ae
 from .classifiers import ClassifierSpec
-from .consistent import CgfConfig, form_consistent_groups
+from .consistent import CgfConfig, CgfResult, form_consistent_groups
 from .distances import DistanceMeasureId, fit_mahalanobis
+from .grouped import load_bundle, save_bundle, train_per_group, train_single_baseline
 from .grouped import predict as bundle_predict
-from .grouped import train_per_group, train_single_baseline
 from .group_mapping import MappingMethod, MappingReport, infer_with_groups
 from .ingest import (
     ACCELEROMETER_FILENAME,
@@ -44,20 +44,19 @@ from .ingest import (
 )
 from .metrics import evaluate_metrics
 from .storage import (
+    as_record,
     atomic_open,
     check_field_types,
     content_digest,
     load_aecs,
-    load_bundle,
     load_dataset,
     read_json,
     run_lock,
     save_aecs,
-    save_bundle,
     save_dataset,
     write_json,
 )
-from .types import ClassMetrics, Grouping, WindowedDataset
+from .types import ClassMetrics, WindowedDataset
 
 
 class ConfigError(ValueError):
@@ -197,8 +196,8 @@ ARTIFACTS = {
     "train_report": "train_report.json",
     "aecs_train": "aecs_train.zip",
     "cgf_train": "cgf_train.json",
-    "bundle_grouped": "bundle_grouped.zip",
-    "bundle_baseline": "bundle_baseline.zip",
+    "bundle_grouped": "bundle_grouped.json",
+    "bundle_baseline": "bundle_baseline.json",
     "manifest_train": "manifest_train.json",
     "manifest_ingest": "manifest_ingest.json",
     "manifest_infer": "manifest_infer.json",
@@ -347,7 +346,7 @@ def cmd_train(config: PipelineConfig) -> dict:
         if not config.train.baseline_only:
             with run.stage("cgf"):
                 cgf_result = form_consistent_groups(aecs, config.cgf)
-            write_json(run.path("cgf_train"), {**cgf_result.to_dict(), "grouping": cgf_result.grouping})
+            write_json(run.path("cgf_train"), cgf_result)
 
             with run.stage("train_groups"):
                 bundle = train_per_group(ds, aecs, cgf_result.grouping, config.classifier)
@@ -418,7 +417,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
         with run.stage("test_cgf"):
             test_cgf = form_consistent_groups(test_aecs, config.cgf)
         test_grouping = test_cgf.grouping
-        write_json(run.path("cgf_test"), test_cgf.to_dict())
+        write_json(run.path("cgf_test"), test_cgf)
 
         # The baseline bundle's single group was never clustered, so
         # baseline-only mapping uses the measure the test side selected.
@@ -501,7 +500,7 @@ def cmd_report(run_dir: str | Path) -> dict:
 
         grouping = None
         if cgf_path.is_file():
-            grouping = Grouping(**read_json(cgf_path)["grouping"])
+            grouping = as_record(CgfResult, read_json(cgf_path)).grouping
         else:
             notices.append(f"missing {cgf_path}; group-based tables skipped")
 
@@ -539,8 +538,8 @@ def cmd_report(run_dir: str | Path) -> dict:
         mapping_cr = _artifact(out, "mapping_cr_cr")
         groups = None
         if mapping_avg.is_file() and mapping_cr.is_file():
-            avg = MappingReport(**read_json(mapping_avg))
-            crcr = MappingReport(**read_json(mapping_cr))
+            avg = as_record(MappingReport, read_json(mapping_avg))
+            crcr = as_record(MappingReport, read_json(mapping_cr))
             groups = [(row.test_group, row.test_group_size) for row in avg.rows]
             if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
                 raise ArtifactError(f"{mapping_avg} and {mapping_cr} list different test groups")
@@ -552,12 +551,9 @@ def cmd_report(run_dir: str | Path) -> dict:
 
         cgf_test_path = _artifact(out, "cgf_test")
         if cgf_test_path.is_file():
-            # cgf_test carries no assignment payload; recover sizes from the trace file.
-            sizes = read_json(cgf_test_path)["group_sizes"]
-            if not (isinstance(sizes, list) and all(type(n) is int and n > 0 for n in sizes)):
-                raise ArtifactError(f"{cgf_test_path}: group_sizes must be a list of positive counts")
+            sizes = as_record(CgfResult, read_json(cgf_test_path)).grouping.group_sizes().tolist()
             if groups is not None and sizes != [size for _, size in groups]:
-                raise ArtifactError(f"{cgf_test_path} group_sizes differ from the mapping reports' "
+                raise ArtifactError(f"{cgf_test_path} group sizes differ from the mapping reports' "
                                     f"test group sizes")
             export("composition_test", ["group", "size"], enumerate(sizes))
 

@@ -1,14 +1,15 @@
 """Deterministic artifact persistence.
 
-All composite artifacts are zip archives written with fixed entry
-metadata (no compression, epoch date stamps, sorted names), so a rerun
-with identical content produces byte-identical files. Numeric payloads
-are little-endian 64-bit floats in row-major order; headers are
-canonical JSON (sorted keys, LF endings). This module is the one place a
-record becomes JSON: ``write_json`` and ``canonical_json`` write a
-dataclass as its ``init`` fields and numpy data as lists and scalars, and
-readers rebuild a record with ``cls(**data)``, after ``check_field_types``
-where a user may have written the file. Digest helpers strip wall-time
+The dataset and representation archives are zip files written with fixed
+entry metadata (no compression, epoch date stamps, sorted names), so a
+rerun with identical content produces byte-identical files; their tensors
+are little-endian float64 blobs, their headers canonical JSON. Every
+other record, classifier bundles and grouping results among them, is one
+JSON file. This module is the one place a record becomes JSON:
+``write_json`` and ``canonical_json`` write a dataclass as its ``init``
+fields and numpy data as lists and scalars (floats by ``repr``, so they
+read back bit for bit), and ``as_record`` rebuilds it with ``cls(**data)``
+after ``check_field_types``. Digest helpers strip wall-time
 fields so timing never leaks into content digests. Every file is written
 to a temporary name beside its target and renamed over it, so a write
 that fails partway leaves the previous file as it was.
@@ -26,10 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, SoftmaxModel
-from .grouped import GroupModelBundle
 from .ingest import NormalizationStats
-from .types import Grouping, WindowMeta, WindowedDataset
+from .types import AecsMatrix, WindowMeta, WindowedDataset
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 TIMING_KEYS = frozenset({"wall_time_s", "stage_timings", "timings"})
@@ -70,6 +69,20 @@ def check_field_types(cls, data: dict) -> None:
         if not (isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")):
             expected = "true or false" if kind == "bool" else kind
             raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+
+
+def as_record(cls, data):
+    """``cls(**data)`` for the JSON object of a record, after ``check_field_types``.
+
+    A record that is already a ``cls`` is returned as it is, so a record's
+    ``__post_init__`` can rebuild its nested records with this.
+    """
+    if isinstance(data, cls):
+        return data
+    if not isinstance(data, dict):
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(data).__name__}")
+    check_field_types(cls, data)
+    return cls(**data)
 
 
 def canonical_json(obj) -> str:
@@ -246,80 +259,10 @@ def save_aecs(path: str | Path, vectors: np.ndarray, source_model_id: str) -> No
     })
 
 
-def load_aecs(path: str | Path):
-    from .types import AecsMatrix
-
+def load_aecs(path: str | Path) -> AecsMatrix:
     entries = read_archive(path)
     header = json.loads(entries["header.json"].decode("utf-8"))
     if header.get("format") != "aecs-v1":
         raise ValueError(f"unrecognized representation format: {header.get('format')!r}")
     vectors = _tensor_from(entries["vectors.f8"], (header["M"], header["h"]))
     return AecsMatrix(vectors=vectors, source_model_id=header["source_model_id"])
-
-
-def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:
-    """Bundle archive: JSON manifest plus one weight blob per model."""
-    manifest = {
-        "format": "group-bundle-v1",
-        "spec": bundle.spec,
-        "grouping": bundle.grouping,
-        "class_presence": bundle.class_presence.astype(int),
-        "aecs_model_id": bundle.aecs_model_id,
-        "n_classes": bundle.n_classes,
-        "warnings": bundle.warnings,
-        "models": [],
-    }
-    entries: dict[str, bytes] = {}
-    for i, model in enumerate(bundle.models):
-        manifest["models"].append({
-            "kind": model.kind,
-            "n_train": model.n_train,
-            "n_features": model.n_features,
-            "seen_classes": model.seen_classes,
-            "weights_shape": model.weights.shape,
-        })
-        blob = b"".join([
-            _tensor_bytes(model.weights),
-            _tensor_bytes(model.bias),
-            _tensor_bytes(model.feature_mean),
-            _tensor_bytes(model.feature_std),
-        ])
-        entries[f"model_{i}.f8"] = blob
-    entries["manifest.json"] = canonical_json(manifest).encode("utf-8")
-    write_archive(path, entries)
-
-
-def load_bundle(path: str | Path) -> GroupModelBundle:
-    entries = read_archive(path)
-    manifest = json.loads(entries["manifest.json"].decode("utf-8"))
-    if manifest.get("format") != "group-bundle-v1":
-        raise ValueError(f"unrecognized bundle format: {manifest.get('format')!r}")
-    spec = ClassifierSpec(**manifest["spec"])
-    grouping = Grouping(**manifest["grouping"])
-    models: list[SoftmaxModel] = []
-    for i, meta in enumerate(manifest["models"]):
-        n_features = int(meta["n_features"])
-        n_seen = len(meta["seen_classes"])
-        sizes = [n_features * n_seen, n_seen, n_features, n_features]
-        flat = np.frombuffer(entries[f"model_{i}.f8"], dtype="<f8").astype(np.float64)
-        if flat.size != sum(sizes):
-            raise ValueError(f"model_{i}.f8 holds {flat.size} floats, expected {sum(sizes)}")
-        weights, bias, feature_mean, feature_std = np.split(flat, np.cumsum(sizes[:-1]))
-        models.append(SoftmaxModel(
-            weights=weights.reshape(n_features, n_seen),
-            bias=bias,
-            seen_classes=np.asarray(meta["seen_classes"], dtype=np.int64),
-            feature_mean=feature_mean,
-            feature_std=feature_std,
-            kind=meta["kind"],
-            n_train=int(meta["n_train"]),
-        ))
-    return GroupModelBundle(
-        models=models,
-        class_presence=np.asarray(manifest["class_presence"], dtype=bool),
-        grouping=grouping,
-        spec=spec,
-        aecs_model_id=manifest["aecs_model_id"],
-        n_classes=int(manifest["n_classes"]),
-        warnings=list(manifest["warnings"]),
-    )

@@ -125,11 +125,9 @@ class Grouping:
     K: int
     measure: str
     hubert_scores: dict[str, float] = field(default_factory=dict)
-    iteration_trace: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.assignment = np.ascontiguousarray(self.assignment, dtype=np.int64)
-        self.iteration_trace = [(int(k), int(size)) for k, size in self.iteration_trace]
         if self.assignment.ndim != 1 or self.assignment.size < 1:
             raise ValueError("assignment must be a nonempty 1-D array")
         if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):

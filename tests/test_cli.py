@@ -169,8 +169,8 @@ def test_full_flow_writes_expected_artifacts(completed_run):
     _, run_dir = completed_run
     expected = [
         "train_dataset.zip", "test_dataset.zip", "ingest_report.json",
-        "model.bin", "aecs_train.zip", "cgf_train.json", "bundle_grouped.zip",
-        "bundle_baseline.zip", "manifest_ingest.json", "manifest_train.json",
+        "model.bin", "aecs_train.zip", "cgf_train.json", "bundle_grouped.json",
+        "bundle_baseline.json", "manifest_ingest.json", "manifest_train.json",
         "manifest_infer.json", "aecs_test.zip", "cgf_test.json",
         "mapping_avg.json", "mapping_cr_cr.json", "predictions.csv",
         "metrics.json", "infer_report.json", "composition_train.csv",
@@ -217,7 +217,7 @@ def test_manifests_list_what_each_verb_wrote(tmp_path):
             assert digest == content_digest(run_dir / ARTIFACTS[name]), (verb, name)
         assert list(manifest["stage_timings"]) == sorted(stages), verb
     (run_dir / "manifest_infer.json").unlink()
-    truncate(run_dir / "bundle_grouped.zip")
+    truncate(run_dir / "bundle_grouped.json")
     assert main(["infer", "--config", str(config_path)]) == EXIT_IO
     assert not (run_dir / "manifest_infer.json").exists()
 
@@ -289,6 +289,16 @@ def edit_json(edit):
     return damage
 
 
+def move_one_instance(path):
+    """A valid grouping whose group sizes differ from the mapping reports' ones."""
+    def edit(data):
+        assignment = data["grouping"]["assignment"]
+        largest = max(range(data["grouping"]["K"]), key=assignment.count)
+        assert assignment.count(largest) > 1
+        assignment[assignment.index(largest)] = (largest + 1) % data["grouping"]["K"]
+    edit_json(edit)(path)
+
+
 def lengthen_assignment_without(other):
     """One more grouped row than the other of the two files the grouping must match."""
     def damage(path):
@@ -333,7 +343,6 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
     config_path, run_dir = completed_run
     cases = [
         ("model.bin", flip_middle_byte, "infer"),
-        ("bundle_grouped.zip", truncate, "infer"),
         ("aecs_train.zip", truncate, "infer"),
         ("cgf_train.json", drop_grouping_fields, "report"),
         ("cgf_train.json", shorten_assignment, "report"),
@@ -349,16 +358,14 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
          "report"),
         ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
         ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
-        ("cgf_test.json", edit_json(lambda d: d.update(group_sizes="abc")), "report"),
-        ("cgf_test.json", edit_json(lambda d: d.update(group_sizes=[1, 2])), "report"),
+        ("cgf_test.json", move_one_instance, "report"),
         ("mapping_avg.json", edit_json(lambda d: d["rows"][0].update(chosen_train_group=99)),
          "report"),
         ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
             lambda h: {**h, "meta": [{**h["meta"][0], "lane": 1}, *h["meta"][1:]]})), "infer"),
-        ("bundle_grouped.zip", edit_entry("manifest.json", json_edit(
-            lambda m: {**m, "grouping": {**m["grouping"], "lane": 1}})), "infer"),
-        ("bundle_grouped.zip", edit_entry("model_0.f8", lambda blob: blob + bytes(8)), "infer"),
+        ("bundle_grouped.json", edit_json(lambda d: d["grouping"].update(lane=1)), "infer"),
+        ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
     ] + [("model.bin", edit_model_header(edit), "infer") for edit in MODEL_HEADER_EDITS]
     for index, (name, damage, verb) in enumerate(cases):
         copy = tmp_path / f"{index}-{name}"
@@ -372,6 +379,56 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
     assert "retrain" in capsys.readouterr().err.splitlines()[-1]  # the v1 file, last case
 
 
+# Damage to each record file: (artifacts it applies to, edit). Bundles are read by
+# infer and grouping results by report; every case must be an io error.
+BUNDLES = ("bundle_grouped.json", "bundle_baseline.json")
+CGF_FILES = ("cgf_train.json", "cgf_test.json")
+RECORD_DAMAGE = {
+    "truncated": (BUNDLES + CGF_FILES, truncate),
+    "not-an-object": (BUNDLES + CGF_FILES, lambda path: path.write_text("[]")),
+    "unknown-key": (BUNDLES + CGF_FILES, edit_json(lambda d: d.update(lane=1))),
+    "wrong-type": (BUNDLES, edit_json(lambda d: d.update(n_classes=float(d["n_classes"])))),
+    "wrong-type-cgf": (CGF_FILES, edit_json(lambda d: d.update(rejected_size="1"))),
+    "weights-shape": (BUNDLES, edit_json(lambda d: d["models"][0].update(
+        weights=d["models"][0]["weights"][:-1]))),
+    "group-id-not-below-K": (CGF_FILES, edit_json(
+        lambda d: d["grouping"]["assignment"].__setitem__(0, d["grouping"]["K"]))),
+    "accepted-k-not-K": (CGF_FILES, edit_json(lambda d: d.update(accepted_k=d["accepted_k"] + 1))),
+}
+
+
+@pytest.mark.parametrize("name, damage", [
+    (name, damage) for damage, (names, _) in RECORD_DAMAGE.items() for name in names])
+def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, damage):
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    RECORD_DAMAGE[damage][1](copy / name)
+    if name in BUNDLES:
+        args = ["infer", "--config", str(config_path), "--out", str(copy)]
+    else:
+        args = ["report", "--out", str(copy)]
+    capsys.readouterr()
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path, capsys):
+    # Bundles were zip archives before they were JSON records.
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    for name in BUNDLES:
+        (copy / name).unlink()
+        write_archive(copy / name.replace(".json", ".zip"),
+                      {"manifest.json": json.dumps({"format": "group-bundle-v1"}).encode()})
+    capsys.readouterr()
+    assert main(["infer", "--config", str(config_path), "--out", str(copy)]) == EXIT_IO
+    assert capsys.readouterr().err == (f"io error: missing artifact {copy / 'bundle_grouped.json'}; "
+                                       f"run train first\n")
+
+
 def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
     config_path, run_dir = completed_run
     copy = tmp_path / "baseline"
@@ -382,7 +439,7 @@ def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
         assert main([verb, "--config", str(config_path), "--out", str(copy),
                      "--baseline-only"]) == EXIT_OK
     measure = json.loads((copy / "infer_report.json").read_text())["measure"]
-    assert measure == json.loads((copy / "cgf_test.json").read_text())["measure"]
+    assert measure == json.loads((copy / "cgf_test.json").read_text())["grouping"]["measure"]
 
 
 def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
@@ -392,7 +449,8 @@ def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
     (copy / "test_dataset.zip").unlink()
     (copy / "composition_test.csv").unlink()
     assert main(["report", "--out", str(copy)]) == EXIT_OK
-    sizes = json.loads((copy / "cgf_test.json").read_text())["group_sizes"]
+    grouping = json.loads((copy / "cgf_test.json").read_text())["grouping"]
+    sizes = [grouping["assignment"].count(g) for g in range(grouping["K"])]
     rows = (copy / "composition_test.csv").read_text().splitlines()
     assert rows == ["group,size"] + [f"{g},{size}" for g, size in enumerate(sizes)]
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tsgroups import consistent
-from tsgroups.consistent import CgfConfig, form_consistent_groups
+from tsgroups.consistent import CgfConfig, CgfResult, form_consistent_groups
 from tsgroups.hierarchy import cut
 from tsgroups.rng import seeded_rng
+from tsgroups.storage import as_record, canonical_json
 
 from reference import difference
 from synthdata import adjusted_rand_index, planted_blobs
@@ -48,7 +49,7 @@ def test_planted_blobs_recovered():
     assert result.grouping.K == 3
     assert adjusted_rand_index(result.grouping.assignment, labels) == 1.0
     assert result.stopped_by == "tau"
-    assert result.to_dict()["accepted_k"] == 3
+    assert result.accepted_k == 3
 
 
 def test_sub_threshold_first_split_collapses_to_one_group():
@@ -82,11 +83,15 @@ def test_accepted_k_matches_grouping():
     rng = seeded_rng(4)
     x = rng.standard_normal((40, 5))
     result = form_consistent_groups(x)
-    assert result.to_dict()["accepted_k"] == result.grouping.K
+    assert result.accepted_k == result.grouping.K
     assert result.grouping.n_instances == 40
     sizes = result.grouping.group_sizes()
     assert sizes.sum() == 40
     assert np.all(sizes > 0)
+    with pytest.raises(ValueError, match=f"accepted_k {result.grouping.K + 1} is not the grouping's K"):
+        CgfResult(grouping=result.grouping, stopped_by=result.stopped_by, accepted_k=result.grouping.K + 1)
+    with pytest.raises(ValueError, match="stopped_by must be 'tau' or 'k_max'"):
+        CgfResult(grouping=result.grouping, stopped_by="done", accepted_k=result.grouping.K)
 
 
 def test_input_validation():
@@ -111,10 +116,14 @@ def test_result_dict_round_trips_as_json():
 
     x, _ = planted_blobs(sizes=(20, 15, 10), seed=2)
     result = form_consistent_groups(x, CgfConfig(tau=0.05))
-    payload = json.loads(json.dumps(result.to_dict()))
+    payload = json.loads(canonical_json(result))
     assert payload["accepted_k"] == result.grouping.K
     assert payload["stopped_by"] in ("tau", "k_max")
-    assert len(payload["group_sizes"]) == result.grouping.K
+    assert [sorted(row) for row in payload["trace"]] == [["accepted", "k", "new_group_size"]] * len(result.trace)
+    back = as_record(CgfResult, payload)
+    assert isinstance(back.grouping, type(result.grouping))
+    assert np.array_equal(back.grouping.assignment, result.grouping.assignment)
+    assert canonical_json(back) == canonical_json(result)
 
 
 def test_determinism():
@@ -123,4 +132,4 @@ def test_determinism():
     b = form_consistent_groups(x, CgfConfig(tau=0.05))
     assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
     assert a.grouping.fingerprint() == b.grouping.fingerprint()
-    assert a.to_dict() == b.to_dict()
+    assert canonical_json(a) == canonical_json(b)

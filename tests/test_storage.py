@@ -1,4 +1,4 @@
-"""Deterministic artifact files: archives, digests, locks, round trips."""
+"""Deterministic artifact files: archives, records, digests, locks, round trips."""
 
 import hashlib
 import json
@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from tsgroups import autoencoder as ae
-from tsgroups.classifiers import ClassifierSpec
-from tsgroups.consistent import CgfConfig
+from tsgroups.classifiers import ClassifierSpec, SoftmaxModel
+from tsgroups.consistent import CgfConfig, CgfResult
 from tsgroups.group_mapping import MappingReport
-from tsgroups.grouped import train_per_group
+from tsgroups.grouped import GroupModelBundle, load_bundle, predict, save_bundle, train_per_group
 from tsgroups.ingest import NormalizationStats
 from tsgroups.pipeline import (
     IngestOptions,
@@ -25,18 +25,17 @@ from tsgroups.pipeline import (
 )
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
+    as_record,
     canonical_json,
     check_field_types,
     content_digest,
     file_digest,
     load_aecs,
-    load_bundle,
     load_dataset,
     read_archive,
     read_json,
     run_lock,
     save_aecs,
-    save_bundle,
     save_dataset,
     write_archive,
     write_json,
@@ -163,7 +162,6 @@ RECORDS = {
     "grouping": (Grouping(
         assignment=np.array([0, 1, 1, 0]), K=2, measure="CHEBYSHEV",
         hubert_scores={"MANHATTAN": 0.25, "CHEBYSHEV": 0.5, "MAHALANOBIS": -0.125},
-        iteration_trace=[(2, 2)],
     ), """\
 {
   "K": 2,
@@ -178,13 +176,116 @@ RECORDS = {
     "MAHALANOBIS": -0.125,
     "MANHATTAN": 0.25
   },
-  "iteration_trace": [
+  "measure": "CHEBYSHEV"
+}
+"""),
+    "cgf_result": (CgfResult(
+        grouping=Grouping(assignment=np.array([0, 1, 1, 0]), K=2, measure="CHEBYSHEV",
+                          hubert_scores={"MANHATTAN": 0.25, "CHEBYSHEV": 0.5}),
+        stopped_by="tau", accepted_k=2, rejected_size=np.int64(1),
+        trace=[{"k": 2, "new_group_size": np.int64(2), "accepted": True},
+               {"k": 3, "new_group_size": np.int64(1), "accepted": False}],
+        dendrogram_fingerprint="cd34",
+    ), """\
+{
+  "accepted_k": 2,
+  "dendrogram_fingerprint": "cd34",
+  "grouping": {
+    "K": 2,
+    "assignment": [
+      0,
+      1,
+      1,
+      0
+    ],
+    "hubert_scores": {
+      "CHEBYSHEV": 0.5,
+      "MANHATTAN": 0.25
+    },
+    "measure": "CHEBYSHEV"
+  },
+  "rejected_size": 1,
+  "stopped_by": "tau",
+  "trace": [
+    {
+      "accepted": true,
+      "k": 2,
+      "new_group_size": 2
+    },
+    {
+      "accepted": false,
+      "k": 3,
+      "new_group_size": 1
+    }
+  ]
+}
+"""),
+    "bundle": (GroupModelBundle(
+        models=[SoftmaxModel(weights=np.array([[0.5], [-0.25]]), bias=np.array([0.0]),
+                             seen_classes=np.array([1]), feature_mean=np.array([1.5, 0.0]),
+                             feature_std=np.array([2.0, 1.0]), kind="SOFTMAX_AECS", n_train=3)],
+        class_presence=np.array([[False, True]]),
+        grouping=Grouping(assignment=np.zeros(3, dtype=np.int64), K=1, measure="NONE"),
+        spec=ClassifierSpec(epochs=5), aecs_model_id="m-1", n_classes=2,
+        warnings=["group 0 contains only class 1; constant predictor"],
+    ), """\
+{
+  "aecs_model_id": "m-1",
+  "class_presence": [
     [
-      2,
-      2
+      false,
+      true
     ]
   ],
-  "measure": "CHEBYSHEV"
+  "grouping": {
+    "K": 1,
+    "assignment": [
+      0,
+      0,
+      0
+    ],
+    "hubert_scores": {},
+    "measure": "NONE"
+  },
+  "models": [
+    {
+      "bias": [
+        0.0
+      ],
+      "feature_mean": [
+        1.5,
+        0.0
+      ],
+      "feature_std": [
+        2.0,
+        1.0
+      ],
+      "kind": "SOFTMAX_AECS",
+      "n_train": 3,
+      "seen_classes": [
+        1
+      ],
+      "weights": [
+        [
+          0.5
+        ],
+        [
+          -0.25
+        ]
+      ]
+    }
+  ],
+  "n_classes": 2,
+  "spec": {
+    "epochs": 5,
+    "kind": "SOFTMAX_AECS",
+    "l2": 0.0001,
+    "learning_rate": 0.1,
+    "seed": 0
+  },
+  "warnings": [
+    "group 0 contains only class 1; constant predictor"
+  ]
 }
 """),
     "classifier_spec": (ClassifierSpec(kind="SOFTMAX_STATS", learning_rate=0.05, epochs=80,
@@ -344,6 +445,19 @@ def test_records_write_the_pinned_json_text(tmp_path, name):
     write_json(path, record)
     assert path.read_text(encoding="utf-8") == text
     assert canonical_json(record) == canonical_json(json.loads(text))
+
+
+@pytest.mark.parametrize("name", ["bundle", "cgf_result", "grouping", "mapping_report"])
+def test_record_reads_back_from_its_json(name):
+    record, text = RECORDS[name]
+    back = as_record(type(record), json.loads(text))
+    assert canonical_json(back) == canonical_json(record)
+
+    def held(r):  # the records r holds, each rebuilt as its own type
+        return [type(v) for v in [getattr(r, "grouping", None), getattr(r, "spec", None),
+                                  *getattr(r, "models", []), *getattr(r, "rows", [])] if v is not None]
+
+    assert held(back) == held(record)
 
 
 @pytest.mark.parametrize("name", ["config_default", "config_synthetic"])
@@ -527,14 +641,21 @@ def test_grouping_dict_round_trip():
         K=3,
         measure="MAHALANOBIS",
         hubert_scores={"CHEBYSHEV": 1.5, "MAHALANOBIS": 2.5},
-        iteration_trace=[(2, 1), (3, 2)],
     )
     back = Grouping(**json.loads(canonical_json(grouping)))
     assert np.array_equal(back.assignment, grouping.assignment)
     assert back.K == grouping.K
     assert back.measure == grouping.measure
     assert back.hubert_scores == grouping.hubert_scores
-    assert back.iteration_trace == grouping.iteration_trace
+
+
+def assert_same_models(got_models, want_models):
+    for got, want in zip(got_models, want_models, strict=True):
+        for name in ("weights", "bias", "seen_classes", "feature_mean", "feature_std"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert got.kind is want.kind
+        assert got.n_train == want.n_train
 
 
 def test_bundle_round_trip_preserves_models(tmp_path):
@@ -545,10 +666,10 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     aecs = AecsMatrix(vectors=vectors, source_model_id="m-123")
     grouping = Grouping(
         assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV",
-        hubert_scores={"CHEBYSHEV": 3.0}, iteration_trace=[(2, 1)],
+        hubert_scores={"CHEBYSHEV": 3.0},
     )
     bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=25))
-    path = tmp_path / "bundle.zip"
+    path = tmp_path / "bundle.json"
     save_bundle(path, bundle)
     loaded = load_bundle(path)
     assert loaded.n_groups == bundle.n_groups
@@ -559,35 +680,51 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     assert np.array_equal(loaded.class_presence, bundle.class_presence)
     assert np.array_equal(loaded.grouping.assignment, grouping.assignment)
     assert loaded.grouping.hubert_scores == grouping.hubert_scores
-    for got, want in zip(loaded.models, bundle.models):
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-        assert np.array_equal(got.seen_classes, want.seen_classes)
-        assert np.array_equal(got.feature_mean, want.feature_mean)
-        assert np.array_equal(got.feature_std, want.feature_std)
-        assert got.kind is want.kind
-        assert got.n_train == want.n_train
-    again = tmp_path / "bundle2.zip"
+    assert_same_models(loaded.models, bundle.models)
+    again = tmp_path / "bundle2.json"
     save_bundle(again, loaded)
     assert path.read_bytes() == again.read_bytes()
 
 
-def test_bundle_rejects_blob_of_wrong_length(tmp_path):
+def test_bundle_with_a_single_class_group_round_trips(tmp_path):
+    ds = make_dataset(m=12, n_classes=2)
+    ds.labels[:6] = 1  # group 0 holds only class 1
+    aecs = AecsMatrix(vectors=seeded_rng(5).normal(size=(12, 3)), source_model_id="m-1")
+    grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
+    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=25))
+    assert bundle.models[0].weights.shape == (3, 1)
+    assert bundle.warnings == ["group 0 contains only class 1; constant predictor"]
+    save_bundle(tmp_path / "bundle.json", bundle)
+    loaded = load_bundle(tmp_path / "bundle.json")
+    assert_same_models(loaded.models, bundle.models)
+    assert loaded.warnings == bundle.warnings
+    probe = seeded_rng(6).normal(size=(20, 3))
+    for g in range(2):
+        assert np.array_equal(predict(loaded, g, None, probe), predict(bundle, g, None, probe))
+    assert set(predict(loaded, 0, None, probe)) == {1}
+
+
+def test_bundle_rejects_weights_of_wrong_shape(tmp_path):
     ds = make_dataset(m=12, n_classes=2)
     aecs = AecsMatrix(vectors=seeded_rng(4).normal(size=(12, 3)), source_model_id="m-1")
     grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
-    path = tmp_path / "bundle.zip"
+    path = tmp_path / "bundle.json"
     save_bundle(path, train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=5)))
-    entries = read_archive(path)
-    for blob in (entries["model_0.f8"] + bytes(8), entries["model_0.f8"][:-8],
-                 entries["model_0.f8"] + bytes(3)):
-        write_archive(path, {**entries, "model_0.f8": blob})
+    data = read_json(path)
+    weights = data["models"][0]["weights"]
+    for bad in (weights[:-1], weights + [weights[0]], [row[:-1] for row in weights],
+                [weights[0][:-1], *weights[1:]], sum(weights, []), "weights"):
+        write_json(path, {**data, "models": [{**data["models"][0], "weights": bad}, data["models"][1]]})
         with pytest.raises(ValueError):
             load_bundle(path)
 
 
 def test_bundle_rejects_unknown_format(tmp_path):
-    path = tmp_path / "badbundle.zip"
-    write_archive(path, {"manifest.json": canonical_json({"format": "x"}).encode()})
+    path = tmp_path / "bundle.json"
+    # A bundle as a zip archive, and a JSON object that is not a bundle record.
+    write_archive(path, {"manifest.json": canonical_json({"format": "group-bundle-v1"}).encode()})
     with pytest.raises(ValueError):
+        load_bundle(path)
+    write_json(path, {"format": "group-bundle-v1"})
+    with pytest.raises(TypeError):
         load_bundle(path)
