@@ -3,12 +3,14 @@
 Starting from the trivial single group, the group count increases one
 step at a time; each step must introduce a new group holding at least a
 ``tau`` fraction of all instances. Each later k undoes one more merge of
-one dendrogram; the new group is that merge's smaller child. The first
-step that fails this test is rejected and the last accepted partition is
-returned, so a dataset whose very first split is already marginal stays
-one group. The outcome is a ``CgfResult`` record: the train and test
-grouping files, ``cgf_train.json`` and ``cgf_test.json``, each hold one,
-written by ``storage.write_json`` and read back with ``storage.as_record``.
+one dendrogram; the new group is that merge's smaller child. A step that
+passes this test but undoes a merge of height 0 is rejected too, since it
+would part copies of one vector. The first rejected step ends the loop
+and the last accepted partition is returned, so a dataset whose very
+first split is already marginal stays one group. The outcome is a
+``CgfResult`` record: the train and test grouping files,
+``cgf_train.json`` and ``cgf_test.json``, each hold one, written by
+``storage.write_json`` and read back with ``storage.as_record``.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ class CgfResult:
         self.grouping = as_record(Grouping, self.grouping)
         if self.accepted_k != self.grouping.K:
             raise ValueError(f"accepted_k {self.accepted_k} is not the grouping's K {self.grouping.K}")
-        if self.stopped_by not in ("tau", "k_max"):
-            raise ValueError(f"stopped_by must be 'tau' or 'k_max', got {self.stopped_by!r}")
+        if self.stopped_by not in ("tau", "duplicates", "k_max"):
+            raise ValueError(f"stopped_by must be 'tau', 'duplicates' or 'k_max', got {self.stopped_by!r}")
 
 
 def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | None = None) -> CgfResult:
@@ -83,7 +85,11 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     The distance measure and dendrogram are chosen once at ``k_start``.
     Each later k undoes one more merge of that dendrogram; the new group
     is that merge's smaller child, whose size the merge list holds, so
-    only the returned partition is cut.
+    only the returned partition is cut. A step is rejected with
+    ``stopped_by`` "tau" when that group is below ``tau`` of the
+    instances, and otherwise with "duplicates" when the merge it undoes
+    has height exactly 0, which joined copies of one vector under every
+    linkage.
     """
     config = config or CgfConfig()
     x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
@@ -93,17 +99,18 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
 
     selection = select_best_measure(aecs, config.k_start, config.linkage)
     # Going from k to k + 1 groups undoes merge m - 1 - k.
+    merges = selection.dendrogram.merges
     smaller = selection.dendrogram.smaller_children()
     k = config.k_start - 1
     trace: list[dict] = []
     stopped_by = "k_max"
     rejected_size: int | None = None
     while k < k_max:
-        size = smaller[m - 1 - k]
-        accepted = size >= min_size
-        trace.append({"k": k + 1, "new_group_size": size, "accepted": bool(accepted)})
-        if not accepted:
-            stopped_by = "tau"
+        size, height = smaller[m - 1 - k], merges[m - 1 - k][2]
+        rejected_by = "tau" if size < min_size else "duplicates" if height == 0 else None
+        trace.append({"k": k + 1, "new_group_size": size, "accepted": rejected_by is None})
+        if rejected_by is not None:
+            stopped_by = rejected_by
             rejected_size = size
             break
         k += 1

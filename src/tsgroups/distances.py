@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -151,46 +154,92 @@ def _block_distances(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
         np.sqrt(out, out=out)
 
 
-def distance_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
-                    out: np.ndarray | None = None, upper: bool = False) -> Iterator[np.ndarray]:
+def _worker_count() -> int:
+    """The CPUs this process may run on: one block worker each."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def reduce_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
+                  reduce: Callable[[np.ndarray], Any] | None = None,
+                  out: np.ndarray | None = None, upper: bool = False) -> list:
     """Distances from kernel columns ``xt`` (h, r) to ``yt`` (h, n), a block of rows at a time.
 
-    Yields the blocks in row order; the block of rows ``lo:hi`` holds
-    ``d(x_i, y_j)`` at ``[i - lo, j]``, and the blocks' scratch stays within
-    ``_SCRATCH_BYTES``. A block is written into ``out[lo:hi]``, or into one
-    buffer reused for every block when ``out`` is None, so read it before
-    taking the next. With ``upper`` (``x`` is ``y``, ``out`` given), a block
-    of rows ``lo:hi`` is computed only for columns from ``lo`` on, into
-    ``out[lo:hi, lo:]``, and mirrored below the diagonal as one tile.
+    Returns ``reduce(block)`` for each block, in row order, where the block
+    of rows ``lo:hi`` holds ``d(x_i, y_j)`` at ``[i - lo, j]``. The rows per
+    block follow from ``_SCRATCH_BYTES`` alone, so the blocks, and any sum
+    over them, are the same on every CPU count. A block is written into
+    ``out[lo:hi]``, or into a buffer reused for the worker's next block when
+    ``out`` is None, so ``reduce`` must not keep it. With ``upper`` (``x`` is
+    ``y``, ``out`` given), a block of rows ``lo:hi`` is computed only for
+    columns from ``lo`` on, into ``out[lo:hi, lo:]``, and mirrored below the
+    diagonal as one tile.
+
+    The blocks run on one worker per CPU (``os.sched_getaffinity``), the
+    calling thread among them; a single block or a single CPU runs inline.
+    The workers share the ``_SCRATCH_BYTES`` budget: each computes its
+    block in row tiles with ``1/W`` of it as term scratch. Every buffer is
+    allocated here before the workers start, and a worker calls nothing but
+    ``_block_distances`` and ``reduce``. An exception in any worker is
+    raised here once all workers have stopped.
     """
     (h, rows), cols = xt.shape, yt.shape[1]
     if yt.shape[0] != h:
         raise ValueError(f"width mismatch: {h} vs {yt.shape[0]}")
 
-    def block_rows(n: int) -> int:
-        return max(1, _SCRATCH_BYTES // (8 * max(n, 1)))
+    def block_rows(n: int, budget: int) -> int:
+        return max(1, budget // (8 * max(n, 1)))
 
-    flat = np.empty(min(max(_SCRATCH_BYTES // 8, cols), rows * cols))
-    reused = np.empty(min(block_rows(cols), rows) * cols) if out is None else None
+    bounds = []
     lo = 0
     while lo < rows:
-        first = lo if upper else 0
-        n = cols - first
-        hi = min(lo + block_rows(n), rows)
-        block = reused[:(hi - lo) * n].reshape(hi - lo, n) if out is None else out[lo:hi, first:]
-        scratch = flat[:(hi - lo) * n].reshape(hi - lo, n)
-        _block_distances(xt[:, lo:hi], yt[:, first:], measure, block, scratch)
-        if upper:
-            out[hi:, lo:hi] = block[:, hi - lo:].T
-        yield block
+        hi = min(lo + block_rows(cols - lo if upper else cols, _SCRATCH_BYTES), rows)
+        bounds.append((lo, hi))
         lo = hi
+    workers = max(1, min(_worker_count(), len(bounds)))
+    budget = _SCRATCH_BYTES // workers
+    scratch = [np.empty(min(max(budget // 8, cols), rows * cols)) for _ in range(workers)]
+    reused = [np.empty(min(block_rows(cols, _SCRATCH_BYTES), rows) * cols) if out is None else None
+              for _ in range(workers)]
+    results: list = [None] * len(bounds)
+    errors: list[BaseException] = []
+    unclaimed = iter(range(len(bounds)))
+    claiming = threading.Lock()
 
+    def work(w: int) -> None:
+        try:
+            while not errors:
+                with claiming:
+                    b = next(unclaimed, None)
+                if b is None:
+                    return
+                lo, hi = bounds[b]
+                first = lo if upper else 0
+                n = cols - first
+                block = reused[w][:(hi - lo) * n].reshape(hi - lo, n) if out is None else out[lo:hi, first:]
+                tile = block_rows(n, budget)
+                for a in range(lo, hi, tile):
+                    z = min(a + tile, hi)
+                    _block_distances(xt[:, a:z], yt[:, first:], measure, block[a - lo:z - lo],
+                                     scratch[w][:(z - a) * n].reshape(z - a, n))
+                if upper:
+                    out[hi:, lo:hi] = block[:, hi - lo:].T
+                if reduce is not None:
+                    results[b] = reduce(block)
+        except BaseException as exc:  # re-raised by the caller
+            errors.append(exc)
 
-def _fill(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId, out: np.ndarray,
-          upper: bool = False) -> None:
-    """Write ``out[i, j] = d(x_i, y_j)``, every block of ``distance_blocks``."""
-    for _ in distance_blocks(xt, yt, measure, out, upper):
-        pass
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def cross_distances(
@@ -206,7 +255,7 @@ def cross_distances(
         raise ValueError(f"width mismatch: {x.shape[1]} vs {y.shape[1]}")
     measure = DistanceMeasureId(measure)
     out = np.empty((x.shape[0], y.shape[0]), dtype=np.float64)
-    _fill(kernel_rows(x, measure, ctx), kernel_rows(y, measure, ctx), measure, out)
+    reduce_blocks(kernel_rows(x, measure, ctx), kernel_rows(y, measure, ctx), measure, out=out)
     return out
 
 
@@ -227,6 +276,6 @@ def pairwise_matrix(
     measure = DistanceMeasureId(measure)
     xt = kernel_rows(x, measure, ctx)
     out = np.empty((x.shape[0], x.shape[0]), dtype=np.float64)
-    _fill(xt, xt, measure, out, upper=True)
+    reduce_blocks(xt, xt, measure, out=out, upper=True)
     np.fill_diagonal(out, 0.0)
     return out

@@ -19,9 +19,9 @@ from .distances import (
     DistanceMeasureId,
     MahalanobisContext,
     cross_distances,
-    distance_blocks,
     fit_mahalanobis,
     kernel_rows,
+    reduce_blocks,
 )
 from .grouped import GroupModelBundle, predict
 from .hierarchy import centroids
@@ -55,8 +55,8 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
         return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
     # A block of train rows at a time, so no train x test matrix is held.
     measure = DistanceMeasureId(measure)
-    blocks = distance_blocks(kernel_rows(x, measure, ctx), kernel_rows(test_block, measure, ctx), measure)
-    row_means = np.concatenate([block.mean(axis=1) for block in blocks])
+    xt, yt = kernel_rows(x, measure, ctx), kernel_rows(test_block, measure, ctx)
+    row_means = np.concatenate(reduce_blocks(xt, yt, measure, lambda block: block.mean(axis=1)))
     return (np.bincount(train_grouping.assignment, weights=row_means, minlength=train_grouping.K)
             / train_grouping.group_sizes())
 

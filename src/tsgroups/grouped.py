@@ -41,10 +41,21 @@ class GroupModelBundle:
         self.class_presence = np.asarray(self.class_presence, dtype=bool)
         if self.class_presence.shape != (self.grouping.K, self.n_classes):
             raise ValueError(f"class_presence must be (K, C), got {self.class_presence.shape}")
+        widths = sorted({model.n_features for model in self.models})
+        if len(widths) != 1:
+            raise ValueError(f"models take different feature widths: {widths}")
+        for g, model in enumerate(self.models):
+            if np.any((model.seen_classes < 0) | (model.seen_classes >= self.n_classes)):
+                raise ValueError(f"model {g} has seen_classes {model.seen_classes.tolist()} "
+                                 f"outside 0..{self.n_classes - 1}")
 
     @property
     def n_groups(self) -> int:
         return self.grouping.K
+
+    @property
+    def n_features(self) -> int:
+        return self.models[0].n_features
 
 
 def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:

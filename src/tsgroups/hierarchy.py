@@ -19,10 +19,10 @@ from .distances import (
     DistanceMeasureId,
     MahalanobisContext,
     cross_distances,
-    distance_blocks,
     fit_mahalanobis,
     kernel_rows,
     pairwise_matrix,
+    reduce_blocks,
 )
 from .types import AecsMatrix
 
@@ -80,29 +80,51 @@ class Dendrogram:
         return h.hexdigest()
 
 
-# Rows per tile of the symmetry check.
-_SYMMETRY_TILE = 64
+# Side of the square tiles that the symmetry check compares with their mirror images.
+_SYMMETRY_TILE = 128
 
 
-def _validate_distance_matrix(dist: np.ndarray) -> np.ndarray:
+def _working_matrix(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate ``dist``; return the matrix to cluster in, with an inf diagonal, and its row minima.
+
+    The minima come with their columns. The matrix is read twice: once as
+    tiles on and above the diagonal, each compared with its mirror image
+    and then searched for its maximum, and once for each row's minimum,
+    which the inf diagonal makes an off-diagonal one. A matrix found wrong
+    raises the first of these errors that it earns: NaN/Inf, negative
+    entries, asymmetry, a nonzero diagonal. Only a matrix that is not a
+    writeable C-contiguous float64 array is copied, and a rejected one is
+    left with the diagonal it came with.
+    """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got {dist.shape}")
     m = dist.shape[0]
     if m < 2:
         raise ValueError("need at least two instances")
+    problem = "distance matrix diagonal must be zero" if np.any(np.diag(dist) != 0) else None
+    t = _SYMMETRY_TILE
+    highs = []
+    for tile, mirror in ((dist[lo:lo + t, c:c + t], dist[c:c + t, lo:lo + t])
+                         for lo in range(0, m, t) for c in range(lo, m, t)):
+        if not np.array_equal(tile, mirror.T):  # a NaN is unequal to itself, so it lands here too
+            problem = "distance matrix is not symmetric"
+            break
+        highs.append(tile.max())
+    if problem is None and np.isfinite(max(highs)):
+        work = np.require(dist, requirements="CW")
+        np.fill_diagonal(work, np.inf)
+        row_arg = work.argmin(axis=1)
+        row_min = work[np.arange(m), row_arg]
+        if row_min.min() >= 0:  # false for -inf as well
+            return work, row_min, row_arg
+        np.fill_diagonal(work, 0.0)
     low, high = dist.min(), dist.max()  # a NaN anywhere makes both NaN
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("distance matrix contains NaN/Inf")
     if low < 0:
         raise ValueError("distance matrix has negative entries")
-    for lo in range(0, m, _SYMMETRY_TILE):
-        hi = lo + _SYMMETRY_TILE
-        if not np.array_equal(dist[lo:hi, lo:], dist[lo:, lo:hi].T):
-            raise ValueError("distance matrix is not symmetric")
-    if np.any(np.diag(dist) != 0):
-        raise ValueError("distance matrix diagonal must be zero")
-    return dist
+    raise ValueError(problem)
 
 
 def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrogram:
@@ -113,47 +135,44 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     first, making the dendrogram independent of evaluation order. Every
     tied pair joins two rows whose cached minimum equals the height, so that
     pair is the tied row with the smallest id and, within its row, the tied
-    column with the smallest id.
+    column with the smallest id; by symmetry, such a column is a tied row.
 
     The matrix is consumed: clustering works inside it, so it holds no
     distances when this returns, and no second M x M is made. Pass a copy
     to keep the distances. Only a matrix that is not a writeable
     C-contiguous float64 array is copied first. A retired cluster's row and
-    column are left as they are; every read adds the penalty row ``pen``
-    (-0.0 on live columns, which leaves a value as it is, and inf on
-    retired ones). Each merge costs O(P) numpy work for the tie-break, the
-    Lance-Williams update of the merged row and its one column write, plus
-    O(P) for each row whose cached minimum pointed at either merged
+    column are left as they are, and its cached column is -1; every read
+    adds the penalty row ``pen`` (-0.0 on live columns, which leaves a value
+    as it is, and inf on retired ones). Each merge costs O(P) numpy work for
+    the Lance-Williams update of the merged row and its one column write,
+    plus O(P) for each row whose cached minimum pointed at either merged
     cluster, where P is the matrix's current size.
     When the live clusters fall to half of P, their rows and columns are
     gathered in order into the start of the same buffer, so positions keep
     their order. Ties add no loop over tied pairs, so inputs full of exact
     duplicates cluster about as fast as distinct ones.
     """
-    dist = _validate_distance_matrix(dist)
     linkage = Linkage(linkage)
-    m = dist.shape[0]
-
-    work = np.require(dist, requirements="CW")
+    work, row_min, row_arg = _working_matrix(dist)
+    m = work.shape[0]
     buffer = work.reshape(m * m)
-    np.fill_diagonal(work, np.inf)
     pen = np.full(m, -0.0)
-    active = np.ones(m, dtype=bool)
-    sizes = np.ones(m, dtype=np.int64)
-    ids = np.arange(m, dtype=np.int64)
-    row_min = work.min(axis=1)
-    row_arg = work.argmin(axis=1)
+    sizes = [1] * m
+    ids = np.arange(m)
 
     merges: list[tuple[int, int, float]] = []
     for step in range(m - 1):
         # Retired rows hold inf, so the minimum over all rows is the height.
         height = row_min.min()
         tied = (row_min == height).nonzero()[0]
-        i = tied[ids[tied].argmin()]
-        partners = (work[i] + pen == height).nonzero()[0]
-        j = partners[ids[partners].argmin()]
+        if tied.size == 2:  # each is the other's only tied column
+            i, j = sorted(tied.tolist(), key=ids.item)
+        else:
+            i = tied[ids[tied].argmin()]
+            partners = tied[work[i, tied] == height]
+            j = partners[ids[partners].argmin()]
         si, sj = min(i, j), max(i, j)
-        merges.append((int(ids[i]), int(ids[j]), float(height)))
+        merges.append((ids.item(i), ids.item(j), float(height)))
 
         di, dj = work[si], work[sj]
         if linkage is Linkage.SINGLE:
@@ -162,50 +181,53 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
             updated = np.maximum(di, dj)
         else:
             ni, nj = sizes[si], sizes[sj]
-            updated = (ni * di + nj * dj) / (ni + nj)
+            updated = di * ni  # (ni di + nj dj) / (ni + nj), with one temporary fewer
+            updated += dj * nj
+            updated /= ni + nj
         updated += pen
         updated[si] = updated[sj] = np.inf
 
         work[si] = updated
         work[:, si] = updated
-        pen[sj] = np.inf
-        active[sj] = False
-        row_min[sj] = np.inf
+        pen[sj] = row_min[sj] = np.inf
+        row_arg[sj] = -1
         sizes[si] += sizes[sj]
         ids[si] = m + step
 
         if step == m - 2:
             break
-        # Refresh cached row minima invalidated by the merge. Retired rows are
-        # never refreshed, and a gather holds at most 1/32 of the matrix.
-        row_min[si] = updated.min()
-        row_arg[si] = updated.argmin()
-        stale = (row_arg == si) | (row_arg == sj)
-        stale &= active
-        stale[si] = False
-        ks = stale.nonzero()[0]
+        # Refresh cached row minima invalidated by the merge. Retired rows
+        # point at no column, so they are never refreshed, and a gather
+        # holds at most 1/32 of the matrix.
+        arg = updated.argmin()
+        row_min[si], row_arg[si] = updated[arg], arg
+        ks = ((row_arg == si) | (row_arg == sj)).nonzero()[0]
         chunk = max(1, work.shape[0] // 32)
         for lo in range(0, ks.size, chunk):
             part = ks[lo:lo + chunk]
             rows = work[part]
             rows += pen
-            row_min[part] = rows.min(axis=1)
-            row_arg[part] = rows.argmin(axis=1)
-        improved = active & (updated < row_min)
-        row_min[improved] = updated[improved]
+            args = rows.argmin(axis=1)
+            row_min[part] = rows[np.arange(part.size), args]
+            row_arg[part] = args
+        # Retired rows and columns hold inf on both sides, so neither improves.
+        improved = updated < row_min
+        np.minimum(row_min, updated, out=row_min)
         row_arg[improved] = si
 
         live = m - 1 - step
         if 2 * live <= work.shape[0]:
-            keep = np.flatnonzero(active)
+            alive = row_arg >= 0
+            keep = alive.nonzero()[0]
             # Row a lands at or before row keep[a]'s start, behind every row still to be read.
             for a, r in enumerate(keep):
                 buffer[a * live:(a + 1) * live] = work[r, keep]
             work = buffer[:live * live].reshape(live, live)
-            row_arg = (np.cumsum(active) - 1)[row_arg[keep]]
-            row_min, sizes, ids = row_min[keep], sizes[keep], ids[keep]
+            row_arg = (np.cumsum(alive) - 1)[row_arg[keep]]
+            row_min = row_min[keep]
+            ids = ids[keep]
+            sizes = [sizes[r] for r in keep.tolist()]
             pen = np.full(live, -0.0)
-            active = np.ones(live, dtype=bool)
 
     return Dendrogram(n_leaves=m, merges=merges, linkage=linkage)
 
@@ -262,9 +284,10 @@ def hubert_statistic(
     Same-group pairs contribute zero since their centroid distance is zero,
     so only cross-group pairs are measured. With the instances ordered by
     group, each group's rows meet the rows of every later group through
-    ``distance_blocks``, a block of rows at a time within the kernel's
-    scratch budget, so no M x M matrix is made. Defined as 0 for a single
-    group.
+    ``reduce_blocks``, a block of rows at a time within the kernel's
+    scratch budget, so no M x M matrix is made. The blocks' sums are added
+    in row order, so rho is the same on every CPU count. Defined as 0 for a
+    single group.
     """
     x = vectors.vectors if isinstance(vectors, AecsMatrix) else np.asarray(vectors, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -285,8 +308,9 @@ def hubert_statistic(
     for g in range(k - 1):
         # Each later row's weight is its group's centroid distance to group g.
         weights = np.repeat(cent_dist[g, g + 1:], sizes[g + 1:])
-        for block in distance_blocks(xt[:, ends[g] - sizes[g]:ends[g]], xt[:, ends[g]:], measure):
-            total += float(block.sum(axis=0) @ weights)
+        for part in reduce_blocks(xt[:, ends[g] - sizes[g]:ends[g]], xt[:, ends[g]:], measure,
+                                  lambda block: float(block.sum(axis=0) @ weights)):
+            total += part
     return 2.0 * total / (m * (m - 1))
 
 

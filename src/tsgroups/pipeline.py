@@ -24,10 +24,10 @@ import numpy as np
 
 from . import __version__
 from . import autoencoder as ae
-from .classifiers import ClassifierSpec
+from .classifiers import ClassifierSpec, feature_width
 from .consistent import CgfConfig, CgfResult, form_consistent_groups
 from .distances import DistanceMeasureId, fit_mahalanobis
-from .grouped import load_bundle, save_bundle, train_per_group, train_single_baseline
+from .grouped import GroupModelBundle, load_bundle, save_bundle, train_per_group, train_single_baseline
 from .grouped import predict as bundle_predict
 from .group_mapping import MappingMethod, MappingReport, infer_with_groups
 from .ingest import (
@@ -68,12 +68,12 @@ class ArtifactError(RuntimeError):
 
 
 @contextmanager
-def _reading_artifacts(what: str):
-    """Report truncated or edited artifact content as an ArtifactError."""
+def _reading_artifacts(path: Path):
+    """Report truncated or edited content of the file at ``path`` as an ArtifactError naming it."""
     try:
         yield
     except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"corrupt {what}: {exc!r}") from None
+        raise ArtifactError(f"corrupt {path.name}: {exc!r}") from None
 
 
 @dataclass
@@ -328,7 +328,7 @@ def cmd_train(config: PipelineConfig) -> dict:
     if not train_path.is_file():
         raise ArtifactError(f"missing canonical train dataset {train_path}; run ingest first")
     with _writing_run(config, "manifest_train") as run:
-        with _reading_artifacts("train dataset archive"):
+        with _reading_artifacts(train_path):
             ds, _, _, _ = load_dataset(train_path)
         if not config.train.baseline_only:  # fail before the model is written
             config.cgf.effective_k_max(ds.n_windows, "the train split")
@@ -387,28 +387,45 @@ def _headline(metrics: ClassMetrics) -> dict:
             "f1_weighted": metrics.f1_weighted}
 
 
+def _read_bundle(path: Path, model_digest: str, aecs_width: int, n_channels: int) -> GroupModelBundle:
+    """A classifier bundle, checked against the run's autoencoder and the width of its features."""
+    with _reading_artifacts(path):
+        bundle = load_bundle(path)
+    if bundle.aecs_model_id != model_digest:
+        raise ArtifactError(f"{path.name} was trained against a different autoencoder model")
+    width = feature_width(bundle.spec.kind, aecs_width, n_channels)
+    if bundle.n_features != width:
+        raise ArtifactError(f"{path.name} holds models of {bundle.n_features} features, "
+                            f"but this run's {bundle.spec.kind} features number {width}")
+    return bundle
+
+
 def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = Path(config.out_dir)
-    for name in ("test_dataset", "model", "aecs_train"):
-        if not _artifact(out, name).is_file():
-            raise ArtifactError(f"missing artifact {_artifact(out, name)}; run earlier stages first")
-    bundle_name = "bundle_baseline" if config.train.baseline_only else "bundle_grouped"
-    if not _artifact(out, bundle_name).is_file():
-        raise ArtifactError(f"missing artifact {_artifact(out, bundle_name)}; run train first")
+    test_path, model_path, aecs_path = (_artifact(out, n) for n in ("test_dataset", "model", "aecs_train"))
+    for path in (test_path, model_path, aecs_path):
+        if not path.is_file():
+            raise ArtifactError(f"missing artifact {path}; run earlier stages first")
+    bundle_path = _artifact(out, "bundle_baseline" if config.train.baseline_only else "bundle_grouped")
+    if not bundle_path.is_file():
+        raise ArtifactError(f"missing artifact {bundle_path}; run train first")
+    baseline_path = _artifact(out, "bundle_baseline")
 
     with _writing_run(config, "manifest_infer") as run:
-        with _reading_artifacts("run artifact"):
-            test_ds, _, has_labels, _ = load_dataset(_artifact(out, "test_dataset"))
-            params, model_config, d = ae.load_model(_artifact(out, "model"))
-            train_aecs = load_aecs(_artifact(out, "aecs_train"))
-            bundle = load_bundle(_artifact(out, bundle_name))
+        with _reading_artifacts(test_path):
+            test_ds, _, has_labels, _ = load_dataset(test_path)
+        with _reading_artifacts(model_path):
+            params, model_config, d = ae.load_model(model_path)
+        with _reading_artifacts(aecs_path):
+            train_aecs = load_aecs(aecs_path)
         config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
         model_digest = ae.model_id(params, model_config, d)
-        if bundle.aecs_model_id != model_digest:
-            raise ArtifactError("bundle was trained against a different autoencoder model")
         if train_aecs.source_model_id != model_digest:
             raise ArtifactError("stored train representations come from a different model")
+        bundle = _read_bundle(bundle_path, model_digest, model_config.hidden2, d)
+        baseline = (_read_bundle(baseline_path, model_digest, model_config.hidden2, d)
+                    if has_labels and baseline_path.is_file() and not config.train.baseline_only else None)
 
         with run.stage("transform"):
             test_aecs = ae.transform(params, test_ds, model_config)
@@ -453,10 +470,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
             grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
             write_json(run.path("metrics"), grouped_metrics)
             report["grouped"] = _headline(grouped_metrics)
-            baseline_path = _artifact(out, "bundle_baseline")
-            if baseline_path.is_file() and not config.train.baseline_only:
-                with _reading_artifacts("baseline bundle"):
-                    baseline = load_bundle(baseline_path)
+            if baseline is not None:
                 baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
                 baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
                 report["baseline"] = _headline(baseline_metrics)
@@ -493,69 +507,74 @@ def cmd_report(run_dir: str | Path) -> dict:
         _write_csv(path, header, rows)
         written[name] = str(path)
 
-    with _reading_artifacts(f"artifact in {out}"):
-        cgf_path = _artifact(out, "cgf_train")
-        train_path = _artifact(out, "train_dataset")
-        aecs_path = _artifact(out, "aecs_train")
+    cgf_path = _artifact(out, "cgf_train")
+    train_path = _artifact(out, "train_dataset")
+    aecs_path = _artifact(out, "aecs_train")
 
-        grouping = None
-        if cgf_path.is_file():
+    grouping = None
+    if cgf_path.is_file():
+        with _reading_artifacts(cgf_path):
             grouping = as_record(CgfResult, read_json(cgf_path)).grouping
-        else:
-            notices.append(f"missing {cgf_path}; group-based tables skipped")
+    else:
+        notices.append(f"missing {cgf_path}; group-based tables skipped")
 
-        if grouping is not None and train_path.is_file():
+    if grouping is not None and train_path.is_file():
+        with _reading_artifacts(train_path):
             ds, _, _, _ = load_dataset(train_path)
-            if grouping.n_instances != ds.n_windows:
-                raise ArtifactError(f"{cgf_path} and {train_path} differ in row count")
-            counts = Counter((int(g), wm.driver_id, wm.behavior)
-                             for g, wm in zip(grouping.assignment, ds.meta))
-            export("composition_train", ["group", "driver_id", "behavior", "count"],
-                   ([*key, counts[key]] for key in sorted(counts)))
-        elif not train_path.is_file():
-            notices.append(f"missing {train_path}; composition table skipped")
+        if grouping.n_instances != ds.n_windows:
+            raise ArtifactError(f"{cgf_path} and {train_path} differ in row count")
+        counts = Counter((int(g), wm.driver_id, wm.behavior)
+                         for g, wm in zip(grouping.assignment, ds.meta))
+        export("composition_train", ["group", "driver_id", "behavior", "count"],
+               ([*key, counts[key]] for key in sorted(counts)))
+    elif not train_path.is_file():
+        notices.append(f"missing {train_path}; composition table skipped")
 
-        if grouping is not None and aecs_path.is_file():
+    if grouping is not None and aecs_path.is_file():
+        with _reading_artifacts(aecs_path):
             aecs = load_aecs(aecs_path)
-            if grouping.n_instances != aecs.n_instances:
-                raise ArtifactError(f"{cgf_path} and {aecs_path} differ in row count")
-            coords = _pca_2d(aecs.vectors)
-            export("pca_train", ["index", "pc1", "pc2", "group"], (
-                [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
-                for i in range(coords.shape[0])
-            ))
-        elif not aecs_path.is_file():
-            notices.append(f"missing {aecs_path}; projection export skipped")
+        if grouping.n_instances != aecs.n_instances:
+            raise ArtifactError(f"{cgf_path} and {aecs_path} differ in row count")
+        coords = _pca_2d(aecs.vectors)
+        export("pca_train", ["index", "pc1", "pc2", "group"], (
+            [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
+            for i in range(coords.shape[0])
+        ))
+    elif not aecs_path.is_file():
+        notices.append(f"missing {aecs_path}; projection export skipped")
 
-        if grouping is not None:
-            scores = grouping.hubert_scores
-            export("hubert_scores", ["measure", "rho", "selected"], (
-                [token, repr(float(scores[token])), int(token == grouping.measure)]
-                for token in scores
-            ))
+    if grouping is not None:
+        scores = grouping.hubert_scores
+        export("hubert_scores", ["measure", "rho", "selected"], (
+            [token, repr(float(scores[token])), int(token == grouping.measure)]
+            for token in scores
+        ))
 
-        mapping_avg = _artifact(out, "mapping_avg")
-        mapping_cr = _artifact(out, "mapping_cr_cr")
-        groups = None
-        if mapping_avg.is_file() and mapping_cr.is_file():
+    mapping_avg = _artifact(out, "mapping_avg")
+    mapping_cr = _artifact(out, "mapping_cr_cr")
+    groups = None
+    if mapping_avg.is_file() and mapping_cr.is_file():
+        with _reading_artifacts(mapping_avg):
             avg = as_record(MappingReport, read_json(mapping_avg))
+        with _reading_artifacts(mapping_cr):
             crcr = as_record(MappingReport, read_json(mapping_cr))
-            groups = [(row.test_group, row.test_group_size) for row in avg.rows]
-            if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
-                raise ArtifactError(f"{mapping_avg} and {mapping_cr} list different test groups")
-            export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
-                [*group, a, c] for group, a, c in zip(groups, avg.chosen(), crcr.chosen())
-            ))
-        else:
-            notices.append("mapping reports absent; mapping summary skipped")
+        groups = [(row.test_group, row.test_group_size) for row in avg.rows]
+        if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
+            raise ArtifactError(f"{mapping_avg} and {mapping_cr} list different test groups")
+        export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
+            [*group, a, c] for group, a, c in zip(groups, avg.chosen(), crcr.chosen())
+        ))
+    else:
+        notices.append("mapping reports absent; mapping summary skipped")
 
-        cgf_test_path = _artifact(out, "cgf_test")
-        if cgf_test_path.is_file():
+    cgf_test_path = _artifact(out, "cgf_test")
+    if cgf_test_path.is_file():
+        with _reading_artifacts(cgf_test_path):
             sizes = as_record(CgfResult, read_json(cgf_test_path)).grouping.group_sizes().tolist()
-            if groups is not None and sizes != [size for _, size in groups]:
-                raise ArtifactError(f"{cgf_test_path} group sizes differ from the mapping reports' "
-                                    f"test group sizes")
-            export("composition_test", ["group", "size"], enumerate(sizes))
+        if groups is not None and sizes != [size for _, size in groups]:
+            raise ArtifactError(f"{cgf_test_path} group sizes differ from the mapping reports' "
+                                f"test group sizes")
+        export("composition_test", ["group", "size"], enumerate(sizes))
 
     summary = {"written": written, "notices": notices}
     write_json(out / "report_summary.json", summary)

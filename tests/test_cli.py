@@ -394,6 +394,12 @@ RECORD_DAMAGE = {
     "group-id-not-below-K": (CGF_FILES, edit_json(
         lambda d: d["grouping"]["assignment"].__setitem__(0, d["grouping"]["K"]))),
     "accepted-k-not-K": (CGF_FILES, edit_json(lambda d: d.update(accepted_k=d["accepted_k"] + 1))),
+    # Every model one feature short: each model's shapes agree, but not with the run.
+    "one-feature-short": (BUNDLES, edit_json(lambda d: [model.update(
+        weights=model["weights"][:-1], feature_mean=model["feature_mean"][:-1],
+        feature_std=model["feature_std"][:-1]) for model in d["models"]])),
+    "class-out-of-range": (BUNDLES, edit_json(lambda d: d["models"][0].update(
+        seen_classes=[c + d["n_classes"] for c in d["models"][0]["seen_classes"]]))),
 }
 
 
@@ -405,6 +411,7 @@ def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, dam
     shutil.copytree(run_dir, copy)
     RECORD_DAMAGE[damage][1](copy / name)
     if name in BUNDLES:
+        (copy / "aecs_test.zip").unlink()  # infer's first write
         args = ["infer", "--config", str(config_path), "--out", str(copy)]
     else:
         args = ["report", "--out", str(copy)]
@@ -412,6 +419,8 @@ def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, dam
     assert main(args) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert name in err, err
+    assert name in CGF_FILES or not (copy / "aecs_test.zip").exists()
 
 
 def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from tsgroups import consistent
 from tsgroups.consistent import CgfConfig, CgfResult, form_consistent_groups
 from tsgroups.hierarchy import cut
+from tsgroups.pipeline import cmd_ingest, cmd_train, read_config
 from tsgroups.rng import seeded_rng
-from tsgroups.storage import as_record, canonical_json
+from tsgroups.storage import as_record, canonical_json, read_json
 
 from reference import difference
 from synthdata import adjusted_rand_index, planted_blobs
@@ -90,7 +91,7 @@ def test_accepted_k_matches_grouping():
     assert np.all(sizes > 0)
     with pytest.raises(ValueError, match=f"accepted_k {result.grouping.K + 1} is not the grouping's K"):
         CgfResult(grouping=result.grouping, stopped_by=result.stopped_by, accepted_k=result.grouping.K + 1)
-    with pytest.raises(ValueError, match="stopped_by must be 'tau' or 'k_max'"):
+    with pytest.raises(ValueError, match="stopped_by must be 'tau', 'duplicates' or 'k_max'"):
         CgfResult(grouping=result.grouping, stopped_by="done", accepted_k=result.grouping.K)
 
 
@@ -133,3 +134,34 @@ def test_determinism():
     assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
     assert a.grouping.fingerprint() == b.grouping.fingerprint()
     assert canonical_json(a) == canonical_json(b)
+
+
+def test_identical_vectors_form_one_group():
+    # Every merge has height 0, so the first split, which passes tau, would part copies.
+    x = np.tile(seeded_rng(3).standard_normal(5), (80, 1))
+    result = form_consistent_groups(x)
+    assert (result.grouping.K, result.stopped_by) == (1, "duplicates")
+    assert result.trace == [{"k": 2, "new_group_size": result.rejected_size, "accepted": False}]
+
+
+def test_copies_of_nine_points_form_nine_groups():
+    points = seeded_rng(7).standard_normal((9, 12))
+    x = points[np.arange(360) % 9]
+    # At tau 0.05 the 10th group, 16 copies, is below tau * M = 18; lower, only height 0 stops it.
+    for tau, stopped_by in ((0.05, "tau"), (0.04, "duplicates"), (0.02, "duplicates")):
+        result = form_consistent_groups(x, CgfConfig(tau=tau))
+        assert (result.grouping.K, result.stopped_by) == (9, stopped_by), tau
+        assert adjusted_rand_index(result.grouping.assignment, np.arange(360) % 9) == 1.0, tau
+
+
+def test_zero_noise_run_keeps_copies_together(tmp_path, monkeypatch):
+    # The zero-noise golden run, where every window of an (archetype, class) cell is a copy.
+    from test_golden_digests import RUNS
+
+    monkeypatch.chdir(tmp_path)
+    config = read_config({**RUNS["zero-noise"], "paths": {"out_dir": "run"}, "cgf": {"tau": 0.03},
+                          "train": {"baseline": False}})
+    cmd_ingest(config)
+    cmd_train(config)
+    result = as_record(CgfResult, read_json(tmp_path / "run" / "cgf_train.json"))
+    assert (result.grouping.K, result.stopped_by) == (9, "duplicates")

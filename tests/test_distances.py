@@ -1,5 +1,7 @@
 """Distance measures against naive references and hand values."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,10 @@ from tsgroups.distances import (
     fit_mahalanobis,
     pairwise_matrix,
 )
+from tsgroups.group_mapping import MappingMethod, candidate_distances
+from tsgroups.hierarchy import hubert_statistic
 from tsgroups.rng import seeded_rng
+from tsgroups.types import Grouping
 
 from reference import (
     naive_chebyshev,
@@ -199,3 +204,73 @@ def test_pairwise_matrix_scratch_stays_bounded():
         finally:
             tracemalloc.stop()
         assert peak <= m * m * 8 + 2 * 2**20, (measure, peak)
+
+
+def test_pairwise_matrix_scratch_stays_bounded_on_three_workers(monkeypatch):
+    # The workers split the one scratch budget between them.
+    monkeypatch.setattr(distances, "_worker_count", lambda: 3)
+    test_pairwise_matrix_scratch_stays_bounded()
+
+
+@pytest.mark.parametrize("scratch_bytes", [8, 4096, None])
+def test_blocks_give_the_same_floats_on_any_worker_count(scratch_bytes, monkeypatch):
+    # 600 rows leave a ragged last block under every budget: at the default
+    # 1 MB, 218 rows per block against 600 columns and 436 against 300.
+    if scratch_bytes is not None:
+        monkeypatch.setattr(distances, "_SCRATCH_BYTES", scratch_bytes)
+    rng = seeded_rng(41)
+    x, y = scaled_vectors(rng, 600, 7), scaled_vectors(rng, 300, 7)
+    ctx = fit_mahalanobis(x)
+    assignment = rng.integers(0, 4, size=600)
+    grouping = Grouping(assignment=assignment, K=4, measure="CHEBYSHEV")
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(distances, "_worker_count", lambda: workers)
+        runs.append([(pairwise_matrix(x, measure, ctx), cross_distances(x, y, measure, ctx),
+                      hubert_statistic(x, assignment, measure, ctx),
+                      candidate_distances(MappingMethod.AVG, x, grouping, y, measure, ctx))
+                     for measure in MEASURE_ORDER])
+    for workers, run in zip((2, 3), runs[1:]):
+        for measure, got, want in zip(MEASURE_ORDER, run, runs[0]):
+            for name, a, b in zip(("pairwise", "cross", "hubert", "avg"), got, want):
+                assert np.array_equal(a, b), (workers, measure, name)
+
+
+def test_eight_workers_switching_often_compute_every_block_once(monkeypatch):
+    # More workers than CPUs, switching every microsecond: a block lost or
+    # claimed twice would leave garbage in a result or a sum out of order.
+    monkeypatch.setattr(distances, "_SCRATCH_BYTES", 256)
+    rng = seeded_rng(43)
+    x = scaled_vectors(rng, 300, 5)
+    assignment = rng.integers(0, 3, size=300)
+    want = (pairwise_matrix(x, DistanceMeasureId.MANHATTAN),
+            hubert_statistic(x, assignment, DistanceMeasureId.MANHATTAN))
+    monkeypatch.setattr(distances, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(pairwise_matrix(x, DistanceMeasureId.MANHATTAN), want[0])
+            assert hubert_statistic(x, assignment, DistanceMeasureId.MANHATTAN) == want[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_worker_error_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(distances, "_SCRATCH_BYTES", 4096)
+    monkeypatch.setattr(distances, "_worker_count", lambda: 3)
+    kernel = distances._block_distances
+    calls = []
+
+    def fails_second(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second block failed")
+        kernel(*args)
+
+    monkeypatch.setattr(distances, "_block_distances", fails_second)
+    threads = threading.active_count()
+    x = seeded_rng(42).standard_normal((200, 5))
+    with pytest.raises(RuntimeError, match="second block failed"):
+        pairwise_matrix(x, DistanceMeasureId.MANHATTAN)
+    assert threading.active_count() == threads  # every worker has stopped
