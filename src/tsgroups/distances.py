@@ -180,9 +180,12 @@ def reduce_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
     The blocks run on one worker per CPU (``os.sched_getaffinity``), the
     calling thread among them; a single block or a single CPU runs inline.
     The workers share the ``_SCRATCH_BYTES`` budget: each computes its
-    block in row tiles with ``1/W`` of it as term scratch. Every buffer is
-    allocated here before the workers start, and a worker calls nothing but
-    ``_block_distances`` and ``reduce``. An exception in any worker is
+    block in row tiles with ``1/W`` of it as term scratch, so there are no
+    more workers than rows that fit the budget. Without ``out``, each worker
+    also holds its own block, so the workers' blocks together stay within
+    twice the budget: at most two full-size blocks run at once. Every buffer
+    is allocated here before the workers start, and a worker calls nothing
+    but ``_block_distances`` and ``reduce``. An exception in any worker is
     raised here once all workers have stopped.
     """
     (h, rows), cols = xt.shape, yt.shape[1]
@@ -198,11 +201,14 @@ def reduce_blocks(xt: np.ndarray, yt: np.ndarray, measure: DistanceMeasureId,
         hi = min(lo + block_rows(cols - lo if upper else cols, _SCRATCH_BYTES), rows)
         bounds.append((lo, hi))
         lo = hi
-    workers = max(1, min(_worker_count(), len(bounds)))
+    reused_size = min(block_rows(cols, _SCRATCH_BYTES), rows) * cols
+    workers = min(_worker_count(), len(bounds), block_rows(cols, _SCRATCH_BYTES))
+    if out is None:
+        workers = min(workers, 2 * _SCRATCH_BYTES // max(8 * reused_size, 1))
+    workers = max(1, workers)
     budget = _SCRATCH_BYTES // workers
     scratch = [np.empty(min(max(budget // 8, cols), rows * cols)) for _ in range(workers)]
-    reused = [np.empty(min(block_rows(cols, _SCRATCH_BYTES), rows) * cols) if out is None else None
-              for _ in range(workers)]
+    reused = [np.empty(reused_size) if out is None else None for _ in range(workers)]
     results: list = [None] * len(bounds)
     errors: list[BaseException] = []
     unclaimed = iter(range(len(bounds)))

@@ -165,12 +165,9 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
         # Retired rows hold inf, so the minimum over all rows is the height.
         height = row_min.min()
         tied = (row_min == height).nonzero()[0]
-        if tied.size == 2:  # each is the other's only tied column
-            i, j = sorted(tied.tolist(), key=ids.item)
-        else:
-            i = tied[ids[tied].argmin()]
-            partners = tied[work[i, tied] == height]
-            j = partners[ids[partners].argmin()]
+        i = tied[ids[tied].argmin()]
+        partners = tied[work[i, tied] == height]
+        j = partners[ids[partners].argmin()]
         si, sj = min(i, j), max(i, j)
         merges.append((ids.item(i), ids.item(j), float(height)))
 

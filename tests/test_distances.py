@@ -212,28 +212,62 @@ def test_pairwise_matrix_scratch_stays_bounded_on_three_workers(monkeypatch):
     test_pairwise_matrix_scratch_stays_bounded()
 
 
+def test_pairwise_matrix_scratch_stays_within_the_budget_on_many_cpus(monkeypatch):
+    # At 16 KB a row of 600 columns takes 4.8 KB of term scratch, so 64
+    # workers with a row each would hold 300 KB; sharing the budget, 3 do.
+    # Besides the matrix and the scratch, the call holds the kernel's rows
+    # (and for Mahalanobis the whitened vectors they are copied from).
+    budget = 1 << 14
+    monkeypatch.setattr(distances, "_SCRATCH_BYTES", budget)
+    monkeypatch.setattr(distances, "_worker_count", lambda: 64)
+    m = 600
+    x = seeded_rng(8).standard_normal((m, 12))
+    ctx = fit_mahalanobis(x)
+    for measure in MEASURE_ORDER:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pairwise_matrix(x, measure, ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= m * m * 8 + 2 * x.nbytes + 2 * budget, (measure, peak - m * m * 8)
+
+
 @pytest.mark.parametrize("scratch_bytes", [8, 4096, None])
 def test_blocks_give_the_same_floats_on_any_worker_count(scratch_bytes, monkeypatch):
-    # 600 rows leave a ragged last block under every budget: at the default
-    # 1 MB, 218 rows per block against 600 columns and 436 against 300.
+    # Both shapes leave ragged last blocks. At the default 1 MB, 600 rows
+    # take 218 rows per block against 600 columns and 436 against 300; at
+    # 4 KB, 90 rows take 5 against 90 and 17 against 30. Workers share the
+    # budget a row each at least, so at 8 bytes (one float) one worker runs.
     if scratch_bytes is not None:
         monkeypatch.setattr(distances, "_SCRATCH_BYTES", scratch_bytes)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(None)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
     rng = seeded_rng(41)
-    x, y = scaled_vectors(rng, 600, 7), scaled_vectors(rng, 300, 7)
-    ctx = fit_mahalanobis(x)
-    assignment = rng.integers(0, 4, size=600)
-    grouping = Grouping(assignment=assignment, K=4, measure="CHEBYSHEV")
-    runs = []
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(distances, "_worker_count", lambda: workers)
-        runs.append([(pairwise_matrix(x, measure, ctx), cross_distances(x, y, measure, ctx),
-                      hubert_statistic(x, assignment, measure, ctx),
-                      candidate_distances(MappingMethod.AVG, x, grouping, y, measure, ctx))
-                     for measure in MEASURE_ORDER])
-    for workers, run in zip((2, 3), runs[1:]):
-        for measure, got, want in zip(MEASURE_ORDER, run, runs[0]):
-            for name, a, b in zip(("pairwise", "cross", "hubert", "avg"), got, want):
-                assert np.array_equal(a, b), (workers, measure, name)
+    for rows, cols in ((600, 300), (90, 30)):
+        x, y = scaled_vectors(rng, rows, 7), scaled_vectors(rng, cols, 7)
+        ctx = fit_mahalanobis(x)
+        assignment = rng.integers(0, 4, size=rows)
+        grouping = Grouping(assignment=assignment, K=4, measure="CHEBYSHEV")
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(distances, "_worker_count", lambda: workers)
+            runs.append([(pairwise_matrix(x, measure, ctx), cross_distances(x, y, measure, ctx),
+                          hubert_statistic(x, assignment, measure, ctx),
+                          candidate_distances(MappingMethod.AVG, x, grouping, y, measure, ctx))
+                         for measure in MEASURE_ORDER])
+        for workers, run in zip((2, 3), runs[1:]):
+            for measure, got, want in zip(MEASURE_ORDER, run, runs[0]):
+                for name, a, b in zip(("pairwise", "cross", "hubert", "avg"), got, want):
+                    assert np.array_equal(a, b), (rows, workers, measure, name)
+    assert bool(started) == (scratch_bytes != 8)
 
 
 def test_eight_workers_switching_often_compute_every_block_once(monkeypatch):

@@ -210,6 +210,13 @@ def test_hubert_holds_no_pairwise_matrix(monkeypatch):
             assert peak <= m * m * 8 / 4, (measure, peak)
 
 
+def test_hubert_holds_no_pairwise_matrix_on_many_cpus(monkeypatch):
+    # Each worker holds a block of its own here, so on 64 CPUs the blocks
+    # of the split assignment would add up to more than the bound.
+    monkeypatch.setattr(distances, "_worker_count", lambda: 64)
+    test_hubert_holds_no_pairwise_matrix(monkeypatch)
+
+
 def test_select_best_measure_holds_one_matrix(monkeypatch):
     # Under a 64 KB kernel budget the rest is small: the scratch and two
     # dendrograms' merge lists (about 0.09 of a 600 x 600 matrix).

@@ -159,6 +159,13 @@ def test_avg_holds_no_train_by_test_matrix(monkeypatch):
             assert np.array_equal(got, want), (measure, len(test))
 
 
+def test_avg_holds_no_train_by_test_matrix_on_many_cpus(monkeypatch):
+    # Each worker holds a block of its own here, so on 64 CPUs the 150
+    # blocks of four train rows would add up to more than the bound.
+    monkeypatch.setattr(distances, "_worker_count", lambda: 64)
+    test_avg_holds_no_train_by_test_matrix(monkeypatch)
+
+
 def test_map_avg_hand_case():
     vectors = np.array([[0.0], [0.5], [10.0], [10.5]])
     grouping = Grouping(assignment=np.array([0, 0, 1, 1]), K=2, measure="MANHATTAN")
