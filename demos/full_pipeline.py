@@ -30,7 +30,6 @@ def main() -> None:
         "cgf": {"tau": 0.05},
         "classifier": {"kind": "SOFTMAX_STATS", "epochs": 200, "seed": 7},
         "mapping": {"method": "AVG"},
-        "train": {"baseline": True},
     }
     config_path = workdir / "config.json"
     config_path.write_text(json.dumps(config, indent=2))

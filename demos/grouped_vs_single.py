@@ -46,13 +46,13 @@ def main() -> None:
     print(f"group formation: K={result.grouping.K} ({result.grouping.measure})")
 
     clf = ClassifierSpec(kind="SOFTMAX_STATS", epochs=300, seed=9)
-    grouped = train_per_group(train_ds, train_aecs, result.grouping, clf)
+    grouped = train_per_group(train_ds, train_aecs, result.grouping.assignment, clf)
     single = train_single_baseline(train_ds, train_aecs, clf)
 
     test_groups = form_consistent_groups(test_aecs.vectors, CgfConfig(tau=0.05))
     grouped_pred, report = infer_with_groups(
         grouped, train_aecs, test_ds, test_aecs, test_groups.grouping,
-        method=MappingMethod.AVG)
+        method=MappingMethod.AVG, train_grouping=result.grouping)
     single_pred = predict(single, 0, test_ds.windows, test_aecs.vectors)
 
     m_grouped = evaluate_metrics(grouped_pred, test_ds.labels, test_ds.n_classes)

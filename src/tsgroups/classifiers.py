@@ -89,11 +89,9 @@ class SoftmaxModel:
     seen_classes: np.ndarray
     feature_mean: np.ndarray
     feature_std: np.ndarray
-    kind: ClassifierKind
     n_train: int
 
     def __post_init__(self) -> None:
-        self.kind = ClassifierKind(self.kind)
         self.weights, self.bias, self.feature_mean, self.feature_std = (
             np.asarray(a, dtype=np.float64)
             for a in (self.weights, self.bias, self.feature_mean, self.feature_std))
@@ -156,7 +154,6 @@ def train_softmax(features: np.ndarray, labels: np.ndarray, spec: ClassifierSpec
         seen_classes=seen,
         feature_mean=mean,
         feature_std=std,
-        kind=spec.kind,
         n_train=labels.size,
     )
 

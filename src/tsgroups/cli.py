@@ -44,7 +44,6 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
         cgf=edit(config.cgf, tau=flag("tau")),
         classifier=edit(config.classifier, seed=seed),
         mapping=edit(config.mapping, method=flag("mapping")),
-        train=edit(config.train, baseline_only=flag("baseline_only") or None),
     )
 
 
@@ -77,16 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fit autoencoder, form groups, train models")
     p_train.add_argument("--epochs", type=int, help="autoencoder epoch override")
     p_train.add_argument("--tau", type=float, help="minimum new-group fraction")
-    p_train.add_argument("--baseline-only", action="store_true", dest="baseline_only",
-                         help="skip grouping; train the single model only")
 
     p_infer = sub.add_parser("infer", parents=[common],
                              help="group the test set, map groups, predict")
     p_infer.add_argument("--mapping", choices=["CR_CR", "AVG"],
                          help="mapping method override")
     p_infer.add_argument("--tau", type=float, help="minimum new-group fraction")
-    p_infer.add_argument("--baseline-only", action="store_true", dest="baseline_only",
-                         help="score the single baseline model instead")
 
     p_report = sub.add_parser("report", help="export CSV tables for a finished run")
     p_report.add_argument("--out", required=True, help="run directory to summarize")

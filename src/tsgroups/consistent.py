@@ -118,7 +118,7 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     grouping = Grouping(
         assignment=cut(selection.dendrogram, k),
         K=k,
-        measure=selection.measure.value,
+        measure=selection.measure,
         hubert_scores=dict(selection.scores),
     )
     return CgfResult(

@@ -12,7 +12,6 @@ order, first to last, as a plain loop over the features would.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import os
 import threading
@@ -22,18 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .types import AecsMatrix
-
-
-class DistanceMeasureId(str, enum.Enum):
-    """Closed set of measure tokens; also the fixed tie-break order."""
-
-    CHEBYSHEV = "CHEBYSHEV"
-    MANHATTAN = "MANHATTAN"
-    MAHALANOBIS = "MAHALANOBIS"
-
-    def __str__(self) -> str:  # serialize as the bare token
-        return self.value
+from .types import AecsMatrix, DistanceMeasureId
 
 
 MEASURE_ORDER = (

@@ -101,26 +101,28 @@ def infer_with_groups(
     test_aecs: AecsMatrix,
     test_grouping: Grouping,
     method: MappingMethod = MappingMethod.AVG,
-    measure: DistanceMeasureId | None = None,
+    *,
+    train_grouping: Grouping,
     ctx: MahalanobisContext | None = None,
 ) -> tuple[np.ndarray, MappingReport]:
     """Predict every test instance with its group's chosen train model.
 
-    ``measure`` defaults to the measure recorded in the bundle's train
-    grouping. A Mahalanobis context, when needed, must descend from the
-    train representations; one is fitted here when not supplied.
+    ``train_grouping`` is the grouping the bundle's models were trained
+    on, one model per group; distances use its measure. A Mahalanobis
+    context, when needed, must descend from the train representations;
+    one is fitted here when not supplied.
     """
     method = MappingMethod(method)
+    if (train_grouping.K, train_grouping.n_instances) != (bundle.n_groups, train_aecs.n_instances):
+        raise ValueError(f"train grouping of {train_grouping.K} groups over {train_grouping.n_instances} rows "
+                         f"does not fit {bundle.n_groups} models and {train_aecs.n_instances} train vectors")
     if test_aecs.n_instances != test_grouping.n_instances:
         raise ValueError(
             f"{test_aecs.n_instances} test vectors vs {test_grouping.n_instances} grouped instances"
         )
     if test_ds is not None and test_ds.n_windows != test_aecs.n_instances:
         raise ValueError(f"{test_ds.n_windows} test windows vs {test_aecs.n_instances} vectors")
-    if measure is None:
-        measure = DistanceMeasureId(bundle.grouping.measure)
-    else:
-        measure = DistanceMeasureId(measure)
+    measure = train_grouping.measure
     if measure is DistanceMeasureId.MAHALANOBIS:
         if ctx is None:
             ctx = fit_mahalanobis(train_aecs)
@@ -137,7 +139,7 @@ def infer_with_groups(
     for j in range(test_grouping.K):
         members = test_grouping.members(j)
         block = test_x[members]
-        candidates = candidate_distances(method, train_aecs, bundle.grouping, block, measure, ctx)
+        candidates = candidate_distances(method, train_aecs, train_grouping, block, measure, ctx)
         chosen = int(np.argmin(candidates))
         report.rows.append(MappingRow(
             test_group=j,

@@ -1,9 +1,10 @@
 """One classifier per consistent train group.
 
 Each group's instances train an independent model; a bundle collects
-the models together with which classes each group actually contained.
-A single-model baseline is the same machinery run on the trivial
-one-group partition, so the two stay comparable by construction.
+the models and which classes each group held, but not the grouping,
+which the grouping result (``cgf_train.json``) keeps. A single-model
+baseline is the same machinery run on an all-zeros assignment, so the
+two stay comparable by construction.
 """
 
 from __future__ import annotations
@@ -15,18 +16,15 @@ import numpy as np
 
 from .classifiers import ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
 from .storage import as_record, read_json, write_json
-from .types import AecsMatrix, Grouping, WindowedDataset
-
-UNGROUPED_MEASURE = "NONE"
+from .types import AecsMatrix, WindowedDataset
 
 
 @dataclass
 class GroupModelBundle:
-    """K trained models plus a record of the grouping that shaped them."""
+    """K trained models, one per group, with the classes each group held."""
 
     models: list[SoftmaxModel]
     class_presence: np.ndarray
-    grouping: Grouping
     spec: ClassifierSpec
     aecs_model_id: str
     n_classes: int
@@ -34,16 +32,13 @@ class GroupModelBundle:
 
     def __post_init__(self) -> None:
         self.models = [as_record(SoftmaxModel, model) for model in self.models]
-        self.grouping = as_record(Grouping, self.grouping)
         self.spec = as_record(ClassifierSpec, self.spec)
-        if len(self.models) != self.grouping.K:
-            raise ValueError(f"{len(self.models)} models for {self.grouping.K} groups")
         self.class_presence = np.asarray(self.class_presence, dtype=bool)
-        if self.class_presence.shape != (self.grouping.K, self.n_classes):
+        if self.class_presence.shape != (self.n_groups, self.n_classes):
             raise ValueError(f"class_presence must be (K, C), got {self.class_presence.shape}")
         widths = sorted({model.n_features for model in self.models})
         if len(widths) != 1:
-            raise ValueError(f"models take different feature widths: {widths}")
+            raise ValueError(f"models must share one feature width, got widths {widths}")
         for g, model in enumerate(self.models):
             if np.any((model.seen_classes < 0) | (model.seen_classes >= self.n_classes)):
                 raise ValueError(f"model {g} has seen_classes {model.seen_classes.tolist()} "
@@ -51,7 +46,7 @@ class GroupModelBundle:
 
     @property
     def n_groups(self) -> int:
-        return self.grouping.K
+        return len(self.models)
 
     @property
     def n_features(self) -> int:
@@ -67,18 +62,9 @@ def load_bundle(path: str | Path) -> GroupModelBundle:
     return as_record(GroupModelBundle, read_json(path))
 
 
-def trivial_grouping(n_instances: int) -> Grouping:
-    """Everything in one group; the baseline's partition."""
-    return Grouping(
-        assignment=np.zeros(n_instances, dtype=np.int64),
-        K=1,
-        measure=UNGROUPED_MEASURE,
-    )
-
-
-def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, grouping: Grouping,
+def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, assignment: np.ndarray,
                     spec: ClassifierSpec) -> GroupModelBundle:
-    """Train model i on exactly the instances assigned to group i.
+    """Train model i on exactly the instances ``assignment`` puts in group i.
 
     Groups missing some class train on what they have and will never
     predict the absent classes; single-class groups degenerate to
@@ -86,15 +72,17 @@ def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, grouping: Grouping,
     """
     if aecs.n_instances != ds.n_windows:
         raise ValueError(f"{aecs.n_instances} vectors vs {ds.n_windows} windows")
-    if grouping.assignment.size != ds.n_windows:
-        raise ValueError(f"grouping covers {grouping.assignment.size} instances, dataset has {ds.n_windows}")
+    assignment = np.asarray(assignment, dtype=np.int64)
+    if assignment.shape != (ds.n_windows,):
+        raise ValueError(f"assignment has shape {assignment.shape}, dataset has {ds.n_windows} windows")
+    n_groups = np.bincount(assignment).size  # raises on a negative group id
 
     features = extract_features(spec.kind, ds.windows, aecs.vectors)
     models: list[SoftmaxModel] = []
     warnings: list[str] = []
-    presence = np.zeros((grouping.K, ds.n_classes), dtype=bool)
-    for g in range(grouping.K):
-        members = np.flatnonzero(grouping.assignment == g)
+    presence = np.zeros((n_groups, ds.n_classes), dtype=bool)
+    for g in range(n_groups):
+        members = np.flatnonzero(assignment == g)
         group_labels = ds.labels[members]
         presence[g, np.unique(group_labels)] = True
         if np.unique(group_labels).size == 1:
@@ -105,7 +93,6 @@ def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, grouping: Grouping,
     return GroupModelBundle(
         models=models,
         class_presence=presence,
-        grouping=grouping,
         spec=spec,
         aecs_model_id=aecs.source_model_id,
         n_classes=ds.n_classes,
@@ -128,4 +115,4 @@ def predict(bundle: GroupModelBundle, model_index: int, windows: np.ndarray | No
 def train_single_baseline(ds: WindowedDataset, aecs: AecsMatrix,
                           spec: ClassifierSpec) -> GroupModelBundle:
     """The ungrouped benchmark: one model on the full training set."""
-    return train_per_group(ds, aecs, trivial_grouping(ds.n_windows), spec)
+    return train_per_group(ds, aecs, np.zeros(ds.n_windows, dtype=np.int64), spec)

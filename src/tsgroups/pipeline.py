@@ -56,7 +56,7 @@ from .storage import (
     save_dataset,
     write_json,
 )
-from .types import ClassMetrics, WindowedDataset
+from .types import ClassMetrics, Grouping, WindowedDataset
 
 
 class ConfigError(ValueError):
@@ -128,14 +128,6 @@ class MappingOptions:
 
 
 @dataclass
-class TrainOptions:
-    """Which classifier bundles train fits."""
-
-    baseline: bool = True
-    baseline_only: bool = False
-
-
-@dataclass
 class PipelineConfig:
     """A whole run's configuration: one field per section of the config file."""
 
@@ -145,7 +137,6 @@ class PipelineConfig:
     cgf: CgfConfig = field(default_factory=CgfConfig)
     classifier: ClassifierSpec = field(default_factory=ClassifierSpec)
     mapping: MappingOptions = field(default_factory=MappingOptions)
-    train: TrainOptions = field(default_factory=TrainOptions)
 
     @property
     def out_dir(self) -> str:
@@ -329,9 +320,8 @@ def cmd_train(config: PipelineConfig) -> dict:
         raise ArtifactError(f"missing canonical train dataset {train_path}; run ingest first")
     with _writing_run(config, "manifest_train") as run:
         with _reading_artifacts(train_path):
-            ds, _, _, _ = load_dataset(train_path)
-        if not config.train.baseline_only:  # fail before the model is written
-            config.cgf.effective_k_max(ds.n_windows, "the train split")
+            ds, _ = load_dataset(train_path)
+        config.cgf.effective_k_max(ds.n_windows, "the train split")  # before the model is written
 
         with run.stage("fit_autoencoder"):
             params, report = ae.fit(ds, config.autoencoder)
@@ -342,27 +332,26 @@ def cmd_train(config: PipelineConfig) -> dict:
             aecs = ae.transform(params, ds, config.autoencoder)
         save_aecs(run.path("aecs_train"), aecs.vectors, aecs.source_model_id)
 
-        summary: dict = {"autoencoder": asdict(report)}
-        if not config.train.baseline_only:
-            with run.stage("cgf"):
-                cgf_result = form_consistent_groups(aecs, config.cgf)
-            write_json(run.path("cgf_train"), cgf_result)
+        with run.stage("cgf"):
+            cgf_result = form_consistent_groups(aecs, config.cgf)
+        grouping = cgf_result.grouping
+        write_json(run.path("cgf_train"), cgf_result)
 
-            with run.stage("train_groups"):
-                bundle = train_per_group(ds, aecs, cgf_result.grouping, config.classifier)
-            save_bundle(run.path("bundle_grouped"), bundle)
-            summary["cgf"] = {"K": cgf_result.grouping.K, "measure": cgf_result.grouping.measure,
-                              "stopped_by": cgf_result.stopped_by}
-            summary["group_sizes"] = cgf_result.grouping.group_sizes().tolist()
-            summary["group_warnings"] = bundle.warnings
+        with run.stage("train_groups"):
+            bundle = train_per_group(ds, aecs, grouping.assignment, config.classifier)
+        save_bundle(run.path("bundle_grouped"), bundle)
 
-        if config.train.baseline or config.train.baseline_only:
-            with run.stage("train_baseline"):
-                baseline = train_single_baseline(ds, aecs, config.classifier)
-            save_bundle(run.path("bundle_baseline"), baseline)
+        with run.stage("train_baseline"):
+            baseline = train_single_baseline(ds, aecs, config.classifier)
+        save_bundle(run.path("bundle_baseline"), baseline)
 
-        summary["files"] = {k: str(v) for k, v in run.files.items()}
-    return summary
+    return {
+        "autoencoder": asdict(report),
+        "cgf": {"K": grouping.K, "measure": grouping.measure, "stopped_by": cgf_result.stopped_by},
+        "group_sizes": grouping.group_sizes().tolist(),
+        "group_warnings": bundle.warnings,
+        "files": {k: str(v) for k, v in run.files.items()},
+    }
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -373,11 +362,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_predictions_csv(path: Path, predictions: np.ndarray, truth: np.ndarray | None,
+def _write_predictions_csv(path: Path, predictions: np.ndarray, truth: np.ndarray,
                            test_assignment: np.ndarray, chosen: list[int]) -> None:
     _write_csv(path, ["instance_index", "predicted", "true", "test_group", "train_group"], (
-        [i, int(predictions[i]), "" if truth is None else int(truth[i]),
-         int(test_assignment[i]), chosen[int(test_assignment[i])]]
+        [i, int(predictions[i]), int(truth[i]), int(test_assignment[i]), chosen[int(test_assignment[i])]]
         for i in range(predictions.size)
     ))
 
@@ -400,6 +388,12 @@ def _read_bundle(path: Path, model_digest: str, aecs_width: int, n_channels: int
     return bundle
 
 
+def _read_grouping(path: Path) -> Grouping:
+    """The grouping of a grouping-result file (``cgf_*.json``)."""
+    with _reading_artifacts(path):
+        return as_record(CgfResult, read_json(path)).grouping
+
+
 def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = Path(config.out_dir)
@@ -407,14 +401,15 @@ def cmd_infer(config: PipelineConfig) -> dict:
     for path in (test_path, model_path, aecs_path):
         if not path.is_file():
             raise ArtifactError(f"missing artifact {path}; run earlier stages first")
-    bundle_path = _artifact(out, "bundle_baseline" if config.train.baseline_only else "bundle_grouped")
-    if not bundle_path.is_file():
-        raise ArtifactError(f"missing artifact {bundle_path}; run train first")
-    baseline_path = _artifact(out, "bundle_baseline")
+    cgf_path, bundle_path, baseline_path = (
+        _artifact(out, n) for n in ("cgf_train", "bundle_grouped", "bundle_baseline"))
+    for path in (cgf_path, bundle_path, baseline_path):
+        if not path.is_file():
+            raise ArtifactError(f"missing artifact {path}; run train first")
 
     with _writing_run(config, "manifest_infer") as run:
         with _reading_artifacts(test_path):
-            test_ds, _, has_labels, _ = load_dataset(test_path)
+            test_ds, _ = load_dataset(test_path)
         with _reading_artifacts(model_path):
             params, model_config, d = ae.load_model(model_path)
         with _reading_artifacts(aecs_path):
@@ -424,8 +419,14 @@ def cmd_infer(config: PipelineConfig) -> dict:
         if train_aecs.source_model_id != model_digest:
             raise ArtifactError("stored train representations come from a different model")
         bundle = _read_bundle(bundle_path, model_digest, model_config.hidden2, d)
-        baseline = (_read_bundle(baseline_path, model_digest, model_config.hidden2, d)
-                    if has_labels and baseline_path.is_file() and not config.train.baseline_only else None)
+        baseline = _read_bundle(baseline_path, model_digest, model_config.hidden2, d)
+        train_grouping = _read_grouping(cgf_path)
+        if train_grouping.K != bundle.n_groups:
+            raise ArtifactError(f"{cgf_path.name} has {train_grouping.K} groups, but "
+                                f"{bundle_path.name} holds {bundle.n_groups} models")
+        if train_grouping.n_instances != train_aecs.n_instances:
+            raise ArtifactError(f"{cgf_path.name} groups {train_grouping.n_instances} rows, but "
+                                f"{aecs_path.name} holds {train_aecs.n_instances}")
 
         with run.stage("transform"):
             test_aecs = ae.transform(params, test_ds, model_config)
@@ -436,45 +437,38 @@ def cmd_infer(config: PipelineConfig) -> dict:
         test_grouping = test_cgf.grouping
         write_json(run.path("cgf_test"), test_cgf)
 
-        # The baseline bundle's single group was never clustered, so
-        # baseline-only mapping uses the measure the test side selected.
-        grouping = test_grouping if config.train.baseline_only else bundle.grouping
-        measure = DistanceMeasureId(grouping.measure)
+        measure = train_grouping.measure
         ctx = (fit_mahalanobis(train_aecs)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
 
         with run.stage("mapping"):
             results = {}
             for method in (MappingMethod.AVG, MappingMethod.CR_CR):
-                pred, mapping_report = infer_with_groups(
+                results[method] = infer_with_groups(
                     bundle, train_aecs, test_ds, test_aecs, test_grouping,
-                    method=method, measure=measure, ctx=ctx,
+                    method=method, train_grouping=train_grouping, ctx=ctx,
                 )
-                results[method] = (pred, mapping_report)
         write_json(run.path("mapping_avg"), results[MappingMethod.AVG][1])
         write_json(run.path("mapping_cr_cr"), results[MappingMethod.CR_CR][1])
 
         predictions, mapping_report = results[config.mapping.method]
-        truth = test_ds.labels if has_labels else None
-        _write_predictions_csv(run.path("predictions"), predictions, truth,
+        _write_predictions_csv(run.path("predictions"), predictions, test_ds.labels,
                                test_grouping.assignment, mapping_report.chosen())
 
-        report: dict = {
+        grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
+        write_json(run.path("metrics"), grouped_metrics)
+        baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
+        baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
+        report = {
             "mapping_method": config.mapping.method.value,
             "measure": measure.value,
             "test_groups": test_grouping.K,
             "chosen_avg": results[MappingMethod.AVG][1].chosen(),
             "chosen_cr_cr": results[MappingMethod.CR_CR][1].chosen(),
+            "grouped": _headline(grouped_metrics),
+            "baseline": _headline(baseline_metrics),
+            "delta_f1_macro": grouped_metrics.f1_macro - baseline_metrics.f1_macro,
         }
-        if has_labels:
-            grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
-            write_json(run.path("metrics"), grouped_metrics)
-            report["grouped"] = _headline(grouped_metrics)
-            if baseline is not None:
-                baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
-                baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
-                report["baseline"] = _headline(baseline_metrics)
-                report["delta_f1_macro"] = grouped_metrics.f1_macro - baseline_metrics.f1_macro
         write_json(run.path("infer_report"), report)
     return report
 
@@ -513,14 +507,13 @@ def cmd_report(run_dir: str | Path) -> dict:
 
     grouping = None
     if cgf_path.is_file():
-        with _reading_artifacts(cgf_path):
-            grouping = as_record(CgfResult, read_json(cgf_path)).grouping
+        grouping = _read_grouping(cgf_path)
     else:
         notices.append(f"missing {cgf_path}; group-based tables skipped")
 
     if grouping is not None and train_path.is_file():
         with _reading_artifacts(train_path):
-            ds, _, _, _ = load_dataset(train_path)
+            ds, _ = load_dataset(train_path)
         if grouping.n_instances != ds.n_windows:
             raise ArtifactError(f"{cgf_path} and {train_path} differ in row count")
         counts = Counter((int(g), wm.driver_id, wm.behavior)
@@ -569,8 +562,7 @@ def cmd_report(run_dir: str | Path) -> dict:
 
     cgf_test_path = _artifact(out, "cgf_test")
     if cgf_test_path.is_file():
-        with _reading_artifacts(cgf_test_path):
-            sizes = as_record(CgfResult, read_json(cgf_test_path)).grouping.group_sizes().tolist()
+        sizes = _read_grouping(cgf_test_path).group_sizes().tolist()
         if groups is not None and sizes != [size for _, size in groups]:
             raise ArtifactError(f"{cgf_test_path} group sizes differ from the mapping reports' "
                                 f"test group sizes")

@@ -202,8 +202,7 @@ def _tensor_from(blob: bytes, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def save_dataset(path: str | Path, ds: WindowedDataset,
-                 normalization: NormalizationStats | None = None,
-                 has_labels: bool = True, extra: dict | None = None) -> None:
+                 normalization: NormalizationStats | None = None) -> None:
     """Canonical dataset archive: JSON header plus raw float64 tensor."""
     header = {
         "format": "windowed-dataset-v1",
@@ -212,10 +211,9 @@ def save_dataset(path: str | Path, ds: WindowedDataset,
         "d": ds.n_channels,
         "C": ds.n_classes,
         "class_names": ds.class_names,
-        "labels": ds.labels if has_labels else None,
+        "labels": ds.labels,
         "meta": ds.meta,
         "normalization": normalization,
-        "extra": extra or {},
     }
     write_archive(path, {
         "header.json": canonical_json(header).encode("utf-8"),
@@ -223,27 +221,26 @@ def save_dataset(path: str | Path, ds: WindowedDataset,
     })
 
 
-def load_dataset(path: str | Path) -> tuple[WindowedDataset, NormalizationStats | None, bool, dict]:
-    """Returns (dataset, normalization stats, labels-present flag, extra)."""
+def load_dataset(path: str | Path) -> tuple[WindowedDataset, NormalizationStats | None]:
+    """Returns (dataset, normalization stats)."""
     entries = read_archive(path)
     header = json.loads(entries["header.json"].decode("utf-8"))
     if header.get("format") != "windowed-dataset-v1":
         raise ValueError(f"unrecognized dataset format: {header.get('format')!r}")
     m, t, d = header["M"], header["t"], header["d"]
     windows = _tensor_from(entries["windows.f8"], (m, t, d))
-    has_labels = header["labels"] is not None
-    labels = (np.asarray(header["labels"], dtype=np.int64) if has_labels
-              else np.zeros(m, dtype=np.int64))
+    if header.get("labels") is None:
+        raise ValueError("dataset header has no labels")
     meta = [WindowMeta(**item) for item in header["meta"]]
     ds = WindowedDataset(
         windows=windows,
-        labels=labels,
+        labels=header["labels"],
         meta=meta,
         class_names=list(header["class_names"]),
     )
     stats = (NormalizationStats(**header["normalization"])
              if header.get("normalization") else None)
-    return ds, stats, has_labels, header.get("extra", {})
+    return ds, stats
 
 
 def save_aecs(path: str | Path, vectors: np.ndarray, source_model_id: str) -> None:

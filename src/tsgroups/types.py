@@ -7,9 +7,21 @@ over them, so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class DistanceMeasureId(str, enum.Enum):
+    """Closed set of measure tokens; also the fixed tie-break order."""
+
+    CHEBYSHEV = "CHEBYSHEV"
+    MANHATTAN = "MANHATTAN"
+    MAHALANOBIS = "MAHALANOBIS"
+
+    def __str__(self) -> str:  # serialize as the bare token
+        return self.value
 
 
 class DivergenceError(RuntimeError):
@@ -119,11 +131,11 @@ class AecsMatrix:
 
 @dataclass
 class Grouping:
-    """Assignment of instances to K groups plus how it was chosen."""
+    """Assignment of instances to K groups plus the measure that formed them."""
 
     assignment: np.ndarray
     K: int
-    measure: str
+    measure: DistanceMeasureId
     hubert_scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -132,10 +144,10 @@ class Grouping:
             raise ValueError("assignment must be a nonempty 1-D array")
         if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):
             raise ValueError(f"K must be an integer, got {self.K!r}")
-        if not isinstance(self.measure, str):
-            raise ValueError(f"measure must be a string, got {self.measure!r}")
+        self.measure = DistanceMeasureId(self.measure)
         if not (isinstance(self.hubert_scores, dict) and all(
-                isinstance(name, str) and isinstance(rho, (int, float)) and not isinstance(rho, bool)
+                name in {m.value for m in DistanceMeasureId} and isinstance(rho, (int, float))
+                and not isinstance(rho, bool)
                 for name, rho in self.hubert_scores.items())):
             raise ValueError(f"hubert_scores must map measure names to numbers, got {self.hubert_scores!r}")
         if self.K < 1:

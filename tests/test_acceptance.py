@@ -28,7 +28,7 @@ from tsgroups.distances import (
     pairwise_matrix,
 )
 from tsgroups.group_mapping import MappingMethod, candidate_distances, infer_with_groups
-from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
+from tsgroups.grouped import predict, train_per_group, train_single_baseline
 from tsgroups.hierarchy import Linkage, agglomerate, hubert_statistic, select_best_measure
 from tsgroups.pipeline import cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.rng import derive_seed, seeded_rng
@@ -238,7 +238,6 @@ def test_per_group_models_beat_global_model(tmp_path):
         "cgf": {"tau": 0.05},
         "classifier": {"kind": "SOFTMAX_STATS", "epochs": 300, "seed": 9},
         "mapping": {"method": "AVG"},
-        "train": {"baseline": True},
     })
     cmd_ingest(config)
     cmd_train(config)
@@ -274,14 +273,14 @@ def test_self_mapping_routes_groups_to_themselves():
     train_result = form_consistent_groups(aecs.vectors, CgfConfig(tau=0.05))
     grouping = train_result.grouping
     assert grouping.K == 3
-    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=50))
+    bundle = train_per_group(ds, aecs, grouping.assignment, ClassifierSpec(epochs=50))
 
     test_result = form_consistent_groups(aecs.vectors, CgfConfig(tau=0.05))
     assert np.array_equal(test_result.grouping.assignment, grouping.assignment)
 
     for method in (MappingMethod.CR_CR, MappingMethod.AVG):
         preds, report = infer_with_groups(
-            bundle, aecs, None, aecs, test_result.grouping, method=method)
+            bundle, aecs, None, aecs, test_result.grouping, method=method, train_grouping=grouping)
         assert report.chosen() == list(range(grouping.K))
         for g in range(grouping.K):
             members = grouping.members(g)
@@ -293,7 +292,7 @@ def test_self_mapping_routes_groups_to_themselves():
 def test_forced_single_group_equals_baseline():
     ds, aecs = blob_world(seed=6)
     spec = ClassifierSpec(epochs=50)
-    forced = train_per_group(ds, aecs, trivial_grouping(ds.n_windows), spec)
+    forced = train_per_group(ds, aecs, np.zeros(ds.n_windows, dtype=np.int64), spec)
     baseline = train_single_baseline(ds, aecs, spec)
     assert np.array_equal(forced.models[0].weights, baseline.models[0].weights)
     assert np.array_equal(forced.models[0].bias, baseline.models[0].bias)
@@ -303,9 +302,10 @@ def test_forced_single_group_equals_baseline():
     rng = seeded_rng(derive_seed(7, "probe-instances"))
     probe = rng.normal(size=(9, aecs.width))
     probe_aecs = AecsMatrix(vectors=probe, source_model_id="m-accept")
-    preds, report = infer_with_groups(
-        forced, aecs, None, probe_aecs, trivial_grouping(9),
-        measure=DistanceMeasureId.CHEBYSHEV)
+    probe_group = Grouping(assignment=np.zeros(9, dtype=np.int64), K=1, measure="CHEBYSHEV")
+    train_group = Grouping(assignment=np.zeros(ds.n_windows, dtype=np.int64), K=1, measure="CHEBYSHEV")
+    preds, report = infer_with_groups(forced, aecs, None, probe_aecs, probe_group,
+                                      train_grouping=train_group)
     assert report.chosen() == [0]
     assert np.array_equal(preds, predict(baseline, 0, None, probe))
 
@@ -320,7 +320,6 @@ def test_identical_config_reproduces_artifacts(tmp_path):
         "cgf": {"tau": 0.05},
         "classifier": {"kind": "SOFTMAX_STATS", "epochs": 120, "seed": 3},
         "mapping": {"method": "AVG"},
-        "train": {"baseline": True},
     })
 
     def run_once():
@@ -358,7 +357,6 @@ def test_real_corpus_harness(tmp_path):
         "cgf": {"tau": 0.05},
         "classifier": {"kind": "SOFTMAX_STATS", "seed": 0},
         "mapping": {"method": "AVG"},
-        "train": {"baseline": True},
     })
     ingest_summary = cmd_ingest(config)
     report = json.loads((out / "ingest_report.json").read_text())

@@ -1,6 +1,7 @@
 """Command-line exit codes and the end-to-end synthetic workflow."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _load, build_parser, main
-from tsgroups.pipeline import ARTIFACTS
+from tsgroups.pipeline import ARTIFACTS, PipelineConfig
 from tsgroups.storage import content_digest, read_archive, write_archive
 
 
@@ -26,7 +27,6 @@ def write_config(directory, **overrides):
         "cgf": {"tau": 0.05},
         "classifier": {"kind": "SOFTMAX_STATS", "epochs": 120, "seed": 3},
         "mapping": {"method": "AVG"},
-        "train": {"baseline": True},
     }
     config.update(overrides)
     path = directory / "config.json"
@@ -56,15 +56,22 @@ def test_parser_accepts_every_verb():
 def test_missing_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
-    for retired in ("selftest", "gradcheck"):
+    for retired in (["selftest"], ["gradcheck"], ["train", "--baseline-only"], ["infer", "--baseline-only"]):
         with pytest.raises(SystemExit):
-            build_parser().parse_args([retired])
+            build_parser().parse_args(retired)
 
 
 def test_unknown_config_section_exits_config(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r")}, "bogus": {}}))
     assert main(["ingest", "--config", str(path)]) == EXIT_CONFIG
+
+
+def test_retired_train_section_exits_config(tmp_path, capsys):
+    config_path, run_dir = write_config(tmp_path, train={"baseline": True})
+    assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: unknown section 'train'")
+    assert not run_dir.exists()
 
 
 def test_unknown_key_in_section_exits_config(tmp_path):
@@ -76,8 +83,7 @@ def test_unknown_key_in_section_exits_config(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
-@pytest.mark.parametrize("section, key", [("ingest", "normalize"), ("train", "baseline"),
-                                          ("train", "baseline_only")])
+@pytest.mark.parametrize("section, key", [("ingest", "normalize")])
 def test_bool_key_takes_only_true_or_false(tmp_path, capsys, section, key, value):
     config_path, _ = write_config(tmp_path)
     data = json.loads(config_path.read_text())
@@ -190,6 +196,8 @@ def test_full_flow_outputs_parse(completed_run):
     assert header.startswith("instance_index,predicted")
     infer_report = json.loads((run_dir / "infer_report.json").read_text())
     assert "baseline" in infer_report and "delta_f1_macro" in infer_report
+    rows = [line.split(",") for line in (run_dir / "predictions.csv").read_text().splitlines()[1:]]
+    assert rows and all(row[2].isdigit() for row in rows)  # the true class of every row
     summary = json.loads((run_dir / "report_summary.json").read_text())
     assert summary["notices"] == []
     assert len(summary["written"]) == 5
@@ -236,10 +244,10 @@ def test_flags_replace_only_their_values(tmp_path):
     config_path, _ = write_config(tmp_path)
     parse = build_parser().parse_args
     config = _load(parse(["train", "--config", str(config_path), "--epochs", "7", "--tau", "0.2",
-                          "--baseline-only", "--seed", "4"]))
-    assert (config.autoencoder.epochs, config.cgf.tau, config.train.baseline_only) == (7, 0.2, True)
+                          "--seed", "4"]))
+    assert (config.autoencoder.epochs, config.cgf.tau) == (7, 0.2)
     assert config.ingest.seed == config.autoencoder.seed == config.classifier.seed == 4
-    assert config.autoencoder.hidden1 == 6 and config.train.baseline is True
+    assert config.autoencoder.hidden1 == 6 and config.cgf.linkage == "AVERAGE"
     config = _load(parse(["infer", "--config", str(config_path), "--mapping", "CR_CR"]))
     assert config.mapping.method == "CR_CR"
     config = _load(parse(["ingest", "--synthetic", "--dataset-root", "corpus", "--out", "elsewhere"]))
@@ -356,6 +364,7 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("cgf_train.json", edit_json(lambda d: d["grouping"].update(hubert_scores=[])), "report"),
         ("cgf_train.json", edit_json(lambda d: d["grouping"]["hubert_scores"].update(CHEBYSHEV=True)),
          "report"),
+        ("cgf_train.json", edit_json(lambda d: d["grouping"]["hubert_scores"].update(FOO=0.5)), "report"),
         ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
         ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
         ("cgf_test.json", move_one_instance, "report"),
@@ -364,7 +373,11 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
             lambda h: {**h, "meta": [{**h["meta"][0], "lane": 1}, *h["meta"][1:]]})), "infer"),
-        ("bundle_grouped.json", edit_json(lambda d: d["grouping"].update(lane=1)), "infer"),
+        ("test_dataset.zip", edit_entry("header.json", json_edit(lambda h: {**h, "labels": None})),
+         "infer"),
+        ("test_dataset.zip", edit_entry("header.json", json_edit(
+            lambda h: {k: v for k, v in h.items() if k != "labels"})), "infer"),
+        ("bundle_grouped.json", edit_json(lambda d: d["spec"].update(lane=1)), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
     ] + [("model.bin", edit_model_header(edit), "infer") for edit in MODEL_HEADER_EDITS]
     for index, (name, damage, verb) in enumerate(cases):
@@ -379,10 +392,20 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
     assert "retrain" in capsys.readouterr().err.splitlines()[-1]  # the v1 file, last case
 
 
-# Damage to each record file: (artifacts it applies to, edit). Bundles are read by
-# infer and grouping results by report; every case must be an io error.
+def merge_last_group(data):
+    """A valid grouping of one group fewer than the bundles have models."""
+    k = data["grouping"]["K"] - 1
+    assert k >= 1
+    data["grouping"].update(K=k, assignment=[min(g, k - 1) for g in data["grouping"]["assignment"]])
+    data["accepted_k"] = k
+
+
+# Damage to each record file: (artifacts it applies to, edit, and the verbs it is an error
+# under when not every verb that reads the file). Every case must be an io error.
 BUNDLES = ("bundle_grouped.json", "bundle_baseline.json")
 CGF_FILES = ("cgf_train.json", "cgf_test.json")
+READERS = {"bundle_grouped.json": ("infer",), "bundle_baseline.json": ("infer",),
+           "cgf_train.json": ("infer", "report"), "cgf_test.json": ("report",)}
 RECORD_DAMAGE = {
     "truncated": (BUNDLES + CGF_FILES, truncate),
     "not-an-object": (BUNDLES + CGF_FILES, lambda path: path.write_text("[]")),
@@ -400,27 +423,33 @@ RECORD_DAMAGE = {
         feature_std=model["feature_std"][:-1]) for model in d["models"]])),
     "class-out-of-range": (BUNDLES, edit_json(lambda d: d["models"][0].update(
         seen_classes=[c + d["n_classes"] for c in d["models"][0]["seen_classes"]]))),
+    "unknown-measure": (CGF_FILES, edit_json(lambda d: d["grouping"].update(measure="FOO"))),
+    # Still a valid grouping for report; only infer, which also reads the bundles, can tell.
+    "K-not-model-count": (("cgf_train.json",), edit_json(merge_last_group), ("infer",)),
+    # One row more than aecs_train.zip and train_dataset.zip have.
+    "rows-not-aecs-train": (("cgf_train.json",), edit_json(
+        lambda d: d["grouping"]["assignment"].append(0))),
 }
 
 
 @pytest.mark.parametrize("name, damage", [
-    (name, damage) for damage, (names, _) in RECORD_DAMAGE.items() for name in names])
+    (name, damage) for damage, (names, *_) in RECORD_DAMAGE.items() for name in names])
 def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, damage):
     config_path, run_dir = completed_run
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
-    RECORD_DAMAGE[damage][1](copy / name)
-    if name in BUNDLES:
-        (copy / "aecs_test.zip").unlink()  # infer's first write
-        args = ["infer", "--config", str(config_path), "--out", str(copy)]
-    else:
-        args = ["report", "--out", str(copy)]
-    capsys.readouterr()
-    assert main(args) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err, err
-    assert name in err, err
-    assert name in CGF_FILES or not (copy / "aecs_test.zip").exists()
+    _, edit, *verbs = RECORD_DAMAGE[damage]
+    edit(copy / name)
+    (copy / "aecs_test.zip").unlink()  # infer's first write
+    for verb in verbs[0] if verbs else READERS[name]:
+        args = ["report", "--out", str(copy)] if verb == "report" else [
+            "infer", "--config", str(config_path), "--out", str(copy)]
+        capsys.readouterr()
+        assert main(args) == EXIT_IO, verb
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err, err
+        assert name in err, err
+        assert not (copy / "aecs_test.zip").exists()
 
 
 def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path, capsys):
@@ -436,19 +465,6 @@ def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path,
     assert main(["infer", "--config", str(config_path), "--out", str(copy)]) == EXIT_IO
     assert capsys.readouterr().err == (f"io error: missing artifact {copy / 'bundle_grouped.json'}; "
                                        f"run train first\n")
-
-
-def test_baseline_only_infer_uses_test_side_measure(completed_run, tmp_path):
-    config_path, run_dir = completed_run
-    copy = tmp_path / "baseline"
-    copy.mkdir()
-    for name in ("train_dataset.zip", "test_dataset.zip"):
-        shutil.copy(run_dir / name, copy / name)
-    for verb in ("train", "infer"):
-        assert main([verb, "--config", str(config_path), "--out", str(copy),
-                     "--baseline-only"]) == EXIT_OK
-    measure = json.loads((copy / "infer_report.json").read_text())["measure"]
-    assert measure == json.loads((copy / "cgf_test.json").read_text())["grouping"]["measure"]
 
 
 def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
@@ -493,6 +509,18 @@ def test_readme_cli_table_lists_every_verb():
     verbs = next(action.choices for action in build_parser()._actions
                  if isinstance(action, argparse._SubParsersAction))
     assert sorted(rows) == sorted(verbs)
+
+
+def test_readme_configuration_lists_every_section_and_key():
+    listing = readme_section("Configuration").split("\n\n")[1]
+    listed = {}
+    for item in re.split(r"^- ", listing, flags=re.MULTILINE)[1:]:
+        while re.search(r"\([^()]*\)", item):  # defaults and notes, which name other things
+            item = re.sub(r"\([^()]*\)", "", item)
+        section, *keys = re.findall(r"`(\w+)`", item)
+        listed[section] = set(keys)
+    assert listed == {section.name: {key.name for key in dataclasses.fields(section.default_factory)}
+                      for section in dataclasses.fields(PipelineConfig)}
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch):

@@ -159,8 +159,7 @@ def test_zero_noise_run_keeps_copies_together(tmp_path, monkeypatch):
     from test_golden_digests import RUNS
 
     monkeypatch.chdir(tmp_path)
-    config = read_config({**RUNS["zero-noise"], "paths": {"out_dir": "run"}, "cgf": {"tau": 0.03},
-                          "train": {"baseline": False}})
+    config = read_config({**RUNS["zero-noise"], "paths": {"out_dir": "run"}, "cgf": {"tau": 0.03}})
     cmd_ingest(config)
     cmd_train(config)
     result = as_record(CgfResult, read_json(tmp_path / "run" / "cgf_train.json"))

@@ -13,8 +13,9 @@ Float results depend on the numpy build, its BLAS and the CPU features
 numpy detects, so the golden file records them. Under any other
 environment the test skips and names both; it never compares digests it
 cannot expect to match. A change that moves a digest regenerates the file
-with ``PYTHONPATH=src python tests/test_golden_digests.py`` and says in
-CHANGES.md which entries moved and why.
+with ``PYTHONPATH=src python tests/test_golden_digests.py``, which prints
+the entries that moved against the file it overwrites, and says in
+CHANGES.md why each one moved.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ _COMMON = {
     "cgf": {"tau": 0.05},
     "classifier": {"kind": "SOFTMAX_STATS", "epochs": 80, "seed": 5},
     "mapping": {"method": "AVG"},
-    "train": {"baseline": True},
 }
 
 RUNS = {
@@ -103,9 +103,20 @@ def test_artifact_digests_match_golden_file(tmp_path):
     assert got == golden["runs"]
 
 
+def moved_entries(old: dict, new: dict) -> list[str]:
+    """``run/artifact`` for every entry whose digest differs between two ``runs`` maps."""
+    return sorted(f"{run}/{name}" for run in old.keys() | new.keys()
+                  for name in old.get(run, {}).keys() | new.get(run, {}).keys()
+                  if old.get(run, {}).get(name) != new.get(run, {}).get(name))
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         runs = run_digests(Path(scratch))
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.is_file() else {"environment": None, "runs": {}}
     GOLDEN.write_text(json.dumps({"environment": environment(), "runs": runs},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")
+    if old["environment"] != environment():
+        print("the file it replaced was made under another environment")
+    print("entries that moved:", *moved_entries(old["runs"], runs) or ["none"], sep="\n  ")

@@ -19,11 +19,10 @@ from tsgroups.grouped import (
     predict,
     train_per_group,
     train_single_baseline,
-    trivial_grouping,
 )
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
-from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import AecsMatrix, WindowedDataset, WindowMeta
 
 
 def make_dataset(m=12, t=6, d=2, n_classes=2, seed=0, labels=None):
@@ -160,7 +159,6 @@ def test_prediction_tie_resolves_to_smaller_class_id():
         seen_classes=np.array([3, 5]),
         feature_mean=np.zeros(1),
         feature_std=np.ones(1),
-        kind=ClassifierKind.SOFTMAX_AECS,
         n_train=4,
     )
     assert np.array_equal(predict_softmax(model, np.array([[0.7], [-1.2]])), [3, 3])
@@ -182,19 +180,11 @@ def test_train_softmax_rejects_bad_shapes():
         train_softmax(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ClassifierSpec())
 
 
-def test_trivial_grouping_shape():
-    g = trivial_grouping(5)
-    assert g.K == 1
-    assert np.array_equal(g.assignment, np.zeros(5, dtype=np.int64))
-    assert g.measure == "NONE"
-
-
 def test_train_per_group_partitions_instances():
     ds = make_dataset(m=14, n_classes=3)
     ae = make_aecs(ds)
     assignment = np.array([0] * 5 + [1] * 4 + [2] * 5)
-    grouping = Grouping(assignment=assignment, K=3, measure="CHEBYSHEV")
-    bundle = train_per_group(ds, ae, grouping, ClassifierSpec(epochs=20))
+    bundle = train_per_group(ds, ae, assignment, ClassifierSpec(epochs=20))
     assert bundle.n_groups == 3
     sizes = [m.n_train for m in bundle.models]
     assert sizes == [5, 4, 5]
@@ -210,8 +200,7 @@ def test_single_class_group_flagged():
     labels = [0, 1, 0, 1, 0, 0, 0, 0]
     ds = make_dataset(m=8, n_classes=2, labels=labels)
     ae = make_aecs(ds)
-    grouping = Grouping(assignment=np.array([0, 0, 0, 0, 1, 1, 1, 1]), K=2, measure="MANHATTAN")
-    bundle = train_per_group(ds, ae, grouping, ClassifierSpec(epochs=10))
+    bundle = train_per_group(ds, ae, np.array([0, 0, 0, 0, 1, 1, 1, 1]), ClassifierSpec(epochs=10))
     assert any("group 1" in w for w in bundle.warnings)
     assert np.array_equal(bundle.class_presence[1], [True, False])
     preds = predict(bundle, 1, None, ae.vectors)
@@ -223,9 +212,12 @@ def test_train_per_group_size_mismatches():
     ae = make_aecs(ds)
     short = AecsMatrix(vectors=ae.vectors[:9], source_model_id="m-test")
     with pytest.raises(ValueError):
-        train_per_group(ds, short, trivial_grouping(10), ClassifierSpec(epochs=5))
+        train_per_group(ds, short, np.zeros(10), ClassifierSpec(epochs=5))
     with pytest.raises(ValueError):
-        train_per_group(ds, ae, trivial_grouping(9), ClassifierSpec(epochs=5))
+        train_per_group(ds, ae, np.zeros(9), ClassifierSpec(epochs=5))
+    for assignment in ([0] * 9 + [-1], [0] * 9 + [2]):  # a negative id; group 1 left empty
+        with pytest.raises(ValueError):
+            train_per_group(ds, ae, np.array(assignment), ClassifierSpec(epochs=5))
 
 
 def test_predict_validates_model_index():
@@ -255,7 +247,7 @@ def test_train_per_group_stats_kind():
     ds = make_dataset(m=10, n_classes=2)
     ae = make_aecs(ds)
     spec = ClassifierSpec(kind="SOFTMAX_STATS", epochs=10)
-    bundle = train_per_group(ds, ae, trivial_grouping(10), spec)
+    bundle = train_per_group(ds, ae, np.zeros(10), spec)
     assert bundle.models[0].n_features == 5 * ds.n_channels
     preds = predict(bundle, 0, ds.windows, None)
     assert preds.shape == (10,)
@@ -264,10 +256,9 @@ def test_train_per_group_stats_kind():
 def test_bundle_determinism():
     ds = make_dataset(m=12, n_classes=2)
     ae = make_aecs(ds)
-    grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
     spec = ClassifierSpec(epochs=30)
-    a = train_per_group(ds, ae, grouping, spec)
-    b = train_per_group(ds, ae, grouping, spec)
+    a = train_per_group(ds, ae, np.repeat([0, 1], 6), spec)
+    b = train_per_group(ds, ae, np.repeat([0, 1], 6), spec)
     for ma, mb in zip(a.models, b.models):
         assert np.array_equal(ma.weights, mb.weights)
         assert np.array_equal(ma.bias, mb.bias)
@@ -283,7 +274,6 @@ def test_bundle_validation():
         GroupModelBundle(
             models=[],
             class_presence=np.ones((1, 2), dtype=bool),
-            grouping=trivial_grouping(6),
             spec=spec,
             aecs_model_id="m",
             n_classes=2,
@@ -292,8 +282,10 @@ def test_bundle_validation():
         GroupModelBundle(
             models=list(bundle.models),
             class_presence=np.ones((2, 2), dtype=bool),
-            grouping=trivial_grouping(6),
             spec=spec,
             aecs_model_id="m",
             n_classes=2,
         )
+    with pytest.raises(ValueError, match="one feature width"):
+        GroupModelBundle(models=[], class_presence=np.ones((0, 2), dtype=bool), spec=spec,
+                         aecs_model_id="m", n_classes=2)

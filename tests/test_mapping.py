@@ -15,7 +15,7 @@ from tsgroups.group_mapping import (
     candidate_distances,
     infer_with_groups,
 )
-from tsgroups.grouped import predict, train_per_group, train_single_baseline, trivial_grouping
+from tsgroups.grouped import predict, train_per_group, train_single_baseline
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
 from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
@@ -45,7 +45,7 @@ def clustered_setup(seed=0, kind="SOFTMAX_AECS"):
     aecs = AecsMatrix(vectors=vectors, source_model_id="m-map")
     grouping = Grouping(assignment=np.repeat([0, 1, 2], 6), K=3, measure="CHEBYSHEV")
     ds = make_dataset(18, seed=seed + 1)
-    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(kind=kind, epochs=40))
+    bundle = train_per_group(ds, aecs, grouping.assignment, ClassifierSpec(kind=kind, epochs=40))
     return ds, aecs, grouping, bundle
 
 
@@ -177,7 +177,8 @@ def test_map_avg_hand_case():
 def test_self_mapping_is_identity_both_methods():
     ds, aecs, grouping, bundle = clustered_setup()
     for method in (MappingMethod.CR_CR, MappingMethod.AVG):
-        preds, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=method)
+        preds, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=method,
+                                          train_grouping=grouping)
         assert report.chosen() == [0, 1, 2]
         for j in range(3):
             members = grouping.members(j)
@@ -188,7 +189,7 @@ def test_self_mapping_is_identity_both_methods():
 def test_self_mapping_identity_with_stats_kind():
     ds, aecs, grouping, bundle = clustered_setup(kind="SOFTMAX_STATS")
     preds, report = infer_with_groups(
-        bundle, aecs, ds, aecs, grouping, method=MappingMethod.AVG
+        bundle, aecs, ds, aecs, grouping, method=MappingMethod.AVG, train_grouping=grouping
     )
     assert report.chosen() == [0, 1, 2]
     for j in range(3):
@@ -199,7 +200,8 @@ def test_self_mapping_identity_with_stats_kind():
 
 def test_report_rows_carry_sizes_and_candidates():
     ds, aecs, grouping, bundle = clustered_setup()
-    _, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=MappingMethod.AVG)
+    _, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=MappingMethod.AVG,
+                                  train_grouping=grouping)
     assert [row.test_group_size for row in report.rows] == [6, 6, 6]
     for row in report.rows:
         assert len(row.candidate_distances) == bundle.n_groups
@@ -211,30 +213,18 @@ def test_report_rows_carry_sizes_and_candidates():
     assert len(payload["rows"]) == 3
 
 
-def test_measure_defaults_to_bundle_grouping():
+def test_measure_is_the_train_groupings():
     rng = seeded_rng(derive_seed(12, "default-measure"))
     vectors = rng.normal(size=(10, 3))
     aecs = AecsMatrix(vectors=vectors, source_model_id="m-map")
-    grouping = Grouping(assignment=np.repeat([0, 1], 5), K=2, measure="MANHATTAN")
-    ds = make_dataset(10)
-    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=10))
-    _, report = infer_with_groups(bundle, aecs, None, aecs, grouping)
-    assert report.measure is DistanceMeasureId.MANHATTAN
-
-
-def test_baseline_bundle_requires_explicit_measure():
-    ds = make_dataset(8)
-    rng = seeded_rng(derive_seed(13, "baseline-measure"))
-    aecs = AecsMatrix(vectors=rng.normal(size=(8, 3)), source_model_id="m-map")
-    bundle = train_single_baseline(ds, aecs, ClassifierSpec(epochs=10))
-    grouping = trivial_grouping(8)
-    with pytest.raises(ValueError):
-        infer_with_groups(bundle, aecs, None, aecs, grouping)
-    preds, report = infer_with_groups(
-        bundle, aecs, None, aecs, grouping, measure=DistanceMeasureId.CHEBYSHEV
-    )
-    assert report.chosen() == [0]
-    assert preds.shape == (8,)
+    assignment = np.repeat([0, 1], 5)
+    bundle = train_per_group(make_dataset(10), aecs, assignment, ClassifierSpec(epochs=10))
+    test_grouping = Grouping(assignment=assignment, K=2, measure="CHEBYSHEV")
+    for measure in MEASURE_ORDER:
+        train_grouping = Grouping(assignment=assignment, K=2, measure=measure)
+        _, report = infer_with_groups(bundle, aecs, None, aecs, test_grouping,
+                                      train_grouping=train_grouping)
+        assert report.measure is measure
 
 
 def test_single_train_group_routes_everything_to_it():
@@ -242,7 +232,7 @@ def test_single_train_group_routes_everything_to_it():
     baseline = train_single_baseline(ds, aecs, ClassifierSpec(epochs=40))
     preds, report = infer_with_groups(
         baseline, aecs, None, aecs, test_grouping,
-        method=MappingMethod.AVG, measure=DistanceMeasureId.CHEBYSHEV,
+        method=MappingMethod.AVG, train_grouping=one_group(18),
     )
     assert report.chosen() == [0, 0, 0]
     direct = predict(baseline, 0, None, aecs.vectors)
@@ -251,22 +241,21 @@ def test_single_train_group_routes_everything_to_it():
 
 def test_mahalanobis_context_fingerprint_enforced():
     ds, aecs, grouping, bundle = clustered_setup()
+    train_grouping = Grouping(assignment=grouping.assignment, K=3, measure="MAHALANOBIS")
     rng = seeded_rng(derive_seed(14, "other-aecs"))
     other = AecsMatrix(vectors=rng.normal(size=(12, 3)), source_model_id="other")
     wrong_ctx = fit_mahalanobis(other)
     with pytest.raises(ValueError):
         infer_with_groups(
-            bundle, aecs, None, aecs, grouping,
-            measure=DistanceMeasureId.MAHALANOBIS, ctx=wrong_ctx,
+            bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=wrong_ctx,
         )
     right_ctx = fit_mahalanobis(aecs)
     preds, report = infer_with_groups(
-        bundle, aecs, None, aecs, grouping,
-        measure=DistanceMeasureId.MAHALANOBIS, ctx=right_ctx,
+        bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=right_ctx,
     )
     assert report.chosen() == [0, 1, 2]
     auto_preds, auto_report = infer_with_groups(
-        bundle, aecs, None, aecs, grouping, measure=DistanceMeasureId.MAHALANOBIS
+        bundle, aecs, None, aecs, grouping, train_grouping=train_grouping
     )
     assert np.array_equal(preds, auto_preds)
     assert auto_report.chosen() == report.chosen()
@@ -276,16 +265,21 @@ def test_infer_validates_sizes():
     ds, aecs, grouping, bundle = clustered_setup()
     short = AecsMatrix(vectors=aecs.vectors[:17], source_model_id="m-map")
     with pytest.raises(ValueError):
-        infer_with_groups(bundle, aecs, None, short, grouping)
+        infer_with_groups(bundle, aecs, None, short, grouping, train_grouping=grouping)
     short_ds = make_dataset(17)
     with pytest.raises(ValueError):
-        infer_with_groups(bundle, aecs, short_ds, aecs, grouping)
+        infer_with_groups(bundle, aecs, short_ds, aecs, grouping, train_grouping=grouping)
+    # A train grouping of another K than the bundle's models, or over other rows than its vectors.
+    for train_grouping in (one_group(18), Grouping(assignment=np.repeat([0, 1, 2], [6, 6, 7]), K=3,
+                                                   measure="CHEBYSHEV")):
+        with pytest.raises(ValueError, match="train grouping"):
+            infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=train_grouping)
 
 
 def test_infer_deterministic():
     ds, aecs, grouping, bundle = clustered_setup()
-    a_preds, a_report = infer_with_groups(bundle, aecs, None, aecs, grouping)
-    b_preds, b_report = infer_with_groups(bundle, aecs, None, aecs, grouping)
+    a_preds, a_report = infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=grouping)
+    b_preds, b_report = infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=grouping)
     assert np.array_equal(a_preds, b_preds)
     assert canonical_json(a_report) == canonical_json(b_report)
 

@@ -11,6 +11,7 @@ import pytest
 from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec, SoftmaxModel
 from tsgroups.consistent import CgfConfig, CgfResult
+from tsgroups.distances import DistanceMeasureId
 from tsgroups.group_mapping import MappingReport
 from tsgroups.grouped import GroupModelBundle, load_bundle, predict, save_bundle, train_per_group
 from tsgroups.ingest import NormalizationStats
@@ -19,7 +20,6 @@ from tsgroups.pipeline import (
     MappingOptions,
     Paths,
     PipelineConfig,
-    TrainOptions,
     _write_predictions_csv,
     read_config,
 )
@@ -223,9 +223,8 @@ RECORDS = {
     "bundle": (GroupModelBundle(
         models=[SoftmaxModel(weights=np.array([[0.5], [-0.25]]), bias=np.array([0.0]),
                              seen_classes=np.array([1]), feature_mean=np.array([1.5, 0.0]),
-                             feature_std=np.array([2.0, 1.0]), kind="SOFTMAX_AECS", n_train=3)],
+                             feature_std=np.array([2.0, 1.0]), n_train=3)],
         class_presence=np.array([[False, True]]),
-        grouping=Grouping(assignment=np.zeros(3, dtype=np.int64), K=1, measure="NONE"),
         spec=ClassifierSpec(epochs=5), aecs_model_id="m-1", n_classes=2,
         warnings=["group 0 contains only class 1; constant predictor"],
     ), """\
@@ -237,16 +236,6 @@ RECORDS = {
       true
     ]
   ],
-  "grouping": {
-    "K": 1,
-    "assignment": [
-      0,
-      0,
-      0
-    ],
-    "hubert_scores": {},
-    "measure": "NONE"
-  },
   "models": [
     {
       "bias": [
@@ -260,7 +249,6 @@ RECORDS = {
         2.0,
         1.0
       ],
-      "kind": "SOFTMAX_AECS",
       "n_train": 3,
       "seen_classes": [
         1
@@ -355,10 +343,6 @@ RECORDS = {
   "paths": {
     "dataset_root": null,
     "out_dir": "run"
-  },
-  "train": {
-    "baseline": true,
-    "baseline_only": false
   }
 }
 """),
@@ -369,7 +353,6 @@ RECORDS = {
         cgf=CgfConfig(linkage="COMPLETE", k_max=6),
         classifier=ClassifierSpec(kind="SOFTMAX_STATS"),
         mapping=MappingOptions(method="CR_CR"),
-        train=TrainOptions(baseline=False),
     ), """\
 {
   "autoencoder": {
@@ -428,10 +411,6 @@ RECORDS = {
   "paths": {
     "dataset_root": "corpus",
     "out_dir": "out"
-  },
-  "train": {
-    "baseline": false,
-    "baseline_only": false
   }
 }
 """),
@@ -469,14 +448,14 @@ def test_config_reads_back_from_its_json(name):
 def test_field_types_take_json_numbers_but_not_true():
     check_field_types(CgfConfig, {"tau": 0.5, "k_start": 3, "k_max": None})
     check_field_types(ae.AutoencoderConfig, {"learning_rate": 0, "beta1": 0.5, "seed": 7})
-    check_field_types(TrainOptions, {"baseline": False})
+    check_field_types(IngestOptions, {"normalize": False})
     for cls, data, message in [
         (CgfConfig, {"k_max": True}, "k_max must be int, got True"),
         (CgfConfig, {"k_start": 3.0}, "k_start must be int, got 3.0"),
         (CgfConfig, {"tau": False}, "tau must be float, got False"),
         (ae.AutoencoderConfig, {"learning_rate": "0.1"}, "learning_rate must be float"),
-        (TrainOptions, {"baseline": 1}, "baseline must be true or false, got 1"),
-        (TrainOptions, {"baseline_only": None}, "baseline_only must be true or false, got None"),
+        (IngestOptions, {"normalize": 1}, "normalize must be true or false, got 1"),
+        (IngestOptions, {"normalize": None}, "normalize must be true or false, got None"),
     ]:
         with pytest.raises(ValueError, match=message):
             check_field_types(cls, data)
@@ -515,9 +494,9 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
 
 def test_predictions_csv_bytes_and_crash_mid_rows(tmp_path):
     path = tmp_path / "predictions.csv"
-    _write_predictions_csv(path, np.array([1, 0, 2]), None, np.array([0, 1, 1]), [2, 0])
+    _write_predictions_csv(path, np.array([1, 0, 2]), np.array([1, 1, 0]), np.array([0, 1, 1]), [2, 0])
     assert path.read_bytes() == (b"instance_index,predicted,true,test_group,train_group\n"
-                                 b"0,1,,0,2\n1,0,,1,0\n2,2,,1,0\n")
+                                 b"0,1,1,0,2\n1,0,1,1,0\n2,2,0,1,0\n")
     previous = path.read_bytes()
     with pytest.raises(IndexError):
         # The truth array runs out on the third row, after two rows were written.
@@ -575,20 +554,18 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     ds = make_dataset()
     stats = NormalizationStats(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.25]))
     path = tmp_path / "dataset.zip"
-    save_dataset(path, ds, normalization=stats, has_labels=True, extra={"road": "MOTORWAY"})
-    loaded, got_stats, has_labels, extra = load_dataset(path)
+    save_dataset(path, ds, normalization=stats)
+    loaded, got_stats = load_dataset(path)
     assert np.array_equal(loaded.windows, ds.windows)
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.meta == ds.meta
     assert loaded.class_names == ds.class_names
-    assert has_labels is True
-    assert extra == {"road": "MOTORWAY"}
     assert np.array_equal(got_stats.mean, stats.mean)
     assert np.array_equal(got_stats.std, stats.std)
     again = tmp_path / "again.zip"
-    save_dataset(again, loaded, normalization=got_stats, has_labels=True,
-                 extra={"road": "MOTORWAY"})
+    save_dataset(again, loaded, normalization=got_stats)
     assert path.read_bytes() == again.read_bytes()
+    assert "extra" not in json.loads(read_archive(path)["header.json"])
 
 
 def test_save_dataset_holds_one_copy_of_the_windows(tmp_path):
@@ -604,14 +581,14 @@ def test_save_dataset_holds_one_copy_of_the_windows(tmp_path):
 
 
 def test_dataset_without_labels(tmp_path):
-    ds = make_dataset(m=5)
     path = tmp_path / "unlabeled.zip"
-    save_dataset(path, ds, has_labels=False)
-    loaded, stats, has_labels, extra = load_dataset(path)
-    assert has_labels is False
-    assert np.all(loaded.labels == 0)
-    assert stats is None
-    assert extra == {}
+    save_dataset(path, make_dataset(m=5))
+    entries = read_archive(path)
+    header = json.loads(entries["header.json"])
+    for edit in ({**header, "labels": None}, {k: v for k, v in header.items() if k != "labels"}):
+        write_archive(path, {**entries, "header.json": canonical_json(edit).encode()})
+        with pytest.raises(ValueError, match="no labels"):
+            load_dataset(path)
 
 
 def test_dataset_rejects_unknown_format(tmp_path):
@@ -649,12 +626,20 @@ def test_grouping_dict_round_trip():
     assert back.hubert_scores == grouping.hubert_scores
 
 
+def test_grouping_measure_is_a_measure_token():
+    grouping = Grouping(assignment=np.array([0, 1]), K=2, measure="MANHATTAN")
+    assert grouping.measure is DistanceMeasureId.MANHATTAN
+    assert json.loads(canonical_json(grouping))["measure"] == "MANHATTAN"
+    for measure in ("FOO", "NONE", "manhattan", 5, None):
+        with pytest.raises(ValueError, match="DistanceMeasureId"):
+            Grouping(assignment=np.array([0, 1]), K=2, measure=measure)
+
+
 def assert_same_models(got_models, want_models):
     for got, want in zip(got_models, want_models, strict=True):
         for name in ("weights", "bias", "seen_classes", "feature_mean", "feature_std"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
-        assert got.kind is want.kind
         assert got.n_train == want.n_train
 
 
@@ -664,11 +649,7 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     vectors = rng.normal(size=(12, 3))
     vectors[np.arange(12), ds.labels] += 4.0
     aecs = AecsMatrix(vectors=vectors, source_model_id="m-123")
-    grouping = Grouping(
-        assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV",
-        hubert_scores={"CHEBYSHEV": 3.0},
-    )
-    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=25))
+    bundle = train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
     path = tmp_path / "bundle.json"
     save_bundle(path, bundle)
     loaded = load_bundle(path)
@@ -678,8 +659,6 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     assert loaded.n_classes == bundle.n_classes
     assert loaded.warnings == bundle.warnings
     assert np.array_equal(loaded.class_presence, bundle.class_presence)
-    assert np.array_equal(loaded.grouping.assignment, grouping.assignment)
-    assert loaded.grouping.hubert_scores == grouping.hubert_scores
     assert_same_models(loaded.models, bundle.models)
     again = tmp_path / "bundle2.json"
     save_bundle(again, loaded)
@@ -690,8 +669,7 @@ def test_bundle_with_a_single_class_group_round_trips(tmp_path):
     ds = make_dataset(m=12, n_classes=2)
     ds.labels[:6] = 1  # group 0 holds only class 1
     aecs = AecsMatrix(vectors=seeded_rng(5).normal(size=(12, 3)), source_model_id="m-1")
-    grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
-    bundle = train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=25))
+    bundle = train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
     assert bundle.models[0].weights.shape == (3, 1)
     assert bundle.warnings == ["group 0 contains only class 1; constant predictor"]
     save_bundle(tmp_path / "bundle.json", bundle)
@@ -707,9 +685,8 @@ def test_bundle_with_a_single_class_group_round_trips(tmp_path):
 def test_bundle_rejects_weights_of_wrong_shape(tmp_path):
     ds = make_dataset(m=12, n_classes=2)
     aecs = AecsMatrix(vectors=seeded_rng(4).normal(size=(12, 3)), source_model_id="m-1")
-    grouping = Grouping(assignment=np.repeat([0, 1], 6), K=2, measure="CHEBYSHEV")
     path = tmp_path / "bundle.json"
-    save_bundle(path, train_per_group(ds, aecs, grouping, ClassifierSpec(epochs=5)))
+    save_bundle(path, train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=5)))
     data = read_json(path)
     weights = data["models"][0]["weights"]
     for bad in (weights[:-1], weights + [weights[0]], [row[:-1] for row in weights],
