@@ -84,8 +84,8 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
 
     The distance measure and dendrogram are chosen once at ``k_start``.
     Each later k undoes one more merge of that dendrogram; the new group
-    is that merge's smaller child, whose size the merge list holds, so
-    only the returned partition is cut. A step is rejected with
+    is that merge's smaller child, whose size the merge record array
+    gives, so only the returned partition is cut. A step is rejected with
     ``stopped_by`` "tau" when that group is below ``tau`` of the
     instances, and otherwise with "duplicates" when the merge it undoes
     has height exactly 0, which joined copies of one vector under every
@@ -99,14 +99,14 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
 
     selection = select_best_measure(aecs, config.k_start, config.linkage)
     # Going from k to k + 1 groups undoes merge m - 1 - k.
-    merges = selection.dendrogram.merges
+    heights = selection.dendrogram.merges["height"]
     smaller = selection.dendrogram.smaller_children()
     k = config.k_start - 1
     trace: list[dict] = []
     stopped_by = "k_max"
     rejected_size: int | None = None
     while k < k_max:
-        size, height = smaller[m - 1 - k], merges[m - 1 - k][2]
+        size, height = smaller[m - 1 - k], heights[m - 1 - k]
         rejected_by = "tau" if size < min_size else "duplicates" if height == 0 else None
         trace.append({"k": k + 1, "new_group_size": size, "accepted": rejected_by is None})
         if rejected_by is not None:

@@ -12,7 +12,6 @@ order, first to last, as a plain loop over the features would.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from collections.abc import Callable
@@ -21,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .types import AecsMatrix, DistanceMeasureId
+from .types import AecsMatrix, DistanceMeasureId, vectors_fingerprint
 
 
 MEASURE_ORDER = (
@@ -75,15 +74,7 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
     positive definite even for degenerate sets; positive definiteness is
     checked by running the Cholesky factorization.
     """
-    if isinstance(aecs, AecsMatrix):
-        x = aecs.vectors
-        fingerprint = aecs.fingerprint()
-    else:
-        x = np.ascontiguousarray(aecs, dtype=np.float64)
-        h = hashlib.sha256()
-        h.update(str(x.shape).encode())
-        h.update(x.tobytes())
-        fingerprint = h.hexdigest()
+    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.ascontiguousarray(aecs, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need an (M >= 2, h) matrix, got {x.shape}")
     width = x.shape[1]
@@ -98,7 +89,8 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
     inv_chol = np.linalg.inv(chol)
     inverse = inv_chol.T @ inv_chol
 
-    return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon, source_fingerprint=fingerprint)
+    return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon,
+                              source_fingerprint=vectors_fingerprint(x))
 
 
 # Scratch bytes one kernel call holds besides its output; sets the rows per block.

@@ -3,6 +3,8 @@
 Merging follows the classic Lance-Williams updates with a deterministic
 tie-break; cutting a dendrogram at successive k values yields nested
 partitions, each splitting one group into the two children of a merge.
+A dendrogram holds its merges as one numpy record array of ``MERGE_DTYPE``
+rows, ``(a, b, height)``, in merge order.
 """
 
 from __future__ import annotations
@@ -38,22 +40,30 @@ class Linkage(str, enum.Enum):
         return self.value
 
 
+# One merge: the ids of the two clusters it joins and its height.
+MERGE_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("height", np.float64)])
+
+
 @dataclass
 class Dendrogram:
     """Merge history over M leaves.
 
     Leaves carry ids ``0..M-1``; the cluster created by merge step s gets id
-    ``M + s``. Each merge record is ``(a_id, b_id, height)`` with a < b.
+    ``M + s``. ``merges`` is an (M-1,) record array of ``MERGE_DTYPE``:
+    row s is ``(a, b, height)`` with a < b, and ``merges["a"]``,
+    ``merges["b"]`` and ``merges["height"]`` are its columns. Any sequence
+    of ``(a, b, height)`` tuples is converted to it.
     """
 
     n_leaves: int
-    merges: list[tuple[int, int, float]]
+    merges: np.ndarray
     linkage: Linkage
 
     def __post_init__(self) -> None:
-        if len(self.merges) != self.n_leaves - 1:
-            raise ValueError(f"expected {self.n_leaves - 1} merges, got {len(self.merges)}")
-        heights = np.array([m[2] for m in self.merges], dtype=np.float64)
+        self.merges = np.asarray(self.merges, dtype=MERGE_DTYPE)
+        if self.merges.shape != (self.n_leaves - 1,):
+            raise ValueError(f"expected {self.n_leaves - 1} merges, got shape {self.merges.shape}")
+        heights = self.merges["height"]
         drops = np.flatnonzero(heights[1:] < heights[:-1] - 1e-12) + 1
         if drops.size:
             i = int(drops[0])
@@ -66,16 +76,17 @@ class Dendrogram:
         """Leaf count of each merge's smaller child, in merge order."""
         counts = [1] * self.n_leaves
         smaller = []
-        for a, b, _ in self.merges:
+        for a, b, _ in self.merges.tolist():
             counts.append(counts[a] + counts[b])
             smaller.append(min(counts[a], counts[b]))
         return smaller
 
     def fingerprint(self) -> str:
+        # ``tolist`` gives Python floats, whose repr is the shortest round-trip text.
         h = hashlib.sha256()
         h.update(str(self.n_leaves).encode())
         h.update(self.linkage.value.encode())
-        for a, b, height in self.merges:
+        for a, b, height in self.merges.tolist():
             h.update(f"{a},{b},{height!r};".encode())
         return h.hexdigest()
 
@@ -150,7 +161,8 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     When the live clusters fall to half of P, their rows and columns are
     gathered in order into the start of the same buffer, so positions keep
     their order. Ties add no loop over tied pairs, so inputs full of exact
-    duplicates cluster about as fast as distinct ones.
+    duplicates cluster about as fast as distinct ones. Merge s is written
+    to row s of the dendrogram's preallocated ``MERGE_DTYPE`` record array.
     """
     linkage = Linkage(linkage)
     work, row_min, row_arg = _working_matrix(dist)
@@ -160,7 +172,7 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
     sizes = [1] * m
     ids = np.arange(m)
 
-    merges: list[tuple[int, int, float]] = []
+    merges = np.empty(m - 1, dtype=MERGE_DTYPE)
     for step in range(m - 1):
         # Retired rows hold inf, so the minimum over all rows is the height.
         height = row_min.min()
@@ -169,7 +181,7 @@ def agglomerate(dist: np.ndarray, linkage: Linkage = Linkage.AVERAGE) -> Dendrog
         partners = tied[work[i, tied] == height]
         j = partners[ids[partners].argmin()]
         si, sj = min(i, j), max(i, j)
-        merges.append((ids.item(i), ids.item(j), float(height)))
+        merges[step] = (ids[i], ids[j], height)
 
         di, dj = work[si], work[sj]
         if linkage is Linkage.SINGLE:
@@ -239,9 +251,9 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
 
-    pairs = np.array([(a, b) for a, b, _ in dendrogram.merges[:m - k]], dtype=np.int64).reshape(-1, 2)
-    parent = np.arange(m + len(pairs), dtype=np.int64)
-    parent[pairs[:, 0]] = parent[pairs[:, 1]] = np.arange(m, parent.size)
+    undone = dendrogram.merges[:m - k]
+    parent = np.arange(m + len(undone), dtype=np.int64)
+    parent[undone["a"]] = parent[undone["b"]] = np.arange(m, parent.size)
     while True:  # pointer jumping: each pass halves every path to a root
         jumped = parent[parent]
         if np.array_equal(jumped, parent):

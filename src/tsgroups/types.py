@@ -8,6 +8,7 @@ over them, so instances are safe to share across threads.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +99,14 @@ class WindowedDataset:
         )
 
 
+def vectors_fingerprint(x: np.ndarray) -> str:
+    """SHA-256 of a C-contiguous float64 vector set: its shape, then its bytes."""
+    h = hashlib.sha256()
+    h.update(str(x.shape).encode())
+    h.update(x.tobytes())
+    return h.hexdigest()
+
+
 @dataclass
 class AecsMatrix:
     """Compact per-window representation: one h-vector per window."""
@@ -121,12 +130,7 @@ class AecsMatrix:
         return self.vectors.shape[1]
 
     def fingerprint(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(str(self.vectors.shape).encode())
-        h.update(self.vectors.tobytes())
-        return h.hexdigest()
+        return vectors_fingerprint(self.vectors)
 
 
 @dataclass
@@ -170,8 +174,6 @@ class Grouping:
         return np.bincount(self.assignment, minlength=self.K)
 
     def fingerprint(self) -> str:
-        import hashlib
-
         h = hashlib.sha256()
         h.update(self.assignment.tobytes())
         h.update(str(self.K).encode())

@@ -1,5 +1,6 @@
 """Distance measures against naive references and hand values."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -19,7 +20,7 @@ from tsgroups.distances import (
 from tsgroups.group_mapping import MappingMethod, candidate_distances
 from tsgroups.hierarchy import hubert_statistic
 from tsgroups.rng import seeded_rng
-from tsgroups.types import Grouping
+from tsgroups.types import AecsMatrix, Grouping
 
 from reference import (
     naive_chebyshev,
@@ -164,6 +165,16 @@ def test_context_fingerprint_tracks_source():
     y = rng.standard_normal((8, 3))
     assert fit_mahalanobis(x).source_fingerprint == fit_mahalanobis(x).source_fingerprint
     assert fit_mahalanobis(x).source_fingerprint != fit_mahalanobis(y).source_fingerprint
+
+
+def test_context_fingerprint_is_the_vector_sets():
+    # infer_with_groups accepts a context fitted on the train vectors as a
+    # plain array only if its fingerprint is the train AecsMatrix's.
+    x = seeded_rng(13).standard_normal((8, 3))
+    expected = hashlib.sha256(str(x.shape).encode() + x.tobytes()).hexdigest()
+    assert AecsMatrix(x, "m").fingerprint() == expected
+    assert fit_mahalanobis(x).source_fingerprint == expected
+    assert fit_mahalanobis(AecsMatrix(x, "m")).source_fingerprint == expected
 
 
 def scaled_vectors(rng, n, h):

@@ -1,5 +1,6 @@
 """Agglomerative clustering, tree cuts, and measure selection."""
 
+import hashlib
 import logging
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from tsgroups import distances
 from tsgroups.distances import MEASURE_ORDER, DistanceMeasureId, fit_mahalanobis, pairwise_matrix
 from tsgroups.hierarchy import (
+    MERGE_DTYPE,
     Dendrogram,
     Linkage,
     agglomerate,
@@ -65,9 +67,8 @@ def test_matches_naive_reference():
                 dist = pairwise_matrix(x, measure)
                 fast = agglomerate(dist.copy(), linkage)
                 ref = naive_agglomerate(dist, linkage)
-                assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
-                for f, r in zip(fast.merges, ref.merges):
-                    assert f[2] == pytest.approx(r[2], abs=1e-9)
+                assert fast.merges[["a", "b"]].tolist() == ref.merges[["a", "b"]].tolist()
+                assert fast.merges["height"] == pytest.approx(ref.merges["height"], abs=1e-9)
 
 
 def test_matches_naive_on_raw_matrices():
@@ -76,7 +77,7 @@ def test_matches_naive_on_raw_matrices():
         for linkage in Linkage:
             fast = agglomerate(dist.copy(), linkage)
             ref = naive_agglomerate(dist, linkage)
-            assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
+            assert fast.merges[["a", "b"]].tolist() == ref.merges[["a", "b"]].tolist()
 
 
 def test_matches_naive_on_duplicate_heavy_inputs():
@@ -90,9 +91,8 @@ def test_matches_naive_on_duplicate_heavy_inputs():
                 dist = pairwise_matrix(x, measure)
                 fast = agglomerate(dist.copy(), linkage)
                 ref = naive_agglomerate(dist, linkage)
-                assert [mm[:2] for mm in fast.merges] == [mm[:2] for mm in ref.merges]
-                for f, r in zip(fast.merges, ref.merges):
-                    assert f[2] == pytest.approx(r[2], abs=1e-9)
+                assert fast.merges[["a", "b"]].tolist() == ref.merges[["a", "b"]].tolist()
+                assert fast.merges["height"] == pytest.approx(ref.merges["height"], abs=1e-9)
 
 
 def test_exact_duplicates_cluster_in_quadratic_time():
@@ -125,6 +125,35 @@ def test_input_validation():
             agglomerate(np.array([[0.0, bad], [bad, 0.0]]))
     with pytest.raises(ValueError):
         agglomerate(np.zeros((1, 1)))
+
+
+def test_fingerprint_bytes_are_pinned():
+    # Heights are written as Python float reprs, "0.30000000000000004" for
+    # 0.1 + 0.2, never as numpy scalar reprs such as "np.float64(0.1)".
+    expected = hashlib.sha256(b"3AVERAGE0,1,0.1;2,3,0.30000000000000004;").hexdigest()
+    rows = [(0, 1, 0.1), (2, 3, 0.1 + 0.2)]
+    for merges in (rows, np.array(rows, dtype=MERGE_DTYPE)):
+        assert Dendrogram(n_leaves=3, merges=merges, linkage=Linkage.AVERAGE).fingerprint() == expected
+
+
+def test_merges_read_as_rows_and_columns():
+    # The bench tracer counts merges with len() and reads a merge's height as row[2].
+    m = 12
+    x = seeded_rng(8).standard_normal((3, 4))[np.arange(m) % 3]  # 4 copies of 3 points
+    tree = agglomerate(pairwise_matrix(x, DistanceMeasureId.MANHATTAN))
+    assert tree.merges.dtype == MERGE_DTYPE
+    assert len(tree.merges) == m - 1
+    heights = [r[2] for r in tree.merges]
+    assert heights == tree.merges["height"].tolist()
+    assert heights[:m - 3] == [0.0] * (m - 3) and 0.0 < heights[m - 3] < heights[m - 2]
+    assert [(r[0], r[1]) for r in tree.merges] == tree.merges[["a", "b"]].tolist()
+
+
+def test_merges_must_be_one_row_per_merge():
+    with pytest.raises(ValueError, match="expected 2 merges"):
+        Dendrogram(n_leaves=3, merges=[(0, 1, 2.0)], linkage=Linkage.SINGLE)
+    with pytest.raises(ValueError, match="expected 2 merges"):
+        Dendrogram(n_leaves=3, merges=np.zeros((2, 3)), linkage=Linkage.SINGLE)
 
 
 def test_height_decrease_logs_warning(caplog):
@@ -219,7 +248,8 @@ def test_hubert_holds_no_pairwise_matrix_on_many_cpus(monkeypatch):
 
 def test_select_best_measure_holds_one_matrix(monkeypatch):
     # Under a 64 KB kernel budget the rest is small: the scratch and two
-    # dendrograms' merge lists (about 0.09 of a 600 x 600 matrix).
+    # dendrograms' merge record arrays, 24 bytes a merge (together about
+    # 0.12 of a 600 x 600 matrix, in a fresh interpreter too).
     monkeypatch.setattr(distances, "_SCRATCH_BYTES", 1 << 16)
     m = 600
     rng = seeded_rng(6)
@@ -288,7 +318,7 @@ def test_agglomerate_matches_row_loop_exactly(m):
     for name, dist in oracle_inputs(m, seed=m).items():
         for linkage in Linkage:
             fast = agglomerate(dist.copy(), linkage)
-            assert fast.merges == rowloop_agglomerate(dist, linkage).merges, (name, linkage)
+            assert np.array_equal(fast.merges, rowloop_agglomerate(dist, linkage).merges), (name, linkage)
 
 
 def test_agglomerate_consumes_only_a_writeable_c_matrix():
@@ -297,9 +327,9 @@ def test_agglomerate_consumes_only_a_writeable_c_matrix():
         read_only, fortran, consumed = dist.copy(), np.asfortranarray(dist), dist.copy()
         read_only.flags.writeable = False
         for kept in (read_only, fortran):
-            assert agglomerate(kept, Linkage.AVERAGE).merges == tree.merges, name
+            assert np.array_equal(agglomerate(kept, Linkage.AVERAGE).merges, tree.merges), name
             assert np.array_equal(kept, dist), name
-        assert agglomerate(consumed, Linkage.AVERAGE).merges == tree.merges, name
+        assert np.array_equal(agglomerate(consumed, Linkage.AVERAGE).merges, tree.merges), name
         assert not np.array_equal(consumed, dist), name
 
 
