@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tsgroups.autoencoder import _backward, _reconstruction_loss
+from tsgroups.autoencoder import Workspace, _backward, _reconstruction_loss
 from tsgroups.distances import DistanceMeasureId, MahalanobisContext
 from tsgroups.hierarchy import Dendrogram, Linkage
 from tsgroups.ingest import ACCELEROMETER_FILENAME, ColumnMap, RawSession, parse_session_name
@@ -443,13 +443,15 @@ def worst_relative_gap(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
     return worst
 
 
-def gradient_check(params: dict[str, np.ndarray], window: np.ndarray,
+def gradient_check(params: dict[str, np.ndarray], windows: np.ndarray,
                    epsilon: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and numeric gradients on one (t, d) window."""
-    batch = np.asarray(window, dtype=np.float64)[None]
-    caches: tuple[list, ...] = ([], [], [], [], [])
-    _, recon = _reconstruction_loss(params, batch, caches)
-    analytic = _backward(params, batch, recon, caches)
+    """Max relative disagreement between analytic and numeric gradients on one (t, d) window or (B, t, d) windows."""
+    batch = np.asarray(windows, dtype=np.float64)
+    if batch.ndim == 2:
+        batch = batch[None]
+    workspace = Workspace.for_windows(params, batch)
+    _reconstruction_loss(params, batch, workspace)
+    analytic = _backward(workspace, batch)
     numeric = finite_difference_gradients(params, batch, epsilon)
     return worst_relative_gap(analytic, numeric)
 

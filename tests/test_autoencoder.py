@@ -103,6 +103,16 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("batch, t, d", [(1, 1, 3), (1, 2, 2), (3, 5, 2)])
+def test_gradient_matches_finite_differences_at_the_wavefront_ends(batch, t, d):
+    # t = 1 and t = 2 put the fused encoder's first and last steps next to each other; d = 3 at
+    # t = 1 keeps TINY undercomplete.
+    params = ae.init_params(TINY, d=d, seed=0)
+    TINY.check_undercomplete(t, d)
+    windows = np.stack([tiny_window(i, t=t, d=d) for i in range(batch)])
+    assert gradient_check(params, windows) < 1e-4
+
+
 def test_zero_case_passes_by_convention():
     params = ae.init_params(TINY, d=2, seed=0)
     for key in params:
@@ -115,9 +125,9 @@ def test_corrupted_gradient_fails_check():
     params = ae.init_params(TINY, d=2, seed=0)
     window = tiny_window()
     batch = window[None]
-    caches = ([], [], [], [], [])
-    _, recon = ae._reconstruction_loss(params, batch, caches)
-    analytic = ae._backward(params, batch, recon, caches)
+    workspace = ae.Workspace.for_windows(params, batch)
+    ae._reconstruction_loss(params, batch, workspace)
+    analytic = ae._backward(workspace, batch)
     numeric = finite_difference_gradients(params, batch)
     assert worst_relative_gap(analytic, numeric) < 1e-4
     analytic["enc1.W"] = analytic["enc1.W"] * 2.0
@@ -161,6 +171,29 @@ def test_divergent_training_step_raises():
     batch = np.stack([tiny_window(i) for i in range(2)])
     with pytest.raises(DivergenceError):
         ae.train_step(params, batch, state, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_gradient_fails_at_its_step(monkeypatch, bad):
+    cfg = ae.AutoencoderConfig(hidden1=3, hidden2=2, epochs=1, batch_size=2)
+    params = ae.init_params(cfg, d=2, seed=0)
+    state = ae.AdamState.for_params(params)
+    batch = np.stack([tiny_window(i) for i in range(2)])
+    ae.train_step(params, batch, state, cfg)
+    before, m, v = ae._buffer(params).copy(), state.m.copy(), state.v.copy()
+    backward = ae._backward
+
+    def poisoned(workspace, x):
+        grads = backward(workspace, x)
+        grads["dec2.W"][0, 0] = bad
+        return grads
+
+    monkeypatch.setattr(ae, "_backward", poisoned)
+    with pytest.raises(DivergenceError, match=f"gradient norm diverged to {bad} at step 2"):
+        ae.train_step(params, batch, state, cfg)
+    assert state.step == 1
+    assert np.array_equal(ae._buffer(params), before)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def make_dataset(m=40, t=16, d=2, seed=0):
@@ -250,25 +283,33 @@ def test_model_id_changes_with_weights():
 
 
 def _as_dtype(params, dtype):
-    """The parameters as one buffer of ``dtype``, as ``train_step`` hands them to the passes."""
-    return ae._views(ae._buffer(params).astype(dtype), {key: p.shape for key, p in params.items()})
+    """The parameters rounded to ``dtype`` and held in float64, as ``train_step`` loads them."""
+    return ae._views(ae._buffer(params).astype(dtype).astype(np.float64),
+                     {key: p.shape for key, p in params.items()})
 
 
-def _model_and_reference(batch, dtype):
+# (batch, t): t = 1 and t = 2 are the fused encoder's boundary cases, at odd batch sizes,
+# with TINY widths so that hidden2 < t * d.
+MODEL_CASES = pytest.mark.parametrize("batch, t", [(1, 20), (5, 20), (64, 20), (3, 1), (7, 2)],
+                                      ids=["1", "5", "64", "3-t1", "7-t2"])
+
+
+def _model_and_reference(batch, t, dtype):
     """Loss and gradients of the passes in ``dtype``, and of the float64 oracle on the same inputs."""
-    params = _as_dtype(ae.init_params(ae.AutoencoderConfig(), d=6, seed=4), dtype)
-    x = seeded_rng(derive_seed(batch, "model-oracle")).standard_normal((batch, 20, 6)).astype(dtype)
-    caches = ([], [], [], [], [])
-    loss, recon = ae._reconstruction_loss(params, x, caches)
-    grads = ae._backward(params, x, recon, caches)
-    ref_loss, ref_grads = naive_autoencoder_loss_and_gradients(
-        {key: p.astype(np.float64) for key, p in params.items()}, x.astype(np.float64))
+    cfg = ae.AutoencoderConfig() if t >= 20 else TINY
+    cfg.check_undercomplete(t, 6)
+    params = _as_dtype(ae.init_params(cfg, d=6, seed=4), dtype)
+    x = seeded_rng(derive_seed(batch, "model-oracle", str(t))).standard_normal((batch, t, 6)).astype(dtype)
+    workspace = ae.Workspace.for_windows(params, x)
+    loss, _ = ae._reconstruction_loss(params, x, workspace)
+    grads = ae._backward(workspace, x)
+    ref_loss, ref_grads = naive_autoencoder_loss_and_gradients(params, x.astype(np.float64))
     return loss, grads, ref_loss, ref_grads
 
 
-@pytest.mark.parametrize("batch", [1, 5, 64])
-def test_loss_and_gradients_match_reference_model(batch):
-    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, np.float64)
+@MODEL_CASES
+def test_loss_and_gradients_match_reference_model(batch, t):
+    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, t, np.float64)
     assert abs(loss - ref_loss) <= 1e-12 * ref_loss
     for key, ref in ref_grads.items():
         scale = np.max(np.abs(ref))
@@ -276,9 +317,9 @@ def test_loss_and_gradients_match_reference_model(batch):
         assert np.max(np.abs(grads[key] - ref)) <= 1e-10 * scale, key
 
 
-@pytest.mark.parametrize("batch", [1, 5, 64])
-def test_float32_passes_match_reference_model(batch):
-    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, np.float32)
+@MODEL_CASES
+def test_float32_passes_match_reference_model(batch, t):
+    loss, grads, ref_loss, ref_grads = _model_and_reference(batch, t, np.float32)
     assert abs(float(loss) - ref_loss) <= 1e-6 * ref_loss
     for key, ref in ref_grads.items():
         scale = np.max(np.abs(ref))
@@ -286,38 +327,30 @@ def test_float32_passes_match_reference_model(batch):
         assert np.max(np.abs(grads[key] - ref)) <= 1e-5 * scale, key
 
 
-def _arrays(values):
-    for v in values:
-        if isinstance(v, tuple):
-            yield from _arrays(v)
-        elif isinstance(v, np.ndarray):
-            yield v
+def _workspace_arrays(workspace, x):
+    """Every buffer of ``workspace``, with the views and cells of its pass over ``x``."""
+    arrays = [workspace._flat, *workspace.weights.values(), *workspace.forward.values(),
+              *workspace.grads.values()]
+    for value in workspace.views(x).values():
+        arrays.extend(vars(value).values() if isinstance(value, ae._Cells) else [value])
+    return [a for a in arrays if isinstance(a, np.ndarray)]
 
 
-def test_float32_passes_stay_float32(monkeypatch):
-    # One float64 zeros array or numpy float64 scalar would promote the pass from that step on.
-    # In-place writes round it back into the float32 reconstruction and gradient buffers, so
-    # every array each cell step takes and returns is checked.
-    dtypes = set()
-
-    def spy(cell):
-        def wrapped(*args):
-            out = cell(*args)
-            dtypes.update(a.dtype for a in _arrays((*args, *out)))
-            return out
-        return wrapped
-
-    monkeypatch.setattr(ae, "_cell_forward", spy(ae._cell_forward))
-    monkeypatch.setattr(ae, "_cell_backward", spy(ae._cell_backward))
-    narrow = _as_dtype(ae.init_params(ae.AutoencoderConfig(hidden1=5, hidden2=3), d=3, seed=2), np.float32)
+def test_float32_passes_stay_float32():
+    # A float64 buffer or scalar would widen a step's arithmetic, and writes with out= round it
+    # back into the float32 buffers unseen, so every buffer and every returned array is checked.
+    params = ae.init_params(ae.AutoencoderConfig(hidden1=5, hidden2=3), d=3, seed=2)
     x = seeded_rng(derive_seed(0, "float32-contract")).standard_normal((4, 7, 3)).astype(np.float32)
-    caches = ([], [], [], [], [])
-    loss, recon = ae._reconstruction_loss(narrow, x, caches)
-    grads = ae._backward(narrow, x, recon, caches)
+    workspace = ae.Workspace.for_windows(params, x)
+    loss, recon = ae._reconstruction_loss(params, x, workspace)
+    grads = ae._backward(workspace, x)
+    arrays = _workspace_arrays(workspace, x)
+    assert len(arrays) > 40
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     assert loss.dtype == np.float32
     assert recon.dtype == np.float32
-    assert ae._buffer(grads).dtype == np.float32
-    assert dtypes == {np.dtype(np.float32)}
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
+    assert ae._buffer(params).dtype == np.float64
 
 
 def test_training_keeps_float64_master_weights():
@@ -335,6 +368,31 @@ def test_training_keeps_float64_master_weights():
     assert ae.transform(fitted, ds, cfg).vectors.dtype == np.float64
 
 
+def _one_step(w, b, x, h_prev, c_prev, dh, dc):
+    """One LSTM step and its backprop through ``_Cells``, batch-major in and out.
+
+    Returns h, c, dz (over [x, h_prev]), dc_prev, dW, db and the step's gates (rows g, i, f, o).
+    """
+    n, din = h_prev.shape[1], x.shape[1]
+    cells = ae._Cells(din, n, ae._zeros(ae._cell_shapes(din, n, 1, x.shape[0])))
+    order = np.r_[3 * n:4 * n, 0:3 * n]  # parameter rows i, f, o, g to working rows g, i, f, o
+    work = np.concatenate([w, b[:, None]], axis=1)[order]
+    forward = work.copy()
+    forward[n:] *= -1.0
+    cells.start()
+    cells.x[0], cells.h[0], cells.c[0] = x.T, h_prev.T, c_prev.T
+    with np.errstate(over="ignore"):  # as the passes run it
+        cells.step(forward.T, 0)
+    h, c, gates = cells.h[1].T.copy(), cells.c[1].T.copy(), cells.act[0].copy()
+    cells.factors()
+    dz, dc_prev, dct = np.empty((din + n + 1, len(x))), dc.T.copy(), np.empty((n, len(x)))
+    cells.back(work.T, 0, dh.T.copy(), dc_prev, dct, dz)
+    dwork = np.empty_like(work)
+    cells.weight_grad(dwork)
+    dwork[order] = dwork.copy()
+    return h, c, dz[:din + n].T, dc_prev.T, dwork[:, :-1], dwork[:, -1], gates
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 40.0, 400.0])
 def test_cells_match_reference(scale):
     rng = seeded_rng(derive_seed(0, "cell-oracle", repr(scale)))
@@ -347,23 +405,24 @@ def test_cells_match_reference(scale):
         h_prev = rng.standard_normal((batch, n))
         c_prev = 3.0 * rng.standard_normal((batch, n))
         pre.append((np.concatenate([x, h_prev], axis=1) @ w.T + b).ravel())
-        h, c, cache = ae._cell_forward(w, b, x.T, h_prev.T, c_prev.T)
-        h_ref, c_ref, cache_ref = naive_cell_forward(w, b, x, h_prev, c_prev)
         dh = rng.standard_normal((batch, n))
         dc = rng.standard_normal((batch, n))
         dw, db = rng.standard_normal(w.shape), rng.standard_normal(b.shape)
+        h, c, dz, dc_prev, step_dw, step_db, _ = _one_step(w, b, x, h_prev, c_prev, dh, dc)
+        h_ref, c_ref, cache_ref = naive_cell_forward(w, b, x, h_prev, c_prev)
         dw_ref, db_ref = dw.copy(), db.copy()
-        dz, dc_prev = ae._cell_backward(w, cache, dh.T, dc.T, dw, db)
         dz_ref, dc_prev_ref = naive_cell_backward(w, cache_ref, dh, dc, dw_ref, db_ref)
-        for got, want in ((h.T, h_ref), (c.T, c_ref), (dz.T, dz_ref), (dc_prev.T, dc_prev_ref),
-                          (dw, dw_ref), (db, db_ref)):
+        for got, want in ((h, h_ref), (c, c_ref), (dz, dz_ref), (dc_prev, dc_prev_ref),
+                          (dw + step_dw, dw_ref), (db + step_db, db_ref)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     pre = np.abs(np.concatenate(pre))
     if scale < 1.0:
         assert 0.0 < pre.max() < 1e-6
     if scale > 100.0:
-        assert pre.max() > 745.2  # beyond exp's range: exp(-a) overflows, exp(a) underflows to 0
+        # Far into saturation: tanh(a / 2) rounds to exactly ±1, so the sigmoid gates are exactly
+        # 0 or 1, where a logistic through exp(-a) would overflow.
+        assert pre.max() > 745.2
 
 
 def test_saturated_gates_are_exact_and_silent():
@@ -371,18 +430,34 @@ def test_saturated_gates_are_exact_and_silent():
     n, din, batch = 4, 3, 7
     w = np.zeros((4 * n, din + n))
     b = np.where(np.arange(4 * n) % 2 == 0, 1000.0, -1000.0)
-    x, h_prev, c_prev = (rng.standard_normal((k, batch)) for k in (din, n, n))
-    dw, db = np.zeros(w.shape), np.zeros(b.shape)
+    x, h_prev, c_prev, dh, dc = (rng.standard_normal((batch, k)) for k in (din, n, n, n, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h, c, cache = ae._cell_forward(w, b, x, h_prev, c_prev)
-        dz, dc_prev = ae._cell_backward(w, cache, rng.standard_normal((n, batch)),
-                                        rng.standard_normal((n, batch)), dw, db)
-    act = cache[1]
-    assert np.array_equal(act[:3 * n], np.repeat((b[:3 * n] > 0).astype(float)[:, None], batch, axis=1))
-    assert np.array_equal(act[3 * n:], np.repeat(np.sign(b[3 * n:])[:, None], batch, axis=1))
-    for arr in (h, c, dz, dc_prev, dw, db):
+        *arrays, gates = _one_step(w, b, x, h_prev, c_prev, dh, dc)
+    order = np.r_[3 * n:4 * n, 0:3 * n]
+    want = np.where(np.arange(4 * n) < n, np.sign(b[order]), (b[order] > 0).astype(float))
+    assert np.array_equal(gates, np.repeat(want[:, None], batch, axis=1))
+    for arr in arrays:
         assert np.all(np.isfinite(arr))
+
+    # exp(-a) overflows to inf at a = -1000 in both dtypes, and 1 / (1 + inf) is exactly 0; the
+    # passes keep that overflow silent from the training step to transform.
+    params = ae.init_params(TINY, d=2, seed=0)
+    for layer in ("enc1", "enc2", "dec1", "dec2"):
+        params[f"{layer}.b"][...] = np.where(np.arange(params[f"{layer}.b"].size) % 2 == 0, 1000.0, -1000.0)
+    windows = np.stack([tiny_window(i) for i in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dtype in (np.float32, np.float64):
+            xs = windows.astype(dtype)
+            workspace = ae.Workspace.for_windows(params, xs)
+            loss, _ = ae._reconstruction_loss(params, xs, workspace)
+            enc = workspace.views(xs)["enc"]
+            sig = enc.act[:, enc.n:]  # the fused encoder's i, f, o slabs, before backprop overwrites them
+            assert sig.size > 0 and np.all((sig == 0.0) | (sig == 1.0))
+            grads = ae._backward(workspace, xs)
+            assert np.isfinite(loss) and np.all(np.isfinite(ae._buffer(grads)))
+        assert np.all(np.isfinite(ae.transform(params, windows, TINY).vectors))
 
 
 @pytest.mark.parametrize("batch", [9, 17, 65, 300])
@@ -417,12 +492,14 @@ def test_cache_filling_pass_gives_same_loss():
     cfg = ae.AutoencoderConfig(hidden1=5, hidden2=3)
     params = ae.init_params(cfg, d=3, seed=2)
     x = seeded_rng(derive_seed(0, "cached-loss")).standard_normal((9, 11, 3))
-    caches = ([], [], [], [], [])
-    cached, cached_recon = ae._reconstruction_loss(params, x, caches)
+    workspace = ae.Workspace.for_windows(params, x)
+    cached, cached_recon = ae._reconstruction_loss(params, x, workspace)
     free, free_recon = ae._reconstruction_loss(params, x)
     assert cached == free
     assert np.array_equal(cached_recon, free_recon)
-    assert [len(c) for c in caches] == [11] * 5
+    # The fused encoder keeps t + 1 steps, each decoder layer t.
+    cells = workspace.views(x)
+    assert [cells[layer].act.shape[0] for layer in ("enc", "dec1", "dec2")] == [12, 11, 11]
 
 
 def test_wide_loss_keeps_the_reconstruction_wide():
@@ -455,3 +532,13 @@ def test_validation_loss_keeps_no_step_caches():
     params = ae.init_params(ae.AutoencoderConfig(), d=6, seed=0)
     x_val = seeded_rng(derive_seed(0, "val-memory")).standard_normal((270, 64, 6))
     assert _peak_mib(lambda: ae._reconstruction_loss(params, x_val)) < 8.0
+
+
+def test_train_step_holds_one_workspace():
+    # The float32 workspace keeps every step of the three layers, about 6.9 MiB here; a step
+    # without one makes its own. One cache per step and layer kept beside it would not fit.
+    cfg = ae.AutoencoderConfig()
+    params = ae.init_params(cfg, d=6, seed=0)
+    state = ae.AdamState.for_params(params)
+    batch = seeded_rng(derive_seed(0, "step-memory")).standard_normal((64, 64, 6)).astype(np.float32)
+    assert _peak_mib(lambda: ae.train_step(params, batch, state, cfg)) <= 8.0
