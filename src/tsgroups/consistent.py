@@ -21,7 +21,7 @@ import numpy as np
 
 from .hierarchy import Linkage, cut, select_best_measure
 from .storage import as_record
-from .types import AecsMatrix, Grouping
+from .types import Grouping
 
 DEFAULT_TAU = 0.05
 DEFAULT_K_START = 2
@@ -79,7 +79,7 @@ class CgfResult:
             raise ValueError(f"stopped_by must be 'tau', 'duplicates' or 'k_max', got {self.stopped_by!r}")
 
 
-def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | None = None) -> CgfResult:
+def form_consistent_groups(vectors: np.ndarray, config: CgfConfig | None = None) -> CgfResult:
     """Grow the partition until the next split would create a marginal group.
 
     The distance measure and dendrogram are chosen once at ``k_start``.
@@ -92,12 +92,12 @@ def form_consistent_groups(aecs: AecsMatrix | np.ndarray, config: CgfConfig | No
     linkage.
     """
     config = config or CgfConfig()
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
+    x = np.asarray(vectors, dtype=np.float64)
     m = x.shape[0]
     k_max = config.effective_k_max(m)
     min_size = config.tau * m
 
-    selection = select_best_measure(aecs, config.k_start, config.linkage)
+    selection = select_best_measure(x, config.k_start, config.linkage)
     # Going from k to k + 1 groups undoes merge m - 1 - k.
     heights = selection.dendrogram.merges["height"]
     smaller = selection.dendrogram.smaller_children()

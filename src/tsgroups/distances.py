@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .types import AecsMatrix, DistanceMeasureId, vectors_fingerprint
+from .types import DistanceMeasureId, vectors_fingerprint
 
 
 MEASURE_ORDER = (
@@ -66,7 +66,7 @@ class MahalanobisContext:
         return self.inverse_covariance.shape[0]
 
 
-def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) -> MahalanobisContext:
+def fit_mahalanobis(vectors: np.ndarray, epsilon_scale: float = 1e-6) -> MahalanobisContext:
     """Fit the regularized inverse covariance of a vector set.
 
     Uses the unbiased sample covariance (divisor M-1) ridged by
@@ -74,7 +74,7 @@ def fit_mahalanobis(aecs: AecsMatrix | np.ndarray, epsilon_scale: float = 1e-6) 
     positive definite even for degenerate sets; positive definiteness is
     checked by running the Cholesky factorization.
     """
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.ascontiguousarray(aecs, dtype=np.float64)
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need an (M >= 2, h) matrix, got {x.shape}")
     width = x.shape[1]
@@ -246,7 +246,7 @@ def cross_distances(
 
 
 def pairwise_matrix(
-    aecs: AecsMatrix | np.ndarray,
+    vectors: np.ndarray,
     measure: DistanceMeasureId,
     ctx: MahalanobisContext | None = None,
 ) -> np.ndarray:
@@ -256,7 +256,7 @@ def pairwise_matrix(
     into the lower half as one tile, so the matrix equals its transpose
     bit-for-bit.
     """
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.ascontiguousarray(aecs, dtype=np.float64)
+    x = np.ascontiguousarray(vectors, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"need an (M, h) matrix, got {x.shape}")
     measure = DistanceMeasureId(measure)

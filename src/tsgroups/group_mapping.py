@@ -37,7 +37,7 @@ class MappingMethod(str, enum.Enum):
         return self.value
 
 
-def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarray,
+def candidate_distances(method: MappingMethod, train_vectors: np.ndarray,
                         train_grouping: Grouping, test_block: np.ndarray,
                         measure: DistanceMeasureId, ctx: MahalanobisContext | None = None) -> np.ndarray:
     """Distance from one test group to each train group, indexed by train group.
@@ -46,7 +46,7 @@ def candidate_distances(method: MappingMethod, train_aecs: AecsMatrix | np.ndarr
     of all cross-group instance pairs. The nearest train group is the
     argmin, so ties go to the smaller index.
     """
-    x = train_aecs.vectors if isinstance(train_aecs, AecsMatrix) else np.asarray(train_aecs, dtype=np.float64)
+    x = np.asarray(train_vectors, dtype=np.float64)
     test_block = np.asarray(test_block, dtype=np.float64)
     if test_block.ndim != 2 or test_block.shape[0] == 0:
         raise ValueError(f"test group must be a nonempty (n, h) matrix, got {test_block.shape}")
@@ -125,7 +125,7 @@ def infer_with_groups(
     measure = train_grouping.measure
     if measure is DistanceMeasureId.MAHALANOBIS:
         if ctx is None:
-            ctx = fit_mahalanobis(train_aecs)
+            ctx = fit_mahalanobis(train_aecs.vectors)
         elif ctx.source_fingerprint and ctx.source_fingerprint != train_aecs.fingerprint():
             raise ValueError("Mahalanobis context was not fitted on the train representations")
 
@@ -139,7 +139,7 @@ def infer_with_groups(
     for j in range(test_grouping.K):
         members = test_grouping.members(j)
         block = test_x[members]
-        candidates = candidate_distances(method, train_aecs, train_grouping, block, measure, ctx)
+        candidates = candidate_distances(method, train_aecs.vectors, train_grouping, block, measure, ctx)
         chosen = int(np.argmin(candidates))
         report.rows.append(MappingRow(
             test_group=j,

@@ -26,7 +26,6 @@ from .distances import (
     pairwise_matrix,
     reduce_blocks,
 )
-from .types import AecsMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -265,9 +264,9 @@ def cut(dendrogram: Dendrogram, k: int) -> np.ndarray:
     return rank[inverse.reshape(m)]
 
 
-def centroids(vectors: AecsMatrix | np.ndarray, assignment: np.ndarray) -> np.ndarray:
+def centroids(vectors: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Arithmetic mean vector of each group, as a (K, h) matrix."""
-    x = vectors.vectors if isinstance(vectors, AecsMatrix) else np.asarray(vectors, dtype=np.float64)
+    x = np.asarray(vectors, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
     if x.shape[0] != assignment.size:
         raise ValueError(f"{x.shape[0]} vectors vs {assignment.size} assignments")
@@ -282,7 +281,7 @@ def centroids(vectors: AecsMatrix | np.ndarray, assignment: np.ndarray) -> np.nd
 
 
 def hubert_statistic(
-    vectors: AecsMatrix | np.ndarray,
+    vectors: np.ndarray,
     assignment: np.ndarray,
     measure: DistanceMeasureId,
     ctx: MahalanobisContext | None = None,
@@ -298,7 +297,7 @@ def hubert_statistic(
     in row order, so rho is the same on every CPU count. Defined as 0 for a
     single group.
     """
-    x = vectors.vectors if isinstance(vectors, AecsMatrix) else np.asarray(vectors, dtype=np.float64)
+    x = np.asarray(vectors, dtype=np.float64)
     assignment = np.asarray(assignment, dtype=np.int64)
     m = x.shape[0]
     if assignment.size != m:
@@ -337,7 +336,7 @@ class MeasureSelection:
 
 
 def select_best_measure(
-    aecs: AecsMatrix | np.ndarray,
+    vectors: np.ndarray,
     k: int,
     linkage: Linkage = Linkage.AVERAGE,
 ) -> MeasureSelection:
@@ -348,13 +347,13 @@ def select_best_measure(
     """
     if k < 2:
         raise ValueError(f"measure selection needs k >= 2, got {k}")
-    x = aecs.vectors if isinstance(aecs, AecsMatrix) else np.asarray(aecs, dtype=np.float64)
+    x = np.asarray(vectors, dtype=np.float64)
 
     scores: dict[str, float] = {}
     best: MeasureSelection | None = None
     best_rho = -np.inf
     for measure in MEASURE_ORDER:
-        ctx = fit_mahalanobis(aecs) if measure is DistanceMeasureId.MAHALANOBIS else None
+        ctx = fit_mahalanobis(x) if measure is DistanceMeasureId.MAHALANOBIS else None
         # Clustering consumes the matrix, so one M x M is alive at a time.
         dendrogram = agglomerate(pairwise_matrix(x, measure, ctx), linkage)
         assignment = cut(dendrogram, k)

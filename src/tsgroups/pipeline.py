@@ -67,15 +67,6 @@ class ArtifactError(RuntimeError):
     """Missing or inconsistent run artifacts."""
 
 
-@contextmanager
-def _reading_artifacts(path: Path):
-    """Report truncated or edited content of the file at ``path`` as an ArtifactError naming it."""
-    try:
-        yield
-    except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"corrupt {path.name}: {exc!r}") from None
-
-
 @dataclass
 class Paths:
     """Where the corpus is read from and the run directory is written."""
@@ -202,8 +193,35 @@ ARTIFACTS = {
 }
 
 
+# The verb that writes each artifact a later verb reads.
+WRITTEN_BY = {"train_dataset": "ingest", "test_dataset": "ingest", "model": "train", "aecs_train": "train",
+              "cgf_train": "train", "bundle_grouped": "train", "bundle_baseline": "train",
+              "cgf_test": "infer", "mapping_avg": "infer", "mapping_cr_cr": "infer"}
+
+
 def _artifact(out_dir: str | Path, name: str) -> Path:
     return Path(out_dir) / ARTIFACTS[name]
+
+
+def _read(out_dir: str | Path, name: str, reader):
+    """Artifact ``name`` of run directory ``out_dir``, as ``reader`` reads its path.
+
+    Every verb reads its inputs here: a missing file names the verb that writes
+    it, and content ``reader`` rejects names the file. Callers name the reader
+    at the call, so a module attribute replaced at run time (``bench/tracer.py``) runs.
+    """
+    path = _artifact(out_dir, name)
+    if not path.is_file():
+        raise ArtifactError(f"missing artifact {path}; run {WRITTEN_BY[name]} first")
+    try:
+        return reader(path)
+    except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"corrupt {path.name}: {exc!r}") from None
+
+
+def _grouping(path: Path) -> Grouping:
+    """The grouping of a grouping-result file (``cgf_*.json``)."""
+    return as_record(CgfResult, read_json(path)).grouping
 
 
 @dataclass
@@ -315,12 +333,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
 
 def cmd_train(config: PipelineConfig) -> dict:
     """Fit the autoencoder, form consistent groups, train per-group models."""
-    train_path = _artifact(config.out_dir, "train_dataset")
-    if not train_path.is_file():
-        raise ArtifactError(f"missing canonical train dataset {train_path}; run ingest first")
+    ds = _read(config.out_dir, "train_dataset", lambda path: load_dataset(path)[0])
     with _writing_run(config, "manifest_train") as run:
-        with _reading_artifacts(train_path):
-            ds, _ = load_dataset(train_path)
         config.cgf.effective_k_max(ds.n_windows, "the train split")  # before the model is written
 
         with run.stage("fit_autoencoder"):
@@ -333,7 +347,7 @@ def cmd_train(config: PipelineConfig) -> dict:
         save_aecs(run.path("aecs_train"), aecs.vectors, aecs.source_model_id)
 
         with run.stage("cgf"):
-            cgf_result = form_consistent_groups(aecs, config.cgf)
+            cgf_result = form_consistent_groups(aecs.vectors, config.cgf)
         grouping = cgf_result.grouping
         write_json(run.path("cgf_train"), cgf_result)
 
@@ -375,70 +389,50 @@ def _headline(metrics: ClassMetrics) -> dict:
             "f1_weighted": metrics.f1_weighted}
 
 
-def _read_bundle(path: Path, model_digest: str, aecs_width: int, n_channels: int) -> GroupModelBundle:
-    """A classifier bundle, checked against the run's autoencoder and the width of its features."""
-    with _reading_artifacts(path):
-        bundle = load_bundle(path)
-    if bundle.aecs_model_id != model_digest:
-        raise ArtifactError(f"{path.name} was trained against a different autoencoder model")
-    width = feature_width(bundle.spec.kind, aecs_width, n_channels)
-    if bundle.n_features != width:
-        raise ArtifactError(f"{path.name} holds models of {bundle.n_features} features, "
-                            f"but this run's {bundle.spec.kind} features number {width}")
-    return bundle
-
-
-def _read_grouping(path: Path) -> Grouping:
-    """The grouping of a grouping-result file (``cgf_*.json``)."""
-    with _reading_artifacts(path):
-        return as_record(CgfResult, read_json(path)).grouping
-
-
 def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
-    out = Path(config.out_dir)
-    test_path, model_path, aecs_path = (_artifact(out, n) for n in ("test_dataset", "model", "aecs_train"))
-    for path in (test_path, model_path, aecs_path):
-        if not path.is_file():
-            raise ArtifactError(f"missing artifact {path}; run earlier stages first")
-    cgf_path, bundle_path, baseline_path = (
-        _artifact(out, n) for n in ("cgf_train", "bundle_grouped", "bundle_baseline"))
-    for path in (cgf_path, bundle_path, baseline_path):
-        if not path.is_file():
-            raise ArtifactError(f"missing artifact {path}; run train first")
+    out = config.out_dir
+    test_ds = _read(out, "test_dataset", lambda path: load_dataset(path)[0])
+    params, model_config, d = _read(out, "model", ae.load_model)
+    train_aecs = _read(out, "aecs_train", load_aecs)
+    config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
+    model_digest = ae.model_id(params, model_config, d)
+    if train_aecs.source_model_id != model_digest:
+        raise ArtifactError("stored train representations come from a different model")
+
+    def checked_bundle(path: Path) -> GroupModelBundle:
+        """A classifier bundle, checked against the run's autoencoder and the width of its features."""
+        bundle = load_bundle(path)
+        if bundle.aecs_model_id != model_digest:
+            raise ArtifactError(f"{path.name} was trained against a different autoencoder model")
+        width = feature_width(bundle.spec.kind, model_config.hidden2, d)
+        if bundle.n_features != width:
+            raise ArtifactError(f"{path.name} holds models of {bundle.n_features} features, "
+                                f"but this run's {bundle.spec.kind} features number {width}")
+        return bundle
+
+    bundle = _read(out, "bundle_grouped", checked_bundle)
+    baseline = _read(out, "bundle_baseline", checked_bundle)
+    train_grouping = _read(out, "cgf_train", _grouping)
+    if train_grouping.K != bundle.n_groups:
+        raise ArtifactError(f"{ARTIFACTS['cgf_train']} has {train_grouping.K} groups, but "
+                            f"{ARTIFACTS['bundle_grouped']} holds {bundle.n_groups} models")
+    if train_grouping.n_instances != train_aecs.n_instances:
+        raise ArtifactError(f"{ARTIFACTS['cgf_train']} groups {train_grouping.n_instances} rows, but "
+                            f"{ARTIFACTS['aecs_train']} holds {train_aecs.n_instances}")
 
     with _writing_run(config, "manifest_infer") as run:
-        with _reading_artifacts(test_path):
-            test_ds, _ = load_dataset(test_path)
-        with _reading_artifacts(model_path):
-            params, model_config, d = ae.load_model(model_path)
-        with _reading_artifacts(aecs_path):
-            train_aecs = load_aecs(aecs_path)
-        config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
-        model_digest = ae.model_id(params, model_config, d)
-        if train_aecs.source_model_id != model_digest:
-            raise ArtifactError("stored train representations come from a different model")
-        bundle = _read_bundle(bundle_path, model_digest, model_config.hidden2, d)
-        baseline = _read_bundle(baseline_path, model_digest, model_config.hidden2, d)
-        train_grouping = _read_grouping(cgf_path)
-        if train_grouping.K != bundle.n_groups:
-            raise ArtifactError(f"{cgf_path.name} has {train_grouping.K} groups, but "
-                                f"{bundle_path.name} holds {bundle.n_groups} models")
-        if train_grouping.n_instances != train_aecs.n_instances:
-            raise ArtifactError(f"{cgf_path.name} groups {train_grouping.n_instances} rows, but "
-                                f"{aecs_path.name} holds {train_aecs.n_instances}")
-
         with run.stage("transform"):
             test_aecs = ae.transform(params, test_ds, model_config)
         save_aecs(run.path("aecs_test"), test_aecs.vectors, test_aecs.source_model_id)
 
         with run.stage("test_cgf"):
-            test_cgf = form_consistent_groups(test_aecs, config.cgf)
+            test_cgf = form_consistent_groups(test_aecs.vectors, config.cgf)
         test_grouping = test_cgf.grouping
         write_json(run.path("cgf_test"), test_cgf)
 
         measure = train_grouping.measure
-        ctx = (fit_mahalanobis(train_aecs)
+        ctx = (fit_mahalanobis(train_aecs.vectors)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
 
         with run.stage("mapping"):
@@ -501,70 +495,57 @@ def cmd_report(run_dir: str | Path) -> dict:
         _write_csv(path, header, rows)
         written[name] = str(path)
 
+    def optional(name: str, reader, skipped: str | None = None):
+        """Artifact ``name`` through ``_read``; if the file is missing, None, noting what is ``skipped``."""
+        path = _artifact(out, name)
+        if path.is_file():
+            return _read(out, name, reader)
+        if skipped:
+            notices.append(f"missing {path}; {skipped} skipped")
+
     cgf_path = _artifact(out, "cgf_train")
-    train_path = _artifact(out, "train_dataset")
-    aecs_path = _artifact(out, "aecs_train")
-
-    grouping = None
-    if cgf_path.is_file():
-        grouping = _read_grouping(cgf_path)
-    else:
-        notices.append(f"missing {cgf_path}; group-based tables skipped")
-
-    if grouping is not None and train_path.is_file():
-        with _reading_artifacts(train_path):
-            ds, _ = load_dataset(train_path)
+    grouping = optional("cgf_train", _grouping, "group-based tables")
+    # Without a grouping the per-row files are only looked for.
+    ds = optional("train_dataset", lambda path: grouping and load_dataset(path)[0], "composition table")
+    if ds is not None:
         if grouping.n_instances != ds.n_windows:
-            raise ArtifactError(f"{cgf_path} and {train_path} differ in row count")
+            raise ArtifactError(f"{cgf_path} and {_artifact(out, 'train_dataset')} differ in row count")
         counts = Counter((int(g), wm.driver_id, wm.behavior)
                          for g, wm in zip(grouping.assignment, ds.meta))
         export("composition_train", ["group", "driver_id", "behavior", "count"],
                ([*key, counts[key]] for key in sorted(counts)))
-    elif not train_path.is_file():
-        notices.append(f"missing {train_path}; composition table skipped")
-
-    if grouping is not None and aecs_path.is_file():
-        with _reading_artifacts(aecs_path):
-            aecs = load_aecs(aecs_path)
+    aecs = optional("aecs_train", lambda path: grouping and load_aecs(path), "projection export")
+    if aecs is not None:
         if grouping.n_instances != aecs.n_instances:
-            raise ArtifactError(f"{cgf_path} and {aecs_path} differ in row count")
+            raise ArtifactError(f"{cgf_path} and {_artifact(out, 'aecs_train')} differ in row count")
         coords = _pca_2d(aecs.vectors)
         export("pca_train", ["index", "pc1", "pc2", "group"], (
             [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
             for i in range(coords.shape[0])
         ))
-    elif not aecs_path.is_file():
-        notices.append(f"missing {aecs_path}; projection export skipped")
-
     if grouping is not None:
-        scores = grouping.hubert_scores
         export("hubert_scores", ["measure", "rho", "selected"], (
-            [token, repr(float(scores[token])), int(token == grouping.measure)]
-            for token in scores
-        ))
+            [token, repr(float(rho)), int(token == grouping.measure)]
+            for token, rho in grouping.hubert_scores.items()))
 
-    mapping_avg = _artifact(out, "mapping_avg")
-    mapping_cr = _artifact(out, "mapping_cr_cr")
     groups = None
-    if mapping_avg.is_file() and mapping_cr.is_file():
-        with _reading_artifacts(mapping_avg):
-            avg = as_record(MappingReport, read_json(mapping_avg))
-        with _reading_artifacts(mapping_cr):
-            crcr = as_record(MappingReport, read_json(mapping_cr))
+    if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr")):
+        avg, crcr = (_read(out, name, lambda path: as_record(MappingReport, read_json(path)))
+                     for name in ("mapping_avg", "mapping_cr_cr"))
         groups = [(row.test_group, row.test_group_size) for row in avg.rows]
         if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
-            raise ArtifactError(f"{mapping_avg} and {mapping_cr} list different test groups")
+            raise ArtifactError(f"{_artifact(out, 'mapping_avg')} and {_artifact(out, 'mapping_cr_cr')} "
+                                f"list different test groups")
         export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
             [*group, a, c] for group, a, c in zip(groups, avg.chosen(), crcr.chosen())
         ))
     else:
         notices.append("mapping reports absent; mapping summary skipped")
 
-    cgf_test_path = _artifact(out, "cgf_test")
-    if cgf_test_path.is_file():
-        sizes = _read_grouping(cgf_test_path).group_sizes().tolist()
+    sizes = optional("cgf_test", lambda path: _grouping(path).group_sizes().tolist())
+    if sizes is not None:
         if groups is not None and sizes != [size for _, size in groups]:
-            raise ArtifactError(f"{cgf_test_path} group sizes differ from the mapping reports' "
+            raise ArtifactError(f"{_artifact(out, 'cgf_test')} group sizes differ from the mapping reports' "
                                 f"test group sizes")
         export("composition_test", ["group", "size"], enumerate(sizes))
 

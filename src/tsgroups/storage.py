@@ -31,7 +31,7 @@ from .ingest import NormalizationStats
 from .types import AecsMatrix, WindowMeta, WindowedDataset
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-TIMING_KEYS = frozenset({"wall_time_s", "stage_timings", "timings"})
+TIMING_KEYS = frozenset({"wall_time_s", "stage_timings"})
 
 
 def _encode(obj):

@@ -360,7 +360,7 @@ def test_real_corpus_harness(tmp_path):
     })
     ingest_summary = cmd_ingest(config)
     report = json.loads((out / "ingest_report.json").read_text())
-    assert report["n_train"] > 0 and report["n_test"] > 0
+    assert report["M_train"] > 0 and report["M_test"] > 0
     cmd_train(config)
     cmd_infer(config)
     infer_report = json.loads((out / "infer_report.json").read_text())

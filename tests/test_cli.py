@@ -467,6 +467,40 @@ def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path,
                                        f"run train first\n")
 
 
+# Every input of train and infer, with the verb that reads it and the verb that writes it.
+VERB_INPUTS = [
+    ("train", "train_dataset.zip", "ingest"),
+    ("infer", "test_dataset.zip", "ingest"),
+    ("infer", "model.bin", "train"),
+    ("infer", "aecs_train.zip", "train"),
+    ("infer", "cgf_train.json", "train"),
+    ("infer", "bundle_grouped.json", "train"),
+    ("infer", "bundle_baseline.json", "train"),
+]
+
+
+@pytest.mark.parametrize("verb, name, writer", VERB_INPUTS)
+def test_missing_input_asks_for_the_verb_that_writes_it(completed_run, tmp_path, capsys, verb, name, writer):
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    for gone in (name, "aecs_test.zip", f"manifest_{verb}.json"):
+        (copy / gone).unlink()
+    capsys.readouterr()
+    assert main([verb, "--config", str(config_path), "--out", str(copy)]) == EXIT_IO
+    assert capsys.readouterr().err == f"io error: missing artifact {copy / name}; run {writer} first\n"
+    assert not (copy / "aecs_test.zip").exists()
+    assert not (copy / f"manifest_{verb}.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["train", "infer"])
+def test_verb_on_a_missing_run_directory_makes_none(tmp_path, verb):
+    config_path, _ = write_config(tmp_path)
+    missing = tmp_path / "never_made"
+    assert main([verb, "--config", str(config_path), "--out", str(missing)]) == EXIT_IO
+    assert not missing.exists()
+
+
 def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):
     _, run_dir = completed_run
     copy = tmp_path / "no_test_dataset"

@@ -174,7 +174,6 @@ def test_context_fingerprint_is_the_vector_sets():
     expected = hashlib.sha256(str(x.shape).encode() + x.tobytes()).hexdigest()
     assert AecsMatrix(x, "m").fingerprint() == expected
     assert fit_mahalanobis(x).source_fingerprint == expected
-    assert fit_mahalanobis(AecsMatrix(x, "m")).source_fingerprint == expected
 
 
 def scaled_vectors(rng, n, h):

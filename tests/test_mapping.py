@@ -244,12 +244,12 @@ def test_mahalanobis_context_fingerprint_enforced():
     train_grouping = Grouping(assignment=grouping.assignment, K=3, measure="MAHALANOBIS")
     rng = seeded_rng(derive_seed(14, "other-aecs"))
     other = AecsMatrix(vectors=rng.normal(size=(12, 3)), source_model_id="other")
-    wrong_ctx = fit_mahalanobis(other)
+    wrong_ctx = fit_mahalanobis(other.vectors)
     with pytest.raises(ValueError):
         infer_with_groups(
             bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=wrong_ctx,
         )
-    right_ctx = fit_mahalanobis(aecs)
+    right_ctx = fit_mahalanobis(aecs.vectors)
     preds, report = infer_with_groups(
         bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=right_ctx,
     )

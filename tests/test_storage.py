@@ -519,7 +519,7 @@ def test_content_digest_ignores_timing_fields(tmp_path):
     c = tmp_path / "c.json"
     base = {"result": 42, "nested": {"stage_timings": {"train": 1.0}, "value": 7}}
     write_json(a, dict(base, wall_time_s=1.25))
-    write_json(b, dict(base, wall_time_s=99.0, timings=[3, 4]))
+    write_json(b, dict(base, wall_time_s=99.0, stage_timings=[3, 4]))
     write_json(c, dict(base, wall_time_s=1.25, result_extra=1))
     assert content_digest(a) == content_digest(b)
     assert content_digest(a) != content_digest(c)
