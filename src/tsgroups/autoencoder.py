@@ -48,6 +48,10 @@ layer and keeping no step; ``transform`` encodes the whole set at once.
 These passes compute in a different order from the per-cell passes
 before them, so trained weights and representations differ from those
 in the last bits.
+
+``model.bin`` is a ``SavedModel`` record (config, channel count ``d``,
+the parameter buffer as ``weights``, ``model_id``), an archive like the
+datasets'.
 """
 
 from __future__ import annotations
@@ -63,12 +67,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .rng import derive_seed, seeded_rng
-from .storage import atomic_open, check_field_types
+from .storage import as_record, load_tensor_record, save_tensor_record
 from .types import AecsMatrix, DivergenceError, WindowedDataset
 
 logger = logging.getLogger(__name__)
 
-MODEL_FORMAT = "lstm-autoencoder-v2"
 GRAD_CLIP_NORM = 5.0
 
 
@@ -751,63 +754,48 @@ def model_id(params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -
     return h.hexdigest()
 
 
+@dataclass
+class SavedModel:
+    """What ``model.bin`` holds: ``weights`` is the one flat parameter buffer, ``param_shapes`` end to end.
+
+    Its checks are the model file's: every config key and no other, each
+    of its declared JSON type; a positive int ``d``; one weight per
+    parameter; and ``model_id`` the digest of the rest.
+    """
+
+    config: AutoencoderConfig
+    d: int
+    weights: np.ndarray
+    model_id: str
+
+    def __post_init__(self) -> None:
+        names = {f.name for f in fields(AutoencoderConfig)}
+        if isinstance(self.config, dict) and set(self.config) != names:
+            raise ValueError(f"model config must have exactly the keys {sorted(names)}")
+        self.config = as_record(AutoencoderConfig, self.config)
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
+            raise ValueError(f"model d must be a positive integer, got {self.d!r}")
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        shapes = param_shapes(self.d, self.config.hidden1, self.config.hidden2)
+        if self.weights.shape != (sum(math.prod(s) for s in shapes.values()),):
+            raise ValueError(f"model weights have shape {self.weights.shape}, not one per parameter")
+        if self.model_id != model_id(self.params, self.config, self.d):
+            raise ValueError("model digest mismatch; file corrupted or edited")
+
+    @property
+    def params(self) -> dict[str, np.ndarray]:
+        return _views(self.weights, param_shapes(self.d, self.config.hidden1, self.config.hidden2))
+
+
 def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> str:
-    """JSON header line plus a little-endian float64 weight blob."""
-    shapes = param_shapes(d, config.hidden1, config.hidden2)
-    header = {
-        "format": MODEL_FORMAT,
-        "config": asdict(config),
-        "d": d,
-        "model_id": model_id(params, config, d),
-        "shapes": {k: list(s) for k, s in shapes.items()},
-    }
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        for key in shapes:
-            fh.write(np.ascontiguousarray(params[key], dtype="<f8").tobytes())
-    return header["model_id"]
-
-
-def _header_config(data: object) -> AutoencoderConfig:
-    """The config a model header stores: every field present, each of its declared type."""
-    names = {f.name for f in fields(AutoencoderConfig)}
-    if not isinstance(data, dict) or set(data) != names:
-        raise ValueError(f"model header config must be an object with exactly the keys {sorted(names)}")
-    try:
-        check_field_types(AutoencoderConfig, data)
-    except ValueError as exc:
-        raise ValueError(f"model header config: {exc}") from None
-    return AutoencoderConfig(**data)
+    """Write the model as a ``SavedModel`` archive and return its id."""
+    weights = np.concatenate([params[key].ravel() for key in param_shapes(d, config.hidden1, config.hidden2)])
+    record = SavedModel(config, d, weights, model_id(params, config, d))
+    save_tensor_record(path, record, "weights")
+    return record.model_id
 
 
 def load_model(path: str) -> tuple[dict[str, np.ndarray], AutoencoderConfig, int]:
-    """Inverse of save_model; checks every header field and the stored digest.
-
-    Raises ValueError for any file it cannot use, a model format v1 file
-    included: v1 stored one weight block per gate and has to be retrained.
-    """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        blob = fh.read()
-    if not isinstance(header, dict):
-        raise ValueError(f"model header must be a JSON object, got {type(header).__name__}")
-    if header.get("format") == "lstm-autoencoder-v1":
-        raise ValueError("model format v1 (per-gate weights) is no longer read; "
-                         "retrain with 'tsgroups train' to write format v2")
-    if header.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unrecognized model file format: {header.get('format')!r}")
-    config = _header_config(header.get("config"))
-    d = header.get("d")
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"model header d must be a positive integer, got {d!r}")
-    shapes = param_shapes(d, config.hidden1, config.hidden2)
-    if header.get("shapes") != {k: list(s) for k, s in shapes.items()}:
-        raise ValueError("model header shapes do not match its config and d")
-    expected = 8 * sum(math.prod(s) for s in shapes.values())
-    if len(blob) != expected:
-        raise ValueError(f"weight blob has {len(blob)} bytes, expected {expected}")
-    params = _views(np.frombuffer(blob, dtype="<f8").astype(np.float64), shapes)
-    if header.get("model_id") != model_id(params, config, d):
-        raise ValueError("model file digest mismatch; file corrupted or edited")
-    return params, config, d
+    """Inverse of save_model: (params, config, d) of a file its ``SavedModel`` accepts."""
+    record = load_tensor_record(path, SavedModel, "weights")
+    return record.params, record.config, record.d

@@ -369,6 +369,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("frequencies", "amplitudes", "noise_sigmas", "class_effect_signs"):
+            setattr(self, name, tuple(getattr(self, name)))
         n = len(self.frequencies)
         if n < 1:
             raise ValueError("need at least one archetype")

@@ -86,24 +86,17 @@ class IngestOptions:
     seed: int = 0
     normalize: bool = True
     accelerometer_filename: str = ACCELEROMETER_FILENAME
-    column_map: dict = field(default_factory=dict)
-    synthetic: dict | None = None
+    column_map: ColumnMap = field(default_factory=ColumnMap)
+    synthetic: SyntheticSpec | None = None
 
-    def columns(self) -> ColumnMap:
+    def __post_init__(self) -> None:
         try:
-            return ColumnMap(**self.column_map)
+            self.column_map = as_record(ColumnMap, self.column_map)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad column_map: {exc}") from None
-
-    def synthetic_spec(self) -> SyntheticSpec | None:
-        if self.synthetic is None:
-            return None
         try:
-            spec = dict(self.synthetic)
-            for key in ("frequencies", "amplitudes", "noise_sigmas", "class_effect_signs"):
-                if key in spec:
-                    spec[key] = tuple(spec[key])
-            return SyntheticSpec(**spec)
+            if self.synthetic is not None:
+                self.synthetic = as_record(SyntheticSpec, self.synthetic)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic spec: {exc}") from None
 
@@ -156,6 +149,8 @@ def read_config(data) -> PipelineConfig:
         try:
             check_field_types(records[name], payload)
             sections[name] = records[name](**payload)
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad '{name}' section: {exc}") from None
     return PipelineConfig(**sections)
@@ -207,16 +202,17 @@ def _read(out_dir: str | Path, name: str, reader):
     """Artifact ``name`` of run directory ``out_dir``, as ``reader`` reads its path.
 
     Every verb reads its inputs here: a missing file names the verb that writes
-    it, and content ``reader`` rejects names the file. Callers name the reader
-    at the call, so a module attribute replaced at run time (``bench/tracer.py``) runs.
+    it, and content ``reader`` rejects or cannot read names the file and that
+    verb. Callers name the reader at the call, so a module attribute replaced
+    at run time (``bench/tracer.py``) runs.
     """
     path = _artifact(out_dir, name)
     if not path.is_file():
         raise ArtifactError(f"missing artifact {path}; run {WRITTEN_BY[name]} first")
     try:
         return reader(path)
-    except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"corrupt {path.name}: {exc!r}") from None
+    except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError, OSError) as exc:
+        raise ArtifactError(f"corrupt {path.name}: {exc!r}; run {WRITTEN_BY[name]} again") from None
 
 
 def _grouping(path: Path) -> Grouping:
@@ -268,11 +264,11 @@ def _writing_run(config: PipelineConfig, manifest: str):
 def cmd_ingest(config: PipelineConfig) -> dict:
     """Build canonical train/test dataset archives from corpus or synthesis."""
     opts = config.ingest
-    spec = opts.synthetic_spec()
+    spec = opts.synthetic
     if spec is None:  # check the corpus side before the run directory is made
         if config.paths.dataset_root is None:
             raise ConfigError("either paths.dataset_root or ingest.synthetic must be given")
-        columns, root = opts.columns(), Path(config.paths.dataset_root)
+        root = Path(config.paths.dataset_root)
         if not root.is_dir():
             raise FileNotFoundError(f"corpus root {root} is not a directory")
     with _writing_run(config, "manifest_ingest") as run:
@@ -283,7 +279,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             if spec is not None:
                 ds, archetypes = generate_synthetic(spec)
             else:
-                sessions = discover_sessions(root, columns, opts.accelerometer_filename, opts.road)
+                sessions = discover_sessions(root, opts.column_map, opts.accelerometer_filename, opts.road)
                 # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
                 sessions = filter_road(sessions, opts.road)
                 if not sessions:
@@ -302,8 +298,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
                 train_ds = apply_normalization(train_ds, stats)
                 test_ds = apply_normalization(test_ds, stats)
 
-        save_dataset(run.path("train_dataset"), train_ds, stats)
-        save_dataset(run.path("test_dataset"), test_ds, stats)
+        save_dataset(run.path("train_dataset"), train_ds)
+        save_dataset(run.path("test_dataset"), test_ds)
         if archetypes is not None:
             write_json(run.path("archetypes"), {
                 "train": archetypes[train_idx].tolist(),
@@ -326,6 +322,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             "class_counts_train": class_counts(train_ds),
             "class_counts_test": class_counts(test_ds),
             "normalized": opts.normalize,
+            "normalization": stats and {"mean": stats.mean.tolist(), "std": stats.std.tolist()},
         }
         write_json(run.path("ingest_report"), report)
     return report
@@ -333,7 +330,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
 
 def cmd_train(config: PipelineConfig) -> dict:
     """Fit the autoencoder, form consistent groups, train per-group models."""
-    ds = _read(config.out_dir, "train_dataset", lambda path: load_dataset(path)[0])
+    ds = _read(config.out_dir, "train_dataset", load_dataset)
     with _writing_run(config, "manifest_train") as run:
         config.cgf.effective_k_max(ds.n_windows, "the train split")  # before the model is written
 
@@ -344,7 +341,7 @@ def cmd_train(config: PipelineConfig) -> dict:
 
         with run.stage("transform"):
             aecs = ae.transform(params, ds, config.autoencoder)
-        save_aecs(run.path("aecs_train"), aecs.vectors, aecs.source_model_id)
+        save_aecs(run.path("aecs_train"), aecs)
 
         with run.stage("cgf"):
             cgf_result = form_consistent_groups(aecs.vectors, config.cgf)
@@ -392,7 +389,7 @@ def _headline(metrics: ClassMetrics) -> dict:
 def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = config.out_dir
-    test_ds = _read(out, "test_dataset", lambda path: load_dataset(path)[0])
+    test_ds = _read(out, "test_dataset", load_dataset)
     params, model_config, d = _read(out, "model", ae.load_model)
     train_aecs = _read(out, "aecs_train", load_aecs)
     config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
@@ -424,7 +421,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
     with _writing_run(config, "manifest_infer") as run:
         with run.stage("transform"):
             test_aecs = ae.transform(params, test_ds, model_config)
-        save_aecs(run.path("aecs_test"), test_aecs.vectors, test_aecs.source_model_id)
+        save_aecs(run.path("aecs_test"), test_aecs)
 
         with run.stage("test_cgf"):
             test_cgf = form_consistent_groups(test_aecs.vectors, config.cgf)
@@ -506,7 +503,7 @@ def cmd_report(run_dir: str | Path) -> dict:
     cgf_path = _artifact(out, "cgf_train")
     grouping = optional("cgf_train", _grouping, "group-based tables")
     # Without a grouping the per-row files are only looked for.
-    ds = optional("train_dataset", lambda path: grouping and load_dataset(path)[0], "composition table")
+    ds = optional("train_dataset", lambda path: grouping and load_dataset(path), "composition table")
     if ds is not None:
         if grouping.n_instances != ds.n_windows:
             raise ArtifactError(f"{cgf_path} and {_artifact(out, 'train_dataset')} differ in row count")

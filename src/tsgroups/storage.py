@@ -1,18 +1,19 @@
 """Deterministic artifact persistence.
 
-The dataset and representation archives are zip files written with fixed
-entry metadata (no compression, epoch date stamps, sorted names), so a
-rerun with identical content produces byte-identical files; their tensors
-are little-endian float64 blobs, their headers canonical JSON. Every
-other record, classifier bundles and grouping results among them, is one
-JSON file. This module is the one place a record becomes JSON:
-``write_json`` and ``canonical_json`` write a dataclass as its ``init``
-fields and numpy data as lists and scalars (floats by ``repr``, so they
-read back bit for bit), and ``as_record`` rebuilds it with ``cls(**data)``
-after ``check_field_types``. Digest helpers strip wall-time
-fields so timing never leaks into content digests. Every file is written
-to a temporary name beside its target and renamed over it, so a write
-that fails partway leaves the previous file as it was.
+Every artifact is a record, and this module is the one place a record
+becomes JSON: ``write_json`` and ``canonical_json`` write a dataclass as
+its ``init`` fields and numpy data as lists and scalars (floats by
+``repr``, so they read back bit for bit); ``as_record`` rebuilds it with
+``cls(**data)`` after ``check_field_types``, so a record's checks are its
+file's. A record holding one tensor (a dataset, a representation matrix,
+the model) is a zip archive with fixed entry metadata (no compression,
+epoch dates, sorted names), so identical content gives identical bytes:
+``header.json`` holds its other fields and the tensor's ``shape``,
+``<tensor>.f8`` the tensor as little-endian float64; every other record
+is one JSON file. Digest helpers strip wall-time fields
+so timing never leaks into content digests. Every file is written to a
+temporary name beside its target and renamed over it, so a write that
+fails partway leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import NormalizationStats
-from .types import AecsMatrix, WindowMeta, WindowedDataset
+from .types import AecsMatrix, WindowedDataset
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 TIMING_KEYS = frozenset({"wall_time_s", "stage_timings"})
@@ -197,69 +197,45 @@ def _tensor_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _tensor_from(blob: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    return np.frombuffer(blob, dtype="<f8").reshape(shape).astype(np.float64)
+def save_tensor_record(path: str | Path, record, tensor: str) -> None:
+    """Record archive: field ``tensor`` as ``<tensor>.f8``, every other ``init`` field in ``header.json``.
 
-
-def save_dataset(path: str | Path, ds: WindowedDataset,
-                 normalization: NormalizationStats | None = None) -> None:
-    """Canonical dataset archive: JSON header plus raw float64 tensor."""
-    header = {
-        "format": "windowed-dataset-v1",
-        "M": ds.n_windows,
-        "t": ds.n_timesteps,
-        "d": ds.n_channels,
-        "C": ds.n_classes,
-        "class_names": ds.class_names,
-        "labels": ds.labels,
-        "meta": ds.meta,
-        "normalization": normalization,
-    }
+    The header is the canonical JSON of those fields plus ``shape``, the
+    tensor's shape; the tensor is its little-endian float64 bytes.
+    """
+    array = getattr(record, tensor)
+    header = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+              if f.init and f.name != tensor}
     write_archive(path, {
-        "header.json": canonical_json(header).encode("utf-8"),
-        "windows.f8": _tensor_bytes(ds.windows),
+        "header.json": canonical_json({**header, "shape": array.shape}).encode("utf-8"),
+        f"{tensor}.f8": _tensor_bytes(array),
     })
 
 
-def load_dataset(path: str | Path) -> tuple[WindowedDataset, NormalizationStats | None]:
-    """Returns (dataset, normalization stats)."""
+def load_tensor_record(path: str | Path, cls, tensor: str):
+    """Inverse of ``save_tensor_record``: the record rebuilt with ``as_record``, so its checks apply."""
     entries = read_archive(path)
     header = json.loads(entries["header.json"].decode("utf-8"))
-    if header.get("format") != "windowed-dataset-v1":
-        raise ValueError(f"unrecognized dataset format: {header.get('format')!r}")
-    m, t, d = header["M"], header["t"], header["d"]
-    windows = _tensor_from(entries["windows.f8"], (m, t, d))
-    if header.get("labels") is None:
-        raise ValueError("dataset header has no labels")
-    meta = [WindowMeta(**item) for item in header["meta"]]
-    ds = WindowedDataset(
-        windows=windows,
-        labels=header["labels"],
-        meta=meta,
-        class_names=list(header["class_names"]),
-    )
-    stats = (NormalizationStats(**header["normalization"])
-             if header.get("normalization") else None)
-    return ds, stats
+    if not isinstance(header, dict) or tensor in header:
+        raise ValueError(f"{tensor} archive header must be a JSON object of the other fields")
+    shape = header.pop("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{tensor} shape must be a list of non-negative ints, got {shape!r}")
+    array = np.frombuffer(entries[f"{tensor}.f8"], dtype="<f8").reshape(shape).astype(np.float64)
+    return as_record(cls, {**header, tensor: array})
 
 
-def save_aecs(path: str | Path, vectors: np.ndarray, source_model_id: str) -> None:
-    header = {
-        "format": "aecs-v1",
-        "M": int(vectors.shape[0]),
-        "h": int(vectors.shape[1]),
-        "source_model_id": source_model_id,
-    }
-    write_archive(path, {
-        "header.json": canonical_json(header).encode("utf-8"),
-        "vectors.f8": _tensor_bytes(vectors),
-    })
+def save_dataset(path: str | Path, ds: WindowedDataset) -> None:
+    save_tensor_record(path, ds, "windows")
+
+
+def load_dataset(path: str | Path) -> WindowedDataset:
+    return load_tensor_record(path, WindowedDataset, "windows")
+
+
+def save_aecs(path: str | Path, aecs: AecsMatrix) -> None:
+    save_tensor_record(path, aecs, "vectors")
 
 
 def load_aecs(path: str | Path) -> AecsMatrix:
-    entries = read_archive(path)
-    header = json.loads(entries["header.json"].decode("utf-8"))
-    if header.get("format") != "aecs-v1":
-        raise ValueError(f"unrecognized representation format: {header.get('format')!r}")
-    vectors = _tensor_from(entries["vectors.f8"], (header["M"], header["h"]))
-    return AecsMatrix(vectors=vectors, source_model_id=header["source_model_id"])
+    return load_tensor_record(path, AecsMatrix, "vectors")

@@ -53,6 +53,9 @@ class WindowedDataset:
     class_names: list[str]
 
     def __post_init__(self) -> None:
+        if self.labels is None:
+            raise ValueError("dataset has no labels")
+        self.meta = [m if isinstance(m, WindowMeta) else WindowMeta(**m) for m in self.meta]
         self.windows = np.ascontiguousarray(self.windows, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.windows.ndim != 3:

@@ -7,13 +7,6 @@ import pytest
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance(name): gating acceptance criterion, one summary line each")
-    config.addinivalue_line(
-        "markers", "uah: exercises a real driving corpus when UAH_DRIVESET_ROOT is set")
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

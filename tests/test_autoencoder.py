@@ -19,6 +19,7 @@ from reference import (
 from tsgroups import autoencoder as ae
 from tsgroups.ingest import SyntheticSpec, generate_synthetic
 from tsgroups.rng import derive_seed, seeded_rng
+from tsgroups.storage import read_archive, write_archive
 from tsgroups.types import DivergenceError, WindowedDataset
 
 TINY = ae.AutoencoderConfig(hidden1=3, hidden2=2, epochs=2, batch_size=4)
@@ -258,10 +259,11 @@ def test_model_digest_detects_corruption(tmp_path):
     params = ae.init_params(cfg, d=3, seed=7)
     path = tmp_path / "model.bin"
     ae.save_model(path, params, cfg, d=3)
-    blob = bytearray(path.read_bytes())
-    blob[-5] ^= 0xFF
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError):
+    entries = read_archive(path)
+    weights = np.frombuffer(entries["weights.f8"], dtype="<f8").copy()
+    weights[5] += 1.0
+    write_archive(path, {**entries, "weights.f8": weights.tobytes()})
+    with pytest.raises(ValueError, match="digest mismatch"):
         ae.load_model(path)
 
 

@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+from tsgroups.autoencoder import param_shapes
 from tsgroups.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, _load, build_parser, main
+from tsgroups.ingest import SyntheticSpec
 from tsgroups.pipeline import ARTIFACTS, PipelineConfig
 from tsgroups.storage import content_digest, read_archive, write_archive
 
@@ -251,7 +253,7 @@ def test_flags_replace_only_their_values(tmp_path):
     config = _load(parse(["infer", "--config", str(config_path), "--mapping", "CR_CR"]))
     assert config.mapping.method == "CR_CR"
     config = _load(parse(["ingest", "--synthetic", "--dataset-root", "corpus", "--out", "elsewhere"]))
-    assert config.ingest.synthetic == {}
+    assert config.ingest.synthetic == SyntheticSpec()
     assert (config.paths.dataset_root, config.out_dir) == ("corpus", "elsewhere")
 
 
@@ -327,11 +329,14 @@ def json_edit(edit):
     return lambda raw: json.dumps(edit(json.loads(raw))).encode()
 
 
-def edit_model_header(edit):
-    def damage(path):
-        header, blob = path.read_bytes().split(b"\n", 1)
-        path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + blob)
-    return damage
+def old_model_layout(path):
+    """The model file as it was written before it became an archive: a JSON header line, then the weights."""
+    entries = read_archive(path)
+    header = json.loads(entries["header.json"])
+    shapes = param_shapes(header["d"], header["config"]["hidden1"], header["config"]["hidden2"])
+    header.update(format="lstm-autoencoder-v2", shapes={key: list(shape) for key, shape in shapes.items()})
+    del header["shape"]
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + entries["weights.f8"])
 
 
 MODEL_HEADER_EDITS = [
@@ -342,8 +347,7 @@ MODEL_HEADER_EDITS = [
     lambda h: {**h, "config": None},
     lambda h: {**h, "d": None},
     lambda h: {**h, "d": float(h["d"])},
-    lambda h: {**h, "shapes": {}},
-    lambda h: {**h, "format": "lstm-autoencoder-v1"},
+    lambda h: {**h, "shape": []},
 ]
 
 
@@ -379,7 +383,8 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
             lambda h: {k: v for k, v in h.items() if k != "labels"})), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["spec"].update(lane=1)), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
-    ] + [("model.bin", edit_model_header(edit), "infer") for edit in MODEL_HEADER_EDITS]
+    ] + [("model.bin", edit_entry("header.json", json_edit(edit)), "infer")
+         for edit in MODEL_HEADER_EDITS] + [("model.bin", old_model_layout, "infer")]
     for index, (name, damage, verb) in enumerate(cases):
         copy = tmp_path / f"{index}-{name}"
         shutil.copytree(run_dir, copy)
@@ -389,7 +394,7 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         else:
             args = [verb, "--config", str(config_path), "--out", str(copy)]
         assert main(args) == EXIT_IO, (index, name)
-    assert "retrain" in capsys.readouterr().err.splitlines()[-1]  # the v1 file, last case
+    assert capsys.readouterr().err.splitlines()[-1].endswith("; run train again")  # the old layout, last case
 
 
 def merge_last_group(data):
@@ -493,12 +498,57 @@ def test_missing_input_asks_for_the_verb_that_writes_it(completed_run, tmp_path,
     assert not (copy / f"manifest_{verb}.json").exists()
 
 
+@pytest.mark.parametrize("name", ["aecs_train.zip", "model.bin"])
+def test_flipped_end_record_byte_reads_alike_or_names_the_file(completed_run, tmp_path, capsys, name):
+    # The last 22 bytes are the archive's end record. Some of its fields no reader uses; a flip
+    # elsewhere in it (an offset past the end of the file raises OSError) must name the file.
+    config_path, run_dir = completed_run
+    expected = (run_dir / "predictions.csv").read_bytes()
+    for offset in range(1, 23):
+        copy = tmp_path / f"run{offset}"
+        shutil.copytree(run_dir, copy)
+        (copy / "predictions.csv").unlink()
+        blob = bytearray((copy / name).read_bytes())
+        blob[-offset] ^= 0xFF
+        (copy / name).write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = main(["infer", "--config", str(config_path), "--out", str(copy)])
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert (copy / "predictions.csv").read_bytes() == expected, offset
+        else:
+            assert code == EXIT_IO, offset
+            assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*; run train again\n", err), offset
+            assert not (copy / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("verb", ["train", "infer"])
 def test_verb_on_a_missing_run_directory_makes_none(tmp_path, verb):
     config_path, _ = write_config(tmp_path)
     missing = tmp_path / "never_made"
     assert main([verb, "--config", str(config_path), "--out", str(missing)]) == EXIT_IO
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("ingest, message", [
+    ({"column_map": {"acc_x": -1, "lane": 3}}, "config error: bad column_map"),
+    ({"synthetic": {"windows_per_class": 12, "t": 1, "d": 3}}, "config error: bad synthetic spec"),
+], ids=["column-map", "synthetic"])
+@pytest.mark.parametrize("verb", ["train", "infer"])
+def test_bad_ingest_recipe_stops_every_verb(completed_run, tmp_path, capsys, verb, ingest, message):
+    # Only ingest uses the recipes, but every verb reads the config, and the config is checked whole.
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    before = {path.name: path.read_bytes() for path in copy.iterdir()}
+    config = json.loads(config_path.read_text())
+    config["ingest"].update(ingest)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([verb, "--config", str(bad), "--out", str(copy)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+    assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
 
 
 def test_report_test_composition_needs_only_cgf_test(completed_run, tmp_path):

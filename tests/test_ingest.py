@@ -381,7 +381,7 @@ def test_column_map_refuses_non_index(tmp_path, capsys, index):
     with pytest.raises(ValueError, match="acc_x must be a non-negative int"):
         ColumnMap(acc_x=index)
     with pytest.raises(ConfigError, match="bad column_map"):
-        IngestOptions(column_map={"acc_x": index}).columns()
+        IngestOptions(column_map={"acc_x": index})
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     write_session(corpus, "a-D1-NORMAL-MOTORWAY", n_rows=20)

@@ -32,6 +32,7 @@ from tsgroups.storage import (
     file_digest,
     load_aecs,
     load_dataset,
+    load_tensor_record,
     read_archive,
     read_json,
     run_lock,
@@ -328,7 +329,15 @@ RECORDS = {
   },
   "ingest": {
     "accelerometer_filename": "RAW_ACCELEROMETERS.txt",
-    "column_map": {},
+    "column_map": {
+      "acc_x": 5,
+      "acc_y": 6,
+      "acc_z": 7,
+      "pitch": 9,
+      "roll": 8,
+      "timestamp": 0,
+      "yaw": 10
+    },
     "normalize": true,
     "overlap": 0.5,
     "road": "MOTORWAY",
@@ -385,14 +394,37 @@ RECORDS = {
     "accelerometer_filename": "RAW_ACCELEROMETERS.txt",
     "column_map": {
       "acc_x": 2,
-      "timestamp": 0
+      "acc_y": 6,
+      "acc_z": 7,
+      "pitch": 9,
+      "roll": 8,
+      "timestamp": 0,
+      "yaw": 10
     },
     "normalize": true,
     "overlap": 0.5,
     "road": null,
     "seed": 0,
     "synthetic": {
+      "C": 3,
+      "amplitudes": [
+        1.0,
+        1.0,
+        1.0
+      ],
+      "ar_coeff": 0.6,
+      "class_effect_scale": 1.0,
+      "class_effect_signs": [
+        1,
+        -1,
+        1
+      ],
       "d": 3,
+      "frequencies": [
+        1.0,
+        2.3,
+        3.7
+      ],
       "noise_sigmas": [
         0.0,
         0.5,
@@ -552,18 +584,15 @@ def test_run_lock_excludes_and_releases(tmp_path):
 
 def test_dataset_round_trip_bit_exact(tmp_path):
     ds = make_dataset()
-    stats = NormalizationStats(mean=np.array([0.5, -1.0]), std=np.array([2.0, 0.25]))
     path = tmp_path / "dataset.zip"
-    save_dataset(path, ds, normalization=stats)
-    loaded, got_stats = load_dataset(path)
+    save_dataset(path, ds)
+    loaded = load_dataset(path)
     assert np.array_equal(loaded.windows, ds.windows)
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.meta == ds.meta
     assert loaded.class_names == ds.class_names
-    assert np.array_equal(got_stats.mean, stats.mean)
-    assert np.array_equal(got_stats.std, stats.std)
     again = tmp_path / "again.zip"
-    save_dataset(again, loaded, normalization=got_stats)
+    save_dataset(again, loaded)
     assert path.read_bytes() == again.read_bytes()
     assert "extra" not in json.loads(read_archive(path)["header.json"])
 
@@ -585,31 +614,85 @@ def test_dataset_without_labels(tmp_path):
     save_dataset(path, make_dataset(m=5))
     entries = read_archive(path)
     header = json.loads(entries["header.json"])
-    for edit in ({**header, "labels": None}, {k: v for k, v in header.items() if k != "labels"}):
+    for edit, error, message in (
+            ({**header, "labels": None}, ValueError, "no labels"),
+            ({k: v for k, v in header.items() if k != "labels"}, TypeError, "missing .* 'labels'")):
         write_archive(path, {**entries, "header.json": canonical_json(edit).encode()})
-        with pytest.raises(ValueError, match="no labels"):
+        with pytest.raises(error, match=message):
             load_dataset(path)
 
 
 def test_dataset_rejects_unknown_format(tmp_path):
+    # A header of another layout, and this layout's header with a key the record does not have.
     path = tmp_path / "bogus.zip"
-    write_archive(path, {"header.json": canonical_json({"format": "other-v9"}).encode()})
-    with pytest.raises(ValueError):
-        load_dataset(path)
+    save_dataset(path, make_dataset(m=5))
+    entries = read_archive(path)
+    header = json.loads(entries["header.json"])
+    for bogus, error in (({"format": "other-v9"}, KeyError), ({**header, "format": "other-v9"}, TypeError)):
+        write_archive(path, {**entries, "header.json": canonical_json(bogus).encode()})
+        with pytest.raises(error, match="shape|format"):
+            load_dataset(path)
 
 
 def test_aecs_round_trip(tmp_path):
     rng = seeded_rng(derive_seed(2, "storage-aecs"))
     vectors = rng.normal(size=(7, 4))
     path = tmp_path / "aecs.zip"
-    save_aecs(path, vectors, source_model_id="model-abc")
+    save_aecs(path, AecsMatrix(vectors=vectors, source_model_id="model-abc"))
     loaded = load_aecs(path)
     assert np.array_equal(loaded.vectors, vectors)
     assert loaded.source_model_id == "model-abc"
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError, match="shape"):
         bad = tmp_path / "bad.zip"
         write_archive(bad, {"header.json": canonical_json({"format": "nope"}).encode()})
         load_aecs(bad)
+
+
+def hand_built_model() -> ae.SavedModel:
+    """A model whose weights are exact binary fractions, so its digest is the same on every host."""
+    config = ae.AutoencoderConfig(hidden1=2, hidden2=1)
+    params = ae.init_params(config, d=1)
+    for array in params.values():
+        array[...] = np.arange(array.size).reshape(array.shape) / 8
+    return ae.SavedModel(config, 1, np.concatenate([a.ravel() for a in params.values()]),
+                         ae.model_id(params, config, 1))
+
+
+# A hand-built record of each archive the pipeline writes, the writer it uses and the exact
+# header.json text it gives, pinned on every host as RECORDS pins the JSON records.
+ARCHIVES = {
+    "dataset": (WindowedDataset(
+        windows=np.arange(12.0).reshape(2, 3, 2) / 4, labels=[1, 0],
+        meta=[WindowMeta("D1", "NORMAL", "MOTORWAY", "s0"),
+              WindowMeta("D2", "AGGRESSIVE", "SECONDARY", "s1")],
+        class_names=["AGGRESSIVE", "NORMAL"],
+    ), "windows", save_dataset,
+        '{"class_names":["AGGRESSIVE","NORMAL"],"labels":[1,0],'
+        '"meta":[{"behavior":"NORMAL","driver_id":"D1","road":"MOTORWAY","session_id":"s0"},'
+        '{"behavior":"AGGRESSIVE","driver_id":"D2","road":"SECONDARY","session_id":"s1"}],"shape":[2,3,2]}'),
+    "aecs": (AecsMatrix(vectors=np.array([[0.5, -1.25], [1 / 3, 2.0]]), source_model_id="model-abc"),
+             "vectors", save_aecs, '{"shape":[2,2],"source_model_id":"model-abc"}'),
+    "model": (hand_built_model(), "weights", lambda path, m: ae.save_model(path, m.params, m.config, m.d),
+              '{"config":{"adam_epsilon":1e-08,"batch_size":64,"beta1":0.9,"beta2":0.999,'
+              '"early_stop_patience":10,"epochs":100,"hidden1":2,"hidden2":1,"learning_rate":0.001,'
+              '"seed":0,"val_fraction":0.1},"d":1,'
+              '"model_id":"b03b1e79d66058d0d305cee3fa7e463798e4b0962aa47ab491e807c75860496a","shape":[95]}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARCHIVES))
+def test_archives_write_the_pinned_header_and_read_back_bit_for_bit(tmp_path, name):
+    record, tensor, save, header = ARCHIVES[name]
+    path, again = tmp_path / "first.zip", tmp_path / "again.zip"
+    save(path, record)
+    entries = read_archive(path)
+    assert sorted(entries) == ["header.json", f"{tensor}.f8"]
+    assert entries["header.json"].decode("utf-8") == header
+    back = load_tensor_record(path, type(record), tensor)
+    assert getattr(back, tensor).dtype == np.float64
+    assert getattr(back, tensor).tobytes() == getattr(record, tensor).tobytes()
+    save(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_grouping_dict_round_trip():
