@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 
 class ClassifierKind(str, enum.Enum):
@@ -84,11 +85,11 @@ class SoftmaxModel:
     ids; classes absent from the training subset are never predicted.
     """
 
-    weights: np.ndarray
-    bias: np.ndarray
-    seen_classes: np.ndarray
-    feature_mean: np.ndarray
-    feature_std: np.ndarray
+    weights: npt.NDArray[np.float64]
+    bias: npt.NDArray[np.float64]
+    seen_classes: npt.NDArray[np.int64]
+    feature_mean: npt.NDArray[np.float64]
+    feature_std: npt.NDArray[np.float64]
     n_train: int
 
     def __post_init__(self) -> None:

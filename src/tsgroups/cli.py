@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import pipeline
-from .pipeline import ArtifactError, PipelineConfig, load_config
+from .pipeline import ArtifactError, PipelineConfig, SyntheticSpec, load_config
 from .types import DivergenceError
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ def _load(args: argparse.Namespace) -> PipelineConfig:
         config,
         paths=edit(config.paths, dataset_root=flag("dataset_root"), out_dir=flag("out")),
         ingest=edit(config.ingest, seed=seed,
-                    synthetic=(config.ingest.synthetic or {}) if flag("synthetic") else None),
+                    synthetic=(config.ingest.synthetic or SyntheticSpec()) if flag("synthetic") else None),
         autoencoder=edit(config.autoencoder, seed=seed, epochs=flag("epochs")),
         cgf=edit(config.cgf, tau=flag("tau")),
         classifier=edit(config.classifier, seed=seed),

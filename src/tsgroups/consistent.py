@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import Linkage, cut, select_best_measure
-from .storage import as_record
 from .types import Grouping
 
 DEFAULT_TAU = 0.05
@@ -72,7 +71,6 @@ class CgfResult:
     dendrogram_fingerprint: str = ""
 
     def __post_init__(self) -> None:
-        self.grouping = as_record(Grouping, self.grouping)
         if self.accepted_k != self.grouping.K:
             raise ValueError(f"accepted_k {self.accepted_k} is not the grouping's K {self.grouping.K}")
         if self.stopped_by not in ("tau", "duplicates", "k_max"):

@@ -25,7 +25,6 @@ from .distances import (
 )
 from .grouped import GroupModelBundle, predict
 from .hierarchy import centroids
-from .storage import as_record
 from .types import AecsMatrix, Grouping, WindowedDataset
 
 
@@ -88,7 +87,6 @@ class MappingReport:
     def __post_init__(self) -> None:
         self.method = MappingMethod(self.method)
         self.measure = DistanceMeasureId(self.measure)
-        self.rows = [as_record(MappingRow, row) for row in self.rows]
 
     def chosen(self) -> list[int]:
         return [row.chosen_train_group for row in self.rows]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.typing as npt
 
 from .classifiers import ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
 from .storage import as_record, read_json, write_json
@@ -24,15 +25,13 @@ class GroupModelBundle:
     """K trained models, one per group, with the classes each group held."""
 
     models: list[SoftmaxModel]
-    class_presence: np.ndarray
+    class_presence: npt.NDArray[np.bool_]
     spec: ClassifierSpec
     aecs_model_id: str
     n_classes: int
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.models = [as_record(SoftmaxModel, model) for model in self.models]
-        self.spec = as_record(ClassifierSpec, self.spec)
         self.class_presence = np.asarray(self.class_presence, dtype=bool)
         if self.class_presence.shape != (self.n_groups, self.n_classes):
             raise ValueError(f"class_presence must be (K, C), got {self.class_presence.shape}")

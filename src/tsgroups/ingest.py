@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import derive_seed, seeded_rng
@@ -313,8 +314,8 @@ def split_indices(ds: WindowedDataset, train_fraction: float = DEFAULT_TRAIN_FRA
 class NormalizationStats:
     """Per-channel z-score statistics, fitted on train data only."""
 
-    mean: np.ndarray
-    std: np.ndarray
+    mean: npt.NDArray[np.float64]
+    std: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -369,8 +370,6 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("frequencies", "amplitudes", "noise_sigmas", "class_effect_signs"):
-            setattr(self, name, tuple(getattr(self, name)))
         n = len(self.frequencies)
         if n < 1:
             raise ValueError("need at least one archetype")

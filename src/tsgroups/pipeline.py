@@ -46,7 +46,6 @@ from .metrics import evaluate_metrics
 from .storage import (
     as_record,
     atomic_open,
-    check_field_types,
     content_digest,
     load_aecs,
     load_dataset,
@@ -89,17 +88,6 @@ class IngestOptions:
     column_map: ColumnMap = field(default_factory=ColumnMap)
     synthetic: SyntheticSpec | None = None
 
-    def __post_init__(self) -> None:
-        try:
-            self.column_map = as_record(ColumnMap, self.column_map)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad column_map: {exc}") from None
-        try:
-            if self.synthetic is not None:
-                self.synthetic = as_record(SyntheticSpec, self.synthetic)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic spec: {exc}") from None
-
 
 @dataclass
 class MappingOptions:
@@ -128,32 +116,19 @@ class PipelineConfig:
 
 
 def read_config(data) -> PipelineConfig:
-    """The config record of a config file's JSON: each section an object of its record's fields.
+    """The config record of a config file's JSON; a section left out keeps its defaults.
 
-    A section left out keeps its defaults. A value of the wrong JSON type
-    (``check_field_types``) or one its record rejects is a ConfigError.
+    A value its field's type or its record refuses is a ConfigError naming its path (``ingest.road``).
     """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    records = {f.name: f.default_factory for f in dataclass_fields(PipelineConfig)}
-    sections = {}
-    for name, payload in data.items():
-        if name not in records:
-            raise ConfigError(f"unknown section '{name}'; allowed: {sorted(records)}")
-        if not isinstance(payload, dict):
-            raise ConfigError(f"section '{name}' must be a JSON object, got {type(payload).__name__}")
-        allowed = {f.name for f in dataclass_fields(records[name])}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}; allowed: {sorted(allowed)}")
-        try:
-            check_field_types(records[name], payload)
-            sections[name] = records[name](**payload)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad '{name}' section: {exc}") from None
-    return PipelineConfig(**sections)
+    sections = sorted(f.name for f in dataclass_fields(PipelineConfig))
+    for name in data.keys() - sections:
+        raise ConfigError(f"unknown section '{name}'; allowed: {sections}")
+    try:
+        return as_record(PipelineConfig, data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -1,16 +1,16 @@
 """Deterministic artifact persistence.
 
 Every artifact is a record, and this module is the one place a record
-becomes JSON: ``write_json`` and ``canonical_json`` write a dataclass as
-its ``init`` fields and numpy data as lists and scalars (floats by
-``repr``, so they read back bit for bit); ``as_record`` rebuilds it with
-``cls(**data)`` after ``check_field_types``, so a record's checks are its
-file's. A record holding one tensor (a dataset, a representation matrix,
-the model) is a zip archive with fixed entry metadata (no compression,
-epoch dates, sorted names), so identical content gives identical bytes:
-``header.json`` holds its other fields and the tensor's ``shape``,
-``<tensor>.f8`` the tensor as little-endian float64; every other record
-is one JSON file. Digest helpers strip wall-time fields
+becomes JSON and back: ``write_json`` and ``canonical_json`` write a
+dataclass as its ``init`` fields and numpy data as lists and scalars
+(floats by ``repr``, so they read back bit for bit); ``as_record``
+decodes each field by its annotation, so a record's annotations are its
+file's schema. A record holding one tensor (a dataset, a representation
+matrix, the model) is a zip archive with fixed entry metadata (no
+compression, epoch dates, sorted names), so identical content gives
+identical bytes: ``header.json`` holds its other fields and the tensor's
+``shape``, ``<tensor>.f8`` the tensor as little-endian float64; every
+other record is one JSON file. Digest helpers strip wall-time fields
 so timing never leaks into content digests. Every file is written to a
 temporary name beside its target and renamed over it, so a write that
 fails partway leaves the previous file as it was.
@@ -19,9 +19,14 @@ fails partway leaves the previous file as it was.
 from __future__ import annotations
 
 import dataclasses
+import enum
+import functools
 import hashlib
 import json
 import os
+import reprlib
+import types
+import typing
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,42 +52,81 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# JSON types a field of each declared type accepts; a bool is an int to Python.
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+class FieldError(ValueError):
+    """A JSON value that its record field's declared type refuses; the message starts with the field's path."""
 
 
-def check_field_types(cls, data: dict) -> None:
-    """Reject a JSON value whose type the record field it fills does not take.
+def _refuse(expected: str, value):
+    raise FieldError(f" must be {expected}, got {reprlib.repr(value)}")
 
-    A JSON ``true`` is not a number: an ``int`` field takes an int but not
-    a bool, a ``float`` field an int or a float but not a bool, and a
-    ``bool`` field only true or false. A ``... | None`` field also takes
-    null. Fields of other types are left to the record's own checks.
-    """
-    for f in dataclasses.fields(cls):
-        kind = f.type.removesuffix(" | None")
-        if f.name not in data or kind not in _FIELD_TYPES:
-            continue
-        value = data[f.name]
-        if value is None and kind != f.type:
-            continue
-        if not (isinstance(value, _FIELD_TYPES[kind]) and isinstance(value, bool) == (kind == "bool")):
-            expected = "true or false" if kind == "bool" else kind
-            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+
+def _each(pairs, decoder_for) -> dict:
+    """{key: its JSON value decoded by ``decoder_for(key)``} of (key, value) pairs; an error names the key."""
+    out = {}
+    for key, value in pairs:
+        try:
+            out[key] = decoder_for(key)(value)
+        except (TypeError, ValueError) as exc:  # a nested record's own check too
+            inner = str(exc) if isinstance(exc, FieldError) else f": {exc}"
+            step = f"[{key}]" if isinstance(key, int) else key
+            raise FieldError(step + ("" if inner[0] in "[ :" else ".") + inner) from None
+    return out
+
+
+_SCALARS = {int: ((int,), "int"), float: ((int, float), "float"), bool: ((bool,), "true or false"),
+            str: ((str,), "a string")}
+_ARRAYS = {np.int64: ("i", "an array of ints"), np.float64: ("if", "an array of numbers"),
+           np.bool_: ("b", "an array of true and false")}
+
+
+@functools.cache
+def _decoder(hint):
+    """The function from a JSON value that a field of type ``hint`` takes to the field's value."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in _SCALARS:  # the exact types ``json`` gives, so a JSON true is not a number
+        accepted, expected = _SCALARS[hint]
+        return lambda v: v if type(v) in accepted else _refuse(expected, v)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        members = {member.value: member for member in hint}
+        return lambda v: members[v] if isinstance(v, str) and v in members else _refuse(f"one of {sorted(members)}", v)
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(hint) if f.init}
+
+        def record(value):
+            if not isinstance(value, dict):
+                _refuse("a JSON object", value)
+            if not value.keys() <= fields.keys():
+                raise TypeError(f"unknown keys {sorted(value.keys() - fields)}; allowed: {sorted(fields)}")
+            return hint(**_each(value.items(), fields.__getitem__))
+        return record
+    if origin is types.UnionType and type(None) in args and len(args) == 2:  # X | None
+        inner = _decoder(args[args[0] is type(None)])
+        return lambda v: None if v is None else inner(v)
+    if origin in (list, tuple) and args[1:] in ((), (Ellipsis,)):
+        item = _decoder(args[0])
+        return lambda v: (origin(_each(enumerate(v), lambda _: item).values())
+                          if isinstance(v, list) else _refuse("a list", v))
+    if hint is dict or origin is dict:
+        value = _decoder(args[1]) if args else None
+        return lambda v: ((_each(v.items(), lambda _: value) if value else v)
+                          if isinstance(v, dict) else _refuse("a JSON object", v))
+    if origin is np.ndarray:  # npt.NDArray[T]; an archive's tensor is an ndarray already; ragged raises
+        kinds, expected = _ARRAYS[typing.get_args(args[-1])[0]]
+        return lambda v: (v if isinstance(v, np.ndarray) or isinstance(v, list)
+                          and (not v or np.asarray(v).dtype.kind in kinds) else _refuse(expected, v))
+    raise TypeError(f"no JSON decoding for a field of type {hint!r}")
 
 
 def as_record(cls, data):
-    """``cls(**data)`` for the JSON object of a record, after ``check_field_types``.
+    """The record ``cls`` of its JSON object, each field decoded by its declared type.
 
-    A record that is already a ``cls`` is returned as it is, so a record's
-    ``__post_init__`` can rebuild its nested records with this.
+    A value of another JSON type, or a nested record's error, is a ``FieldError`` whose message starts
+    with the field's path (``meta[3].driver_id``); an unknown or missing key is a TypeError.
     """
-    if isinstance(data, cls):
-        return data
     if not isinstance(data, dict):
-        raise ValueError(f"a {cls.__name__} must be a JSON object, got {type(data).__name__}")
-    check_field_types(cls, data)
-    return cls(**data)
+        raise ValueError(f"a {cls.__name__} must be a JSON object, got {reprlib.repr(data)}")
+    return _decoder(cls)(data)
 
 
 def canonical_json(obj) -> str:

@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.typing as npt
 
 
 class DistanceMeasureId(str, enum.Enum):
@@ -47,15 +48,12 @@ class WindowedDataset:
     window in ``{0..C-1}``; ``meta`` has one record per window.
     """
 
-    windows: np.ndarray
-    labels: np.ndarray
+    windows: npt.NDArray[np.float64]
+    labels: npt.NDArray[np.int64]
     meta: list[WindowMeta]
     class_names: list[str]
 
     def __post_init__(self) -> None:
-        if self.labels is None:
-            raise ValueError("dataset has no labels")
-        self.meta = [m if isinstance(m, WindowMeta) else WindowMeta(**m) for m in self.meta]
         self.windows = np.ascontiguousarray(self.windows, dtype=np.float64)
         self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if self.windows.ndim != 3:
@@ -114,7 +112,7 @@ def vectors_fingerprint(x: np.ndarray) -> str:
 class AecsMatrix:
     """Compact per-window representation: one h-vector per window."""
 
-    vectors: np.ndarray
+    vectors: npt.NDArray[np.float64]
     source_model_id: str
 
     def __post_init__(self) -> None:
@@ -140,7 +138,7 @@ class AecsMatrix:
 class Grouping:
     """Assignment of instances to K groups plus the measure that formed them."""
 
-    assignment: np.ndarray
+    assignment: npt.NDArray[np.int64]
     K: int
     measure: DistanceMeasureId
     hubert_scores: dict[str, float] = field(default_factory=dict)
@@ -149,19 +147,12 @@ class Grouping:
         self.assignment = np.ascontiguousarray(self.assignment, dtype=np.int64)
         if self.assignment.ndim != 1 or self.assignment.size < 1:
             raise ValueError("assignment must be a nonempty 1-D array")
-        if isinstance(self.K, bool) or not isinstance(self.K, (int, np.integer)):
-            raise ValueError(f"K must be an integer, got {self.K!r}")
         self.measure = DistanceMeasureId(self.measure)
-        if not (isinstance(self.hubert_scores, dict) and all(
-                name in {m.value for m in DistanceMeasureId} and isinstance(rho, (int, float))
-                and not isinstance(rho, bool)
-                for name, rho in self.hubert_scores.items())):
-            raise ValueError(f"hubert_scores must map measure names to numbers, got {self.hubert_scores!r}")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        present = np.unique(self.assignment)
-        expected = np.arange(self.K)
-        if present.size != self.K or not np.array_equal(present, expected):
+        if not set(self.hubert_scores) <= {m.value for m in DistanceMeasureId}:
+            raise ValueError(f"hubert_scores must be keyed by measure names, got {sorted(self.hubert_scores)}")
+        if not 1 <= self.K <= self.assignment.size:  # before np.arange(K), whose size a file sets
+            raise ValueError(f"K must lie in 1..{self.assignment.size}, got {self.K}")
+        if not np.array_equal(np.unique(self.assignment), np.arange(self.K)):
             raise ValueError(f"every group id in 0..{self.K - 1} must appear at least once")
 
     @property
@@ -196,5 +187,5 @@ class ClassMetrics:
     accuracy: float
     f1_macro: float
     f1_weighted: float
-    confusion: np.ndarray
-    confusion_row_normalized: np.ndarray
+    confusion: npt.NDArray[np.int64]
+    confusion_row_normalized: npt.NDArray[np.float64]

@@ -110,7 +110,7 @@ def test_json_true_is_not_a_number(tmp_path, capsys, section, key):
 def test_section_that_is_not_an_object_exits_config(tmp_path, capsys, section, value):
     config_path, _ = write_config(tmp_path, **{section: value})
     assert main(["ingest", "--config", str(config_path)]) == EXIT_CONFIG
-    assert f"'{section}'" in capsys.readouterr().err
+    assert f"{section} must be a JSON object" in capsys.readouterr().err
 
 
 def test_ingest_without_any_source_exits_config(tmp_path):
@@ -122,8 +122,15 @@ def test_ingest_without_any_source_exits_config(tmp_path):
 
 @pytest.mark.parametrize("paths, ingest, code, message", [
     ({"dataset_root": "nowhere"}, {}, EXIT_IO, "io error: corpus root nowhere is not a directory"),
-    ({"dataset_root": "."}, {"column_map": {"acc_x": -1}}, EXIT_CONFIG, "config error: bad column_map"),
-], ids=["missing-root", "bad-column-map"])
+    ({"dataset_root": "."}, {"column_map": {"acc_x": -1}}, EXIT_CONFIG,
+     "config error: ingest.column_map: column acc_x must be a non-negative int"),
+    # A value of another JSON type stops ingest at config read, not partway through.
+    ({"dataset_root": "."}, {"accelerometer_filename": ["x"]}, EXIT_CONFIG,
+     "config error: ingest.accelerometer_filename must be a string, got ['x']"),
+    ({}, {"synthetic": {"frequencies": "abc"}}, EXIT_CONFIG,
+     "config error: ingest.synthetic.frequencies must be a list, got 'abc'"),
+    ({}, {"road": 7, "synthetic": {}}, EXIT_CONFIG, "config error: ingest.road must be a string, got 7"),
+], ids=["missing-root", "bad-column-map", "filename-list", "frequencies-string", "road-number"])
 def test_ingest_with_a_bad_corpus_makes_no_run_directory(tmp_path, capsys, paths, ingest, code, message):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r"), **paths}, "ingest": ingest}))
@@ -434,7 +441,23 @@ RECORD_DAMAGE = {
     # One row more than aecs_train.zip and train_dataset.zip have.
     "rows-not-aecs-train": (("cgf_train.json",), edit_json(
         lambda d: d["grouping"]["assignment"].append(0))),
+    # A field of another JSON type than its record declares.
+    "trace-a-number": (CGF_FILES, edit_json(lambda d: d.update(trace=5))),
+    "fingerprint-a-number": (CGF_FILES, edit_json(lambda d: d.update(dendrogram_fingerprint=5))),
+    "assignment-strings": (CGF_FILES, edit_json(
+        lambda d: d["grouping"].update(assignment=[str(g) for g in d["grouping"]["assignment"]]))),
+    "assignment-fractions": (CGF_FILES, edit_json(
+        lambda d: d["grouping"].update(assignment=[g + 0.5 for g in d["grouping"]["assignment"]]))),
+    "seen-classes-fractions": (BUNDLES, edit_json(lambda d: d["models"][0].update(
+        seen_classes=[c + 0.25 for c in d["models"][0]["seen_classes"]]))),
+    "presence-as-numbers": (BUNDLES, edit_json(
+        lambda d: d.update(class_presence=[[int(p) for p in row] for row in d["class_presence"]]))),
+    "warnings-a-string": (BUNDLES, edit_json(lambda d: d.update(warnings="abc"))),
+    # A K far above the row count is refused before any array of K ids is built.
+    "K-far-above-rows": (CGF_FILES, edit_json(lambda d: d["grouping"].update(K=10**12))),
 }
+# Damage only a check across files can find; every other row is refused by the file's own reader.
+ACROSS_FILES = {"one-feature-short", "K-not-model-count", "rows-not-aecs-train"}
 
 
 @pytest.mark.parametrize("name, damage", [
@@ -454,7 +477,36 @@ def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, dam
         err = capsys.readouterr().err
         assert err.startswith("io error: ") and err.count("\n") == 1 and "Traceback" not in err, err
         assert name in err, err
+        if damage not in ACROSS_FILES:
+            writer = "infer" if name == "cgf_test.json" else "train"
+            assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*; run {writer} again\n", err), err
         assert not (copy / "aecs_test.zip").exists()
+
+
+# Header edits to each dataset archive, with the verbs that read it.
+DATASET_READERS = {"train_dataset.zip": ("train", "report"), "test_dataset.zip": ("infer",)}
+DATASET_DAMAGE = {
+    "class-names-of-other-types": lambda h: {**h, "class_names": [0, {"x": 1}, None]},
+    "driver-id-a-number": lambda h: {**h, "meta": [{**h["meta"][0], "driver_id": 5}, *h["meta"][1:]]},
+    "labels-fractions": lambda h: {**h, "labels": [label + 0.5 for label in h["labels"]]},
+}
+
+
+@pytest.mark.parametrize("name, damage", [(name, damage) for damage in DATASET_DAMAGE for name in DATASET_READERS])
+def test_damaged_dataset_header_exits_io(completed_run, tmp_path, capsys, name, damage):
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    edit_entry("header.json", json_edit(DATASET_DAMAGE[damage]))(copy / name)
+    before = {path.name: path.read_bytes() for path in copy.iterdir()}
+    for verb in DATASET_READERS[name]:
+        args = ["report", "--out", str(copy)] if verb == "report" else [
+            verb, "--config", str(config_path), "--out", str(copy)]
+        capsys.readouterr()
+        assert main(args) == EXIT_IO, verb
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*; run ingest again\n", err), err
+        assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
 
 
 def test_infer_in_a_run_with_zip_bundles_asks_for_train(completed_run, tmp_path, capsys):
@@ -531,8 +583,9 @@ def test_verb_on_a_missing_run_directory_makes_none(tmp_path, verb):
 
 
 @pytest.mark.parametrize("ingest, message", [
-    ({"column_map": {"acc_x": -1, "lane": 3}}, "config error: bad column_map"),
-    ({"synthetic": {"windows_per_class": 12, "t": 1, "d": 3}}, "config error: bad synthetic spec"),
+    ({"column_map": {"acc_x": -1, "lane": 3}}, "config error: ingest.column_map: unknown keys ['lane']"),
+    ({"synthetic": {"windows_per_class": 12, "t": 1, "d": 3}},
+     "config error: ingest.synthetic: counts must be positive"),
 ], ids=["column-map", "synthetic"])
 @pytest.mark.parametrize("verb", ["train", "infer"])
 def test_bad_ingest_recipe_stops_every_verb(completed_run, tmp_path, capsys, verb, ingest, message):

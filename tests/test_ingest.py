@@ -24,7 +24,7 @@ from tsgroups.ingest import (
     split_indices,
     window_sessions,
 )
-from tsgroups.pipeline import ARTIFACTS, ConfigError, IngestOptions, cmd_ingest, read_config
+from tsgroups.pipeline import ARTIFACTS, ConfigError, cmd_ingest, read_config
 from tsgroups.storage import canonical_json, content_digest
 
 
@@ -380,8 +380,8 @@ def test_column_map_bounds():
 def test_column_map_refuses_non_index(tmp_path, capsys, index):
     with pytest.raises(ValueError, match="acc_x must be a non-negative int"):
         ColumnMap(acc_x=index)
-    with pytest.raises(ConfigError, match="bad column_map"):
-        IngestOptions(column_map={"acc_x": index})
+    with pytest.raises(ConfigError, match="ingest.column_map"):
+        read_config({"ingest": {"column_map": {"acc_x": index}}})
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     write_session(corpus, "a-D1-NORMAL-MOTORWAY", n_rows=20)
@@ -391,4 +391,4 @@ def test_column_map_refuses_non_index(tmp_path, capsys, index):
         "ingest": {"window_len": 8, "column_map": {"acc_x": index}},
     }))
     assert main(["ingest", "--config", str(config)]) == EXIT_CONFIG
-    assert "bad column_map" in capsys.readouterr().err
+    assert "ingest.column_map" in capsys.readouterr().err

@@ -1,8 +1,11 @@
 """Deterministic artifact files: archives, records, digests, locks, round trips."""
 
+import functools
 import hashlib
 import json
+import operator
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,9 +15,9 @@ from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierSpec, SoftmaxModel
 from tsgroups.consistent import CgfConfig, CgfResult
 from tsgroups.distances import DistanceMeasureId
-from tsgroups.group_mapping import MappingReport
+from tsgroups.group_mapping import MappingReport, MappingRow
 from tsgroups.grouped import GroupModelBundle, load_bundle, predict, save_bundle, train_per_group
-from tsgroups.ingest import NormalizationStats
+from tsgroups.ingest import ColumnMap, NormalizationStats, SyntheticSpec
 from tsgroups.pipeline import (
     IngestOptions,
     MappingOptions,
@@ -27,7 +30,6 @@ from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
     as_record,
     canonical_json,
-    check_field_types,
     content_digest,
     file_digest,
     load_aecs,
@@ -140,8 +142,7 @@ RECORDS = {
 }
 """),
     "mapping_report": (MappingReport(method="AVG", measure="MANHATTAN", rows=[
-        {"test_group": 0, "test_group_size": 3, "chosen_train_group": 1,
-         "candidate_distances": [0.5, 0.25]},
+        MappingRow(test_group=0, test_group_size=3, chosen_train_group=1, candidate_distances=[0.5, 0.25]),
     ], test_grouping_fingerprint="ab12"), """\
 {
   "measure": "MANHATTAN",
@@ -357,8 +358,8 @@ RECORDS = {
 """),
     "config_synthetic": (PipelineConfig(
         paths=Paths(dataset_root="corpus", out_dir="out"),
-        ingest=IngestOptions(road=None, column_map={"acc_x": 2, "timestamp": 0}, synthetic={
-            "windows_per_class": 12, "t": 20, "d": 3, "seed": 3, "noise_sigmas": [0.0, 0.5, 0.25]}),
+        ingest=IngestOptions(road=None, column_map=ColumnMap(acc_x=2, timestamp=0), synthetic=SyntheticSpec(
+            windows_per_class=12, t=20, d=3, seed=3, noise_sigmas=(0.0, 0.5, 0.25))),
         cgf=CgfConfig(linkage="COMPLETE", k_max=6),
         classifier=ClassifierSpec(kind="SOFTMAX_STATS"),
         mapping=MappingOptions(method="CR_CR"),
@@ -477,10 +478,51 @@ def test_config_reads_back_from_its_json(name):
     assert read_config(json.loads(canonical_json(config))) == config
 
 
+# A JSON value of another type than the one a field holds: a number for a string, a string
+# for a number, a list for an object or null, an object for a list, and 1 for true or false.
+OTHER_JSON_TYPE = {str: 5, bool: 1, int: "5", float: "0.5", type(None): [], dict: [], list: {"x": 1}}
+# In an array of ints a fraction; in an array of numbers a string; in one of true and false, 1.
+OTHER_ITEM_TYPE = {**OTHER_JSON_TYPE, int: 0.5}
+
+
+def wrong_values(value, path=()):
+    """(path, value of another JSON type) for the JSON value at ``path`` and everything it holds.
+
+    Of a list only the first item is replaced. The steps in a ``trace`` are
+    plain JSON objects, so only the step itself is.
+    """
+    yield path, (OTHER_ITEM_TYPE if path and isinstance(path[-1], int) else OTHER_JSON_TYPE)[type(value)]
+    if isinstance(value, dict) and not (len(path) > 1 and path[-2] == "trace"):
+        for key, item in value.items():
+            yield from wrong_values(item, (*path, key))
+    elif isinstance(value, list) and value:
+        yield from wrong_values(value[0], (*path, 0))
+
+
+def replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    *head, last = path
+    functools.reduce(operator.getitem, head, data)[last] = value
+    return data
+
+
 def test_field_types_take_json_numbers_but_not_true():
-    check_field_types(CgfConfig, {"tau": 0.5, "k_start": 3, "k_max": None})
-    check_field_types(ae.AutoencoderConfig, {"learning_rate": 0, "beta1": 0.5, "seed": 7})
-    check_field_types(IngestOptions, {"normalize": False})
+    # Every field of every record of RECORDS, the sections of both configs included, and of
+    # the records they hold: a value of another JSON type is a ValueError that names the field.
+    # An array names the array field, so an index at the path's end may go unnamed.
+    rows = [(cls, data, "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip("."),
+             replaced(data, path, value))
+            for cls, data in ((type(record), json.loads(text)) for record, text in RECORDS.values())
+            for path, value in wrong_values(data) if path]
+    assert len(rows) > 150
+    for cls, data, where, bad in rows:
+        with pytest.raises(ValueError) as refused:
+            as_record(cls, bad)
+        assert str(refused.value).startswith(re.sub(r"(\[\d+\])+$", "", where)), (where, refused.value)
+    # The rule for numbers: a JSON true is not one.
+    as_record(CgfConfig, {"tau": 0.5, "k_start": 3, "k_max": None})
+    as_record(ae.AutoencoderConfig, {"learning_rate": 0, "beta1": 0.5, "seed": 7})
+    as_record(IngestOptions, {"normalize": False})
     for cls, data, message in [
         (CgfConfig, {"k_max": True}, "k_max must be int, got True"),
         (CgfConfig, {"k_start": 3.0}, "k_start must be int, got 3.0"),
@@ -490,7 +532,7 @@ def test_field_types_take_json_numbers_but_not_true():
         (IngestOptions, {"normalize": None}, "normalize must be true or false, got None"),
     ]:
         with pytest.raises(ValueError, match=message):
-            check_field_types(cls, data)
+            as_record(cls, data)
 
 
 def test_json_encoder_rejects_unknown_objects():
@@ -615,7 +657,7 @@ def test_dataset_without_labels(tmp_path):
     entries = read_archive(path)
     header = json.loads(entries["header.json"])
     for edit, error, message in (
-            ({**header, "labels": None}, ValueError, "no labels"),
+            ({**header, "labels": None}, ValueError, "labels must be an array of ints, got None"),
             ({k: v for k, v in header.items() if k != "labels"}, TypeError, "missing .* 'labels'")):
         write_archive(path, {**entries, "header.json": canonical_json(edit).encode()})
         with pytest.raises(error, match=message):
