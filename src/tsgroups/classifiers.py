@@ -57,11 +57,6 @@ def stats_features(windows: np.ndarray) -> np.ndarray:
     return np.concatenate([mean, std, lo, hi, jump], axis=1)
 
 
-def feature_width(kind: ClassifierKind, aecs_width: int, n_channels: int) -> int:
-    """Features per instance of a view: the representation width, or five statistics per channel."""
-    return aecs_width if ClassifierKind(kind) is ClassifierKind.SOFTMAX_AECS else 5 * n_channels
-
-
 def extract_features(kind: ClassifierKind, windows: np.ndarray | None,
                      aecs_vectors: np.ndarray | None) -> np.ndarray:
     """Feature matrix for the given classifier view."""

@@ -47,10 +47,6 @@ class GroupModelBundle:
     def n_groups(self) -> int:
         return len(self.models)
 
-    @property
-    def n_features(self) -> int:
-        return self.models[0].n_features
-
 
 def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:
     """The bundle as one JSON record; ``load_bundle`` reads it back bit for bit."""

@@ -21,6 +21,7 @@ import numpy.typing as npt
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import derive_seed, seeded_rng
+from .storage import FieldError
 from .types import WindowedDataset, WindowMeta
 
 logger = logging.getLogger(__name__)
@@ -197,9 +198,9 @@ def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
     )
 
 
-def _check_road(road: str | None) -> None:
-    if road is not None and road not in ROAD_NAMES:
-        raise ValueError(f"road must be one of {ROAD_NAMES} or None, got {road!r}")
+def check_road(road: str | None) -> None:
+    if road is not None and road not in ROAD_NAMES:  # a FieldError, so a config names ``ingest.road``
+        raise FieldError(f"road must be one of {ROAD_NAMES} or None, got {road!r}")
 
 
 def discover_sessions(root: str | Path, columns: ColumnMap | None = None,
@@ -212,7 +213,7 @@ def discover_sessions(root: str | Path, columns: ColumnMap | None = None,
     The result is empty when session directories exist but none is on
     ``road``.
     """
-    _check_road(road)
+    check_road(road)
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} is not a directory")
@@ -225,7 +226,7 @@ def discover_sessions(root: str | Path, columns: ColumnMap | None = None,
 
 def filter_road(sessions: list[RawSession], road: str | None = "MOTORWAY") -> list[RawSession]:
     """Keep sessions on one road type; None disables the filter."""
-    _check_road(road)
+    check_road(road)
     if road is None:
         return list(sessions)
     return [s for s in sessions if s.road == road]

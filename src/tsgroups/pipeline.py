@@ -4,8 +4,10 @@ A single JSON config document drives everything: ingest builds the
 canonical train/test archives, train fits the autoencoder and the
 per-group classifiers, infer routes test groups to trained models and
 scores them, and report exports composition tables and projection
-coordinates. Every stage records content digests of what it wrote, with
-wall-time fields excluded from digests so reruns stay byte-comparable.
+coordinates. Every writing stage ends with a manifest of the content
+digests of what it wrote, with wall-time fields excluded from digests so
+reruns stay byte-comparable, and every stage trusts an input only when
+its digest is the one its writer's manifest lists.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from . import autoencoder as ae
-from .classifiers import ClassifierSpec, feature_width
+from .classifiers import ClassifierSpec
 from .consistent import CgfConfig, CgfResult, form_consistent_groups
 from .distances import DistanceMeasureId, fit_mahalanobis
-from .grouped import GroupModelBundle, load_bundle, save_bundle, train_per_group, train_single_baseline
+from .grouped import load_bundle, save_bundle, train_per_group, train_single_baseline
 from .grouped import predict as bundle_predict
 from .group_mapping import MappingMethod, MappingReport, infer_with_groups
 from .ingest import (
@@ -35,6 +37,7 @@ from .ingest import (
     ColumnMap,
     SyntheticSpec,
     apply_normalization,
+    check_road,
     discover_sessions,
     filter_road,
     fit_normalization,
@@ -87,6 +90,9 @@ class IngestOptions:
     accelerometer_filename: str = ACCELEROMETER_FILENAME
     column_map: ColumnMap = field(default_factory=ColumnMap)
     synthetic: SyntheticSpec | None = None
+
+    def __post_init__(self) -> None:
+        check_road(self.road)
 
 
 @dataclass
@@ -169,6 +175,17 @@ WRITTEN_BY = {"train_dataset": "ingest", "test_dataset": "ingest", "model": "tra
               "cgf_test": "infer", "mapping_avg": "infer", "mapping_cr_cr": "infer"}
 
 
+@dataclass
+class Manifest:
+    """A writing verb's ``manifest_<verb>.json``; ``files`` holds the ``content_digest`` of each artifact it wrote."""
+
+    config: PipelineConfig
+    stage_timings: dict[str, float]
+    files: dict[str, str]
+    versions: dict[str, str]
+    seeds: dict[str, int]
+
+
 def _artifact(out_dir: str | Path, name: str) -> Path:
     return Path(out_dir) / ARTIFACTS[name]
 
@@ -176,18 +193,37 @@ def _artifact(out_dir: str | Path, name: str) -> Path:
 def _read(out_dir: str | Path, name: str, reader):
     """Artifact ``name`` of run directory ``out_dir``, as ``reader`` reads its path.
 
-    Every verb reads its inputs here: a missing file names the verb that writes
-    it, and content ``reader`` rejects or cannot read names the file and that
-    verb. Callers name the reader at the call, so a module attribute replaced
-    at run time (``bench/tracer.py``) runs.
+    The one trust rule for inputs: a missing file names the verb that writes it; content ``reader``
+    rejects, then a digest other than the one that verb's manifest lists, names the file and that verb.
+    Callers name the reader at the call, so a module attribute replaced at run time (``bench/tracer.py``) runs.
     """
     path = _artifact(out_dir, name)
+    writer = WRITTEN_BY[name]
     if not path.is_file():
-        raise ArtifactError(f"missing artifact {path}; run {WRITTEN_BY[name]} first")
+        raise ArtifactError(f"missing artifact {path}; run {writer} first")
     try:
-        return reader(path)
+        value = reader(path)
     except (zipfile.BadZipFile, KeyError, IndexError, TypeError, ValueError, OSError) as exc:
-        raise ArtifactError(f"corrupt {path.name}: {exc!r}; run {WRITTEN_BY[name]} again") from None
+        raise ArtifactError(f"corrupt {path.name}: {exc!r}; run {writer} again") from None
+    doubt = _unvouched(path, name, _artifact(out_dir, f"manifest_{writer}"))
+    if doubt:
+        raise ArtifactError(f"corrupt {path.name}: {doubt}; run {writer} again")
+    return value
+
+
+def _unvouched(path: Path, name: str, manifest: Path) -> str | None:
+    """Why ``manifest`` does not vouch for artifact ``name`` at ``path``, or None if it lists its digest."""
+    if not manifest.is_file():
+        return f"{manifest.name} is missing"
+    try:
+        listed = as_record(Manifest, read_json(manifest)).files.get(name)
+    except (TypeError, ValueError, OSError) as exc:
+        return f"{manifest.name} is unreadable: {exc!r}"
+    if listed is None:
+        return f"{manifest.name} lists no digest for it"
+    if listed != content_digest(path):
+        return f"its digest is not the one {manifest.name} lists"
+    return None
 
 
 def _grouping(path: Path) -> Grouping:
@@ -222,18 +258,14 @@ def _writing_run(config: PipelineConfig, manifest: str):
     run = _Run(Path(config.out_dir))
     with run_lock(run.out):
         yield run
-        write_json(_artifact(run.out, manifest), {
-            "config": config,
-            "stage_timings": run.stage_timings,
-            "files": {name: content_digest(path) for name, path in sorted(run.files.items())},
-            "versions": {"package": __version__, "numpy": np.__version__,
-                         "python": sys.version.split()[0]},
-            "seeds": {
-                "ingest": config.ingest.seed,
-                "autoencoder": config.autoencoder.seed,
-                "classifier": config.classifier.seed,
-            },
-        })
+        write_json(_artifact(run.out, manifest), Manifest(
+            config=config,
+            stage_timings=run.stage_timings,
+            files={name: content_digest(path) for name, path in sorted(run.files.items())},
+            versions={"package": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
+            seeds={"ingest": config.ingest.seed, "autoencoder": config.autoencoder.seed,
+                   "classifier": config.classifier.seed},
+        ))
 
 
 def cmd_ingest(config: PipelineConfig) -> dict:
@@ -365,33 +397,12 @@ def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = config.out_dir
     test_ds = _read(out, "test_dataset", load_dataset)
-    params, model_config, d = _read(out, "model", ae.load_model)
+    params, model_config, _ = _read(out, "model", ae.load_model)
     train_aecs = _read(out, "aecs_train", load_aecs)
     config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
-    model_digest = ae.model_id(params, model_config, d)
-    if train_aecs.source_model_id != model_digest:
-        raise ArtifactError("stored train representations come from a different model")
-
-    def checked_bundle(path: Path) -> GroupModelBundle:
-        """A classifier bundle, checked against the run's autoencoder and the width of its features."""
-        bundle = load_bundle(path)
-        if bundle.aecs_model_id != model_digest:
-            raise ArtifactError(f"{path.name} was trained against a different autoencoder model")
-        width = feature_width(bundle.spec.kind, model_config.hidden2, d)
-        if bundle.n_features != width:
-            raise ArtifactError(f"{path.name} holds models of {bundle.n_features} features, "
-                                f"but this run's {bundle.spec.kind} features number {width}")
-        return bundle
-
-    bundle = _read(out, "bundle_grouped", checked_bundle)
-    baseline = _read(out, "bundle_baseline", checked_bundle)
+    bundle = _read(out, "bundle_grouped", load_bundle)
+    baseline = _read(out, "bundle_baseline", load_bundle)
     train_grouping = _read(out, "cgf_train", _grouping)
-    if train_grouping.K != bundle.n_groups:
-        raise ArtifactError(f"{ARTIFACTS['cgf_train']} has {train_grouping.K} groups, but "
-                            f"{ARTIFACTS['bundle_grouped']} holds {bundle.n_groups} models")
-    if train_grouping.n_instances != train_aecs.n_instances:
-        raise ArtifactError(f"{ARTIFACTS['cgf_train']} groups {train_grouping.n_instances} rows, but "
-                            f"{ARTIFACTS['aecs_train']} holds {train_aecs.n_instances}")
 
     with _writing_run(config, "manifest_infer") as run:
         with run.stage("transform"):
@@ -477,9 +488,10 @@ def cmd_report(run_dir: str | Path) -> dict:
 
     cgf_path = _artifact(out, "cgf_train")
     grouping = optional("cgf_train", _grouping, "group-based tables")
-    # Without a grouping the per-row files are only looked for.
+    # Without a grouping the per-row files are only looked for and checked against their manifest.
     ds = optional("train_dataset", lambda path: grouping and load_dataset(path), "composition table")
     if ds is not None:
+        # Files of two verbs: ingest may run again after train, and its new manifest vouches for its dataset.
         if grouping.n_instances != ds.n_windows:
             raise ArtifactError(f"{cgf_path} and {_artifact(out, 'train_dataset')} differ in row count")
         counts = Counter((int(g), wm.driver_id, wm.behavior)
@@ -488,8 +500,6 @@ def cmd_report(run_dir: str | Path) -> dict:
                ([*key, counts[key]] for key in sorted(counts)))
     aecs = optional("aecs_train", lambda path: grouping and load_aecs(path), "projection export")
     if aecs is not None:
-        if grouping.n_instances != aecs.n_instances:
-            raise ArtifactError(f"{cgf_path} and {_artifact(out, 'aecs_train')} differ in row count")
         coords = _pca_2d(aecs.vectors)
         export("pca_train", ["index", "pc1", "pc2", "group"], (
             [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
@@ -500,25 +510,17 @@ def cmd_report(run_dir: str | Path) -> dict:
             [token, repr(float(rho)), int(token == grouping.measure)]
             for token, rho in grouping.hubert_scores.items()))
 
-    groups = None
     if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr")):
         avg, crcr = (_read(out, name, lambda path: as_record(MappingReport, read_json(path)))
                      for name in ("mapping_avg", "mapping_cr_cr"))
-        groups = [(row.test_group, row.test_group_size) for row in avg.rows]
-        if groups != [(row.test_group, row.test_group_size) for row in crcr.rows]:
-            raise ArtifactError(f"{_artifact(out, 'mapping_avg')} and {_artifact(out, 'mapping_cr_cr')} "
-                                f"list different test groups")
         export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
-            [*group, a, c] for group, a, c in zip(groups, avg.chosen(), crcr.chosen())
+            [row.test_group, row.test_group_size, a, c] for row, a, c in zip(avg.rows, avg.chosen(), crcr.chosen())
         ))
     else:
         notices.append("mapping reports absent; mapping summary skipped")
 
     sizes = optional("cgf_test", lambda path: _grouping(path).group_sizes().tolist())
     if sizes is not None:
-        if groups is not None and sizes != [size for _, size in groups]:
-            raise ArtifactError(f"{_artifact(out, 'cgf_test')} group sizes differ from the mapping reports' "
-                                f"test group sizes")
         export("composition_test", ["group", "size"], enumerate(sizes))
 
     summary = {"written": written, "notices": notices}

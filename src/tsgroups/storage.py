@@ -79,6 +79,12 @@ _ARRAYS = {np.int64: ("i", "an array of ints"), np.float64: ("if", "an array of 
            np.bool_: ("b", "an array of true and false")}
 
 
+def _holds_bool(items: list) -> bool:
+    """Whether a JSON true or false is among ``items`` or in the lists they hold; numpy reads one as a number."""
+    kinds = set(map(type, items))
+    return bool in kinds or list in kinds and any(_holds_bool(x) for x in items if type(x) is list)
+
+
 @functools.cache
 def _decoder(hint):
     """The function from a JSON value that a field of type ``hint`` takes to the field's value."""
@@ -113,8 +119,9 @@ def _decoder(hint):
                           if isinstance(v, dict) else _refuse("a JSON object", v))
     if origin is np.ndarray:  # npt.NDArray[T]; an archive's tensor is an ndarray already; ragged raises
         kinds, expected = _ARRAYS[typing.get_args(args[-1])[0]]
-        return lambda v: (v if isinstance(v, np.ndarray) or isinstance(v, list)
-                          and (not v or np.asarray(v).dtype.kind in kinds) else _refuse(expected, v))
+        return lambda v: (v if isinstance(v, np.ndarray) or isinstance(v, list) and (
+            not v or np.asarray(v).dtype.kind in kinds and (kinds == "b" or not _holds_bool(v)))
+            else _refuse(expected, v))
     raise TypeError(f"no JSON decoding for a field of type {hint!r}")
 
 
@@ -237,10 +244,6 @@ def run_lock(directory: str | Path):
         lock_path.unlink(missing_ok=True)
 
 
-def _tensor_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def save_tensor_record(path: str | Path, record, tensor: str) -> None:
     """Record archive: field ``tensor`` as ``<tensor>.f8``, every other ``init`` field in ``header.json``.
 
@@ -252,7 +255,7 @@ def save_tensor_record(path: str | Path, record, tensor: str) -> None:
               if f.init and f.name != tensor}
     write_archive(path, {
         "header.json": canonical_json({**header, "shape": array.shape}).encode("utf-8"),
-        f"{tensor}.f8": _tensor_bytes(array),
+        f"{tensor}.f8": np.ascontiguousarray(array, dtype="<f8").tobytes(),
     })
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tsgroups.autoencoder import param_shapes
@@ -130,7 +131,9 @@ def test_ingest_without_any_source_exits_config(tmp_path):
     ({}, {"synthetic": {"frequencies": "abc"}}, EXIT_CONFIG,
      "config error: ingest.synthetic.frequencies must be a list, got 'abc'"),
     ({}, {"road": 7, "synthetic": {}}, EXIT_CONFIG, "config error: ingest.road must be a string, got 7"),
-], ids=["missing-root", "bad-column-map", "filename-list", "frequencies-string", "road-number"])
+    ({}, {"road": "FOO", "synthetic": {}}, EXIT_CONFIG,
+     "config error: ingest.road must be one of ('MOTORWAY', 'SECONDARY') or None, got 'FOO'"),
+], ids=["missing-root", "bad-column-map", "filename-list", "frequencies-string", "road-number", "road-unknown"])
 def test_ingest_with_a_bad_corpus_makes_no_run_directory(tmp_path, capsys, paths, ingest, code, message):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "r"), **paths}, "ingest": ingest}))
@@ -336,6 +339,23 @@ def json_edit(edit):
     return lambda raw: json.dumps(edit(json.loads(raw))).encode()
 
 
+def shift_first_vector(path):
+    """Row 0 of a representation archive moved by +1; the archive still reads."""
+    entries = read_archive(path)
+    width = json.loads(entries["header.json"])["shape"][1]
+    vectors = np.frombuffer(entries["vectors.f8"], dtype="<f8").copy()
+    vectors[:width] += 1.0
+    entries["vectors.f8"] = vectors.tobytes()
+    write_archive(path, entries)
+
+
+def swap_two_groups(data):
+    """Two rows of different groups trade places: still a valid grouping, with the same sizes."""
+    assignment = data["grouping"]["assignment"]
+    other = next(i for i, g in enumerate(assignment) if g != assignment[0])
+    assignment[0], assignment[other] = assignment[other], assignment[0]
+
+
 def old_model_layout(path):
     """The model file as it was written before it became an archive: a JSON header line, then the weights."""
     entries = read_archive(path)
@@ -390,6 +410,13 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
             lambda h: {k: v for k, v in h.items() if k != "labels"})), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["spec"].update(lane=1)), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
+        # Edits every reader takes; only the manifest's digest tells.
+        ("aecs_train.zip", shift_first_vector, "infer"),
+        ("mapping_avg.json", edit_json(lambda d: d["rows"][0]["candidate_distances"].__setitem__(
+            0, d["rows"][0]["candidate_distances"][0] + 1.0)), "report"),
+        ("manifest_train.json", lambda path: path.write_text("[]"), "infer"),
+        ("manifest_ingest.json", lambda path: path.unlink(), "train"),
+        ("manifest_ingest.json", lambda path: path.unlink(), "infer"),
     ] + [("model.bin", edit_entry("header.json", json_edit(edit)), "infer")
          for edit in MODEL_HEADER_EDITS] + [("model.bin", old_model_layout, "infer")]
     for index, (name, damage, verb) in enumerate(cases):
@@ -455,6 +482,10 @@ RECORD_DAMAGE = {
     "warnings-a-string": (BUNDLES, edit_json(lambda d: d.update(warnings="abc"))),
     # A K far above the row count is refused before any array of K ids is built.
     "K-far-above-rows": (CGF_FILES, edit_json(lambda d: d["grouping"].update(K=10**12))),
+    # Edits the records take; only the manifest's digest tells.
+    "two-rows-swapped": (CGF_FILES, edit_json(swap_two_groups)),
+    "weights-plus-one": (BUNDLES, edit_json(lambda d: d["models"][0].update(
+        weights=[[w + 1.0 for w in row] for row in d["models"][0]["weights"]]))),
 }
 # Damage only a check across files can find; every other row is refused by the file's own reader.
 ACROSS_FILES = {"one-feature-short", "K-not-model-count", "rows-not-aecs-train"}
@@ -572,6 +603,45 @@ def test_flipped_end_record_byte_reads_alike_or_names_the_file(completed_run, tm
             assert code == EXIT_IO, offset
             assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*; run train again\n", err), offset
             assert not (copy / "predictions.csv").exists()
+
+
+# Each writing verb, each verb that reads its manifest, and the first input that verb checks against it.
+MANIFEST_READERS = [
+    ("ingest", "train", "train_dataset"),
+    ("ingest", "infer", "test_dataset"),
+    ("ingest", "report", "train_dataset"),
+    ("train", "infer", "model"),
+    ("train", "report", "cgf_train"),
+    ("infer", "report", "mapping_avg"),
+]
+# Damage to a manifest, given the input whose entry it edits.
+MANIFEST_DAMAGE = {
+    "missing": lambda key: lambda path: path.unlink(),
+    "not-an-object": lambda key: lambda path: path.write_text("[]"),
+    "entry-removed": lambda key: edit_json(lambda d: d["files"].pop(key)),
+    "digest-changed": lambda key: edit_json(lambda d: d["files"].update({key: "0" * 64})),
+}
+
+
+@pytest.mark.parametrize("damage", MANIFEST_DAMAGE)
+@pytest.mark.parametrize("writer, verb, key", MANIFEST_READERS)
+def test_input_its_manifest_does_not_vouch_for_exits_io(completed_run, tmp_path, capsys, writer, verb, key,
+                                                        damage):
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    manifest, name = f"manifest_{writer}.json", ARTIFACTS[key]
+    MANIFEST_DAMAGE[damage](key)(copy / manifest)
+    (copy / "aecs_test.zip").unlink()  # infer's first write
+    before = {path.name: path.read_bytes() for path in copy.iterdir()}
+    args = ["report", "--out", str(copy)] if verb == "report" else [
+        verb, "--config", str(config_path), "--out", str(copy)]
+    capsys.readouterr()
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*\b{re.escape(manifest)}\b.*; "
+                        rf"run {writer} again\n", err), err
+    assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
 
 
 @pytest.mark.parametrize("verb", ["train", "infer"])

@@ -1,5 +1,6 @@
 """Deterministic artifact files: archives, records, digests, locks, round trips."""
 
+import copy
 import functools
 import hashlib
 import json
@@ -28,6 +29,7 @@ from tsgroups.pipeline import (
 )
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import (
+    FieldError,
     as_record,
     canonical_json,
     content_digest,
@@ -533,6 +535,29 @@ def test_field_types_take_json_numbers_but_not_true():
     ]:
         with pytest.raises(ValueError, match=message):
             as_record(cls, data)
+
+
+def test_number_arrays_take_no_json_true():
+    # numpy reads [0, true, 1] as an int array, so each item of a JSON list is looked at, nested rows too.
+    meta = {"driver_id": "D1", "behavior": "NORMAL", "road": "MOTORWAY", "session_id": "s"}
+    model = {"weights": [[0.5, 1.0], [-1.0, 2.0]], "bias": [0.0, 0.0], "seen_classes": [0, 1],
+             "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "n_train": 3}
+    bundle = {"models": [model], "class_presence": [[True, True]], "spec": {}, "aecs_model_id": "m",
+              "n_classes": 2}
+    dataset = {"windows": np.zeros((3, 4, 2)), "labels": [0, 1, 0], "meta": [meta] * 3, "class_names": ["a", "b"]}
+    for cls, data, path, where in [
+        (Grouping, {"assignment": [0, 1, 1], "K": 2, "measure": "CHEBYSHEV"}, ("assignment", 1), "assignment"),
+        (SoftmaxModel, model, ("weights", 1, 0), "weights"),
+        (SoftmaxModel, model, ("bias", 0), "bias"),
+        (GroupModelBundle, bundle, ("models", 0, "weights", 1, 0), "models[0].weights"),
+        (WindowedDataset, dataset, ("labels", 2), "labels"),
+    ]:
+        as_record(cls, data)
+        bad = copy.deepcopy(data)
+        *head, last = path
+        functools.reduce(operator.getitem, head, bad)[last] = True
+        with pytest.raises(FieldError, match=rf"^{re.escape(where)} must be an array of (ints|numbers), got "):
+            as_record(cls, bad)
 
 
 def test_json_encoder_rejects_unknown_objects():
