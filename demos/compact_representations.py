@@ -55,17 +55,17 @@ def main() -> None:
 
     config = AutoencoderConfig(hidden1=8, hidden2=4, epochs=args.epochs, seed=args.seed)
     params, report = fit(ds, config)
-    aecs = transform(params, ds, config)
+    vectors = transform(params, ds).vectors
     print(f"trained {len(report.train_losses)} epochs,"
           f" loss {report.train_losses[0]:.3f} -> {report.train_losses[-1]:.3f}")
-    print(f"compressed width: {aecs.width} ({flat_width // aecs.width}x smaller)\n")
+    print(f"compressed width: {vectors.shape[1]} ({flat_width // vectors.shape[1]}x smaller)\n")
 
     print("mean code per planted cell:")
     for c in range(4):
-        mean = aecs.vectors[cell == c].mean(axis=0)
+        mean = vectors[cell == c].mean(axis=0)
         print(f"  archetype {c // 2}, class {c % 2}: {np.round(mean, 2)}")
 
-    selection = select_best_measure(aecs.vectors, k=4)
+    selection = select_best_measure(vectors, k=4)
     score = adjusted_rand(selection.assignment, cell)
     print(f"\nclustering the codes at k=4 ({selection.measure.value})"
           f" matches the planted cells with adjusted Rand {score:.2f}")

@@ -39,21 +39,21 @@ def main() -> None:
 
     ae_config = AutoencoderConfig(hidden1=8, hidden2=4, epochs=12, seed=9)
     params, _ = fit(train_ds, ae_config)
-    train_aecs = transform(params, train_ds, ae_config)
-    test_aecs = transform(params, test_ds, ae_config)
+    train_vectors = transform(params, train_ds).vectors
+    test_vectors = transform(params, test_ds).vectors
 
-    result = form_consistent_groups(train_aecs.vectors, CgfConfig(tau=0.05))
+    result = form_consistent_groups(train_vectors, CgfConfig(tau=0.05))
     print(f"group formation: K={result.grouping.K} ({result.grouping.measure})")
 
     clf = ClassifierSpec(kind="SOFTMAX_STATS", epochs=300, seed=9)
-    grouped = train_per_group(train_ds, train_aecs, result.grouping.assignment, clf)
-    single = train_single_baseline(train_ds, train_aecs, clf)
+    grouped = train_per_group(train_ds, train_vectors, result.grouping.assignment, clf)
+    single = train_single_baseline(train_ds, train_vectors, clf)
 
-    test_groups = form_consistent_groups(test_aecs.vectors, CgfConfig(tau=0.05))
+    test_groups = form_consistent_groups(test_vectors, CgfConfig(tau=0.05))
     grouped_pred, report = infer_with_groups(
-        grouped, train_aecs, test_ds, test_aecs, test_groups.grouping,
+        grouped, train_vectors, test_ds, test_vectors, test_groups.grouping,
         method=MappingMethod.AVG, train_grouping=result.grouping)
-    single_pred = predict(single, 0, test_ds.windows, test_aecs.vectors)
+    single_pred = predict(single, 0, test_ds.windows, test_vectors)
 
     m_grouped = evaluate_metrics(grouped_pred, test_ds.labels, test_ds.n_classes)
     m_single = evaluate_metrics(single_pred, test_ds.labels, test_ds.n_classes)

@@ -724,8 +724,7 @@ def fit(dataset: WindowedDataset | np.ndarray,
     return _views(best, param_shapes(d, config.hidden1, config.hidden2)), report
 
 
-def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarray,
-              config: AutoencoderConfig) -> AecsMatrix:
+def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarray) -> AecsMatrix:
     """Encode every window in one pass; row i of the result represents window i."""
     x = dataset.windows if isinstance(dataset, WindowedDataset) else np.asarray(dataset, dtype=np.float64)
     if x.ndim != 3:
@@ -742,7 +741,7 @@ def transform(params: dict[str, np.ndarray], dataset: WindowedDataset | np.ndarr
     vectors = _encode(forward["enc"], x, enc, hidden1).copy().T
     if not np.all(np.isfinite(vectors)):
         raise DivergenceError("encoder produced non-finite representation values")
-    return AecsMatrix(vectors=vectors, source_model_id=model_id(params, config, d_expected))
+    return AecsMatrix(vectors)
 
 
 def model_id(params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> str:
@@ -782,15 +781,12 @@ class SavedModel:
         return _views(self.weights, param_shapes(self.d, self.config.hidden1, self.config.hidden2))
 
 
-def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> str:
-    """Write the model as a ``SavedModel`` archive and return its id."""
+def save_model(path: str, params: dict[str, np.ndarray], config: AutoencoderConfig, d: int) -> None:
+    """Write the model as a ``SavedModel`` archive."""
     weights = np.concatenate([params[key].ravel() for key in param_shapes(d, config.hidden1, config.hidden2)])
-    record = SavedModel(config, d, weights, model_id(params, config, d))
-    save_tensor_record(path, record, "weights")
-    return record.model_id
+    save_tensor_record(path, SavedModel(config, d, weights, model_id(params, config, d)), "weights")
 
 
-def load_model(path: str) -> tuple[dict[str, np.ndarray], AutoencoderConfig, int]:
-    """Inverse of save_model: (params, config, d) of a file its ``SavedModel`` accepts."""
-    record = load_tensor_record(path, SavedModel, "weights")
-    return record.params, record.config, record.d
+def load_model(path: str) -> SavedModel:
+    """Inverse of save_model: the ``SavedModel`` record of ``path``."""
+    return load_tensor_record(path, SavedModel, "weights")

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from .types import DistanceMeasureId, vectors_fingerprint
+from .types import DistanceMeasureId
 
 
 MEASURE_ORDER = (
@@ -34,7 +34,7 @@ EPSILON_FLOOR = 1e-12
 
 @dataclass
 class MahalanobisContext:
-    """Inverse regularized covariance plus a fingerprint of the fitting set.
+    """Inverse regularized covariance of a vector set; callers fit it on the train side only.
 
     ``whitening`` is the lower Cholesky factor ``L`` of the inverse
     covariance (``L Lᵀ = C'⁻¹``). It is derived here, so hand-built
@@ -44,7 +44,6 @@ class MahalanobisContext:
 
     inverse_covariance: np.ndarray
     epsilon: float
-    source_fingerprint: str
     whitening: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,8 +88,7 @@ def fit_mahalanobis(vectors: np.ndarray, epsilon_scale: float = 1e-6) -> Mahalan
     inv_chol = np.linalg.inv(chol)
     inverse = inv_chol.T @ inv_chol
 
-    return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon,
-                              source_fingerprint=vectors_fingerprint(x))
+    return MahalanobisContext(inverse_covariance=inverse, epsilon=epsilon)
 
 
 # Scratch bytes one kernel call holds besides its output; sets the rows per block.

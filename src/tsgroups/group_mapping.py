@@ -5,7 +5,8 @@ group representatives (mean vectors) or through the average of all
 cross-group instance distances; the closest train group's model then
 predicts that test group's instances. Distances always use the measure
 selected on the train side, with any Mahalanobis context fitted on
-train representations only.
+train representations only. Every function here takes the plain (M, h)
+representation vectors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .distances import (
 )
 from .grouped import GroupModelBundle, predict
 from .hierarchy import centroids
-from .types import AecsMatrix, Grouping, WindowedDataset
+from .types import Grouping, WindowedDataset
 
 
 class MappingMethod(str, enum.Enum):
@@ -82,7 +83,6 @@ class MappingReport:
     method: MappingMethod
     measure: DistanceMeasureId
     rows: list[MappingRow] = field(default_factory=list)
-    test_grouping_fingerprint: str = ""
 
     def __post_init__(self) -> None:
         self.method = MappingMethod(self.method)
@@ -94,9 +94,9 @@ class MappingReport:
 
 def infer_with_groups(
     bundle: GroupModelBundle,
-    train_aecs: AecsMatrix,
+    train_vectors: np.ndarray,
     test_ds: WindowedDataset | None,
-    test_aecs: AecsMatrix,
+    test_vectors: np.ndarray,
     test_grouping: Grouping,
     method: MappingMethod = MappingMethod.AVG,
     *,
@@ -107,37 +107,27 @@ def infer_with_groups(
 
     ``train_grouping`` is the grouping the bundle's models were trained
     on, one model per group; distances use its measure. A Mahalanobis
-    context, when needed, must descend from the train representations;
+    context, when needed, is the caller's to fit on ``train_vectors``;
     one is fitted here when not supplied.
     """
     method = MappingMethod(method)
-    if (train_grouping.K, train_grouping.n_instances) != (bundle.n_groups, train_aecs.n_instances):
+    if (train_grouping.K, train_grouping.n_instances) != (bundle.n_groups, len(train_vectors)):
         raise ValueError(f"train grouping of {train_grouping.K} groups over {train_grouping.n_instances} rows "
-                         f"does not fit {bundle.n_groups} models and {train_aecs.n_instances} train vectors")
-    if test_aecs.n_instances != test_grouping.n_instances:
-        raise ValueError(
-            f"{test_aecs.n_instances} test vectors vs {test_grouping.n_instances} grouped instances"
-        )
-    if test_ds is not None and test_ds.n_windows != test_aecs.n_instances:
-        raise ValueError(f"{test_ds.n_windows} test windows vs {test_aecs.n_instances} vectors")
+                         f"does not fit {bundle.n_groups} models and {len(train_vectors)} train vectors")
+    if len(test_vectors) != test_grouping.n_instances:
+        raise ValueError(f"{len(test_vectors)} test vectors vs {test_grouping.n_instances} grouped instances")
+    if test_ds is not None and test_ds.n_windows != len(test_vectors):
+        raise ValueError(f"{test_ds.n_windows} test windows vs {len(test_vectors)} vectors")
     measure = train_grouping.measure
-    if measure is DistanceMeasureId.MAHALANOBIS:
-        if ctx is None:
-            ctx = fit_mahalanobis(train_aecs.vectors)
-        elif ctx.source_fingerprint and ctx.source_fingerprint != train_aecs.fingerprint():
-            raise ValueError("Mahalanobis context was not fitted on the train representations")
+    if measure is DistanceMeasureId.MAHALANOBIS and ctx is None:
+        ctx = fit_mahalanobis(train_vectors)
 
-    test_x = test_aecs.vectors
-    predictions = np.empty(test_aecs.n_instances, dtype=np.int64)
-    report = MappingReport(
-        method=method,
-        measure=measure,
-        test_grouping_fingerprint=test_grouping.fingerprint(),
-    )
+    predictions = np.empty(len(test_vectors), dtype=np.int64)
+    report = MappingReport(method=method, measure=measure)
     for j in range(test_grouping.K):
         members = test_grouping.members(j)
-        block = test_x[members]
-        candidates = candidate_distances(method, train_aecs.vectors, train_grouping, block, measure, ctx)
+        block = test_vectors[members]
+        candidates = candidate_distances(method, train_vectors, train_grouping, block, measure, ctx)
         chosen = int(np.argmin(candidates))
         report.rows.append(MappingRow(
             test_group=j,

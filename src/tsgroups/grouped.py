@@ -1,10 +1,12 @@
 """One classifier per consistent train group.
 
-Each group's instances train an independent model; a bundle collects
-the models and which classes each group held, but not the grouping,
-which the grouping result (``cgf_train.json``) keeps. A single-model
-baseline is the same machinery run on an all-zeros assignment, so the
-two stay comparable by construction.
+Each group's instances train an independent model on the plain (M, h)
+representation vectors; a bundle collects the models, which classes each
+group held and the classifier kind ``predict`` needs. It keeps neither
+the grouping, which the grouping result (``cgf_train.json``) keeps, nor
+the learning settings, which the train manifest's config keeps. A
+single-model baseline is the same machinery run on an all-zeros
+assignment, so the two stay comparable by construction.
 """
 
 from __future__ import annotations
@@ -15,19 +17,18 @@ from pathlib import Path
 import numpy as np
 import numpy.typing as npt
 
-from .classifiers import ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
+from .classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
 from .storage import as_record, read_json, write_json
-from .types import AecsMatrix, WindowedDataset
+from .types import WindowedDataset
 
 
 @dataclass
 class GroupModelBundle:
-    """K trained models, one per group, with the classes each group held."""
+    """K trained models, one per group, with the classes each group held and the features they read."""
 
     models: list[SoftmaxModel]
     class_presence: npt.NDArray[np.bool_]
-    spec: ClassifierSpec
-    aecs_model_id: str
+    kind: ClassifierKind
     n_classes: int
     warnings: list[str] = field(default_factory=list)
 
@@ -57,22 +58,23 @@ def load_bundle(path: str | Path) -> GroupModelBundle:
     return as_record(GroupModelBundle, read_json(path))
 
 
-def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, assignment: np.ndarray,
+def train_per_group(ds: WindowedDataset, vectors: np.ndarray, assignment: np.ndarray,
                     spec: ClassifierSpec) -> GroupModelBundle:
     """Train model i on exactly the instances ``assignment`` puts in group i.
 
+    ``vectors`` holds the (M, h) representation of ``ds``, one row per window.
     Groups missing some class train on what they have and will never
     predict the absent classes; single-class groups degenerate to
     constant predictors and are flagged in the bundle's warnings.
     """
-    if aecs.n_instances != ds.n_windows:
-        raise ValueError(f"{aecs.n_instances} vectors vs {ds.n_windows} windows")
+    if len(vectors) != ds.n_windows:
+        raise ValueError(f"{len(vectors)} vectors vs {ds.n_windows} windows")
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (ds.n_windows,):
         raise ValueError(f"assignment has shape {assignment.shape}, dataset has {ds.n_windows} windows")
     n_groups = np.bincount(assignment).size  # raises on a negative group id
 
-    features = extract_features(spec.kind, ds.windows, aecs.vectors)
+    features = extract_features(spec.kind, ds.windows, vectors)
     models: list[SoftmaxModel] = []
     warnings: list[str] = []
     presence = np.zeros((n_groups, ds.n_classes), dtype=bool)
@@ -88,8 +90,7 @@ def train_per_group(ds: WindowedDataset, aecs: AecsMatrix, assignment: np.ndarra
     return GroupModelBundle(
         models=models,
         class_presence=presence,
-        spec=spec,
-        aecs_model_id=aecs.source_model_id,
+        kind=spec.kind,
         n_classes=ds.n_classes,
         warnings=warnings,
     )
@@ -103,11 +104,11 @@ def predict(bundle: GroupModelBundle, model_index: int, windows: np.ndarray | No
     n = windows.shape[0] if windows is not None else aecs_vectors.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    features = extract_features(bundle.spec.kind, windows, aecs_vectors)
+    features = extract_features(bundle.kind, windows, aecs_vectors)
     return predict_softmax(bundle.models[model_index], features)
 
 
-def train_single_baseline(ds: WindowedDataset, aecs: AecsMatrix,
+def train_single_baseline(ds: WindowedDataset, vectors: np.ndarray,
                           spec: ClassifierSpec) -> GroupModelBundle:
     """The ungrouped benchmark: one model on the full training set."""
-    return train_per_group(ds, aecs, np.zeros(ds.n_windows, dtype=np.int64), spec)
+    return train_per_group(ds, vectors, np.zeros(ds.n_windows, dtype=np.int64), spec)

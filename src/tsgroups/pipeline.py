@@ -347,20 +347,20 @@ def cmd_train(config: PipelineConfig) -> dict:
         write_json(run.path("train_report"), report)
 
         with run.stage("transform"):
-            aecs = ae.transform(params, ds, config.autoencoder)
-        save_aecs(run.path("aecs_train"), aecs)
+            vectors = ae.transform(params, ds).vectors
+        save_aecs(run.path("aecs_train"), vectors)
 
         with run.stage("cgf"):
-            cgf_result = form_consistent_groups(aecs.vectors, config.cgf)
+            cgf_result = form_consistent_groups(vectors, config.cgf)
         grouping = cgf_result.grouping
         write_json(run.path("cgf_train"), cgf_result)
 
         with run.stage("train_groups"):
-            bundle = train_per_group(ds, aecs, grouping.assignment, config.classifier)
+            bundle = train_per_group(ds, vectors, grouping.assignment, config.classifier)
         save_bundle(run.path("bundle_grouped"), bundle)
 
         with run.stage("train_baseline"):
-            baseline = train_single_baseline(ds, aecs, config.classifier)
+            baseline = train_single_baseline(ds, vectors, config.classifier)
         save_bundle(run.path("bundle_baseline"), baseline)
 
     return {
@@ -397,8 +397,8 @@ def cmd_infer(config: PipelineConfig) -> dict:
     """Group the test set, route groups to models, score the predictions."""
     out = config.out_dir
     test_ds = _read(out, "test_dataset", load_dataset)
-    params, model_config, _ = _read(out, "model", ae.load_model)
-    train_aecs = _read(out, "aecs_train", load_aecs)
+    model = _read(out, "model", ae.load_model)
+    train_vectors = _read(out, "aecs_train", load_aecs).vectors
     config.cgf.effective_k_max(test_ds.n_windows, "the test split")  # before any artifact is written
     bundle = _read(out, "bundle_grouped", load_bundle)
     baseline = _read(out, "bundle_baseline", load_bundle)
@@ -406,23 +406,23 @@ def cmd_infer(config: PipelineConfig) -> dict:
 
     with _writing_run(config, "manifest_infer") as run:
         with run.stage("transform"):
-            test_aecs = ae.transform(params, test_ds, model_config)
-        save_aecs(run.path("aecs_test"), test_aecs)
+            test_vectors = ae.transform(model.params, test_ds).vectors
+        save_aecs(run.path("aecs_test"), test_vectors)
 
         with run.stage("test_cgf"):
-            test_cgf = form_consistent_groups(test_aecs.vectors, config.cgf)
+            test_cgf = form_consistent_groups(test_vectors, config.cgf)
         test_grouping = test_cgf.grouping
         write_json(run.path("cgf_test"), test_cgf)
 
         measure = train_grouping.measure
-        ctx = (fit_mahalanobis(train_aecs.vectors)
+        ctx = (fit_mahalanobis(train_vectors)
                if measure is DistanceMeasureId.MAHALANOBIS else None)
 
         with run.stage("mapping"):
             results = {}
             for method in (MappingMethod.AVG, MappingMethod.CR_CR):
                 results[method] = infer_with_groups(
-                    bundle, train_aecs, test_ds, test_aecs, test_grouping,
+                    bundle, train_vectors, test_ds, test_vectors, test_grouping,
                     method=method, train_grouping=train_grouping, ctx=ctx,
                 )
         write_json(run.path("mapping_avg"), results[MappingMethod.AVG][1])
@@ -434,7 +434,7 @@ def cmd_infer(config: PipelineConfig) -> dict:
 
         grouped_metrics = evaluate_metrics(predictions, test_ds.labels, test_ds.n_classes)
         write_json(run.path("metrics"), grouped_metrics)
-        baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_aecs.vectors)
+        baseline_pred = bundle_predict(baseline, 0, test_ds.windows, test_vectors)
         baseline_metrics = evaluate_metrics(baseline_pred, test_ds.labels, test_ds.n_classes)
         report = {
             "mapping_method": config.mapping.method.value,
@@ -466,17 +466,15 @@ def _pca_2d(x: np.ndarray) -> np.ndarray:
 
 
 def cmd_report(run_dir: str | Path) -> dict:
-    """Export composition tables, projection coordinates, and score bars."""
+    """Export composition tables, projection coordinates, and score bars.
+
+    Every input is read through ``_read`` before any table is written, so a report that fails writes nothing.
+    """
     out = Path(run_dir)
     if not out.is_dir():
         raise ArtifactError(f"run directory {out} does not exist")
     notices: list[str] = []
     written: dict[str, str] = {}
-
-    def export(name: str, header: list[str], rows) -> None:
-        path = out / f"{name}.csv"
-        _write_csv(path, header, rows)
-        written[name] = str(path)
 
     def optional(name: str, reader, skipped: str | None = None):
         """Artifact ``name`` through ``_read``; if the file is missing, None, noting what is ``skipped``."""
@@ -486,20 +484,31 @@ def cmd_report(run_dir: str | Path) -> dict:
         if skipped:
             notices.append(f"missing {path}; {skipped} skipped")
 
-    cgf_path = _artifact(out, "cgf_train")
     grouping = optional("cgf_train", _grouping, "group-based tables")
-    # Without a grouping the per-row files are only looked for and checked against their manifest.
-    ds = optional("train_dataset", lambda path: grouping and load_dataset(path), "composition table")
-    if ds is not None:
-        # Files of two verbs: ingest may run again after train, and its new manifest vouches for its dataset.
-        if grouping.n_instances != ds.n_windows:
-            raise ArtifactError(f"{cgf_path} and {_artifact(out, 'train_dataset')} differ in row count")
+    ds = optional("train_dataset", load_dataset, "composition table")
+    aecs = optional("aecs_train", load_aecs, "projection export")
+    mappings = None
+    if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr")):
+        mappings = [_read(out, name, lambda path: as_record(MappingReport, read_json(path)))
+                    for name in ("mapping_avg", "mapping_cr_cr")]
+    else:
+        notices.append("mapping reports absent; mapping summary skipped")
+    test_grouping = optional("cgf_test", _grouping)
+    # Files of two verbs: ingest may run again after train, and its new manifest vouches for its dataset.
+    if grouping is not None and ds is not None and grouping.n_instances != ds.n_windows:
+        raise ArtifactError(f"{_artifact(out, 'cgf_train')} and {_artifact(out, 'train_dataset')} differ in row count")
+
+    def export(name: str, header: list[str], rows) -> None:
+        path = out / f"{name}.csv"
+        _write_csv(path, header, rows)
+        written[name] = str(path)
+
+    if grouping is not None and ds is not None:
         counts = Counter((int(g), wm.driver_id, wm.behavior)
                          for g, wm in zip(grouping.assignment, ds.meta))
         export("composition_train", ["group", "driver_id", "behavior", "count"],
                ([*key, counts[key]] for key in sorted(counts)))
-    aecs = optional("aecs_train", lambda path: grouping and load_aecs(path), "projection export")
-    if aecs is not None:
+    if grouping is not None and aecs is not None:
         coords = _pca_2d(aecs.vectors)
         export("pca_train", ["index", "pc1", "pc2", "group"], (
             [i, repr(float(coords[i, 0])), repr(float(coords[i, 1])), int(grouping.assignment[i])]
@@ -509,21 +518,14 @@ def cmd_report(run_dir: str | Path) -> dict:
         export("hubert_scores", ["measure", "rho", "selected"], (
             [token, repr(float(rho)), int(token == grouping.measure)]
             for token, rho in grouping.hubert_scores.items()))
-
-    if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr")):
-        avg, crcr = (_read(out, name, lambda path: as_record(MappingReport, read_json(path)))
-                     for name in ("mapping_avg", "mapping_cr_cr"))
+    if mappings is not None:
+        avg, crcr = mappings
         export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
             [row.test_group, row.test_group_size, a, c] for row, a, c in zip(avg.rows, avg.chosen(), crcr.chosen())
         ))
-    else:
-        notices.append("mapping reports absent; mapping summary skipped")
-
-    sizes = optional("cgf_test", lambda path: _grouping(path).group_sizes().tolist())
-    if sizes is not None:
-        export("composition_test", ["group", "size"], enumerate(sizes))
+    if test_grouping is not None:
+        export("composition_test", ["group", "size"], enumerate(test_grouping.group_sizes().tolist()))
 
     summary = {"written": written, "notices": notices}
     write_json(out / "report_summary.json", summary)
     return summary
-

@@ -280,8 +280,8 @@ def load_dataset(path: str | Path) -> WindowedDataset:
     return load_tensor_record(path, WindowedDataset, "windows")
 
 
-def save_aecs(path: str | Path, aecs: AecsMatrix) -> None:
-    save_tensor_record(path, aecs, "vectors")
+def save_aecs(path: str | Path, vectors: np.ndarray) -> None:
+    save_tensor_record(path, AecsMatrix(vectors), "vectors")
 
 
 def load_aecs(path: str | Path) -> AecsMatrix:

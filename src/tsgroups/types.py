@@ -2,13 +2,14 @@
 
 All types validate their invariants at construction and are treated as
 immutable afterwards; operations elsewhere in the library are pure functions
-over them, so instances are safe to share across threads.
+over them, so instances are safe to share across threads. A type holds only
+what its readers use: where an artifact came from is its content digest in
+its writer's manifest, not a tag inside it.
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,20 +101,15 @@ class WindowedDataset:
         )
 
 
-def vectors_fingerprint(x: np.ndarray) -> str:
-    """SHA-256 of a C-contiguous float64 vector set: its shape, then its bytes."""
-    h = hashlib.sha256()
-    h.update(str(x.shape).encode())
-    h.update(x.tobytes())
-    return h.hexdigest()
-
-
 @dataclass
 class AecsMatrix:
-    """Compact per-window representation: one h-vector per window."""
+    """Compact per-window representation: one h-vector per window.
+
+    The record of ``aecs_*.zip`` and what ``transform`` returns; every
+    function below the pipeline takes the plain ``vectors``.
+    """
 
     vectors: npt.NDArray[np.float64]
-    source_model_id: str
 
     def __post_init__(self) -> None:
         self.vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -121,17 +117,6 @@ class AecsMatrix:
             raise ValueError(f"vectors must be (M, h), got shape {self.vectors.shape}")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("representation contains NaN/Inf")
-
-    @property
-    def n_instances(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.vectors.shape[1]
-
-    def fingerprint(self) -> str:
-        return vectors_fingerprint(self.vectors)
 
 
 @dataclass
@@ -166,13 +151,6 @@ class Grouping:
 
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.K)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.assignment.tobytes())
-        h.update(str(self.K).encode())
-        h.update(self.measure.encode())
-        return h.hexdigest()
 
 
 @dataclass

@@ -33,7 +33,7 @@ from tsgroups.hierarchy import Linkage, agglomerate, hubert_statistic, select_be
 from tsgroups.pipeline import cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import content_digest, file_digest
-from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import Grouping, WindowedDataset, WindowMeta
 
 from reference import gradient_check, naive_chebyshev, naive_mahalanobis, naive_manhattan
 from synthdata import (
@@ -263,48 +263,46 @@ def blob_world(seed=5):
         meta=meta,
         class_names=["c0", "c1"],
     )
-    aecs = AecsMatrix(vectors=x, source_model_id="m-accept")
-    return ds, aecs
+    return ds, x
 
 
 @pytest.mark.acceptance("self-mapping routes every group to itself")
 def test_self_mapping_routes_groups_to_themselves():
-    ds, aecs = blob_world()
-    train_result = form_consistent_groups(aecs.vectors, CgfConfig(tau=0.05))
+    ds, vectors = blob_world()
+    train_result = form_consistent_groups(vectors, CgfConfig(tau=0.05))
     grouping = train_result.grouping
     assert grouping.K == 3
-    bundle = train_per_group(ds, aecs, grouping.assignment, ClassifierSpec(epochs=50))
+    bundle = train_per_group(ds, vectors, grouping.assignment, ClassifierSpec(epochs=50))
 
-    test_result = form_consistent_groups(aecs.vectors, CgfConfig(tau=0.05))
+    test_result = form_consistent_groups(vectors, CgfConfig(tau=0.05))
     assert np.array_equal(test_result.grouping.assignment, grouping.assignment)
 
     for method in (MappingMethod.CR_CR, MappingMethod.AVG):
         preds, report = infer_with_groups(
-            bundle, aecs, None, aecs, test_result.grouping, method=method, train_grouping=grouping)
+            bundle, vectors, None, vectors, test_result.grouping, method=method, train_grouping=grouping)
         assert report.chosen() == list(range(grouping.K))
         for g in range(grouping.K):
             members = grouping.members(g)
-            expected = predict(bundle, g, None, aecs.vectors[members])
+            expected = predict(bundle, g, None, vectors[members])
             assert np.array_equal(preds[members], expected)
 
 
 @pytest.mark.acceptance("a forced single group is bit-identical to the baseline")
 def test_forced_single_group_equals_baseline():
-    ds, aecs = blob_world(seed=6)
+    ds, vectors = blob_world(seed=6)
     spec = ClassifierSpec(epochs=50)
-    forced = train_per_group(ds, aecs, np.zeros(ds.n_windows, dtype=np.int64), spec)
-    baseline = train_single_baseline(ds, aecs, spec)
+    forced = train_per_group(ds, vectors, np.zeros(ds.n_windows, dtype=np.int64), spec)
+    baseline = train_single_baseline(ds, vectors, spec)
     assert np.array_equal(forced.models[0].weights, baseline.models[0].weights)
     assert np.array_equal(forced.models[0].bias, baseline.models[0].bias)
     assert np.array_equal(forced.models[0].feature_mean, baseline.models[0].feature_mean)
     assert np.array_equal(forced.models[0].feature_std, baseline.models[0].feature_std)
 
     rng = seeded_rng(derive_seed(7, "probe-instances"))
-    probe = rng.normal(size=(9, aecs.width))
-    probe_aecs = AecsMatrix(vectors=probe, source_model_id="m-accept")
+    probe = rng.normal(size=(9, vectors.shape[1]))
     probe_group = Grouping(assignment=np.zeros(9, dtype=np.int64), K=1, measure="CHEBYSHEV")
     train_group = Grouping(assignment=np.zeros(ds.n_windows, dtype=np.int64), K=1, measure="CHEBYSHEV")
-    preds, report = infer_with_groups(forced, aecs, None, probe_aecs, probe_group,
+    preds, report = infer_with_groups(forced, vectors, None, probe, probe_group,
                                       train_grouping=train_group)
     assert report.chosen() == [0]
     assert np.array_equal(preds, predict(baseline, 0, None, probe))

@@ -79,8 +79,8 @@ def test_init_param_shapes_and_forget_bias():
 def test_encode_is_pure_and_shapes_hold():
     params = ae.init_params(TINY, d=2, seed=0)
     w = tiny_window()
-    v1 = ae.transform(params, w[None], TINY).vectors[0]
-    v2 = ae.transform(params, w[None], TINY).vectors[0]
+    v1 = ae.transform(params, w[None]).vectors[0]
+    v2 = ae.transform(params, w[None]).vectors[0]
     assert v1.shape == (2,)
     assert np.array_equal(v1, v2)
 
@@ -90,10 +90,10 @@ def test_transform_rows_match_encode():
     windows = np.stack([tiny_window(i) for i in range(5)])
     windows[3] = windows[0]
     ds = windows
-    aecs = ae.transform(params, ds, TINY)
+    aecs = ae.transform(params, ds)
     assert aecs.vectors.shape == (5, 2)
     assert np.array_equal(aecs.vectors[0], aecs.vectors[3])
-    single = ae.transform(params, windows[:1], TINY)
+    single = ae.transform(params, windows[:1])
     assert single.vectors.shape == (1, 2)
     assert np.allclose(single.vectors[0], aecs.vectors[0], rtol=0.0, atol=1e-12)
 
@@ -161,7 +161,7 @@ def test_divergence_raises():
     params = ae.init_params(TINY, d=2, seed=0)
     params["enc1.W"] += np.nan
     with pytest.raises(DivergenceError):
-        ae.transform(params, tiny_window()[None], TINY)
+        ae.transform(params, tiny_window()[None])
 
 
 def test_divergent_training_step_raises():
@@ -246,12 +246,12 @@ def test_model_round_trip(tmp_path):
     params = ae.init_params(cfg, d=3, seed=7)
     path = tmp_path / "model.bin"
     ae.save_model(path, params, cfg, d=3)
-    loaded, loaded_cfg, d = ae.load_model(path)
-    assert d == 3
-    assert loaded_cfg == cfg
+    loaded = ae.load_model(path)
+    assert loaded.d == 3
+    assert loaded.config == cfg
     for key in params:
-        assert np.array_equal(params[key], loaded[key])
-    assert ae.model_id(params, cfg, 3) == ae.model_id(loaded, loaded_cfg, d)
+        assert np.array_equal(params[key], loaded.params[key])
+    assert loaded.model_id == ae.model_id(params, cfg, 3)
 
 
 def test_model_digest_detects_corruption(tmp_path):
@@ -373,7 +373,7 @@ def test_training_keeps_float64_master_weights():
     ds = make_dataset(m=16)
     fitted, _ = ae.fit(ds, cfg)
     assert all(p.dtype == np.float64 for p in fitted.values())
-    assert ae.transform(fitted, ds, cfg).vectors.dtype == np.float64
+    assert ae.transform(fitted, ds).vectors.dtype == np.float64
 
 
 def _one_step(w, b, x, h_prev, c_prev, dh, dc):
@@ -465,7 +465,7 @@ def test_saturated_gates_are_exact_and_silent():
             assert sig.size > 0 and np.all((sig == 0.0) | (sig == 1.0))
             grads = ae._backward(workspace, xs)
             assert np.isfinite(loss) and np.all(np.isfinite(ae._buffer(grads)))
-        assert np.all(np.isfinite(ae.transform(params, windows, TINY).vectors))
+        assert np.all(np.isfinite(ae.transform(params, windows).vectors))
 
 
 @pytest.mark.parametrize("batch", [9, 17, 65, 300])
@@ -473,7 +473,7 @@ def test_identical_windows_encode_identically_at_every_batch_position(batch):
     cfg = ae.AutoencoderConfig()
     params = ae.init_params(cfg, d=6, seed=0)
     window = seeded_rng(derive_seed(batch, "batch-position")).standard_normal((64, 6))
-    vectors = ae.transform(params, np.repeat(window[None], batch, axis=0), cfg).vectors
+    vectors = ae.transform(params, np.repeat(window[None], batch, axis=0)).vectors
     assert np.array_equal(vectors, np.repeat(vectors[:1], batch, axis=0))
 
 
@@ -492,8 +492,8 @@ def test_transform_row_does_not_depend_on_its_neighbours():
     # 257 = 256 + 1: a chunked encoder would see the last window alone.
     params = ae.init_params(ae.AutoencoderConfig(), d=6, seed=0)
     x = seeded_rng(derive_seed(0, "transform-prefix")).standard_normal((300, 64, 6))
-    head = ae.transform(params, x[:257], ae.AutoencoderConfig()).vectors
-    assert np.array_equal(head, ae.transform(params, x, ae.AutoencoderConfig()).vectors[:257])
+    head = ae.transform(params, x[:257]).vectors
+    assert np.array_equal(head, ae.transform(params, x).vectors[:257])
 
 
 def test_cache_filling_pass_gives_same_loss():
@@ -533,7 +533,7 @@ def test_transform_keeps_no_step_caches():
     params = ae.init_params(cfg, d=6, seed=0)
     x = seeded_rng(derive_seed(0, "transform-memory")).standard_normal((1024, 64, 6))
     # The input alone is 3 MiB; one cache per step and layer would be ~60 MiB.
-    assert _peak_mib(lambda: ae.transform(params, x, cfg)) < 16.0
+    assert _peak_mib(lambda: ae.transform(params, x)) < 16.0
 
 
 def test_validation_loss_keeps_no_step_caches():

@@ -252,6 +252,23 @@ def test_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["autoencoder"]["seed"] == 11
 
 
+def test_classifier_seed_moves_no_bundle(completed_run, tmp_path):
+    # Softmax training starts from zero weights and uses no randomness; the seed is recorded in the manifest only.
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    config = json.loads(config_path.read_text())
+    config["paths"]["out_dir"] = str(copy)
+    config["classifier"]["seed"] += 1
+    other = tmp_path / "config.json"
+    other.write_text(json.dumps(config))
+    assert main(["train", "--config", str(other)]) == EXIT_OK
+    for name in ("bundle_grouped.json", "bundle_baseline.json"):
+        assert content_digest(copy / name) == content_digest(run_dir / name), name
+    manifest = json.loads((copy / "manifest_train.json").read_text())
+    assert manifest["config"]["classifier"]["seed"] == manifest["seeds"]["classifier"] == config["classifier"]["seed"]
+
+
 def test_flags_replace_only_their_values(tmp_path):
     config_path, _ = write_config(tmp_path)
     parse = build_parser().parse_args
@@ -408,7 +425,9 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
          "infer"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
             lambda h: {k: v for k, v in h.items() if k != "labels"})), "infer"),
-        ("bundle_grouped.json", edit_json(lambda d: d["spec"].update(lane=1)), "infer"),
+        ("bundle_grouped.json", edit_json(lambda d: d.update(kind="SOFTMAX_RAW")), "infer"),
+        # Files written before the records dropped their provenance tags.
+        ("bundle_grouped.json", edit_json(lambda d: d.update(spec={"kind": d.pop("kind")})), "infer"),
         ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
         # Edits every reader takes; only the manifest's digest tells.
         ("aecs_train.zip", shift_first_vector, "infer"),
@@ -614,6 +633,9 @@ MANIFEST_READERS = [
     ("train", "report", "cgf_train"),
     ("infer", "report", "mapping_avg"),
 ]
+# What report writes.
+REPORT_OUTPUTS = ["composition_train.csv", "pca_train.csv", "hubert_scores.csv", "mapping_summary.csv",
+                  "composition_test.csv", "report_summary.json"]
 # Damage to a manifest, given the input whose entry it edits.
 MANIFEST_DAMAGE = {
     "missing": lambda key: lambda path: path.unlink(),
@@ -633,6 +655,9 @@ def test_input_its_manifest_does_not_vouch_for_exits_io(completed_run, tmp_path,
     manifest, name = f"manifest_{writer}.json", ARTIFACTS[key]
     MANIFEST_DAMAGE[damage](key)(copy / manifest)
     (copy / "aecs_test.zip").unlink()  # infer's first write
+    if verb == "report":  # so a table written before a failed read shows
+        for output in REPORT_OUTPUTS:
+            (copy / output).unlink()
     before = {path.name: path.read_bytes() for path in copy.iterdir()}
     args = ["report", "--out", str(copy)] if verb == "report" else [
         verb, "--config", str(config_path), "--out", str(copy)]
@@ -641,6 +666,26 @@ def test_input_its_manifest_does_not_vouch_for_exits_io(completed_run, tmp_path,
     err = capsys.readouterr().err
     assert re.fullmatch(rf"io error: corrupt {re.escape(name)}: .*\b{re.escape(manifest)}\b.*; "
                         rf"run {writer} again\n", err), err
+    assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
+
+
+def test_report_refusing_a_reingested_dataset_writes_nothing(completed_run, tmp_path, capsys):
+    # ingest may run again after train; its manifest then vouches for a dataset the grouping does not fit.
+    config_path, run_dir = completed_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    for output in REPORT_OUTPUTS:
+        (copy / output).unlink()
+    config = json.loads(config_path.read_text())
+    config["paths"]["out_dir"] = str(copy)
+    config["ingest"]["train_fraction"] = 0.5
+    other = tmp_path / "config.json"
+    other.write_text(json.dumps(config))
+    assert main(["ingest", "--config", str(other)]) == EXIT_OK
+    before = {path.name: path.read_bytes() for path in copy.iterdir()}
+    capsys.readouterr()
+    assert main(["report", "--out", str(copy)]) == EXIT_IO
+    assert "differ in row count" in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in copy.iterdir()} == before
 
 

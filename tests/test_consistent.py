@@ -132,7 +132,6 @@ def test_determinism():
     a = form_consistent_groups(x, CgfConfig(tau=0.05))
     b = form_consistent_groups(x, CgfConfig(tau=0.05))
     assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
-    assert a.grouping.fingerprint() == b.grouping.fingerprint()
     assert canonical_json(a) == canonical_json(b)
 
 

@@ -1,6 +1,5 @@
 """Distance measures against naive references and hand values."""
 
-import hashlib
 import sys
 import threading
 import tracemalloc
@@ -20,7 +19,7 @@ from tsgroups.distances import (
 from tsgroups.group_mapping import MappingMethod, candidate_distances
 from tsgroups.hierarchy import hubert_statistic
 from tsgroups.rng import seeded_rng
-from tsgroups.types import AecsMatrix, Grouping
+from tsgroups.types import Grouping
 
 from reference import (
     naive_chebyshev,
@@ -40,8 +39,7 @@ def test_hand_values():
 
 
 def test_identity_covariance_matches_euclidean():
-    ctx = MahalanobisContext(inverse_covariance=np.eye(3), epsilon=0.0,
-                             source_fingerprint="manual")
+    ctx = MahalanobisContext(inverse_covariance=np.eye(3), epsilon=0.0)
     rng = seeded_rng(1)
     for _ in range(20):
         a = rng.standard_normal(3)
@@ -151,29 +149,12 @@ def test_hand_built_context_must_be_symmetric_positive_definite():
     for bad in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2)), -np.eye(3),
                 np.array([[2.0, 0.5], [0.0, 2.0]])):
         with pytest.raises(ValueError):
-            MahalanobisContext(inverse_covariance=bad, epsilon=0.0, source_fingerprint="manual")
+            MahalanobisContext(inverse_covariance=bad, epsilon=0.0)
 
 
 def test_measure_order_is_fixed():
     assert MEASURE_ORDER == (DistanceMeasureId.CHEBYSHEV, DistanceMeasureId.MANHATTAN,
                              DistanceMeasureId.MAHALANOBIS)
-
-
-def test_context_fingerprint_tracks_source():
-    rng = seeded_rng(12)
-    x = rng.standard_normal((8, 3))
-    y = rng.standard_normal((8, 3))
-    assert fit_mahalanobis(x).source_fingerprint == fit_mahalanobis(x).source_fingerprint
-    assert fit_mahalanobis(x).source_fingerprint != fit_mahalanobis(y).source_fingerprint
-
-
-def test_context_fingerprint_is_the_vector_sets():
-    # infer_with_groups accepts a context fitted on the train vectors as a
-    # plain array only if its fingerprint is the train AecsMatrix's.
-    x = seeded_rng(13).standard_normal((8, 3))
-    expected = hashlib.sha256(str(x.shape).encode() + x.tobytes()).hexdigest()
-    assert AecsMatrix(x, "m").fingerprint() == expected
-    assert fit_mahalanobis(x).source_fingerprint == expected
 
 
 def scaled_vectors(rng, n, h):

@@ -22,7 +22,7 @@ from tsgroups.grouped import (
 )
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
-from tsgroups.types import AecsMatrix, WindowedDataset, WindowMeta
+from tsgroups.types import WindowedDataset, WindowMeta
 
 
 def make_dataset(m=12, t=6, d=2, n_classes=2, seed=0, labels=None):
@@ -42,13 +42,13 @@ def make_dataset(m=12, t=6, d=2, n_classes=2, seed=0, labels=None):
     )
 
 
-def make_aecs(ds, seed=1, spread=4.0):
+def make_vectors(ds, seed=1, spread=4.0):
     """Representation vectors made separable by shifting one axis per class."""
     rng = seeded_rng(derive_seed(seed, "grouped-aecs"))
     h = max(3, ds.n_classes)
     base = rng.normal(scale=0.3, size=(ds.n_windows, h))
     base[np.arange(ds.n_windows), ds.labels] += spread
-    return AecsMatrix(vectors=base, source_model_id="m-test")
+    return base
 
 
 def test_stats_features_hand_values():
@@ -86,15 +86,15 @@ def test_stats_features_rejects_bad_rank():
 
 def test_extract_features_dispatch():
     ds = make_dataset()
-    ae = make_aecs(ds)
-    x = extract_features(ClassifierKind.SOFTMAX_AECS, None, ae.vectors)
-    assert np.array_equal(x, ae.vectors)
+    vectors = make_vectors(ds)
+    x = extract_features(ClassifierKind.SOFTMAX_AECS, None, vectors)
+    assert np.array_equal(x, vectors)
     s = extract_features(ClassifierKind.SOFTMAX_STATS, ds.windows, None)
     assert s.shape == (ds.n_windows, 5 * ds.n_channels)
     with pytest.raises(ValueError):
         extract_features(ClassifierKind.SOFTMAX_AECS, ds.windows, None)
     with pytest.raises(ValueError):
-        extract_features(ClassifierKind.SOFTMAX_STATS, None, ae.vectors)
+        extract_features(ClassifierKind.SOFTMAX_STATS, None, vectors)
     with pytest.raises(ValueError):
         extract_features(ClassifierKind.SOFTMAX_AECS, None, np.zeros(5))
 
@@ -182,9 +182,9 @@ def test_train_softmax_rejects_bad_shapes():
 
 def test_train_per_group_partitions_instances():
     ds = make_dataset(m=14, n_classes=3)
-    ae = make_aecs(ds)
+    vectors = make_vectors(ds)
     assignment = np.array([0] * 5 + [1] * 4 + [2] * 5)
-    bundle = train_per_group(ds, ae, assignment, ClassifierSpec(epochs=20))
+    bundle = train_per_group(ds, vectors, assignment, ClassifierSpec(epochs=20))
     assert bundle.n_groups == 3
     sizes = [m.n_train for m in bundle.models]
     assert sizes == [5, 4, 5]
@@ -199,55 +199,55 @@ def test_train_per_group_partitions_instances():
 def test_single_class_group_flagged():
     labels = [0, 1, 0, 1, 0, 0, 0, 0]
     ds = make_dataset(m=8, n_classes=2, labels=labels)
-    ae = make_aecs(ds)
-    bundle = train_per_group(ds, ae, np.array([0, 0, 0, 0, 1, 1, 1, 1]), ClassifierSpec(epochs=10))
+    vectors = make_vectors(ds)
+    bundle = train_per_group(ds, vectors, np.array([0, 0, 0, 0, 1, 1, 1, 1]), ClassifierSpec(epochs=10))
     assert any("group 1" in w for w in bundle.warnings)
     assert np.array_equal(bundle.class_presence[1], [True, False])
-    preds = predict(bundle, 1, None, ae.vectors)
+    preds = predict(bundle, 1, None, vectors)
     assert np.all(preds == 0)
 
 
 def test_train_per_group_size_mismatches():
     ds = make_dataset(m=10)
-    ae = make_aecs(ds)
-    short = AecsMatrix(vectors=ae.vectors[:9], source_model_id="m-test")
+    vectors = make_vectors(ds)
+    short = vectors[:9]
     with pytest.raises(ValueError):
         train_per_group(ds, short, np.zeros(10), ClassifierSpec(epochs=5))
     with pytest.raises(ValueError):
-        train_per_group(ds, ae, np.zeros(9), ClassifierSpec(epochs=5))
+        train_per_group(ds, vectors, np.zeros(9), ClassifierSpec(epochs=5))
     for assignment in ([0] * 9 + [-1], [0] * 9 + [2]):  # a negative id; group 1 left empty
         with pytest.raises(ValueError):
-            train_per_group(ds, ae, np.array(assignment), ClassifierSpec(epochs=5))
+            train_per_group(ds, vectors, np.array(assignment), ClassifierSpec(epochs=5))
 
 
 def test_predict_validates_model_index():
     ds = make_dataset(m=6)
-    ae = make_aecs(ds)
-    bundle = train_single_baseline(ds, ae, ClassifierSpec(epochs=5))
+    vectors = make_vectors(ds)
+    bundle = train_single_baseline(ds, vectors, ClassifierSpec(epochs=5))
     with pytest.raises(IndexError):
-        predict(bundle, 1, None, ae.vectors)
+        predict(bundle, 1, None, vectors)
     with pytest.raises(IndexError):
-        predict(bundle, -1, None, ae.vectors)
-    out = predict(bundle, 0, None, ae.vectors[:0])
+        predict(bundle, -1, None, vectors)
+    out = predict(bundle, 0, None, vectors[:0])
     assert out.size == 0
 
 
 def test_baseline_equals_direct_single_model():
     ds = make_dataset(m=16, n_classes=3)
-    ae = make_aecs(ds)
+    vectors = make_vectors(ds)
     spec = ClassifierSpec(epochs=40)
-    bundle = train_single_baseline(ds, ae, spec)
+    bundle = train_single_baseline(ds, vectors, spec)
     assert bundle.n_groups == 1
-    direct = train_softmax(ae.vectors, ds.labels, spec)
+    direct = train_softmax(vectors, ds.labels, spec)
     assert np.array_equal(bundle.models[0].weights, direct.weights)
     assert np.array_equal(bundle.models[0].bias, direct.bias)
 
 
 def test_train_per_group_stats_kind():
     ds = make_dataset(m=10, n_classes=2)
-    ae = make_aecs(ds)
+    vectors = make_vectors(ds)
     spec = ClassifierSpec(kind="SOFTMAX_STATS", epochs=10)
-    bundle = train_per_group(ds, ae, np.zeros(10), spec)
+    bundle = train_per_group(ds, vectors, np.zeros(10), spec)
     assert bundle.models[0].n_features == 5 * ds.n_channels
     preds = predict(bundle, 0, ds.windows, None)
     assert preds.shape == (10,)
@@ -255,10 +255,10 @@ def test_train_per_group_stats_kind():
 
 def test_bundle_determinism():
     ds = make_dataset(m=12, n_classes=2)
-    ae = make_aecs(ds)
+    vectors = make_vectors(ds)
     spec = ClassifierSpec(epochs=30)
-    a = train_per_group(ds, ae, np.repeat([0, 1], 6), spec)
-    b = train_per_group(ds, ae, np.repeat([0, 1], 6), spec)
+    a = train_per_group(ds, vectors, np.repeat([0, 1], 6), spec)
+    b = train_per_group(ds, vectors, np.repeat([0, 1], 6), spec)
     for ma, mb in zip(a.models, b.models):
         assert np.array_equal(ma.weights, mb.weights)
         assert np.array_equal(ma.bias, mb.bias)
@@ -267,25 +267,22 @@ def test_bundle_determinism():
 
 def test_bundle_validation():
     ds = make_dataset(m=6)
-    ae = make_aecs(ds)
+    vectors = make_vectors(ds)
     spec = ClassifierSpec(epochs=5)
-    bundle = train_single_baseline(ds, ae, spec)
+    bundle = train_single_baseline(ds, vectors, spec)
     with pytest.raises(ValueError):
         GroupModelBundle(
             models=[],
             class_presence=np.ones((1, 2), dtype=bool),
-            spec=spec,
-            aecs_model_id="m",
+            kind=spec.kind,
             n_classes=2,
         )
     with pytest.raises(ValueError):
         GroupModelBundle(
             models=list(bundle.models),
             class_presence=np.ones((2, 2), dtype=bool),
-            spec=spec,
-            aecs_model_id="m",
+            kind=spec.kind,
             n_classes=2,
         )
     with pytest.raises(ValueError, match="one feature width"):
-        GroupModelBundle(models=[], class_presence=np.ones((0, 2), dtype=bool), spec=spec,
-                         aecs_model_id="m", n_classes=2)
+        GroupModelBundle(models=[], class_presence=np.ones((0, 2), dtype=bool), kind=spec.kind, n_classes=2)

@@ -18,7 +18,7 @@ from tsgroups.group_mapping import (
 from tsgroups.grouped import predict, train_per_group, train_single_baseline
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
-from tsgroups.types import AecsMatrix, Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import Grouping, WindowedDataset, WindowMeta
 
 from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan
 
@@ -42,11 +42,10 @@ def clustered_setup(seed=0, kind="SOFTMAX_AECS"):
     rng = seeded_rng(derive_seed(seed, "mapping-clusters"))
     centers = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 0.0], [0.0, 8.0, 0.0]])
     vectors = np.vstack([c + rng.normal(scale=0.3, size=(6, 3)) for c in centers])
-    aecs = AecsMatrix(vectors=vectors, source_model_id="m-map")
     grouping = Grouping(assignment=np.repeat([0, 1, 2], 6), K=3, measure="CHEBYSHEV")
     ds = make_dataset(18, seed=seed + 1)
-    bundle = train_per_group(ds, aecs, grouping.assignment, ClassifierSpec(kind=kind, epochs=40))
-    return ds, aecs, grouping, bundle
+    bundle = train_per_group(ds, vectors, grouping.assignment, ClassifierSpec(kind=kind, epochs=40))
+    return ds, vectors, grouping, bundle
 
 
 def singletons(n):
@@ -175,21 +174,21 @@ def test_map_avg_hand_case():
 
 
 def test_self_mapping_is_identity_both_methods():
-    ds, aecs, grouping, bundle = clustered_setup()
+    ds, vectors, grouping, bundle = clustered_setup()
     for method in (MappingMethod.CR_CR, MappingMethod.AVG):
-        preds, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=method,
+        preds, report = infer_with_groups(bundle, vectors, None, vectors, grouping, method=method,
                                           train_grouping=grouping)
         assert report.chosen() == [0, 1, 2]
         for j in range(3):
             members = grouping.members(j)
-            train_preds = predict(bundle, j, None, aecs.vectors[members])
+            train_preds = predict(bundle, j, None, vectors[members])
             assert np.array_equal(preds[members], train_preds)
 
 
 def test_self_mapping_identity_with_stats_kind():
-    ds, aecs, grouping, bundle = clustered_setup(kind="SOFTMAX_STATS")
+    ds, vectors, grouping, bundle = clustered_setup(kind="SOFTMAX_STATS")
     preds, report = infer_with_groups(
-        bundle, aecs, ds, aecs, grouping, method=MappingMethod.AVG, train_grouping=grouping
+        bundle, vectors, ds, vectors, grouping, method=MappingMethod.AVG, train_grouping=grouping
     )
     assert report.chosen() == [0, 1, 2]
     for j in range(3):
@@ -199,14 +198,13 @@ def test_self_mapping_identity_with_stats_kind():
 
 
 def test_report_rows_carry_sizes_and_candidates():
-    ds, aecs, grouping, bundle = clustered_setup()
-    _, report = infer_with_groups(bundle, aecs, None, aecs, grouping, method=MappingMethod.AVG,
+    ds, vectors, grouping, bundle = clustered_setup()
+    _, report = infer_with_groups(bundle, vectors, None, vectors, grouping, method=MappingMethod.AVG,
                                   train_grouping=grouping)
     assert [row.test_group_size for row in report.rows] == [6, 6, 6]
     for row in report.rows:
         assert len(row.candidate_distances) == bundle.n_groups
         assert row.candidate_distances[row.chosen_train_group] == min(row.candidate_distances)
-    assert report.test_grouping_fingerprint == grouping.fingerprint()
     payload = json.loads(canonical_json(report))
     assert payload["method"] == "AVG"
     assert payload["measure"] == "CHEBYSHEV"
@@ -216,70 +214,62 @@ def test_report_rows_carry_sizes_and_candidates():
 def test_measure_is_the_train_groupings():
     rng = seeded_rng(derive_seed(12, "default-measure"))
     vectors = rng.normal(size=(10, 3))
-    aecs = AecsMatrix(vectors=vectors, source_model_id="m-map")
     assignment = np.repeat([0, 1], 5)
-    bundle = train_per_group(make_dataset(10), aecs, assignment, ClassifierSpec(epochs=10))
+    bundle = train_per_group(make_dataset(10), vectors, assignment, ClassifierSpec(epochs=10))
     test_grouping = Grouping(assignment=assignment, K=2, measure="CHEBYSHEV")
     for measure in MEASURE_ORDER:
         train_grouping = Grouping(assignment=assignment, K=2, measure=measure)
-        _, report = infer_with_groups(bundle, aecs, None, aecs, test_grouping,
+        _, report = infer_with_groups(bundle, vectors, None, vectors, test_grouping,
                                       train_grouping=train_grouping)
         assert report.measure is measure
 
 
 def test_single_train_group_routes_everything_to_it():
-    ds, aecs, test_grouping, _ = clustered_setup()
-    baseline = train_single_baseline(ds, aecs, ClassifierSpec(epochs=40))
+    ds, vectors, test_grouping, _ = clustered_setup()
+    baseline = train_single_baseline(ds, vectors, ClassifierSpec(epochs=40))
     preds, report = infer_with_groups(
-        baseline, aecs, None, aecs, test_grouping,
+        baseline, vectors, None, vectors, test_grouping,
         method=MappingMethod.AVG, train_grouping=one_group(18),
     )
     assert report.chosen() == [0, 0, 0]
-    direct = predict(baseline, 0, None, aecs.vectors)
+    direct = predict(baseline, 0, None, vectors)
     assert np.array_equal(preds, direct)
 
 
-def test_mahalanobis_context_fingerprint_enforced():
-    ds, aecs, grouping, bundle = clustered_setup()
+def test_mahalanobis_context_given_or_fitted_agree():
+    ds, vectors, grouping, bundle = clustered_setup()
     train_grouping = Grouping(assignment=grouping.assignment, K=3, measure="MAHALANOBIS")
-    rng = seeded_rng(derive_seed(14, "other-aecs"))
-    other = AecsMatrix(vectors=rng.normal(size=(12, 3)), source_model_id="other")
-    wrong_ctx = fit_mahalanobis(other.vectors)
-    with pytest.raises(ValueError):
-        infer_with_groups(
-            bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=wrong_ctx,
-        )
-    right_ctx = fit_mahalanobis(aecs.vectors)
+    right_ctx = fit_mahalanobis(vectors)
     preds, report = infer_with_groups(
-        bundle, aecs, None, aecs, grouping, train_grouping=train_grouping, ctx=right_ctx,
+        bundle, vectors, None, vectors, grouping, train_grouping=train_grouping, ctx=right_ctx,
     )
     assert report.chosen() == [0, 1, 2]
     auto_preds, auto_report = infer_with_groups(
-        bundle, aecs, None, aecs, grouping, train_grouping=train_grouping
+        bundle, vectors, None, vectors, grouping, train_grouping=train_grouping
     )
     assert np.array_equal(preds, auto_preds)
     assert auto_report.chosen() == report.chosen()
 
 
 def test_infer_validates_sizes():
-    ds, aecs, grouping, bundle = clustered_setup()
-    short = AecsMatrix(vectors=aecs.vectors[:17], source_model_id="m-map")
+    ds, vectors, grouping, bundle = clustered_setup()
+    short = vectors[:17]
     with pytest.raises(ValueError):
-        infer_with_groups(bundle, aecs, None, short, grouping, train_grouping=grouping)
+        infer_with_groups(bundle, vectors, None, short, grouping, train_grouping=grouping)
     short_ds = make_dataset(17)
     with pytest.raises(ValueError):
-        infer_with_groups(bundle, aecs, short_ds, aecs, grouping, train_grouping=grouping)
+        infer_with_groups(bundle, vectors, short_ds, vectors, grouping, train_grouping=grouping)
     # A train grouping of another K than the bundle's models, or over other rows than its vectors.
     for train_grouping in (one_group(18), Grouping(assignment=np.repeat([0, 1, 2], [6, 6, 7]), K=3,
                                                    measure="CHEBYSHEV")):
         with pytest.raises(ValueError, match="train grouping"):
-            infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=train_grouping)
+            infer_with_groups(bundle, vectors, None, vectors, grouping, train_grouping=train_grouping)
 
 
 def test_infer_deterministic():
-    ds, aecs, grouping, bundle = clustered_setup()
-    a_preds, a_report = infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=grouping)
-    b_preds, b_report = infer_with_groups(bundle, aecs, None, aecs, grouping, train_grouping=grouping)
+    ds, vectors, grouping, bundle = clustered_setup()
+    a_preds, a_report = infer_with_groups(bundle, vectors, None, vectors, grouping, train_grouping=grouping)
+    b_preds, b_report = infer_with_groups(bundle, vectors, None, vectors, grouping, train_grouping=grouping)
     assert np.array_equal(a_preds, b_preds)
     assert canonical_json(a_report) == canonical_json(b_report)
 

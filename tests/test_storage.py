@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tsgroups import autoencoder as ae
-from tsgroups.classifiers import ClassifierSpec, SoftmaxModel
+from tsgroups.classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel
 from tsgroups.consistent import CgfConfig, CgfResult
 from tsgroups.distances import DistanceMeasureId
 from tsgroups.group_mapping import MappingReport, MappingRow
@@ -145,7 +145,7 @@ RECORDS = {
 """),
     "mapping_report": (MappingReport(method="AVG", measure="MANHATTAN", rows=[
         MappingRow(test_group=0, test_group_size=3, chosen_train_group=1, candidate_distances=[0.5, 0.25]),
-    ], test_grouping_fingerprint="ab12"), """\
+    ]), """\
 {
   "measure": "MANHATTAN",
   "method": "AVG",
@@ -159,8 +159,7 @@ RECORDS = {
       "test_group": 0,
       "test_group_size": 3
     }
-  ],
-  "test_grouping_fingerprint": "ab12"
+  ]
 }
 """),
     "grouping": (Grouping(
@@ -229,17 +228,17 @@ RECORDS = {
                              seen_classes=np.array([1]), feature_mean=np.array([1.5, 0.0]),
                              feature_std=np.array([2.0, 1.0]), n_train=3)],
         class_presence=np.array([[False, True]]),
-        spec=ClassifierSpec(epochs=5), aecs_model_id="m-1", n_classes=2,
+        kind=ClassifierKind.SOFTMAX_AECS, n_classes=2,
         warnings=["group 0 contains only class 1; constant predictor"],
     ), """\
 {
-  "aecs_model_id": "m-1",
   "class_presence": [
     [
       false,
       true
     ]
   ],
+  "kind": "SOFTMAX_AECS",
   "models": [
     {
       "bias": [
@@ -268,13 +267,6 @@ RECORDS = {
     }
   ],
   "n_classes": 2,
-  "spec": {
-    "epochs": 5,
-    "kind": "SOFTMAX_AECS",
-    "l2": 0.0001,
-    "learning_rate": 0.1,
-    "seed": 0
-  },
   "warnings": [
     "group 0 contains only class 1; constant predictor"
   ]
@@ -468,7 +460,7 @@ def test_record_reads_back_from_its_json(name):
     assert canonical_json(back) == canonical_json(record)
 
     def held(r):  # the records r holds, each rebuilt as its own type
-        return [type(v) for v in [getattr(r, "grouping", None), getattr(r, "spec", None),
+        return [type(v) for v in [getattr(r, "grouping", None), getattr(r, "kind", None),
                                   *getattr(r, "models", []), *getattr(r, "rows", [])] if v is not None]
 
     assert held(back) == held(record)
@@ -542,7 +534,7 @@ def test_number_arrays_take_no_json_true():
     meta = {"driver_id": "D1", "behavior": "NORMAL", "road": "MOTORWAY", "session_id": "s"}
     model = {"weights": [[0.5, 1.0], [-1.0, 2.0]], "bias": [0.0, 0.0], "seen_classes": [0, 1],
              "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "n_train": 3}
-    bundle = {"models": [model], "class_presence": [[True, True]], "spec": {}, "aecs_model_id": "m",
+    bundle = {"models": [model], "class_presence": [[True, True]], "kind": "SOFTMAX_AECS",
               "n_classes": 2}
     dataset = {"windows": np.zeros((3, 4, 2)), "labels": [0, 1, 0], "meta": [meta] * 3, "class_names": ["a", "b"]}
     for cls, data, path, where in [
@@ -705,10 +697,9 @@ def test_aecs_round_trip(tmp_path):
     rng = seeded_rng(derive_seed(2, "storage-aecs"))
     vectors = rng.normal(size=(7, 4))
     path = tmp_path / "aecs.zip"
-    save_aecs(path, AecsMatrix(vectors=vectors, source_model_id="model-abc"))
+    save_aecs(path, vectors)
     loaded = load_aecs(path)
     assert np.array_equal(loaded.vectors, vectors)
-    assert loaded.source_model_id == "model-abc"
     with pytest.raises(KeyError, match="shape"):
         bad = tmp_path / "bad.zip"
         write_archive(bad, {"header.json": canonical_json({"format": "nope"}).encode()})
@@ -737,8 +728,8 @@ ARCHIVES = {
         '{"class_names":["AGGRESSIVE","NORMAL"],"labels":[1,0],'
         '"meta":[{"behavior":"NORMAL","driver_id":"D1","road":"MOTORWAY","session_id":"s0"},'
         '{"behavior":"AGGRESSIVE","driver_id":"D2","road":"SECONDARY","session_id":"s1"}],"shape":[2,3,2]}'),
-    "aecs": (AecsMatrix(vectors=np.array([[0.5, -1.25], [1 / 3, 2.0]]), source_model_id="model-abc"),
-             "vectors", save_aecs, '{"shape":[2,2],"source_model_id":"model-abc"}'),
+    "aecs": (AecsMatrix(vectors=np.array([[0.5, -1.25], [1 / 3, 2.0]])),
+             "vectors", lambda path, aecs: save_aecs(path, aecs.vectors), '{"shape":[2,2]}'),
     "model": (hand_built_model(), "weights", lambda path, m: ae.save_model(path, m.params, m.config, m.d),
               '{"config":{"adam_epsilon":1e-08,"batch_size":64,"beta1":0.9,"beta2":0.999,'
               '"early_stop_patience":10,"epochs":100,"hidden1":2,"hidden2":1,"learning_rate":0.001,'
@@ -798,14 +789,12 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     rng = seeded_rng(derive_seed(3, "storage-bundle"))
     vectors = rng.normal(size=(12, 3))
     vectors[np.arange(12), ds.labels] += 4.0
-    aecs = AecsMatrix(vectors=vectors, source_model_id="m-123")
-    bundle = train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
+    bundle = train_per_group(ds, vectors, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
     path = tmp_path / "bundle.json"
     save_bundle(path, bundle)
     loaded = load_bundle(path)
     assert loaded.n_groups == bundle.n_groups
-    assert loaded.spec == bundle.spec
-    assert loaded.aecs_model_id == "m-123"
+    assert loaded.kind is bundle.kind
     assert loaded.n_classes == bundle.n_classes
     assert loaded.warnings == bundle.warnings
     assert np.array_equal(loaded.class_presence, bundle.class_presence)
@@ -818,8 +807,8 @@ def test_bundle_round_trip_preserves_models(tmp_path):
 def test_bundle_with_a_single_class_group_round_trips(tmp_path):
     ds = make_dataset(m=12, n_classes=2)
     ds.labels[:6] = 1  # group 0 holds only class 1
-    aecs = AecsMatrix(vectors=seeded_rng(5).normal(size=(12, 3)), source_model_id="m-1")
-    bundle = train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
+    vectors = seeded_rng(5).normal(size=(12, 3))
+    bundle = train_per_group(ds, vectors, np.repeat([0, 1], 6), ClassifierSpec(epochs=25))
     assert bundle.models[0].weights.shape == (3, 1)
     assert bundle.warnings == ["group 0 contains only class 1; constant predictor"]
     save_bundle(tmp_path / "bundle.json", bundle)
@@ -834,9 +823,9 @@ def test_bundle_with_a_single_class_group_round_trips(tmp_path):
 
 def test_bundle_rejects_weights_of_wrong_shape(tmp_path):
     ds = make_dataset(m=12, n_classes=2)
-    aecs = AecsMatrix(vectors=seeded_rng(4).normal(size=(12, 3)), source_model_id="m-1")
+    vectors = seeded_rng(4).normal(size=(12, 3))
     path = tmp_path / "bundle.json"
-    save_bundle(path, train_per_group(ds, aecs, np.repeat([0, 1], 6), ClassifierSpec(epochs=5)))
+    save_bundle(path, train_per_group(ds, vectors, np.repeat([0, 1], 6), ClassifierSpec(epochs=5)))
     data = read_json(path)
     weights = data["models"][0]["weights"]
     for bad in (weights[:-1], weights + [weights[0]], [row[:-1] for row in weights],
