@@ -20,6 +20,7 @@ for id in \
     tests/test_mapping.py::test_avg_holds_no_train_by_test_matrix \
     tests/test_mapping.py::test_avg_holds_no_train_by_test_matrix_on_many_cpus \
     tests/test_storage.py::test_save_dataset_holds_one_copy_of_the_windows \
+    tests/test_ingest.py::test_parse_session_holds_no_whole_file_token_list \
     tests/test_autoencoder.py::test_transform_keeps_no_step_caches \
     tests/test_autoencoder.py::test_validation_loss_keeps_no_step_caches \
     tests/test_autoencoder.py::test_train_step_holds_one_workspace; do

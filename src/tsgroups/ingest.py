@@ -32,9 +32,15 @@ DEFAULT_WINDOW_LEN = 64
 DEFAULT_OVERLAP = 0.5
 DEFAULT_TRAIN_FRACTION = 0.8
 ACCELEROMETER_FILENAME = "RAW_ACCELEROMETERS.txt"
-# Lines per float conversion call: big enough to amortise the call, small
-# enough that a session's token strings are never all alive at once.
-PARSE_BLOCK_LINES = 8192
+# Lines per np.loadtxt call: big enough to amortise the call, small enough
+# that a session's lines are never all alive at once. A block the C reader
+# refuses (a short line, or a mapped token such as ``1_0`` or a non-ASCII
+# digit that it will not read) is halved and retried; a refused block of at
+# most PARSE_FLOOR_LINES lines goes to the per-line path, which splits each
+# line in Python and parses each token as ``float()`` does. Both paths give
+# every accepted token the value ``float()`` gives it.
+PARSE_BLOCK_LINES = 512
+PARSE_FLOOR_LINES = 16
 
 
 @dataclass(frozen=True)
@@ -116,28 +122,51 @@ def _parse_lines(lines: list[str], columns: ColumnMap) -> tuple[np.ndarray, int]
     """(n, 7) timestamp and channel values of the lines that parse, and the
     count of dropped lines.
 
-    Blank lines are skipped without counting. The mapped tokens of every
-    line wide enough go through one ``np.array`` call; only if it fails are
-    the rows converted one at a time to find the ones to drop.
+    Blank lines are skipped without counting. The block goes through one
+    ``np.loadtxt`` call with no comment character. Its C reader splits a
+    line at the same whitespace as ``str.split`` (``\\n`` and ``\\r`` end a
+    line there, and never occur inside a line read from the file). It reads
+    no token that ``float()`` refuses and reads each one it accepts to the
+    value ``float()`` gives; it raises on a short line or a token it will
+    not read (``1_0``, non-ASCII digits), and the block is then halved,
+    down to ``_parse_each_line``.
+    """
+    usecols = (columns.timestamp, *columns.channel_indices())
+    # One line of zeros after the block, so an all-blank block is not "no
+    # data", which loadtxt warns about.
+    padding = " ".join(["0"] * columns.min_columns())
+    try:
+        values = np.loadtxt([*lines, padding], usecols=usecols, comments=None,
+                            ndmin=2, dtype=np.float64)
+        return values[:-1], 0
+    except ValueError:
+        pass
+    if len(lines) <= PARSE_FLOOR_LINES:
+        return _parse_each_line(lines, columns)
+    half = len(lines) // 2
+    head, head_rejected = _parse_lines(lines[:half], columns)
+    tail, tail_rejected = _parse_lines(lines[half:], columns)
+    return np.concatenate([head, tail]), head_rejected + tail_rejected
+
+
+def _parse_each_line(lines: list[str], columns: ColumnMap) -> tuple[np.ndarray, int]:
+    """``_parse_lines`` with ``str.split`` per line and ``float()`` per token,
+    for the few lines the C reader refused.
     """
     needed = columns.min_columns()
     pick = operator.itemgetter(columns.timestamp, *columns.channel_indices())
-    tokens: list[str] = []
+    rows = []
     rejected = 0
     for line in lines:
         parts = line.split()
-        if len(parts) >= needed:
-            tokens.extend(pick(parts))
-        elif parts:
+        if not parts:
+            continue
+        if len(parts) < needed:
             rejected += 1
-    try:
-        return np.array(tokens, dtype=np.float64).reshape(-1, 7), rejected
-    except ValueError:
-        pass
-    rows = []
-    for start in range(0, len(tokens), 7):
+            continue
         try:
-            rows.append(np.array(tokens[start:start + 7], dtype=np.float64))
+            # np.array parses each string as float() does.
+            rows.append(np.array(pick(parts), dtype=np.float64))
         except ValueError:
             rejected += 1
     return np.array(rows, dtype=np.float64).reshape(-1, 7), rejected
@@ -154,11 +183,15 @@ def parse_uah_session(directory: str | Path, columns: ColumnMap | None = None,
 
     Lines end at a newline after universal-newline decoding, as iterating
     the file gives them (``str.splitlines`` would also break at ``\\f``,
-    ``\\x85`` and others). Each block of ``PARSE_BLOCK_LINES`` lines is
-    split into tokens, and the mapped tokens of the block go through one
-    ``np.array(..., dtype=float64)`` call, which parses each string as
-    ``float()`` does. The finite and timestamp rules then run on the whole
-    session's array.
+    ``\\x85`` and others). Each block of ``PARSE_BLOCK_LINES`` lines goes
+    to numpy's C text reader, which reads the clean blocks. A block it
+    refuses (a short line, or a mapped token such as ``1_0`` or a non-ASCII
+    digit) is halved until its halves are read or are at most
+    ``PARSE_FLOOR_LINES`` lines, which the per-line path splits with
+    ``str.split`` and parses token by token as ``float()`` does. Either way
+    a value is the one ``float()`` gives, so the path a line takes changes
+    no value and no reject count. The finite and timestamp rules then run
+    on the whole session's array.
     """
     directory = Path(directory)
     columns = columns or ColumnMap()

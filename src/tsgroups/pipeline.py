@@ -149,7 +149,6 @@ ARTIFACTS = {
     "train_dataset": "train_dataset.zip",
     "test_dataset": "test_dataset.zip",
     "ingest_report": "ingest_report.json",
-    "archetypes": "archetypes.json",
     "model": "model.bin",
     "train_report": "train_report.json",
     "aecs_train": "aecs_train.zip",
@@ -279,12 +278,11 @@ def cmd_ingest(config: PipelineConfig) -> dict:
         if not root.is_dir():
             raise FileNotFoundError(f"corpus root {root} is not a directory")
     with _writing_run(config, "manifest_ingest") as run:
-        archetypes = None
         rejected_rows = 0
         n_sessions = 0
         with run.stage("parse"):
             if spec is not None:
-                ds, archetypes = generate_synthetic(spec)
+                ds, _ = generate_synthetic(spec)
             else:
                 sessions = discover_sessions(root, opts.column_map, opts.accelerometer_filename, opts.road)
                 # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
@@ -307,11 +305,6 @@ def cmd_ingest(config: PipelineConfig) -> dict:
 
         save_dataset(run.path("train_dataset"), train_ds)
         save_dataset(run.path("test_dataset"), test_ds)
-        if archetypes is not None:
-            write_json(run.path("archetypes"), {
-                "train": archetypes[train_idx].tolist(),
-                "test": archetypes[test_idx].tolist(),
-            })
 
         def class_counts(d: WindowedDataset) -> dict:
             return {name: int((d.labels == i).sum()) for i, name in enumerate(d.class_names)}

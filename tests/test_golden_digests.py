@@ -9,17 +9,18 @@ every artifact's ``content_digest`` with ``golden_digests.json``. For files
 other than JSON that digest is of the raw bytes, so ``model.bin`` is
 compared byte for byte.
 
-Float results depend on the numpy build, its BLAS and the CPU features
-numpy detects, so the golden file records them. Under any other
-environment the test skips and names both; it never compares digests it
-cannot expect to match. A change that moves a digest regenerates the file
-with ``PYTHONPATH=src python tests/test_golden_digests.py``, which prints
-the entries that moved against the file it overwrites, and says in
-CHANGES.md why each one moved.
+Float results depend on the numpy build, its BLAS, the kernel OpenBLAS
+picks at run time and the CPU features numpy detects, so the golden file
+records them. Under any other environment the test skips and names both;
+it never compares digests it cannot expect to match. A change that moves
+a digest regenerates the file with ``PYTHONPATH=src python
+tests/test_golden_digests.py``, which prints the entries that moved
+against the file it overwrites, and says in CHANGES.md why each one moved.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from tsgroups.pipeline import cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.storage import content_digest
@@ -59,8 +61,21 @@ RUNS = {
 }
 
 
+def blas_kernel() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at run time (``SkylakeX``, ...), or "unknown".
+
+    Two hosts with the same CPU features can get different kernels (and
+    ``OPENBLAS_CORETYPE`` overrides the pick), which round differently.
+    """
+    corename = getattr(ctypes.CDLL(_umath_linalg.__file__), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def environment() -> dict:
-    """What the floats depend on besides the code: numpy, BLAS, CPU features, Python."""
+    """What the floats depend on besides the code: numpy, BLAS and its kernel, CPU features, Python."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -70,6 +85,7 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        "blas_kernel": blas_kernel(),
         "cpu_features": cpu,
         "python": sys.version.split()[0],
     }

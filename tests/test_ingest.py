@@ -2,6 +2,7 @@
 
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,7 +115,8 @@ DAMAGED_SESSIONS = {
 }
 
 
-@pytest.mark.parametrize("block_lines", [ingest.PARSE_BLOCK_LINES, 3, 1])
+# 8192 lines puts each whole session in one block.
+@pytest.mark.parametrize("block_lines", [8192, 3, 1])
 @pytest.mark.parametrize("name", sorted(DAMAGED_SESSIONS))
 def test_parse_session_matches_row_loop(tmp_path, monkeypatch, name, block_lines):
     monkeypatch.setattr(ingest, "PARSE_BLOCK_LINES", block_lines)
@@ -143,6 +145,113 @@ def test_parse_session_without_valid_rows_raises_like_row_loop(tmp_path):
     for parse in (parse_uah_session, rowloop_parse_uah_session):
         with pytest.raises(ValueError, match="no valid rows"):
             parse(directory)
+
+
+def write_lines(tmp_path, lines, name="x-D1-NORMAL-MOTORWAY"):
+    directory = tmp_path / name
+    directory.mkdir()
+    (directory / "RAW_ACCELEROMETERS.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return directory
+
+
+def good_rows(n):
+    return [row(f"{1.0 + 0.01 * i:.2f}", *(f"{0.001 * (i + j):.3f}" for j in range(6)))
+            for i in range(n)]
+
+
+BLOCK, FLOOR = ingest.PARSE_BLOCK_LINES, ingest.PARSE_FLOOR_LINES
+
+
+@pytest.mark.parametrize("bad", ["9.99 1 short", row("50.0", "1_0"), row("50.0", "oops")])
+@pytest.mark.parametrize("at", [0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, FLOOR - 1, FLOOR,
+                                BLOCK // 2, BLOCK + FLOOR, 2 * BLOCK + 3])
+def test_parse_session_bad_line_at_block_edges_matches_row_loop(tmp_path, bad, at):
+    lines = good_rows(2 * BLOCK + 7)
+    lines[at] = bad
+    directory = write_lines(tmp_path, lines)
+    got = parse_uah_session(directory)
+    assert_same_session(got, rowloop_parse_uah_session(directory))
+    # float() reads "1_0", so that row is kept, and its timestamp 50.0 drops every row after it.
+    assert got.rejected_rows == (1 if "1_0" not in bad else len(lines) - at - 1)
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+@pytest.mark.parametrize("blank", ["", "   \t ", "\f\v"])
+def test_parse_session_all_blank_block_matches_row_loop(tmp_path, blank):
+    lines = good_rows(BLOCK) + [blank] * BLOCK + good_rows(2 * BLOCK)[BLOCK:] + [blank] * 3
+    directory = write_lines(tmp_path, lines)
+    got = parse_uah_session(directory)
+    assert_same_session(got, rowloop_parse_uah_session(directory))
+    assert (got.n_samples, got.rejected_rows) == (2 * BLOCK, 0)
+    write_lines(tmp_path, [blank] * BLOCK + ["short"], "y-D1-NORMAL-MOTORWAY")
+    with pytest.raises(ValueError, match="no valid rows"):
+        parse_uah_session(tmp_path / "y-D1-NORMAL-MOTORWAY")
+
+
+@pytest.mark.parametrize("columns", [
+    ColumnMap(timestamp=0, acc_x=10, acc_y=5, acc_z=0, roll=10, pitch=1, yaw=7),
+    ColumnMap(timestamp=11, acc_x=9, acc_y=8, acc_z=7, roll=6, pitch=5, yaw=0),
+])
+def test_parse_session_unordered_and_repeated_columns_match_row_loop(tmp_path, columns):
+    lines = [f"{line} {1.0 + i}" for i, line in enumerate(good_rows(3 * FLOOR))]
+    lines[FLOOR] = lines[FLOOR].rsplit(" ", 2)[0]
+    directory = write_lines(tmp_path, lines)
+    got = parse_uah_session(directory, columns)
+    assert_same_session(got, rowloop_parse_uah_session(directory, columns))
+    assert got.rejected_rows == 1
+    first = lines[0].split()
+    assert got.timestamps[0] == float(first[columns.timestamp])
+    assert got.samples[0].tolist() == [float(first[i]) for i in columns.channel_indices()]
+
+
+@pytest.mark.parametrize("token", ["1\x002", "\x001", "1\x00", "0.5\u200b", "\u200b0.5",
+                                   "1\u2060", "\ufeff1.0", "1\u200d5", "#1"])
+def test_parse_session_nul_zero_width_or_hash_in_a_token_match_row_loop(tmp_path, token):
+    lines = good_rows(3 * FLOOR)
+    lines[FLOOR + 1] = row(lines[FLOOR + 1].split()[0], token)
+    lines[2 * FLOOR] = row(token)
+    directory = write_lines(tmp_path, lines)
+    got = parse_uah_session(directory)
+    assert_same_session(got, rowloop_parse_uah_session(directory))
+    assert got.rejected_rows == 2
+
+
+def test_clean_session_never_takes_the_per_line_path(tmp_path, monkeypatch):
+    def refuse(lines, columns):
+        raise AssertionError("a clean block went down the per-line path")
+
+    monkeypatch.setattr(ingest, "_parse_each_line", refuse)
+    # Blank lines, extra columns, a non-finite value and a repeated timestamp
+    # are all read by the C reader; the finite and timestamp rules drop two rows.
+    lines = good_rows(3 * BLOCK + 5)
+    lines[7] = ""
+    lines[BLOCK] += " 99 extra"
+    lines[BLOCK + 1] = row("9.0", "nan")
+    lines[2 * BLOCK] = lines[2 * BLOCK - 1]
+    session = parse_uah_session(write_lines(tmp_path, lines))
+    assert (session.n_samples, session.rejected_rows) == (3 * BLOCK + 2, 2)
+
+
+def test_parse_session_holds_no_whole_file_token_list(tmp_path):
+    # A bench-shaped session: 4,032 rows of 11 columns. Its kept values are
+    # 4,032 x 7 float64 (0.22 MiB); the parse holds them at most four times
+    # (blocks, their concatenation, the finite rows, the kept rows) plus one
+    # block of lines, where a list of the whole file's tokens is over 2 MiB.
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal((4032, 9))
+    lines = [f"{0.1 * i:.2f} 1 " + " ".join(f"{v:.6f}" for v in vals)
+             for i, vals in enumerate(values.tolist())]
+    directory = write_lines(tmp_path, lines)
+    parse_uah_session(write_lines(tmp_path, lines[:FLOOR], "y-D1-NORMAL-MOTORWAY"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        session = parse_uah_session(directory)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert session.n_samples == 4032
+    assert peak <= 4 * 4032 * 7 * 8 + 2**18, peak / 2**20
 
 
 def assert_same_session(got, want):
