@@ -5,8 +5,9 @@
 # use, so the whole suite runs them on every CPU of the host. On one CPU they
 # run inline; these tests run again that way. The tests that force a worker
 # count cover both paths on any host already; this runs the others inline
-# too. tests/test_golden_digests.py skips on hosts other than the one that
-# made golden_digests.json, so there it has no effect. Needs taskset.
+# too. In tests/test_golden_digests.py the outcome test runs on every host;
+# the digest test skips on hosts other than the one that made
+# golden_digests.json. Needs taskset.
 # Exits with pytest's code.
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"

@@ -122,15 +122,12 @@ class AutoencoderConfig:
 
 @dataclass
 class TrainReport:
-    """Loss traces and bookkeeping from one fit run."""
+    """Loss traces and bookkeeping from one fit run; the best validation loss is ``val_losses[best_epoch - 1]``."""
 
     train_losses: list[float]
     val_losses: list[float]
     stopped_epoch: int
     best_epoch: int
-    best_val_loss: float
-    final_loss: float
-    wall_time_s: float
     n_train: int
     n_val: int
 
@@ -654,7 +651,6 @@ def fit(dataset: WindowedDataset | np.ndarray,
     m, t_len, d = x.shape
     config.check_undercomplete(t_len, d)
 
-    start = time.perf_counter()
     split_rng = seeded_rng(derive_seed(config.seed, "fit", "val-split"))
     perm = split_rng.permutation(m)
     n_val = int(round(config.val_fraction * m)) if m >= 2 else 0
@@ -715,9 +711,6 @@ def fit(dataset: WindowedDataset | np.ndarray,
         val_losses=val_losses,
         stopped_epoch=epochs_run,
         best_epoch=best_epoch,
-        best_val_loss=float(best_val),
-        final_loss=train_losses[-1],
-        wall_time_s=time.perf_counter() - start,
         n_train=len(train_idx),
         n_val=len(val_idx),
     )

@@ -85,7 +85,6 @@ class SoftmaxModel:
     seen_classes: npt.NDArray[np.int64]
     feature_mean: npt.NDArray[np.float64]
     feature_std: npt.NDArray[np.float64]
-    n_train: int
 
     def __post_init__(self) -> None:
         self.weights, self.bias, self.feature_mean, self.feature_std = (
@@ -150,7 +149,6 @@ def train_softmax(features: np.ndarray, labels: np.ndarray, spec: ClassifierSpec
         seen_classes=seen,
         feature_mean=mean,
         feature_std=std,
-        n_train=labels.size,
     )
 
 

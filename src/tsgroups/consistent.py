@@ -60,13 +60,13 @@ class CgfConfig:
 class CgfResult:
     """Final grouping plus the trail of tried steps (``k``, ``new_group_size``, ``accepted``).
 
-    ``accepted_k`` is ``grouping.K``, kept so that a reader of the file alone finds it.
+    ``accepted_k`` is ``grouping.K``, kept so that a reader of the file alone finds it. A rejected
+    step, if any, is the trace's last row.
     """
 
     grouping: Grouping
     stopped_by: str
     accepted_k: int
-    rejected_size: int | None = None
     trace: list[dict] = field(default_factory=list)
     dendrogram_fingerprint: str = ""
 
@@ -102,14 +102,12 @@ def form_consistent_groups(vectors: np.ndarray, config: CgfConfig | None = None)
     k = config.k_start - 1
     trace: list[dict] = []
     stopped_by = "k_max"
-    rejected_size: int | None = None
     while k < k_max:
         size, height = smaller[m - 1 - k], heights[m - 1 - k]
         rejected_by = "tau" if size < min_size else "duplicates" if height == 0 else None
         trace.append({"k": k + 1, "new_group_size": size, "accepted": rejected_by is None})
         if rejected_by is not None:
             stopped_by = rejected_by
-            rejected_size = size
             break
         k += 1
 
@@ -123,7 +121,6 @@ def form_consistent_groups(vectors: np.ndarray, config: CgfConfig | None = None)
         grouping=grouping,
         stopped_by=stopped_by,
         accepted_k=k,
-        rejected_size=rejected_size,
         trace=trace,
         dendrogram_fingerprint=selection.dendrogram.fingerprint(),
     )

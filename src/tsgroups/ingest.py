@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .rng import derive_seed, seeded_rng
 from .storage import FieldError
-from .types import WindowedDataset, WindowMeta
+from .types import WindowedDataset
 
 logger = logging.getLogger(__name__)
 
@@ -271,8 +271,7 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
 
     The stride is ``round(window_len * (1 - overlap_fraction))``; trailing
     samples that do not fill a window are dropped, and sessions shorter
-    than one window contribute nothing (logged, not an error). The
-    windows of a session share one (frozen) ``WindowMeta``.
+    than one window contribute nothing (logged, not an error).
     """
     if window_len < 2:
         raise ValueError(f"window_len must be >= 2, got {window_len}")
@@ -284,7 +283,7 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
 
     windows: list[np.ndarray] = []
     labels: list[np.ndarray] = []
-    meta: list[WindowMeta] = []
+    driver_ids: list[str] = []
     for session in sessions:
         n = session.n_samples
         if n < window_len:
@@ -295,18 +294,13 @@ def window_sessions(sessions: list[RawSession], window_len: int = DEFAULT_WINDOW
         views = sliding_window_view(session.samples, window_len, axis=0)[::stride]
         windows.append(views.transpose(0, 2, 1))
         labels.append(np.full(len(views), CLASS_NAMES.index(session.behavior), dtype=np.int64))
-        meta.extend([WindowMeta(
-            driver_id=session.driver_id,
-            behavior=session.behavior,
-            road=session.road,
-            session_id=session.session_id,
-        )] * len(views))
+        driver_ids.extend([session.driver_id] * len(views))
     if not windows:
         raise ValueError("no session long enough to produce a window")
     return WindowedDataset(
         windows=np.concatenate(windows),
         labels=np.concatenate(labels),
-        meta=meta,
+        driver_ids=driver_ids,
         class_names=list(CLASS_NAMES),
     )
 
@@ -315,15 +309,16 @@ def split_indices(ds: WindowedDataset, train_fraction: float = DEFAULT_TRAIN_FRA
                   seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Sorted train/test index arrays for a stratified split.
 
-    Each (driver, behavior) stratum is shuffled deterministically and
-    rounded to the nearest train count, clamped so both sides stay
-    nonempty; strata with fewer than two windows go entirely to train.
+    Each (driver, behavior) stratum, taken in the order of driver id and
+    behavior name, is shuffled deterministically and rounded to the nearest
+    train count, clamped so both sides stay nonempty; strata with fewer
+    than two windows go entirely to train.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     strata: dict[tuple[str, str], list[int]] = {}
-    for i, wm in enumerate(ds.meta):
-        strata.setdefault((wm.driver_id, wm.behavior), []).append(i)
+    for i, (driver, label) in enumerate(zip(ds.driver_ids, ds.labels.tolist())):
+        strata.setdefault((driver, ds.class_names[label]), []).append(i)
 
     rng = seeded_rng(derive_seed(seed, "stratified-split"))
     train_idx: list[int] = []
@@ -373,10 +368,12 @@ def apply_normalization(ds: WindowedDataset, stats: NormalizationStats) -> Windo
     """Shift and scale every channel by the fitted train statistics."""
     if stats.mean.size != ds.n_channels:
         raise ValueError(f"stats cover {stats.mean.size} channels, dataset has {ds.n_channels}")
+    windows = ds.windows - stats.mean
+    windows /= stats.std
     return WindowedDataset(
-        windows=(ds.windows - stats.mean) / stats.std,
+        windows=windows,
         labels=ds.labels.copy(),
-        meta=list(ds.meta),
+        driver_ids=list(ds.driver_ids),
         class_names=list(ds.class_names),
     )
 
@@ -440,7 +437,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray
 
     windows: list[np.ndarray] = []
     labels: list[int] = []
-    meta: list[WindowMeta] = []
+    driver_ids: list[str] = []
     archetypes: list[int] = []
     class_names = [f"CLASS_{c}" for c in range(spec.C)]
     for a in range(spec.archetype_count):
@@ -452,7 +449,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray
                 base[:, j] = spec.amplitudes[a] * np.sin(
                     2.0 * np.pi * spec.frequencies[a] * time_axis + phase
                 ) + shift
-            for r in range(spec.windows_per_class):
+            for _ in range(spec.windows_per_class):
                 noise = np.zeros((spec.t, spec.d))
                 if spec.noise_sigmas[a] > 0:
                     eps = rng.standard_normal((spec.t, spec.d)) * spec.noise_sigmas[a]
@@ -462,17 +459,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray
                         noise[step] = spec.ar_coeff * noise[step - 1] + innovation * eps[step]
                 windows.append(base + noise)
                 labels.append(c)
-                meta.append(WindowMeta(
-                    driver_id=f"A{a}",
-                    behavior=class_names[c],
-                    road="SYNTH",
-                    session_id=f"arch{a}-class{c}-{r}",
-                ))
+                driver_ids.append(f"A{a}")
                 archetypes.append(a)
     ds = WindowedDataset(
         windows=np.stack(windows),
         labels=np.asarray(labels, dtype=np.int64),
-        meta=meta,
+        driver_ids=driver_ids,
         class_names=class_names,
     )
     return ds, np.asarray(archetypes, dtype=np.int64)

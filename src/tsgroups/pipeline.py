@@ -297,6 +297,8 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             train_idx, test_idx = split_indices(ds, opts.train_fraction, opts.seed)
             train_ds = ds.subset(train_idx)
             test_ds = ds.subset(test_idx)
+            m_total, t, d, c = *ds.windows.shape, ds.n_classes
+            del ds  # the splits hold every window; the unsplit copy is not kept through the writes
             stats = None
             if opts.normalize:
                 stats = fit_normalization(train_ds)
@@ -313,12 +315,12 @@ def cmd_ingest(config: PipelineConfig) -> dict:
             "synthetic": spec is not None,
             "n_sessions": n_sessions,
             "rejected_rows": rejected_rows,
-            "M_total": ds.n_windows,
+            "M_total": m_total,
             "M_train": train_ds.n_windows,
             "M_test": test_ds.n_windows,
-            "t": ds.n_timesteps,
-            "d": ds.n_channels,
-            "C": ds.n_classes,
+            "t": t,
+            "d": d,
+            "C": c,
             "class_counts_train": class_counts(train_ds),
             "class_counts_test": class_counts(test_ds),
             "normalized": opts.normalize,
@@ -497,8 +499,8 @@ def cmd_report(run_dir: str | Path) -> dict:
         written[name] = str(path)
 
     if grouping is not None and ds is not None:
-        counts = Counter((int(g), wm.driver_id, wm.behavior)
-                         for g, wm in zip(grouping.assignment, ds.meta))
+        counts = Counter((int(g), driver, ds.class_names[label])
+                         for g, driver, label in zip(grouping.assignment, ds.driver_ids, ds.labels))
         export("composition_train", ["group", "driver_id", "behavior", "count"],
                ([*key, counts[key]] for key in sorted(counts)))
     if grouping is not None and aecs is not None:

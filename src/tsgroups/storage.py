@@ -10,10 +10,10 @@ matrix, the model) is a zip archive with fixed entry metadata (no
 compression, epoch dates, sorted names), so identical content gives
 identical bytes: ``header.json`` holds its other fields and the tensor's
 ``shape``, ``<tensor>.f8`` the tensor as little-endian float64; every
-other record is one JSON file. Digest helpers strip wall-time fields
-so timing never leaks into content digests. Every file is written to a
-temporary name beside its target and renamed over it, so a write that
-fails partway leaves the previous file as it was.
+other record is one JSON file. Digest helpers strip the manifests'
+``stage_timings`` so timing never leaks into content digests. Every
+file is written to a temporary name beside its target and renamed over
+it, so a write that fails partway leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .types import AecsMatrix, WindowedDataset
 
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
-TIMING_KEYS = frozenset({"wall_time_s", "stage_timings"})
+TIMING_KEYS = frozenset({"stage_timings"})
 
 
 def _encode(obj):
@@ -129,7 +129,7 @@ def as_record(cls, data):
     """The record ``cls`` of its JSON object, each field decoded by its declared type.
 
     A value of another JSON type, or a nested record's error, is a ``FieldError`` whose message starts
-    with the field's path (``meta[3].driver_id``); an unknown or missing key is a TypeError.
+    with the field's path (``driver_ids[3]``); an unknown or missing key is a TypeError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a {cls.__name__} must be a JSON object, got {reprlib.repr(data)}")
@@ -172,7 +172,7 @@ def read_json(path: str | Path):
         return json.load(fh)
 
 
-def write_archive(path: str | Path, entries: dict[str, bytes]) -> None:
+def write_archive(path: str | Path, entries: dict[str, bytes | memoryview]) -> None:
     """Zip archive with deterministic layout: sorted names, fixed dates."""
     with atomic_open(path) as fh, zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(entries):
@@ -203,7 +203,7 @@ def _strip_timing(obj):
 
 
 def content_digest(path: str | Path) -> str:
-    """Digest that ignores wall-time fields inside JSON artifacts.
+    """Digest that ignores the wall times (``stage_timings``) inside JSON artifacts.
 
     JSON files are canonicalized with timing keys removed; every other
     file is digested byte-for-byte.
@@ -248,14 +248,15 @@ def save_tensor_record(path: str | Path, record, tensor: str) -> None:
     """Record archive: field ``tensor`` as ``<tensor>.f8``, every other ``init`` field in ``header.json``.
 
     The header is the canonical JSON of those fields plus ``shape``, the
-    tensor's shape; the tensor is its little-endian float64 bytes.
+    tensor's shape; the tensor is its little-endian float64 bytes, handed
+    to ``zipfile`` as a view of the array rather than a copy.
     """
     array = getattr(record, tensor)
     header = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
               if f.init and f.name != tensor}
     write_archive(path, {
         "header.json": canonical_json({**header, "shape": array.shape}).encode("utf-8"),
-        f"{tensor}.f8": np.ascontiguousarray(array, dtype="<f8").tobytes(),
+        f"{tensor}.f8": memoryview(np.ascontiguousarray(array, dtype="<f8")).cast("B"),
     })
 
 

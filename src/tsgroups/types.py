@@ -31,27 +31,17 @@ class DivergenceError(RuntimeError):
     """Numeric training produced NaN/Inf and was aborted."""
 
 
-@dataclass(frozen=True)
-class WindowMeta:
-    """Identity of the session a window was cut from."""
-
-    driver_id: str
-    behavior: str
-    road: str
-    session_id: str
-
-
 @dataclass
 class WindowedDataset:
-    """M windows of t timesteps x d channels with labels and origins.
+    """M windows of t timesteps x d channels with labels and drivers.
 
     ``windows`` is float64 (M, t, d); ``labels`` holds one class id per
-    window in ``{0..C-1}``; ``meta`` has one record per window.
+    window in ``{0..C-1}``; ``driver_ids`` names the driver of each window.
     """
 
     windows: npt.NDArray[np.float64]
     labels: npt.NDArray[np.int64]
-    meta: list[WindowMeta]
+    driver_ids: list[str]
     class_names: list[str]
 
     def __post_init__(self) -> None:
@@ -71,8 +61,8 @@ class WindowedDataset:
             raise ValueError("class_names must be nonempty")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= c:
             raise ValueError(f"labels must lie in [0, {c})")
-        if len(self.meta) != m:
-            raise ValueError(f"meta must have length {m}, got {len(self.meta)}")
+        if len(self.driver_ids) != m:
+            raise ValueError(f"driver_ids must have length {m}, got {len(self.driver_ids)}")
 
     @property
     def n_windows(self) -> int:
@@ -96,7 +86,7 @@ class WindowedDataset:
         return WindowedDataset(
             windows=self.windows[idx],
             labels=self.labels[idx],
-            meta=[self.meta[i] for i in idx],
+            driver_ids=[self.driver_ids[i] for i in idx],
             class_names=list(self.class_names),
         )
 

@@ -33,7 +33,7 @@ from tsgroups.hierarchy import Linkage, agglomerate, hubert_statistic, select_be
 from tsgroups.pipeline import cmd_infer, cmd_ingest, cmd_train, read_config
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import content_digest, file_digest
-from tsgroups.types import Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import Grouping, WindowedDataset
 
 from reference import gradient_check, naive_chebyshev, naive_mahalanobis, naive_manhattan
 from synthdata import (
@@ -253,14 +253,10 @@ def blob_world(seed=5):
     x, _ = planted_blobs(sizes=(14, 12, 10), separation=8.0, seed=seed)
     m = x.shape[0]
     rng = seeded_rng(derive_seed(seed, "blob-world"))
-    meta = [
-        WindowMeta(driver_id=f"D{i % 2}", behavior="NORMAL", road="MOTORWAY", session_id=f"s{i}")
-        for i in range(m)
-    ]
     ds = WindowedDataset(
         windows=rng.normal(size=(m, 5, 2)),
         labels=(np.arange(m) % 2).astype(np.int64),
-        meta=meta,
+        driver_ids=[f"D{i % 2}" for i in range(m)],
         class_names=["c0", "c1"],
     )
     return ds, x

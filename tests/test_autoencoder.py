@@ -237,7 +237,7 @@ def test_fit_early_stop_returns_best():
     cfg = ae.AutoencoderConfig(hidden1=5, hidden2=2, epochs=40, batch_size=8,
                                early_stop_patience=3, seed=2)
     _, report = ae.fit(ds, cfg)
-    assert report.best_val_loss == min(report.val_losses)
+    assert report.val_losses[report.best_epoch - 1] == min(report.val_losses)
     assert report.stopped_epoch <= 40
 
 

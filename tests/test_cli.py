@@ -420,7 +420,7 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
          "report"),
         ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
-            lambda h: {**h, "meta": [{**h["meta"][0], "lane": 1}, *h["meta"][1:]]})), "infer"),
+            lambda h: {**h, "driver_ids": h["driver_ids"][:-1]})), "infer"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(lambda h: {**h, "labels": None})),
          "infer"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
@@ -428,7 +428,7 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("bundle_grouped.json", edit_json(lambda d: d.update(kind="SOFTMAX_RAW")), "infer"),
         # Files written before the records dropped their provenance tags.
         ("bundle_grouped.json", edit_json(lambda d: d.update(spec={"kind": d.pop("kind")})), "infer"),
-        ("bundle_grouped.json", edit_json(lambda d: d["models"][0].update(n_train=True)), "infer"),
+        ("bundle_grouped.json", edit_json(lambda d: d.update(n_classes=True)), "infer"),
         # Edits every reader takes; only the manifest's digest tells.
         ("aecs_train.zip", shift_first_vector, "infer"),
         ("mapping_avg.json", edit_json(lambda d: d["rows"][0]["candidate_distances"].__setitem__(
@@ -469,7 +469,7 @@ RECORD_DAMAGE = {
     "not-an-object": (BUNDLES + CGF_FILES, lambda path: path.write_text("[]")),
     "unknown-key": (BUNDLES + CGF_FILES, edit_json(lambda d: d.update(lane=1))),
     "wrong-type": (BUNDLES, edit_json(lambda d: d.update(n_classes=float(d["n_classes"])))),
-    "wrong-type-cgf": (CGF_FILES, edit_json(lambda d: d.update(rejected_size="1"))),
+    "wrong-type-cgf": (CGF_FILES, edit_json(lambda d: d.update(accepted_k=str(d["accepted_k"])))),
     "weights-shape": (BUNDLES, edit_json(lambda d: d["models"][0].update(
         weights=d["models"][0]["weights"][:-1]))),
     "group-id-not-below-K": (CGF_FILES, edit_json(
@@ -499,6 +499,9 @@ RECORD_DAMAGE = {
     "presence-as-numbers": (BUNDLES, edit_json(
         lambda d: d.update(class_presence=[[int(p) for p in row] for row in d["class_presence"]]))),
     "warnings-a-string": (BUNDLES, edit_json(lambda d: d.update(warnings="abc"))),
+    # Files in the layout before the fields that repeat another were dropped.
+    "holds-rejected-size": (CGF_FILES, edit_json(lambda d: d.update(rejected_size=1))),
+    "model-holds-n-train": (BUNDLES, edit_json(lambda d: [model.update(n_train=3) for model in d["models"]])),
     # A K far above the row count is refused before any array of K ids is built.
     "K-far-above-rows": (CGF_FILES, edit_json(lambda d: d["grouping"].update(K=10**12))),
     # Edits the records take; only the manifest's digest tells.
@@ -537,7 +540,11 @@ def test_damaged_record_file_exits_io(completed_run, tmp_path, capsys, name, dam
 DATASET_READERS = {"train_dataset.zip": ("train", "report"), "test_dataset.zip": ("infer",)}
 DATASET_DAMAGE = {
     "class-names-of-other-types": lambda h: {**h, "class_names": [0, {"x": 1}, None]},
-    "driver-id-a-number": lambda h: {**h, "meta": [{**h["meta"][0], "driver_id": 5}, *h["meta"][1:]]},
+    "driver-id-a-number": lambda h: {**h, "driver_ids": [5, *h["driver_ids"][1:]]},
+    # The layout before the header kept one driver id per window.
+    "holds-meta": lambda h: {**{k: v for k, v in h.items() if k != "driver_ids"}, "meta": [
+        {"driver_id": driver, "behavior": h["class_names"][label], "road": "MOTORWAY", "session_id": "s"}
+        for driver, label in zip(h["driver_ids"], h["labels"])]},
     "labels-fractions": lambda h: {**h, "labels": [label + 0.5 for label in h["labels"]]},
 }
 

@@ -58,8 +58,7 @@ def test_sub_threshold_first_split_collapses_to_one_group():
     assert result.grouping.K == 1
     assert np.all(result.grouping.assignment == 0)
     assert result.grouping.measure in ("CHEBYSHEV", "MANHATTAN", "MAHALANOBIS")
-    assert result.rejected_size == 2
-    assert result.trace[0]["accepted"] is False
+    assert result.trace == [{"k": 2, "new_group_size": 2, "accepted": False}]
 
 
 def test_tiny_tau_runs_to_cap():
@@ -140,7 +139,7 @@ def test_identical_vectors_form_one_group():
     x = np.tile(seeded_rng(3).standard_normal(5), (80, 1))
     result = form_consistent_groups(x)
     assert (result.grouping.K, result.stopped_by) == (1, "duplicates")
-    assert result.trace == [{"k": 2, "new_group_size": result.rejected_size, "accepted": False}]
+    assert [(row["k"], row["accepted"]) for row in result.trace] == [(2, False)]
 
 
 def test_copies_of_nine_points_form_nine_groups():

@@ -22,7 +22,7 @@ from tsgroups.grouped import (
 )
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
-from tsgroups.types import WindowedDataset, WindowMeta
+from tsgroups.types import WindowedDataset
 
 
 def make_dataset(m=12, t=6, d=2, n_classes=2, seed=0, labels=None):
@@ -30,14 +30,10 @@ def make_dataset(m=12, t=6, d=2, n_classes=2, seed=0, labels=None):
     windows = rng.normal(size=(m, t, d))
     if labels is None:
         labels = np.arange(m) % n_classes
-    meta = [
-        WindowMeta(driver_id=f"D{i % 3}", behavior="NORMAL", road="MOTORWAY", session_id=f"s{i}")
-        for i in range(m)
-    ]
     return WindowedDataset(
         windows=windows,
         labels=np.asarray(labels, dtype=np.int64),
-        meta=meta,
+        driver_ids=[f"D{i % 3}" for i in range(m)],
         class_names=[f"c{j}" for j in range(n_classes)],
     )
 
@@ -138,7 +134,6 @@ def test_single_class_training_is_constant_predictor():
     model = train_softmax(x, y, ClassifierSpec(epochs=50))
     assert np.array_equal(model.seen_classes, [2])
     assert np.all(model.weights == 0)
-    assert model.n_train == 6
     probe = seeded_rng(derive_seed(5, "probe")).normal(size=(9, 3))
     assert np.array_equal(predict_softmax(model, probe), np.full(9, 2))
 
@@ -159,7 +154,6 @@ def test_prediction_tie_resolves_to_smaller_class_id():
         seen_classes=np.array([3, 5]),
         feature_mean=np.zeros(1),
         feature_std=np.ones(1),
-        n_train=4,
     )
     assert np.array_equal(predict_softmax(model, np.array([[0.7], [-1.2]])), [3, 3])
 
@@ -186,9 +180,8 @@ def test_train_per_group_partitions_instances():
     assignment = np.array([0] * 5 + [1] * 4 + [2] * 5)
     bundle = train_per_group(ds, vectors, assignment, ClassifierSpec(epochs=20))
     assert bundle.n_groups == 3
-    sizes = [m.n_train for m in bundle.models]
-    assert sizes == [5, 4, 5]
-    assert sum(sizes) == ds.n_windows
+    for g, model in enumerate(bundle.models):
+        assert np.array_equal(model.feature_mean, vectors[assignment == g].mean(axis=0))
     for g in range(3):
         expect = np.zeros(ds.n_classes, dtype=bool)
         expect[np.unique(ds.labels[assignment == g])] = True

@@ -356,7 +356,7 @@ def test_window_counts_and_labels(tmp_path):
     assert ds.n_timesteps == 4
     assert ds.n_channels == 6
     assert ds.n_windows == 4 + 2
-    assert [m.behavior for m in ds.meta].count("NORMAL") == 4
+    assert ds.labels.tolist().count(CLASS_NAMES.index("NORMAL")) == 4
     assert set(ds.labels.tolist()) == {CLASS_NAMES.index("NORMAL"), CLASS_NAMES.index("DROWSY")}
     first = sessions[0].samples[0:4]
     assert np.array_equal(ds.windows[0], first)
@@ -370,8 +370,7 @@ def test_windows_never_cross_sessions(tmp_path):
     sessions = [parse_uah_session(d1), parse_uah_session(d2)]
     ds = window_sessions(sessions, window_len=4, overlap_fraction=0.5)
     assert ds.n_windows == 4
-    drivers = [m.driver_id for m in ds.meta]
-    assert drivers == ["D1", "D1", "D2", "D2"]
+    assert ds.driver_ids == ["D1", "D1", "D2", "D2"]
 
 
 def test_short_session_skipped_with_warning(tmp_path, caplog):
@@ -396,8 +395,8 @@ def test_split_indices_properties():
     other_train, _ = split_indices(ds, 0.8, seed=2)
     assert not np.array_equal(train_idx, other_train)
     strata = {}
-    for i, meta in enumerate(ds.meta):
-        strata.setdefault((meta.driver_id, meta.behavior), []).append(i)
+    for i, (driver, label) in enumerate(zip(ds.driver_ids, ds.labels)):
+        strata.setdefault((driver, label), []).append(i)
     for members in strata.values():
         n_train = np.intersect1d(train_idx, members).size
         assert n_train == round(0.8 * len(members))
@@ -431,12 +430,12 @@ def test_normalization_constant_channel():
     windows = np.zeros((4, 6, 2))
     windows[..., 0] = 7.0
     windows[..., 1] = np.arange(4)[:, None]
-    from tsgroups.types import WindowedDataset, WindowMeta
+    from tsgroups.types import WindowedDataset
 
     ds = WindowedDataset(
         windows=windows,
         labels=np.zeros(4, dtype=np.int64),
-        meta=[WindowMeta("D1", "NORMAL", "MOTORWAY", "s") for _ in range(4)],
+        driver_ids=["D1"] * 4,
         class_names=["NORMAL"],
     )
     stats = fit_normalization(ds)

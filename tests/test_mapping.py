@@ -18,21 +18,17 @@ from tsgroups.group_mapping import (
 from tsgroups.grouped import predict, train_per_group, train_single_baseline
 from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
-from tsgroups.types import Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import Grouping, WindowedDataset
 
 from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan
 
 
 def make_dataset(m, t=5, d=2, n_classes=2, seed=0):
     rng = seeded_rng(derive_seed(seed, "mapping-ds"))
-    meta = [
-        WindowMeta(driver_id=f"D{i % 2}", behavior="NORMAL", road="MOTORWAY", session_id=f"s{i}")
-        for i in range(m)
-    ]
     return WindowedDataset(
         windows=rng.normal(size=(m, t, d)),
         labels=(np.arange(m) % n_classes).astype(np.int64),
-        meta=meta,
+        driver_ids=[f"D{i % 2}" for i in range(m)],
         class_names=[f"c{j}" for j in range(n_classes)],
     )
 

@@ -45,19 +45,15 @@ from tsgroups.storage import (
     write_archive,
     write_json,
 )
-from tsgroups.types import AecsMatrix, ClassMetrics, Grouping, WindowedDataset, WindowMeta
+from tsgroups.types import AecsMatrix, ClassMetrics, Grouping, WindowedDataset
 
 
 def make_dataset(m=9, t=4, d=2, n_classes=3, seed=0):
     rng = seeded_rng(derive_seed(seed, "storage-ds"))
-    meta = [
-        WindowMeta(driver_id=f"D{i % 2}", behavior="NORMAL", road="MOTORWAY", session_id=f"s{i}")
-        for i in range(m)
-    ]
     return WindowedDataset(
         windows=rng.normal(size=(m, t, d)),
         labels=(np.arange(m) % n_classes).astype(np.int64),
-        meta=meta,
+        driver_ids=[f"D{i % 2}" for i in range(m)],
         class_names=[f"c{j}" for j in range(n_classes)],
     )
 
@@ -92,12 +88,10 @@ def test_write_json_layout(tmp_path):
 RECORDS = {
     "train_report": (ae.TrainReport(
         train_losses=[0.5, np.float64(0.1)], val_losses=[0.75, 1 / 3], stopped_epoch=2,
-        best_epoch=1, best_val_loss=0.75, final_loss=0.1, wall_time_s=0.125, n_train=9, n_val=1,
+        best_epoch=1, n_train=9, n_val=1,
     ), """\
 {
   "best_epoch": 1,
-  "best_val_loss": 0.75,
-  "final_loss": 0.1,
   "n_train": 9,
   "n_val": 1,
   "stopped_epoch": 2,
@@ -108,8 +102,7 @@ RECORDS = {
   "val_losses": [
     0.75,
     0.3333333333333333
-  ],
-  "wall_time_s": 0.125
+  ]
 }
 """),
     "class_metrics": (ClassMetrics(
@@ -185,7 +178,7 @@ RECORDS = {
     "cgf_result": (CgfResult(
         grouping=Grouping(assignment=np.array([0, 1, 1, 0]), K=2, measure="CHEBYSHEV",
                           hubert_scores={"MANHATTAN": 0.25, "CHEBYSHEV": 0.5}),
-        stopped_by="tau", accepted_k=2, rejected_size=np.int64(1),
+        stopped_by="tau", accepted_k=2,
         trace=[{"k": 2, "new_group_size": np.int64(2), "accepted": True},
                {"k": 3, "new_group_size": np.int64(1), "accepted": False}],
         dendrogram_fingerprint="cd34",
@@ -207,7 +200,6 @@ RECORDS = {
     },
     "measure": "CHEBYSHEV"
   },
-  "rejected_size": 1,
   "stopped_by": "tau",
   "trace": [
     {
@@ -226,7 +218,7 @@ RECORDS = {
     "bundle": (GroupModelBundle(
         models=[SoftmaxModel(weights=np.array([[0.5], [-0.25]]), bias=np.array([0.0]),
                              seen_classes=np.array([1]), feature_mean=np.array([1.5, 0.0]),
-                             feature_std=np.array([2.0, 1.0]), n_train=3)],
+                             feature_std=np.array([2.0, 1.0]))],
         class_presence=np.array([[False, True]]),
         kind=ClassifierKind.SOFTMAX_AECS, n_classes=2,
         warnings=["group 0 contains only class 1; constant predictor"],
@@ -252,7 +244,6 @@ RECORDS = {
         2.0,
         1.0
       ],
-      "n_train": 3,
       "seen_classes": [
         1
       ],
@@ -531,12 +522,11 @@ def test_field_types_take_json_numbers_but_not_true():
 
 def test_number_arrays_take_no_json_true():
     # numpy reads [0, true, 1] as an int array, so each item of a JSON list is looked at, nested rows too.
-    meta = {"driver_id": "D1", "behavior": "NORMAL", "road": "MOTORWAY", "session_id": "s"}
     model = {"weights": [[0.5, 1.0], [-1.0, 2.0]], "bias": [0.0, 0.0], "seen_classes": [0, 1],
-             "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0], "n_train": 3}
+             "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
     bundle = {"models": [model], "class_presence": [[True, True]], "kind": "SOFTMAX_AECS",
               "n_classes": 2}
-    dataset = {"windows": np.zeros((3, 4, 2)), "labels": [0, 1, 0], "meta": [meta] * 3, "class_names": ["a", "b"]}
+    dataset = {"windows": np.zeros((3, 4, 2)), "labels": [0, 1, 0], "driver_ids": ["D1"] * 3, "class_names": ["a", "b"]}
     for cls, data, path, where in [
         (Grouping, {"assignment": [0, 1, 1], "K": 2, "measure": "CHEBYSHEV"}, ("assignment", 1), "assignment"),
         (SoftmaxModel, model, ("weights", 1, 0), "weights"),
@@ -609,9 +599,9 @@ def test_content_digest_ignores_timing_fields(tmp_path):
     b = tmp_path / "b.json"
     c = tmp_path / "c.json"
     base = {"result": 42, "nested": {"stage_timings": {"train": 1.0}, "value": 7}}
-    write_json(a, dict(base, wall_time_s=1.25))
-    write_json(b, dict(base, wall_time_s=99.0, stage_timings=[3, 4]))
-    write_json(c, dict(base, wall_time_s=1.25, result_extra=1))
+    write_json(a, dict(base, stage_timings={"ingest": 1.25}))
+    write_json(b, dict(base, stage_timings=[3, 4]))
+    write_json(c, dict(base, stage_timings={"ingest": 1.25}, result_extra=1))
     assert content_digest(a) == content_digest(b)
     assert content_digest(a) != content_digest(c)
     changed = json.loads(json.dumps(base))
@@ -648,7 +638,7 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     loaded = load_dataset(path)
     assert np.array_equal(loaded.windows, ds.windows)
     assert np.array_equal(loaded.labels, ds.labels)
-    assert loaded.meta == ds.meta
+    assert loaded.driver_ids == ds.driver_ids
     assert loaded.class_names == ds.class_names
     again = tmp_path / "again.zip"
     save_dataset(again, loaded)
@@ -665,7 +655,7 @@ def test_save_dataset_holds_one_copy_of_the_windows(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * ds.windows.nbytes
+    assert peak <= 0.1 * ds.windows.nbytes
 
 
 def test_dataset_without_labels(tmp_path):
@@ -721,13 +711,10 @@ def hand_built_model() -> ae.SavedModel:
 ARCHIVES = {
     "dataset": (WindowedDataset(
         windows=np.arange(12.0).reshape(2, 3, 2) / 4, labels=[1, 0],
-        meta=[WindowMeta("D1", "NORMAL", "MOTORWAY", "s0"),
-              WindowMeta("D2", "AGGRESSIVE", "SECONDARY", "s1")],
+        driver_ids=["D1", "D2"],
         class_names=["AGGRESSIVE", "NORMAL"],
     ), "windows", save_dataset,
-        '{"class_names":["AGGRESSIVE","NORMAL"],"labels":[1,0],'
-        '"meta":[{"behavior":"NORMAL","driver_id":"D1","road":"MOTORWAY","session_id":"s0"},'
-        '{"behavior":"AGGRESSIVE","driver_id":"D2","road":"SECONDARY","session_id":"s1"}],"shape":[2,3,2]}'),
+        '{"class_names":["AGGRESSIVE","NORMAL"],"driver_ids":["D1","D2"],"labels":[1,0],"shape":[2,3,2]}'),
     "aecs": (AecsMatrix(vectors=np.array([[0.5, -1.25], [1 / 3, 2.0]])),
              "vectors", lambda path, aecs: save_aecs(path, aecs.vectors), '{"shape":[2,2]}'),
     "model": (hand_built_model(), "weights", lambda path, m: ae.save_model(path, m.params, m.config, m.d),
@@ -781,7 +768,6 @@ def assert_same_models(got_models, want_models):
         for name in ("weights", "bias", "seen_classes", "feature_mean", "feature_std"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert getattr(got, name).dtype == getattr(want, name).dtype, name
-        assert got.n_train == want.n_train
 
 
 def test_bundle_round_trip_preserves_models(tmp_path):
