@@ -47,7 +47,8 @@ def main() -> None:
         class_effect_scale=0.6, windows_per_class=12,
         t=24, d=3, C=2, seed=args.seed,
     )
-    ds, archetypes = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
+    archetypes = np.array([int(driver.removeprefix("A")) for driver in ds.driver_ids])  # archetype a is driver A{a}
     cell = archetypes * ds.n_classes + ds.labels
     flat_width = ds.n_timesteps * ds.n_channels
     print(f"{ds.n_windows} windows, {flat_width} numbers each,"

@@ -31,7 +31,7 @@ def main() -> None:
         t=24, d=3, C=2,
         seed=9,
     )
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     train_idx, test_idx = split_indices(ds, train_fraction=0.8, seed=9)
     train_ds, test_ds = ds.subset(train_idx), ds.subset(test_idx)
     print(f"{train_ds.n_windows} train / {test_ds.n_windows} test windows,"
@@ -63,7 +63,7 @@ def main() -> None:
     fanin = Counter(report.chosen())
     routed = ", ".join(
         f"{fanin[g]} -> train group {g}" for g in sorted(fanin))
-    print(f"\nrouting of {len(report.rows)} test groups: {routed}")
+    print(f"\nrouting of {len(report.distances)} test groups: {routed}")
 
 
 if __name__ == "__main__":

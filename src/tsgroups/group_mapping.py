@@ -12,9 +12,10 @@ representation vectors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
 from .distances import (
     DistanceMeasureId,
@@ -37,59 +38,62 @@ class MappingMethod(str, enum.Enum):
         return self.value
 
 
-def candidate_distances(method: MappingMethod, train_vectors: np.ndarray,
-                        train_grouping: Grouping, test_block: np.ndarray,
-                        measure: DistanceMeasureId, ctx: MahalanobisContext | None = None) -> np.ndarray:
-    """Distance from one test group to each train group, indexed by train group.
+def candidate_distances(method: MappingMethod, train_vectors: np.ndarray, train_grouping: Grouping,
+                        test_vectors: np.ndarray, test_grouping: Grouping, measure: DistanceMeasureId,
+                        ctx: MahalanobisContext | None = None) -> np.ndarray:
+    """The (K_test, K_train) matrix of distances from each test group to each train group.
 
     CR_CR compares the group representatives; AVG averages the distances
-    of all cross-group instance pairs. The nearest train group is the
-    argmin, so ties go to the smaller index.
+    of all cross-group instance pairs. Each test group's nearest train
+    group is its row's argmin, so ties go to the smaller index.
     """
     x = np.asarray(train_vectors, dtype=np.float64)
-    test_block = np.asarray(test_block, dtype=np.float64)
-    if test_block.ndim != 2 or test_block.shape[0] == 0:
-        raise ValueError(f"test group must be a nonempty (n, h) matrix, got {test_block.shape}")
+    y = np.asarray(test_vectors, dtype=np.float64)
+    for side, vectors, grouping in (("train", x, train_grouping), ("test", y, test_grouping)):
+        if vectors.ndim != 2 or len(vectors) != grouping.n_instances:
+            raise ValueError(f"{side} vectors of shape {vectors.shape} do not fit a grouping of "
+                             f"{grouping.n_instances} rows")
     if MappingMethod(method) is MappingMethod.CR_CR:
-        train_crs = centroids(x, train_grouping.assignment)
-        return cross_distances(train_crs, test_block.mean(axis=0)[None], measure, ctx)[:, 0]
-    # A block of train rows at a time, so no train x test matrix is held.
+        return cross_distances(centroids(y, test_grouping.assignment), centroids(x, train_grouping.assignment),
+                               measure, ctx)
+    # The test rows sorted by group, so each test group is one column range of a block of train rows;
+    # a block at a time, so no train x test matrix is held.
     measure = DistanceMeasureId(measure)
-    xt, yt = kernel_rows(x, measure, ctx), kernel_rows(test_block, measure, ctx)
-    row_means = np.concatenate(reduce_blocks(xt, yt, measure, lambda block: block.mean(axis=1)))
-    return (np.bincount(train_grouping.assignment, weights=row_means, minlength=train_grouping.K)
-            / train_grouping.group_sizes())
-
-
-@dataclass
-class MappingRow:
-    """One test group's chosen train group, and its distance to every train group."""
-
-    test_group: int
-    test_group_size: int
-    chosen_train_group: int
-    candidate_distances: list[float]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.chosen_train_group < len(self.candidate_distances):
-            raise ValueError(f"chosen train group {self.chosen_train_group} is not one of "
-                             f"{len(self.candidate_distances)} candidates")
+    order = np.argsort(test_grouping.assignment, kind="stable")
+    ends = np.cumsum(test_grouping.group_sizes())
+    ranges = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+    xt, yt = kernel_rows(x, measure, ctx), kernel_rows(y[order], measure, ctx)
+    row_means = np.concatenate(reduce_blocks(
+        xt, yt, measure, lambda block: np.stack([block[:, lo:hi].mean(axis=1) for lo, hi in ranges], axis=1)))
+    # Row means of test group j summed per train group: bins j * K_train + g, added in train row order.
+    k_test, k_train = test_grouping.K, train_grouping.K
+    bins = train_grouping.assignment[:, None] + k_train * np.arange(k_test)
+    sums = np.bincount(bins.T.ravel(), weights=row_means.T.ravel(), minlength=k_test * k_train)
+    return sums.reshape(k_test, k_train) / train_grouping.group_sizes()
 
 
 @dataclass
 class MappingReport:
-    """Which train model each test group chose, with all candidate distances."""
+    """Each test group's distance to every train group, under the measure the train groups were formed with.
+
+    ``distances`` is the (K_test, K_train) matrix ``candidate_distances`` returns.
+    """
 
     method: MappingMethod
     measure: DistanceMeasureId
-    rows: list[MappingRow] = field(default_factory=list)
+    distances: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
         self.method = MappingMethod(self.method)
         self.measure = DistanceMeasureId(self.measure)
+        self.distances = np.asarray(self.distances, dtype=np.float64)
+        if self.distances.ndim != 2 or 0 in self.distances.shape:
+            raise ValueError(f"distances must be a nonempty (K_test, K_train) matrix, got shape "
+                             f"{self.distances.shape}")
 
     def chosen(self) -> list[int]:
-        return [row.chosen_train_group for row in self.rows]
+        """Each test group's train group: its row's argmin, so ties go to the smaller index."""
+        return self.distances.argmin(axis=1).tolist()
 
 
 def infer_with_groups(
@@ -110,31 +114,20 @@ def infer_with_groups(
     context, when needed, is the caller's to fit on ``train_vectors``;
     one is fitted here when not supplied.
     """
-    method = MappingMethod(method)
     if (train_grouping.K, train_grouping.n_instances) != (bundle.n_groups, len(train_vectors)):
         raise ValueError(f"train grouping of {train_grouping.K} groups over {train_grouping.n_instances} rows "
                          f"does not fit {bundle.n_groups} models and {len(train_vectors)} train vectors")
-    if len(test_vectors) != test_grouping.n_instances:
-        raise ValueError(f"{len(test_vectors)} test vectors vs {test_grouping.n_instances} grouped instances")
     if test_ds is not None and test_ds.n_windows != len(test_vectors):
         raise ValueError(f"{test_ds.n_windows} test windows vs {len(test_vectors)} vectors")
     measure = train_grouping.measure
     if measure is DistanceMeasureId.MAHALANOBIS and ctx is None:
         ctx = fit_mahalanobis(train_vectors)
+    report = MappingReport(method=method, measure=measure, distances=candidate_distances(
+        method, train_vectors, train_grouping, test_vectors, test_grouping, measure, ctx))
 
     predictions = np.empty(len(test_vectors), dtype=np.int64)
-    report = MappingReport(method=method, measure=measure)
-    for j in range(test_grouping.K):
+    for j, chosen in enumerate(report.chosen()):
         members = test_grouping.members(j)
-        block = test_vectors[members]
-        candidates = candidate_distances(method, train_vectors, train_grouping, block, measure, ctx)
-        chosen = int(np.argmin(candidates))
-        report.rows.append(MappingRow(
-            test_group=j,
-            test_group_size=int(members.size),
-            chosen_train_group=chosen,
-            candidate_distances=[float(c) for c in candidates],
-        ))
         windows = test_ds.windows[members] if test_ds is not None else None
-        predictions[members] = predict(bundle, chosen, windows, block)
+        predictions[members] = predict(bundle, chosen, windows, test_vectors[members])
     return predictions, report

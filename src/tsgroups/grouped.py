@@ -1,21 +1,21 @@
 """One classifier per consistent train group.
 
 Each group's instances train an independent model on the plain (M, h)
-representation vectors; a bundle collects the models, which classes each
-group held and the classifier kind ``predict`` needs. It keeps neither
-the grouping, which the grouping result (``cgf_train.json``) keeps, nor
-the learning settings, which the train manifest's config keeps. A
-single-model baseline is the same machinery run on an all-zeros
-assignment, so the two stay comparable by construction.
+representation vectors; a bundle collects the models, each holding the
+classes its group held, and the classifier kind ``predict`` needs. It
+keeps neither the grouping, which the grouping result
+(``cgf_train.json``) keeps, nor the learning settings, which the train
+manifest's config keeps. A single-model baseline is the same machinery
+run on an all-zeros assignment, so the two stay comparable by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import numpy.typing as npt
 
 from .classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel, extract_features, predict_softmax, train_softmax
 from .storage import as_record, read_json, write_json
@@ -24,18 +24,13 @@ from .types import WindowedDataset
 
 @dataclass
 class GroupModelBundle:
-    """K trained models, one per group, with the classes each group held and the features they read."""
+    """K trained models, one per group, and the features they read; model g's ``seen_classes`` are group g's classes."""
 
     models: list[SoftmaxModel]
-    class_presence: npt.NDArray[np.bool_]
     kind: ClassifierKind
     n_classes: int
-    warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.class_presence = np.asarray(self.class_presence, dtype=bool)
-        if self.class_presence.shape != (self.n_groups, self.n_classes):
-            raise ValueError(f"class_presence must be (K, C), got {self.class_presence.shape}")
         widths = sorted({model.n_features for model in self.models})
         if len(widths) != 1:
             raise ValueError(f"models must share one feature width, got widths {widths}")
@@ -47,6 +42,12 @@ class GroupModelBundle:
     @property
     def n_groups(self) -> int:
         return len(self.models)
+
+    @property
+    def warnings(self) -> list[str]:
+        """One line per group whose model saw a single class and so predicts it for every instance."""
+        return [f"group {g} contains only class {int(model.seen_classes[0])}; constant predictor"
+                for g, model in enumerate(self.models) if model.seen_classes.size == 1]
 
 
 def save_bundle(path: str | Path, bundle: GroupModelBundle) -> None:
@@ -65,7 +66,7 @@ def train_per_group(ds: WindowedDataset, vectors: np.ndarray, assignment: np.nda
     ``vectors`` holds the (M, h) representation of ``ds``, one row per window.
     Groups missing some class train on what they have and will never
     predict the absent classes; single-class groups degenerate to
-    constant predictors and are flagged in the bundle's warnings.
+    constant predictors, which the bundle's ``warnings`` name.
     """
     if len(vectors) != ds.n_windows:
         raise ValueError(f"{len(vectors)} vectors vs {ds.n_windows} windows")
@@ -75,25 +76,9 @@ def train_per_group(ds: WindowedDataset, vectors: np.ndarray, assignment: np.nda
     n_groups = np.bincount(assignment).size  # raises on a negative group id
 
     features = extract_features(spec.kind, ds.windows, vectors)
-    models: list[SoftmaxModel] = []
-    warnings: list[str] = []
-    presence = np.zeros((n_groups, ds.n_classes), dtype=bool)
-    for g in range(n_groups):
-        members = np.flatnonzero(assignment == g)
-        group_labels = ds.labels[members]
-        presence[g, np.unique(group_labels)] = True
-        if np.unique(group_labels).size == 1:
-            warnings.append(
-                f"group {g} contains only class {int(group_labels[0])}; constant predictor"
-            )
-        models.append(train_softmax(features[members], group_labels, spec))
-    return GroupModelBundle(
-        models=models,
-        class_presence=presence,
-        kind=spec.kind,
-        n_classes=ds.n_classes,
-        warnings=warnings,
-    )
+    models = [train_softmax(features[members], ds.labels[members], spec)
+              for members in (np.flatnonzero(assignment == g) for g in range(n_groups))]
+    return GroupModelBundle(models=models, kind=spec.kind, n_classes=ds.n_classes)
 
 
 def predict(bundle: GroupModelBundle, model_index: int, windows: np.ndarray | None,

@@ -122,7 +122,8 @@ def _parse_lines(lines: list[str], columns: ColumnMap) -> tuple[np.ndarray, int]
     """(n, 7) timestamp and channel values of the lines that parse, and the
     count of dropped lines.
 
-    Blank lines are skipped without counting. The block goes through one
+    Blank lines are skipped without counting, and a block of blank lines
+    returns before the reader is called. Otherwise the block goes through one
     ``np.loadtxt`` call with no comment character. Its C reader splits a
     line at the same whitespace as ``str.split`` (``\\n`` and ``\\r`` end a
     line there, and never occur inside a line read from the file). It reads
@@ -131,14 +132,11 @@ def _parse_lines(lines: list[str], columns: ColumnMap) -> tuple[np.ndarray, int]
     not read (``1_0``, non-ASCII digits), and the block is then halved,
     down to ``_parse_each_line``.
     """
-    usecols = (columns.timestamp, *columns.channel_indices())
-    # One line of zeros after the block, so an all-blank block is not "no
-    # data", which loadtxt warns about.
-    padding = " ".join(["0"] * columns.min_columns())
+    if not any(map(str.split, lines)):  # loadtxt warns of "no data" on a block of blank lines
+        return np.empty((0, 7)), 0
     try:
-        values = np.loadtxt([*lines, padding], usecols=usecols, comments=None,
-                            ndmin=2, dtype=np.float64)
-        return values[:-1], 0
+        return np.loadtxt(lines, usecols=(columns.timestamp, *columns.channel_indices()), comments=None,
+                          ndmin=2, dtype=np.float64), 0
     except ValueError:
         pass
     if len(lines) <= PARSE_FLOOR_LINES:
@@ -425,8 +423,8 @@ def class_factor(c: int, n_classes: int) -> float:
     return (2.0 * c - (n_classes - 1)) / max(n_classes - 1, 1)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray]:
-    """Draw windows from each (archetype, class) cell; returns archetype ids too.
+def generate_synthetic(spec: SyntheticSpec) -> WindowedDataset:
+    """Draw windows from each (archetype, class) cell; archetype a's windows have driver id ``A{a}``.
 
     The deterministic part of a window depends only on its cell, so zero
     noise makes windows within a cell identical. AR(1) noise with the
@@ -438,7 +436,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray
     windows: list[np.ndarray] = []
     labels: list[int] = []
     driver_ids: list[str] = []
-    archetypes: list[int] = []
     class_names = [f"CLASS_{c}" for c in range(spec.C)]
     for a in range(spec.archetype_count):
         for c in range(spec.C):
@@ -460,11 +457,9 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[WindowedDataset, np.ndarray
                 windows.append(base + noise)
                 labels.append(c)
                 driver_ids.append(f"A{a}")
-                archetypes.append(a)
-    ds = WindowedDataset(
+    return WindowedDataset(
         windows=np.stack(windows),
         labels=np.asarray(labels, dtype=np.int64),
         driver_ids=driver_ids,
         class_names=class_names,
     )
-    return ds, np.asarray(archetypes, dtype=np.int64)

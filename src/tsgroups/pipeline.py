@@ -182,7 +182,6 @@ class Manifest:
     stage_timings: dict[str, float]
     files: dict[str, str]
     versions: dict[str, str]
-    seeds: dict[str, int]
 
 
 def _artifact(out_dir: str | Path, name: str) -> Path:
@@ -262,8 +261,6 @@ def _writing_run(config: PipelineConfig, manifest: str):
             stage_timings=run.stage_timings,
             files={name: content_digest(path) for name, path in sorted(run.files.items())},
             versions={"package": __version__, "numpy": np.__version__, "python": sys.version.split()[0]},
-            seeds={"ingest": config.ingest.seed, "autoencoder": config.autoencoder.seed,
-                   "classifier": config.classifier.seed},
         ))
 
 
@@ -282,7 +279,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
         n_sessions = 0
         with run.stage("parse"):
             if spec is not None:
-                ds, _ = generate_synthetic(spec)
+                ds = generate_synthetic(spec)
             else:
                 sessions = discover_sessions(root, opts.column_map, opts.accelerometer_filename, opts.road)
                 # Keeps every session after discover_sessions(road=...); bench/tracer.py wraps it.
@@ -292,6 +289,7 @@ def cmd_ingest(config: PipelineConfig) -> dict:
                 rejected_rows = sum(s.rejected_rows for s in sessions)
                 n_sessions = len(sessions)
                 ds = window_sessions(sessions, opts.window_len, opts.overlap)
+                del sessions  # the windows are copies; nothing reads the parsed samples again
 
         with run.stage("split"):
             train_idx, test_idx = split_indices(ds, opts.train_fraction, opts.seed)
@@ -483,11 +481,11 @@ def cmd_report(run_dir: str | Path) -> dict:
     ds = optional("train_dataset", load_dataset, "composition table")
     aecs = optional("aecs_train", load_aecs, "projection export")
     mappings = None
-    if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr")):
+    if all(_artifact(out, name).is_file() for name in ("mapping_avg", "mapping_cr_cr", "cgf_test")):
         mappings = [_read(out, name, lambda path: as_record(MappingReport, read_json(path)))
                     for name in ("mapping_avg", "mapping_cr_cr")]
     else:
-        notices.append("mapping reports absent; mapping summary skipped")
+        notices.append("mapping reports or cgf_test.json absent; mapping summary skipped")
     test_grouping = optional("cgf_test", _grouping)
     # Files of two verbs: ingest may run again after train, and its new manifest vouches for its dataset.
     if grouping is not None and ds is not None and grouping.n_instances != ds.n_windows:
@@ -515,9 +513,8 @@ def cmd_report(run_dir: str | Path) -> dict:
             for token, rho in grouping.hubert_scores.items()))
     if mappings is not None:
         avg, crcr = mappings
-        export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"], (
-            [row.test_group, row.test_group_size, a, c] for row, a, c in zip(avg.rows, avg.chosen(), crcr.chosen())
-        ))
+        export("mapping_summary", ["test_group", "size", "chosen_avg", "chosen_cr_cr"],
+               zip(range(test_grouping.K), test_grouping.group_sizes().tolist(), avg.chosen(), crcr.chosen()))
     if test_grouping is not None:
         export("composition_test", ["group", "size"], enumerate(test_grouping.group_sizes().tolist()))
 

@@ -2,9 +2,12 @@
 
 Everything here recomputes results with plain double loops and
 first-principles definitions, deliberately sharing no code with the
-fast paths the tests compare them against. The finite-difference audit
-is the one exception: it differentiates the autoencoder's own loss
-numerically, to check that loss's analytic gradient.
+fast paths the tests compare them against. Two are exceptions: the
+finite-difference audit differentiates the autoencoder's own loss
+numerically, to check that loss's analytic gradient, and the per-group
+mapping oracle is the earlier per-test-group form of
+``candidate_distances``, built on the same distance kernel, to check
+that the whole matrix keeps its floats.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from tsgroups.autoencoder import Workspace, _backward, _reconstruction_loss
-from tsgroups.distances import DistanceMeasureId, MahalanobisContext
-from tsgroups.hierarchy import Dendrogram, Linkage
+from tsgroups.distances import (DistanceMeasureId, MahalanobisContext, cross_distances, kernel_rows,
+                                reduce_blocks)
+from tsgroups.hierarchy import Dendrogram, Linkage, centroids
 from tsgroups.ingest import ACCELEROMETER_FILENAME, ColumnMap, RawSession, parse_session_name
 
 
@@ -134,6 +138,24 @@ def naive_centroids(x: np.ndarray, assignment: np.ndarray) -> np.ndarray:
         for dim in range(h):
             out[g, dim] = sum(float(x[i, dim]) for i in members) / len(members)
     return out
+
+
+def pergroup_candidate_distances(method: str, train_vectors: np.ndarray, train_assignment: np.ndarray,
+                                 test_block: np.ndarray, measure: DistanceMeasureId,
+                                 ctx: MahalanobisContext | None = None) -> np.ndarray:
+    """Distance from one test group's rows to each train group, one call per test group.
+
+    CR_CR: the train centroids against the test block's mean. AVG: each
+    train row's mean distance to the block, a block of train rows at a
+    time, averaged per train group.
+    """
+    x = np.asarray(train_vectors, dtype=np.float64)
+    test_block = np.asarray(test_block, dtype=np.float64)
+    if method == "CR_CR":
+        return cross_distances(centroids(x, train_assignment), test_block.mean(axis=0)[None], measure, ctx)[:, 0]
+    xt, yt = kernel_rows(x, measure, ctx), kernel_rows(test_block, measure, ctx)
+    row_means = np.concatenate(reduce_blocks(xt, yt, measure, lambda block: block.mean(axis=1)))
+    return np.bincount(train_assignment, weights=row_means) / np.bincount(train_assignment)
 
 
 def naive_hubert(x: np.ndarray, assignment: np.ndarray, measure: DistanceMeasureId,

@@ -139,6 +139,7 @@ def test_distances_and_statistics_match_double_loops():
         split = m // 2
         left, right = x[:split], x[split:]
         whole_left = Grouping(assignment=np.zeros(split, dtype=np.int64), K=1, measure="MANHATTAN")
+        whole_right = Grouping(assignment=np.zeros(m - split, dtype=np.int64), K=1, measure="MANHATTAN")
 
         for measure in MEASURE_ORDER:
             use_inv = inv if measure is DistanceMeasureId.MAHALANOBIS else None
@@ -158,7 +159,8 @@ def test_distances_and_statistics_match_double_loops():
                 for v in right:
                     pair_sum += scalar_distance(u, v, measure, use_inv)
             expected_avg = pair_sum / (left.shape[0] * right.shape[0])
-            got_avg = candidate_distances(MappingMethod.AVG, left, whole_left, right, measure, ctx)[0]
+            got_avg = candidate_distances(MappingMethod.AVG, left, whole_left, right, whole_right,
+                                          measure, ctx)[0, 0]
             assert got_avg == pytest.approx(expected_avg, abs=1e-10)
 
 

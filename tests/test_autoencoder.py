@@ -201,7 +201,7 @@ def make_dataset(m=40, t=16, d=2, seed=0):
     spec = SyntheticSpec(frequencies=(1.0, 2.7), amplitudes=(1.0, 1.0),
                          noise_sigmas=(0.1, 0.1), class_effect_signs=(1, -1),
                          windows_per_class=m // 4, t=t, d=d, C=2, seed=seed)
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     return ds
 
 

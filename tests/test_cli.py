@@ -266,7 +266,7 @@ def test_classifier_seed_moves_no_bundle(completed_run, tmp_path):
     for name in ("bundle_grouped.json", "bundle_baseline.json"):
         assert content_digest(copy / name) == content_digest(run_dir / name), name
     manifest = json.loads((copy / "manifest_train.json").read_text())
-    assert manifest["config"]["classifier"]["seed"] == manifest["seeds"]["classifier"] == config["classifier"]["seed"]
+    assert manifest["config"]["classifier"]["seed"] == config["classifier"]["seed"]
 
 
 def test_flags_replace_only_their_values(tmp_path):
@@ -416,9 +416,12 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("cgf_train.json", lengthen_assignment_without("aecs_train.zip"), "report"),
         ("cgf_train.json", lengthen_assignment_without("train_dataset.zip"), "report"),
         ("cgf_test.json", move_one_instance, "report"),
-        ("mapping_avg.json", edit_json(lambda d: d["rows"][0].update(chosen_train_group=99)),
-         "report"),
-        ("mapping_cr_cr.json", edit_json(lambda d: d["rows"].pop()), "report"),
+        ("mapping_avg.json", edit_json(lambda d: d["distances"][0].append(0.0)), "report"),
+        ("mapping_cr_cr.json", edit_json(lambda d: d.update(distances=d["distances"][0])), "report"),
+        # A file in the layout before the mapping held one distance matrix.
+        ("mapping_avg.json", edit_json(lambda d: d.update(rows=[
+            {"test_group": j, "test_group_size": 1, "chosen_train_group": row.index(min(row)),
+             "candidate_distances": row} for j, row in enumerate(d.pop("distances"))])), "report"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(
             lambda h: {**h, "driver_ids": h["driver_ids"][:-1]})), "infer"),
         ("test_dataset.zip", edit_entry("header.json", json_edit(lambda h: {**h, "labels": None})),
@@ -431,8 +434,8 @@ def test_corrupt_model_exits_io(completed_run, tmp_path, capsys):
         ("bundle_grouped.json", edit_json(lambda d: d.update(n_classes=True)), "infer"),
         # Edits every reader takes; only the manifest's digest tells.
         ("aecs_train.zip", shift_first_vector, "infer"),
-        ("mapping_avg.json", edit_json(lambda d: d["rows"][0]["candidate_distances"].__setitem__(
-            0, d["rows"][0]["candidate_distances"][0] + 1.0)), "report"),
+        ("mapping_avg.json", edit_json(lambda d: d["distances"][0].__setitem__(0, d["distances"][0][0] + 1.0)),
+         "report"),
         ("manifest_train.json", lambda path: path.write_text("[]"), "infer"),
         ("manifest_ingest.json", lambda path: path.unlink(), "train"),
         ("manifest_ingest.json", lambda path: path.unlink(), "infer"),
@@ -496,10 +499,13 @@ RECORD_DAMAGE = {
         lambda d: d["grouping"].update(assignment=[g + 0.5 for g in d["grouping"]["assignment"]]))),
     "seen-classes-fractions": (BUNDLES, edit_json(lambda d: d["models"][0].update(
         seen_classes=[c + 0.25 for c in d["models"][0]["seen_classes"]]))),
-    "presence-as-numbers": (BUNDLES, edit_json(
-        lambda d: d.update(class_presence=[[int(p) for p in row] for row in d["class_presence"]]))),
-    "warnings-a-string": (BUNDLES, edit_json(lambda d: d.update(warnings="abc"))),
+    # Model 0's classes written as a class-presence row of true and false, which an array of ints refuses.
+    "presence-as-numbers": (BUNDLES, edit_json(lambda d: d["models"][0].update(
+        seen_classes=[c in d["models"][0]["seen_classes"] for c in range(d["n_classes"])]))),
+    "warnings-a-string": (BUNDLES, edit_json(lambda d: d.update(models="abc"))),
     # Files in the layout before the fields that repeat another were dropped.
+    "holds-class-presence": (BUNDLES, edit_json(lambda d: d.update(
+        class_presence=[[c in model["seen_classes"] for c in range(d["n_classes"])] for model in d["models"]]))),
     "holds-rejected-size": (CGF_FILES, edit_json(lambda d: d.update(rejected_size=1))),
     "model-holds-n-train": (BUNDLES, edit_json(lambda d: [model.update(n_train=3) for model in d["models"]])),
     # A K far above the row count is refused before any array of K ids is built.

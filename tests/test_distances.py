@@ -247,12 +247,13 @@ def test_blocks_give_the_same_floats_on_any_worker_count(scratch_bytes, monkeypa
         ctx = fit_mahalanobis(x)
         assignment = rng.integers(0, 4, size=rows)
         grouping = Grouping(assignment=assignment, K=4, measure="CHEBYSHEV")
+        test_grouping = Grouping(assignment=np.arange(cols) % 3, K=3, measure="CHEBYSHEV")
         runs = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(distances, "_worker_count", lambda: workers)
             runs.append([(pairwise_matrix(x, measure, ctx), cross_distances(x, y, measure, ctx),
                           hubert_statistic(x, assignment, measure, ctx),
-                          candidate_distances(MappingMethod.AVG, x, grouping, y, measure, ctx))
+                          candidate_distances(MappingMethod.AVG, x, grouping, y, test_grouping, measure, ctx))
                          for measure in MEASURE_ORDER])
         for workers, run in zip((2, 3), runs[1:]):
             for measure, got, want in zip(MEASURE_ORDER, run, runs[0]):

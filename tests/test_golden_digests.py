@@ -114,7 +114,7 @@ def outcomes(run: Path) -> dict:
         found[name] = {"K": grouping["K"], "measure": grouping["measure"],
                        "assignment_sha256": _sha256(grouping["assignment"])}
     for name in ("mapping_avg.json", "mapping_cr_cr.json"):
-        found[name] = {"chosen": [row["chosen_train_group"] for row in read_json(run / name)["rows"]]}
+        found[name] = {"chosen": np.argmin(read_json(run / name)["distances"], axis=1).tolist()}
     for name in ("predictions.csv", "metrics.json", "infer_report.json"):
         found[name] = content_digest(run / name)
     for name in ("train_dataset.zip", "test_dataset.zip"):

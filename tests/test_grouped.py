@@ -183,9 +183,7 @@ def test_train_per_group_partitions_instances():
     for g, model in enumerate(bundle.models):
         assert np.array_equal(model.feature_mean, vectors[assignment == g].mean(axis=0))
     for g in range(3):
-        expect = np.zeros(ds.n_classes, dtype=bool)
-        expect[np.unique(ds.labels[assignment == g])] = True
-        assert np.array_equal(bundle.class_presence[g], expect)
+        assert np.array_equal(bundle.models[g].seen_classes, np.unique(ds.labels[assignment == g]))
     assert bundle.warnings == []
 
 
@@ -194,8 +192,8 @@ def test_single_class_group_flagged():
     ds = make_dataset(m=8, n_classes=2, labels=labels)
     vectors = make_vectors(ds)
     bundle = train_per_group(ds, vectors, np.array([0, 0, 0, 0, 1, 1, 1, 1]), ClassifierSpec(epochs=10))
-    assert any("group 1" in w for w in bundle.warnings)
-    assert np.array_equal(bundle.class_presence[1], [True, False])
+    assert bundle.warnings == ["group 1 contains only class 0; constant predictor"]
+    assert bundle.models[1].seen_classes.tolist() == [0]
     preds = predict(bundle, 1, None, vectors)
     assert np.all(preds == 0)
 
@@ -255,7 +253,7 @@ def test_bundle_determinism():
     for ma, mb in zip(a.models, b.models):
         assert np.array_equal(ma.weights, mb.weights)
         assert np.array_equal(ma.bias, mb.bias)
-    assert np.array_equal(a.class_presence, b.class_presence)
+    assert all(np.array_equal(ma.seen_classes, mb.seen_classes) for ma, mb in zip(a.models, b.models))
 
 
 def test_bundle_validation():
@@ -263,19 +261,7 @@ def test_bundle_validation():
     vectors = make_vectors(ds)
     spec = ClassifierSpec(epochs=5)
     bundle = train_single_baseline(ds, vectors, spec)
-    with pytest.raises(ValueError):
-        GroupModelBundle(
-            models=[],
-            class_presence=np.ones((1, 2), dtype=bool),
-            kind=spec.kind,
-            n_classes=2,
-        )
-    with pytest.raises(ValueError):
-        GroupModelBundle(
-            models=list(bundle.models),
-            class_presence=np.ones((2, 2), dtype=bool),
-            kind=spec.kind,
-            n_classes=2,
-        )
+    with pytest.raises(ValueError, match="seen_classes"):
+        GroupModelBundle(models=list(bundle.models), kind=spec.kind, n_classes=1)
     with pytest.raises(ValueError, match="one feature width"):
-        GroupModelBundle(models=[], class_presence=np.ones((0, 2), dtype=bool), kind=spec.kind, n_classes=2)
+        GroupModelBundle(models=[], kind=spec.kind, n_classes=2)

@@ -3,6 +3,7 @@
 import json
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,33 @@ def test_parse_session_all_blank_block_matches_row_loop(tmp_path, blank):
     write_lines(tmp_path, [blank] * BLOCK + ["short"], "y-D1-NORMAL-MOTORWAY")
     with pytest.raises(ValueError, match="no valid rows"):
         parse_uah_session(tmp_path / "y-D1-NORMAL-MOTORWAY")
+
+
+@pytest.mark.parametrize("block_lines", [8192, 3, 1])
+def test_all_blank_session_reaches_no_loadtxt_warning(tmp_path, monkeypatch, block_lines):
+    monkeypatch.setattr(ingest, "PARSE_BLOCK_LINES", block_lines)
+    directory = write_lines(tmp_path, ["", "   \t ", "\f\v", "\x1c"] * 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no valid rows"):
+            parse_uah_session(directory)
+    assert not [w for w in caught if issubclass(w.category, UserWarning)], [str(w.message) for w in caught]
+
+
+def test_far_column_index_costs_no_row_of_its_width(tmp_path):
+    # Every line is too short for column 10**7. A row of 10**7 tokens, built
+    # even once, would take some 80 MiB; the parse holds at most a block of lines.
+    directory = write_lines(tmp_path, good_rows(200))
+    columns = ColumnMap(yaw=10**7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="no valid rows"):
+            parse_uah_session(directory, columns)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("columns", [
@@ -385,7 +413,7 @@ def test_short_session_skipped_with_warning(tmp_path, caplog):
 
 def test_split_indices_properties():
     spec = SyntheticSpec(windows_per_class=10, t=8, d=2, seed=0)
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     train_idx, test_idx = split_indices(ds, 0.8, seed=1)
     assert np.intersect1d(train_idx, test_idx).size == 0
     assert np.union1d(train_idx, test_idx).size == ds.n_windows
@@ -404,7 +432,7 @@ def test_split_indices_properties():
 
 def test_stratified_split_returns_matching_datasets():
     spec = SyntheticSpec(windows_per_class=5, t=8, d=2, seed=3)
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     train_idx, test_idx = split_indices(ds, 0.8, seed=0)
     train, test = ds.subset(train_idx), ds.subset(test_idx)
     assert train.n_windows + test.n_windows == ds.n_windows
@@ -415,7 +443,7 @@ def test_stratified_split_returns_matching_datasets():
 
 def test_normalization_round_trip():
     spec = SyntheticSpec(windows_per_class=8, t=10, d=3, seed=2)
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     stats = fit_normalization(ds)
     normed = apply_normalization(ds, stats)
     flat = normed.windows.reshape(-1, 3)
@@ -447,13 +475,14 @@ def test_normalization_constant_channel():
 
 def test_generate_synthetic_shapes_and_determinism():
     spec = SyntheticSpec(windows_per_class=6, t=12, d=3, seed=9)
-    ds, archetypes = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     assert ds.n_windows == 3 * 3 * 6
     assert ds.n_timesteps == 12
     assert ds.n_channels == 3
-    assert archetypes.shape == (ds.n_windows,)
-    assert set(np.unique(archetypes)) == {0, 1, 2}
-    again, _ = generate_synthetic(spec)
+    # Archetype a is driver A{a}: each (archetype, class) cell holds windows_per_class windows.
+    archetypes = np.array([int(driver[1:]) for driver in ds.driver_ids])
+    assert np.array_equal(archetypes * spec.C + ds.labels, np.repeat(np.arange(9), 6))
+    again = generate_synthetic(spec)
     assert np.array_equal(ds.windows, again.windows)
     assert np.array_equal(ds.labels, again.labels)
 
@@ -462,7 +491,7 @@ def test_generate_synthetic_zero_noise_repeats_windows():
     spec = SyntheticSpec(frequencies=(1.0,), amplitudes=(1.0,), noise_sigmas=(0.0,),
                          class_effect_signs=(1,), windows_per_class=3, t=8, d=2,
                          C=2, seed=0)
-    ds, _ = generate_synthetic(spec)
+    ds = generate_synthetic(spec)
     for c in range(2):
         block = ds.windows[ds.labels == c]
         assert np.array_equal(block[0], block[1])

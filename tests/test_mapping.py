@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tsgroups import distances
+from tsgroups import distances, group_mapping
 from tsgroups.classifiers import ClassifierSpec
 from tsgroups.distances import MEASURE_ORDER, DistanceMeasureId, cross_distances, fit_mahalanobis
 from tsgroups.group_mapping import (
@@ -20,7 +20,7 @@ from tsgroups.rng import derive_seed, seeded_rng
 from tsgroups.storage import canonical_json
 from tsgroups.types import Grouping, WindowedDataset
 
-from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan
+from reference import naive_chebyshev, naive_mahalanobis, naive_manhattan, pergroup_candidate_distances
 
 
 def make_dataset(m, t=5, d=2, n_classes=2, seed=0):
@@ -53,8 +53,13 @@ def one_group(n):
     return Grouping(assignment=np.zeros(n, dtype=np.int64), K=1, measure="CHEBYSHEV")
 
 
+def group_distances(method, train, grouping, test_block, measure, ctx=None):
+    """Distances from one test group, all of ``test_block``, to each train group."""
+    return candidate_distances(method, train, grouping, test_block, one_group(len(test_block)), measure, ctx)[0]
+
+
 def nearest(method, train, grouping, test_block, measure, ctx=None):
-    return int(np.argmin(candidate_distances(method, train, grouping, test_block, measure, ctx)))
+    return int(np.argmin(group_distances(method, train, grouping, test_block, measure, ctx)))
 
 
 def test_map_cr_cr_hand_cases():
@@ -64,7 +69,7 @@ def test_map_cr_cr_hand_cases():
     assert nearest(MappingMethod.CR_CR, train, singletons(2), np.array([[9.0, 0.0]]), cheb) == 1
     # The test side is compared through its mean, not its members.
     block = np.array([[7.0, 0.0], [9.0, 0.0]])
-    dists = candidate_distances(MappingMethod.CR_CR, train, singletons(2), block, cheb)
+    dists = group_distances(MappingMethod.CR_CR, train, singletons(2), block, cheb)
     assert dists.tolist() == [8.0, 2.0]
 
 
@@ -77,21 +82,21 @@ def test_map_cr_cr_tie_prefers_smaller_index():
 
 def test_map_cr_cr_validates_shape():
     train = np.zeros((2, 3))
+    cheb = DistanceMeasureId.CHEBYSHEV
     for method in MappingMethod:
-        with pytest.raises(ValueError):
-            candidate_distances(method, train, singletons(2), np.zeros(3), DistanceMeasureId.CHEBYSHEV)
-        with pytest.raises(ValueError):
-            candidate_distances(method, train, singletons(2), np.zeros((0, 3)),
-                                DistanceMeasureId.CHEBYSHEV)
-        with pytest.raises(ValueError):
-            candidate_distances(method, train, singletons(2), np.zeros((1, 4)),
-                                DistanceMeasureId.CHEBYSHEV)
+        # Test vectors that are not a matrix, fewer rows than the test grouping, another width.
+        for test, test_grouping in ((np.zeros(3), one_group(3)), (np.zeros((0, 3)), one_group(1)),
+                                    (np.zeros((1, 4)), one_group(1))):
+            with pytest.raises(ValueError):
+                candidate_distances(method, train, singletons(2), test, test_grouping, cheb)
+        with pytest.raises(ValueError, match="train vectors"):
+            candidate_distances(method, train, singletons(3), np.zeros((1, 3)), one_group(1), cheb)
 
 
 def test_avg_group_distance_hand_value():
     a = np.array([[0.0], [2.0]])
     b = np.array([[1.0]])
-    got = candidate_distances(MappingMethod.AVG, a, one_group(2), b, DistanceMeasureId.MANHATTAN)
+    got = group_distances(MappingMethod.AVG, a, one_group(2), b, DistanceMeasureId.MANHATTAN)
     assert got.tolist() == [pytest.approx(1.0)]
 
 
@@ -111,7 +116,7 @@ def test_avg_group_distance_matches_double_loop():
         ctx = fit_mahalanobis(np.vstack([a, b]))
         for measure, fn in naive_measures(ctx):
             naive = np.mean([fn(x, y) for x in a for y in b])
-            got = candidate_distances(MappingMethod.AVG, a, one_group(len(a)), b, measure, ctx)[0]
+            got = group_distances(MappingMethod.AVG, a, one_group(len(a)), b, measure, ctx)[0]
             assert got == pytest.approx(naive, abs=1e-10)
     for trial in range(10):  # several train groups, so the per-group reduction is exercised
         train = rng.normal(size=(rng.integers(3, 10), 4))
@@ -122,8 +127,51 @@ def test_avg_group_distance_matches_double_loop():
         ctx = fit_mahalanobis(np.vstack([train, b]))
         for measure, fn in naive_measures(ctx):
             naive = [np.mean([fn(x, y) for x in train[assignment == g] for y in b]) for g in range(k)]
-            got = candidate_distances(MappingMethod.AVG, train, grouping, b, measure, ctx)
+            got = group_distances(MappingMethod.AVG, train, grouping, b, measure, ctx)
             assert got == pytest.approx(naive, abs=1e-10)
+
+
+def test_matrix_equals_the_per_group_oracle():
+    # Features six decades apart and groups of uneven sizes, so a change in the order of additions shows.
+    rng = seeded_rng(derive_seed(13, "matrix-oracle"))
+    for trial in range(6):
+        m_train, m_test = (int(n) for n in rng.integers(2, 400, size=2))
+        k_train, k_test = min(int(rng.integers(1, 9)), m_train), min(int(rng.integers(1, 9)), m_test)
+        scale = 10.0 ** rng.integers(-3, 4, size=12)
+        train, test = rng.normal(size=(m_train, 12)) * scale, rng.normal(size=(m_test, 12)) * scale
+        train_grouping, test_grouping = (
+            Grouping(assignment=rng.permutation(np.append(np.arange(k), rng.integers(0, k, size=m - k))), K=k,
+                     measure="CHEBYSHEV")
+            for m, k in ((m_train, k_train), (m_test, k_test)))
+        ctx = fit_mahalanobis(train)
+        for method in MappingMethod:
+            for measure in MEASURE_ORDER:
+                got = candidate_distances(method, train, train_grouping, test, test_grouping, measure, ctx)
+                want = np.stack([pergroup_candidate_distances(method.value, train, train_grouping.assignment,
+                                                              test[test_grouping.members(j)], measure, ctx)
+                                 for j in range(k_test)])
+                assert got.shape == (k_test, k_train)
+                if method is MappingMethod.CR_CR and measure is DistanceMeasureId.MAHALANOBIS:
+                    # The test centroids are whitened as one K-row product, not a row at a time,
+                    # and BLAS may round a many-row product otherwise.
+                    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+                else:
+                    assert np.array_equal(got, want), (trial, method, measure)
+
+
+def test_infer_computes_one_matrix_per_method(monkeypatch):
+    ds, vectors, grouping, bundle = clustered_setup()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return candidate_distances(*args, **kwargs)
+
+    monkeypatch.setattr(group_mapping, "candidate_distances", counted)
+    for method in MappingMethod:
+        calls.clear()
+        infer_with_groups(bundle, vectors, None, vectors, grouping, method=method, train_grouping=grouping)
+        assert calls == [method]
 
 
 def test_avg_holds_no_train_by_test_matrix(monkeypatch):
@@ -135,8 +183,9 @@ def test_avg_holds_no_train_by_test_matrix(monkeypatch):
     # The tail row is a group of its own, so its distances alone make that candidate.
     grouping = Grouping(assignment=np.append(np.arange(m) % 3, 3), K=4, measure="CHEBYSHEV")
     ctx = fit_mahalanobis(train)
-    # With one test row a candidate is one distance, so a change in its last bit shows.
-    for test in (tests, tests[:1]):
+    # Three interleaved test groups; with one test row a candidate is one distance, so a change in its last bit shows.
+    for test, test_grouping in ((tests, Grouping(assignment=np.arange(m) % 3, K=3, measure="CHEBYSHEV")),
+                                (tests[:1], one_group(1))):
         # Four rows per block: 601 train rows leave a one-row tail, and a
         # peak near m^2 could only be a matrix.
         monkeypatch.setattr(distances, "_SCRATCH_BYTES", 4 * len(test) * 8)
@@ -144,13 +193,14 @@ def test_avg_holds_no_train_by_test_matrix(monkeypatch):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                got = candidate_distances(MappingMethod.AVG, train, grouping, test, measure, ctx)
+                got = candidate_distances(MappingMethod.AVG, train, grouping, test, test_grouping, measure, ctx)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
             assert peak <= m * m * 8 / 4, (measure, peak)
-            row_means = cross_distances(train, test, measure, ctx).mean(axis=1)
-            want = np.bincount(grouping.assignment, weights=row_means) / grouping.group_sizes()
+            want = [np.bincount(grouping.assignment, weights=row_means) / grouping.group_sizes()
+                    for row_means in (cross_distances(train, test[test_grouping.members(j)], measure, ctx).mean(axis=1)
+                                      for j in range(test_grouping.K))]
             assert np.array_equal(got, want), (measure, len(test))
 
 
@@ -193,18 +243,17 @@ def test_self_mapping_identity_with_stats_kind():
         assert np.array_equal(preds[members], train_preds)
 
 
-def test_report_rows_carry_sizes_and_candidates():
+def test_report_holds_one_distance_row_per_test_group():
     ds, vectors, grouping, bundle = clustered_setup()
     _, report = infer_with_groups(bundle, vectors, None, vectors, grouping, method=MappingMethod.AVG,
                                   train_grouping=grouping)
-    assert [row.test_group_size for row in report.rows] == [6, 6, 6]
-    for row in report.rows:
-        assert len(row.candidate_distances) == bundle.n_groups
-        assert row.candidate_distances[row.chosen_train_group] == min(row.candidate_distances)
+    assert report.distances.shape == (3, bundle.n_groups)
+    assert [row[g] for row, g in zip(report.distances, report.chosen())] == report.distances.min(axis=1).tolist()
     payload = json.loads(canonical_json(report))
+    assert sorted(payload) == ["distances", "measure", "method"]
     assert payload["method"] == "AVG"
     assert payload["measure"] == "CHEBYSHEV"
-    assert len(payload["rows"]) == 3
+    assert payload["distances"] == report.distances.tolist()
 
 
 def test_measure_is_the_train_groupings():
@@ -271,9 +320,12 @@ def test_infer_deterministic():
 
 
 def test_mapping_report_round_trip_types():
-    report = MappingReport(method="CR_CR", measure="MANHATTAN")
+    report = MappingReport(method="CR_CR", measure="MANHATTAN", distances=[[0.5, 0.5, 0.25], [0.0, 0.0, 1.0]])
     assert report.method is MappingMethod.CR_CR
     assert report.measure is DistanceMeasureId.MANHATTAN
-    assert report.chosen() == []
+    assert report.chosen() == [2, 0]  # a tie goes to the smaller index
     with pytest.raises(ValueError):
-        MappingReport(method="NEAREST", measure="MANHATTAN")
+        MappingReport(method="NEAREST", measure="MANHATTAN", distances=[[0.5]])
+    for distances in ([], [0.5, 0.25], [[]], [[0.5], [0.25, 1.0]]):
+        with pytest.raises(ValueError):
+            MappingReport(method="AVG", measure="MANHATTAN", distances=distances)

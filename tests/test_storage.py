@@ -16,7 +16,7 @@ from tsgroups import autoencoder as ae
 from tsgroups.classifiers import ClassifierKind, ClassifierSpec, SoftmaxModel
 from tsgroups.consistent import CgfConfig, CgfResult
 from tsgroups.distances import DistanceMeasureId
-from tsgroups.group_mapping import MappingReport, MappingRow
+from tsgroups.group_mapping import MappingReport
 from tsgroups.grouped import GroupModelBundle, load_bundle, predict, save_bundle, train_per_group
 from tsgroups.ingest import ColumnMap, NormalizationStats, SyntheticSpec
 from tsgroups.pipeline import (
@@ -136,23 +136,21 @@ RECORDS = {
   "f1_weighted": 0.72
 }
 """),
-    "mapping_report": (MappingReport(method="AVG", measure="MANHATTAN", rows=[
-        MappingRow(test_group=0, test_group_size=3, chosen_train_group=1, candidate_distances=[0.5, 0.25]),
-    ]), """\
+    "mapping_report": (MappingReport(method="AVG", measure="MANHATTAN",
+                                     distances=np.array([[0.5, 0.25], [0.125, 1.0]])), """\
 {
+  "distances": [
+    [
+      0.5,
+      0.25
+    ],
+    [
+      0.125,
+      1.0
+    ]
+  ],
   "measure": "MANHATTAN",
-  "method": "AVG",
-  "rows": [
-    {
-      "candidate_distances": [
-        0.5,
-        0.25
-      ],
-      "chosen_train_group": 1,
-      "test_group": 0,
-      "test_group_size": 3
-    }
-  ]
+  "method": "AVG"
 }
 """),
     "grouping": (Grouping(
@@ -219,17 +217,9 @@ RECORDS = {
         models=[SoftmaxModel(weights=np.array([[0.5], [-0.25]]), bias=np.array([0.0]),
                              seen_classes=np.array([1]), feature_mean=np.array([1.5, 0.0]),
                              feature_std=np.array([2.0, 1.0]))],
-        class_presence=np.array([[False, True]]),
         kind=ClassifierKind.SOFTMAX_AECS, n_classes=2,
-        warnings=["group 0 contains only class 1; constant predictor"],
     ), """\
 {
-  "class_presence": [
-    [
-      false,
-      true
-    ]
-  ],
   "kind": "SOFTMAX_AECS",
   "models": [
     {
@@ -257,10 +247,7 @@ RECORDS = {
       ]
     }
   ],
-  "n_classes": 2,
-  "warnings": [
-    "group 0 contains only class 1; constant predictor"
-  ]
+  "n_classes": 2
 }
 """),
     "classifier_spec": (ClassifierSpec(kind="SOFTMAX_STATS", learning_rate=0.05, epochs=80,
@@ -452,7 +439,7 @@ def test_record_reads_back_from_its_json(name):
 
     def held(r):  # the records r holds, each rebuilt as its own type
         return [type(v) for v in [getattr(r, "grouping", None), getattr(r, "kind", None),
-                                  *getattr(r, "models", []), *getattr(r, "rows", [])] if v is not None]
+                                  *getattr(r, "models", [])] if v is not None]
 
     assert held(back) == held(record)
 
@@ -524,8 +511,7 @@ def test_number_arrays_take_no_json_true():
     # numpy reads [0, true, 1] as an int array, so each item of a JSON list is looked at, nested rows too.
     model = {"weights": [[0.5, 1.0], [-1.0, 2.0]], "bias": [0.0, 0.0], "seen_classes": [0, 1],
              "feature_mean": [0.0, 0.0], "feature_std": [1.0, 1.0]}
-    bundle = {"models": [model], "class_presence": [[True, True]], "kind": "SOFTMAX_AECS",
-              "n_classes": 2}
+    bundle = {"models": [model], "kind": "SOFTMAX_AECS", "n_classes": 2}
     dataset = {"windows": np.zeros((3, 4, 2)), "labels": [0, 1, 0], "driver_ids": ["D1"] * 3, "class_names": ["a", "b"]}
     for cls, data, path, where in [
         (Grouping, {"assignment": [0, 1, 1], "K": 2, "measure": "CHEBYSHEV"}, ("assignment", 1), "assignment"),
@@ -783,7 +769,6 @@ def test_bundle_round_trip_preserves_models(tmp_path):
     assert loaded.kind is bundle.kind
     assert loaded.n_classes == bundle.n_classes
     assert loaded.warnings == bundle.warnings
-    assert np.array_equal(loaded.class_presence, bundle.class_presence)
     assert_same_models(loaded.models, bundle.models)
     again = tmp_path / "bundle2.json"
     save_bundle(again, loaded)
